@@ -1,24 +1,24 @@
 # Metrics, connections, and statistical structures
 #
 # A metric is a symmetric grid of expressions; its Levi-Civita connection
-# comes from the Koszul formula (symbolically zero for constant metrics,
-# numerically backed otherwise).  A statistical structure pairs the metric
-# with a torsion-free connection whose "metric defect" is totally
-# symmetric; the dual connection is the mirror 2*levi_civita - nabla.
+# comes from the Koszul formula, evaluated at a batch of points (zero for
+# constant metrics).  A statistical structure pairs the metric with a
+# symmetric difference tensor K whose lowered form is totally symmetric:
+# the connection is nabla = levi_civita + K and its dual is
+# nabla* = levi_civita - K.
 
 import numpy as np
 
 from contactstat.exprlang import Const
 from contactstat.geometry import (ConnField, MetricField, StatTriple,
-                                  check_statistical, dual_connection,
-                                  levi_civita, metric_samples)
+                                  check_statistical, levi_civita,
+                                  metric_samples)
 from contactstat.sampling import sample_box
 
 # A warped-product style chart: g = diag(1, x1^2) on (0, inf) x R.
 g = MetricField(2, {(0, 0): "1", (1, 1): "x1^2"})
-conn = levi_civita(g)
 pts = sample_box(2, count=4, box=(0.5, 2.0)).points
-gam = conn.gamma_at(pts)
+gam = levi_civita(g, pts)
 print("chart points:", np.round(pts[:, 0], 3))
 print("Gamma^2_12 =", np.round(gam[:, 1, 0, 1], 4), " (expect 1/x1)")
 print("Gamma^1_22 =", np.round(gam[:, 0, 1, 1], 4), " (expect -x1)")
@@ -30,20 +30,22 @@ eta = [zero, zero, one]
 xi = [zero, zero, one]
 coeffs = [[[eta[i] * eta[j] * xi[k] for j in range(3)] for i in range(3)]
           for k in range(3)]
-nabla = ConnField.flat(3) + ConnField(3, coeffs=coeffs, torsion_free=True)
+K = ConnField(3, coeffs)
 
 g3 = MetricField.euclidean(3)
-st = StatTriple(g3, nabla)
+st = StatTriple(g3, K)
 report = check_statistical(st, metric_samples(g3))
 print()
 print(report.table())
 
-# The dual connection undoes the shift: nabla* = levi_civita - K, and
+# The dual structure undoes the shift: nabla* = levi_civita - K, and
 # dualising twice returns the original coefficients.
-dual = dual_connection(nabla, g3)
-dd = dual_connection(dual, g3)
+dual = st.dual()
+dd = dual.dual()
+_, gam, gam_star = st.gammas(np.zeros((1, 3)))
 print()
-print("dual coefficient Gamma*^3_33:", dual.coeff(2, 2, 2))
+print("Gamma^3_33 and Gamma*^3_33:", gam[0, 2, 2, 2], gam_star[0, 2, 2, 2])
+print("dual difference tensor K*^3_33:", dual.K.coeff(2, 2, 2))
 print("double dual equals the original:",
-      all(dd.coeff(k, i, j) == nabla.coeff(k, i, j)
+      all(dd.K.coeff(k, i, j) == K.coeff(k, i, j)
           for k in range(3) for i in range(3) for j in range(3)))

@@ -25,12 +25,14 @@ from .crchecks import (check_contact_cr, check_cr_product,
                        check_dual_shape_identities, check_integrability_D,
                        check_integrability_Dperp,
                        check_mixed_geodesic_consequences, classify_geodesic)
+from .exprlang import DomainError
 from .fixtures import fixture_doc, fixture_names
 from .geometry import GeometryError, check_statistical, metric_samples
 from .report import CheckReport, Record
-from .sampling import sample_box, samples_from_points
+from .sampling import samples_from_points
 from .specfile import SpecError, load_spec
-from .submanifold import (check_gauss_weingarten, check_transport_identities,
+from .submanifold import (MapGeometry, _domain_samples,
+                          check_gauss_weingarten, check_transport_identities,
                           check_structure_identities)
 
 SUITE_ORDER = ("ambient", "contact", "submanifold", "cr", "product")
@@ -38,38 +40,37 @@ SUITE_ORDER = ("ambient", "contact", "submanifold", "cr", "product")
 __all__ = ["main", "run"]
 
 
-def _ambient_samples(spec, seed, count):
+def _spec_samples(spec, chart, seed, count):
+    """Samples on the "ambient" or the "domain" chart of the spec."""
     mode = spec.sampling.get("mode", "seeded-random")
     if mode == "points":
-        pts = spec.sampling.get("ambient")
+        pts = spec.sampling.get(chart)
         if pts is None:
-            raise SpecError(["sampling.ambient: explicit points required "
-                             "for ambient suites in points mode"])
+            suites = "ambient" if chart == "ambient" else "submanifold"
+            raise SpecError([f"sampling.{chart}: explicit points required "
+                             f"for {suites} suites in points mode"])
         return samples_from_points(pts)
     box = tuple(spec.sampling.get("box", (-1.0, 1.0)))
-    return metric_samples(spec.g, count=count, seed=seed, box=box)
-
-
-def _domain_samples(spec, seed, count):
-    mode = spec.sampling.get("mode", "seeded-random")
-    if mode == "points":
-        pts = spec.sampling.get("domain")
-        if pts is None:
-            raise SpecError(["sampling.domain: explicit points required "
-                             "for submanifold suites in points mode"])
-        return samples_from_points(pts)
-    box = tuple(spec.sampling.get("box", (-1.0, 1.0)))
-    return sample_box(spec.embedding.m, count=count, seed=seed, box=box)
+    if chart == "domain":
+        return _domain_samples(spec.embedding, count=count, seed=seed, box=box)
+    try:
+        return metric_samples(spec.g, count=count, seed=seed, box=box)
+    except ValueError as e:
+        raise SpecError([f"sampling.box: metric not positive definite "
+                         f"({e})"]) from None
 
 
 def _guarded(fn, check_name):
+    """Run one check; an input the check cannot be evaluated on becomes its
+    failed engine-precondition record, naming the exception."""
     try:
         return fn()
-    except GeometryError as e:
+    except (GeometryError, DomainError, np.linalg.LinAlgError) as e:
         rep = CheckReport(check=check_name, census={})
         rep.records.append(Record(
             name="engine-precondition", identity="inputs admit this check",
-            residual=1.0, scale=0.0, tolerance=0.0, note=str(e)))
+            residual=1.0, scale=0.0, tolerance=0.0,
+            note=f"{type(e).__name__}: {e}"))
         return rep
 
 
@@ -104,10 +105,8 @@ def run(spec, suites, seed=None, count=None, tol=None):
 
     def shared_mg():
         if "mg" not in shared:
-            from .submanifold import MapGeometry
-            st = spec.sss.st
-            shared["mg"] = MapGeometry(spec.embedding, spec.g, nabla=st.nabla,
-                                       nabla_star=st.nabla_star, acs=spec.acs)
+            shared["mg"] = MapGeometry(spec.embedding, spec.sss.st,
+                                       acs=spec.acs)
         return shared["mg"]
 
     def shared_cr():
@@ -118,13 +117,13 @@ def run(spec, suites, seed=None, count=None, tol=None):
     for suite in suites:
         checks = []
         if suite == "ambient":
-            samples = _ambient_samples(spec, eff_seed, eff_count)
+            samples = _spec_samples(spec, "ambient", eff_seed, eff_count)
             t = tol_for(suite)
             checks.append(_guarded(
                 lambda: check_statistical(spec.sss.st, samples, t),
                 "statistical"))
         elif suite == "contact":
-            samples = _ambient_samples(spec, eff_seed, eff_count)
+            samples = _spec_samples(spec, "ambient", eff_seed, eff_count)
             t = tol_for(suite)
             checks.append(_guarded(
                 lambda: check_almost_contact(spec.acs, spec.g, samples, t),
@@ -140,7 +139,7 @@ def run(spec, suites, seed=None, count=None, tol=None):
                                                    delegate=False),
                 "sasakian-statistical"))
         elif suite == "submanifold":
-            samples = _domain_samples(spec, eff_seed, eff_count)
+            samples = _spec_samples(spec, "domain", eff_seed, eff_count)
             t = tol_for(suite)
             checks.append(_guarded(
                 lambda: check_gauss_weingarten(spec.embedding, spec.sss.st,
@@ -156,21 +155,28 @@ def run(spec, suites, seed=None, count=None, tol=None):
                                      mg=shared_mg()),
                 "transport-identities"))
         elif suite == "cr":
-            samples = _domain_samples(spec, eff_seed, eff_count)
+            samples = _spec_samples(spec, "domain", eff_seed, eff_count)
             t = tol_for(suite)
             cr = shared_cr()
             for name, fn in (
                     ("contact-cr", check_contact_cr),
                     ("integrability-d", check_integrability_D),
                     ("integrability-dperp", check_integrability_Dperp),
-                    ("dual-shape-identities", check_dual_shape_identities),
-                    ("geodesic-classifiers", classify_geodesic),
-                    ("mixed-geodesic-consequences",
-                     check_mixed_geodesic_consequences)):
+                    ("dual-shape-identities", check_dual_shape_identities)):
                 checks.append(_guarded(
                     lambda fn=fn: fn(cr, samples, t), name))
+            geo = _guarded(lambda: classify_geodesic(cr, samples, t),
+                           "geodesic-classifiers")
+            checks.append(geo)
+            # after an engine-precondition record the consequences classify
+            # again, and so report the same failure
+            classified = geo.records[0].name != "engine-precondition"
+            checks.append(_guarded(
+                lambda: check_mixed_geodesic_consequences(
+                    cr, samples, t, geo=geo if classified else None),
+                "mixed-geodesic-consequences"))
         elif suite == "product":
-            samples = _domain_samples(spec, eff_seed, eff_count)
+            samples = _spec_samples(spec, "domain", eff_seed, eff_count)
             t = tol_for(suite)
             cr = shared_cr()
             checks.append(_guarded(

@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exprlang import Const, Expr
-from .geometry import (ConnField, GeometryError, MetricField, OneFormField,
-                       StatTriple, VectorField, _coerce_expr, _eval_grid,
-                       levi_civita, metric_samples)
+from .geometry import (ConnField, GeometryError, Grid, OneFormField,
+                       StatTriple, VectorField, _coerce_expr, levi_civita,
+                       metric_samples)
 from .report import CheckReport, Tracker
 
 __all__ = [
@@ -48,19 +48,20 @@ class AlmostContact:
         self.phi = tuple(
             tuple(_coerce_expr(phi[a][b], dim) for b in range(dim))
             for a in range(dim))
+        self._phi = Grid(self.phi)
         self._dphi = None
 
     def phi_at(self, points):
-        return _eval_grid(self.phi, points)
+        return self._phi.at(points)
 
     def dphi_at(self, points):
         """d[n, i, a, b] = partial_i phi^a_b."""
         if self._dphi is None:
-            self._dphi = tuple(
+            self._dphi = Grid(tuple(
                 tuple(tuple(self.phi[a][b].diff(i) for b in range(self.dim))
                       for a in range(self.dim))
-                for i in range(self.dim))
-        return _eval_grid(self._dphi, points)
+                for i in range(self.dim)))
+        return self._dphi.at(points)
 
 
 @dataclass
@@ -200,7 +201,7 @@ def check_sasakian(acs, g, samples=None, tol=1e-8):
                       census={"samples": samples.count, "dim": d})
 
     gv = g.at(pts)
-    gam = levi_civita(g).gamma_at(pts)
+    gam = levi_civita(g, pts)
     phi = acs.phi_at(pts)
     dphi = acs.dphi_at(pts)
     xiv = acs.xi.at(pts)
@@ -307,9 +308,9 @@ def check_sasakian_statistical(sss, samples=None, tol=1e-8, delegate=True):
     xiv = acs.xi.at(pts)
     dxi = acs.xi.jac_at(pts)
     etav = acs.eta.at(pts)
-    kt = st.k_at(pts)
-    gam = st.nabla.gamma_at(pts)
-    gam_star = st.nabla_star.gamma_at(pts)
+    lc, gam, gam_star = st.gammas(pts)
+    kt = gam - lc
+    del lc  # only K is needed from here; free a full batch
     scale = float(max(np.abs(gv).max(), np.abs(phi).max(),
                       np.abs(gam).max(), np.abs(gam_star).max(), 1.0))
 
@@ -329,12 +330,10 @@ def check_sasakian_statistical(sss, samples=None, tol=1e-8, delegate=True):
 
 def lambda_family(g, acs, lam):
     """The one-parameter family of statistical structures compatible with a
-    Sasakian structure: nabla = levi_civita(g) + lam * (eta (x) eta (x) xi),
-    whose dual is the same shift with -lam."""
+    Sasakian structure: K = lam * (eta (x) eta (x) xi), so
+    nabla = levi_civita(g) + K, whose dual is the same shift with -lam."""
     d = g.dim
-    coeffs = [[[Const(float(lam)) * acs.eta.comps[i] * acs.eta.comps[j]
-                * acs.xi.comps[k] for j in range(d)] for i in range(d)]
-              for k in range(d)]
-    shift = ConnField(d, coeffs=coeffs, torsion_free=True)
-    nabla = levi_civita(g).combine(shift, 1.0, 1.0)
-    return SasakiStatStructure(st=StatTriple(g, nabla), acs=acs, lam=float(lam))
+    K = ConnField(d, [[[Const(float(lam)) * acs.eta.comps[i] * acs.eta.comps[j]
+                        * acs.xi.comps[k] for j in range(d)] for i in range(d)]
+                      for k in range(d)])
+    return SasakiStatStructure(st=StatTriple(g, K), acs=acs, lam=float(lam))

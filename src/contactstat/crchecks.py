@@ -13,8 +13,7 @@ import numpy as np
 from .geometry import GeometryError, VectorField, lie_bracket
 from .jets import jmatvec
 from .report import CheckReport, Tracker
-from .sampling import sample_box
-from .submanifold import MapGeometry
+from .submanifold import MapGeometry, _domain_samples
 
 __all__ = [
     "Distribution", "CRStructure",
@@ -51,9 +50,8 @@ class CRStructure:
         self.sss = sss
         self.D = D if isinstance(D, Distribution) else Distribution(D)
         self.Dperp = Dperp if isinstance(Dperp, Distribution) else Distribution(Dperp)
-        st = sss.st
-        self._mg = mg if mg is not None else MapGeometry(
-            emb, st.g, nabla=st.nabla, nabla_star=st.nabla_star, acs=sss.acs)
+        self._mg = mg if mg is not None else MapGeometry(emb, sss.st,
+                                                         acs=sss.acs)
         self._brackets = {}
         self._contexts = {}
 
@@ -130,18 +128,12 @@ class _CRContext:
         return self.ctx.gnorm(v - projector @ v)
 
 
-def _domain_samples(cr, samples):
-    if samples is not None:
-        return samples
-    return sample_box(cr.emb.m)
-
-
 def check_contact_cr(cr, samples=None, tol=1e-8):
     """Structural records: generator independence and spanning, mutual
     orthogonality, invariance of D, anti-invariance of its complement, Reeb
     membership, invariance of the nu-subbundle, and the four projection
     identities of the tangential/normal decomposition."""
-    samples = _domain_samples(cr, samples)
+    samples = _domain_samples(cr.emb, samples)
     rep = CheckReport(check="contact-cr",
                       census={"samples": samples.count,
                               "rank-D": cr.D.rank, "rank-Dperp": cr.Dperp.rank})
@@ -228,7 +220,7 @@ def check_integrability_D(cr, samples=None, tol=1e-8):
     """Involutivity of the invariant distribution: bracket closure, the
     fundamental-form symmetry criterion, and the bridge identity tying the
     two together."""
-    samples = _domain_samples(cr, samples)
+    samples = _domain_samples(cr.emb, samples)
     rep = CheckReport(check="integrability-d",
                       census={"samples": samples.count, "pairs":
                               cr.D.rank * (cr.D.rank - 1) // 2})
@@ -274,7 +266,7 @@ def check_integrability_Dperp(cr, samples=None, tol=1e-8):
     """Involutivity of the anti-invariant distribution: bracket closure,
     the shape-operator criterion, and its bridge through the tangential
     part of the bracket (sign-convention twin reported informationally)."""
-    samples = _domain_samples(cr, samples)
+    samples = _domain_samples(cr.emb, samples)
     rep = CheckReport(check="integrability-dperp",
                       census={"samples": samples.count, "pairs":
                               cr.Dperp.rank * (cr.Dperp.rank - 1) // 2})
@@ -329,7 +321,7 @@ def check_dual_shape_identities(cr, samples=None, tol=1e-8):
     """Shape-operator symmetry on the anti-invariant distribution and the
     two transport equivalences between normal-bundle derivatives of the
     F/B/C parts; each equivalence is reported as its two sides."""
-    samples = _domain_samples(cr, samples)
+    samples = _domain_samples(cr.emb, samples)
     rep = CheckReport(check="dual-shape-identities",
                       census={"samples": samples.count})
     names = ["a-f-symmetric", "a-f-symmetric-dual", "b-shape-symmetric",
@@ -406,7 +398,7 @@ def check_dual_shape_identities(cr, samples=None, tol=1e-8):
 def classify_geodesic(cr, samples=None, tol=1e-8):
     """Geodesicity/umbilicity/foliate classifiers for both fundamental
     forms, with the shape-operator companions of their characterisations."""
-    samples = _domain_samples(cr, samples)
+    samples = _domain_samples(cr.emb, samples)
     rep = CheckReport(check="geodesic-classifiers",
                       census={"samples": samples.count})
     flag_names = []
@@ -525,12 +517,15 @@ def classify_geodesic(cr, samples=None, tol=1e-8):
     return rep
 
 
-def check_mixed_geodesic_consequences(cr, samples=None, tol=1e-8):
+def check_mixed_geodesic_consequences(cr, samples=None, tol=1e-8, geo=None):
     """Shape/normal-connection transfers that hold on mixed-geodesic
     submanifolds; when the precondition fails the records are emitted as
-    informational with the precondition status attached."""
-    samples = _domain_samples(cr, samples)
-    geo = classify_geodesic(cr, samples, tol)
+    informational with the precondition status attached.  `geo` is the
+    classify_geodesic report on the same samples and tolerance; it is
+    computed here when not given."""
+    samples = _domain_samples(cr.emb, samples)
+    if geo is None:
+        geo = classify_geodesic(cr, samples, tol)
     mixed_ok = {False: geo.record("mixed-geodesic").passed,
                 True: geo.record("mixed-geodesic-dual").passed}
     foliate_ok = geo.record("foliate").passed
@@ -614,7 +609,7 @@ def check_cr_product(cr, samples=None, tol=1e-8):
     antisymmetry inside the image of the anti-invariant distribution, and
     the shape antisymmetry against the invariant normal complement.
     Sign-convention twins are reported informationally."""
-    samples = _domain_samples(cr, samples)
+    samples = _domain_samples(cr.emb, samples)
     rep = CheckReport(check="cr-product", census={"samples": samples.count})
     names = ["product-criterion", "product-criterion-alt-sign",
              "leaf-pairing", "leaf-pairing-alt-sign",

@@ -1,11 +1,16 @@
 """Chart-level Riemannian and affine-connection machinery.
 
-Metrics, vector fields and connections are grids of expressions over one
-chart.  Connections are stored Christoffel-style: gamma[k][i][j] with k the
-output component, i the differentiation direction and j the argument slot.
-Connections derived from a non-constant metric fall back to a pointwise
-numeric evaluator (same Koszul formula, numeric inverse); constant metrics
-keep everything symbolic.
+Metrics, vector fields and tensor fields are grids of expressions over one
+chart; each field compiles its grid once for batch evaluation.  Connection
+coefficients are stored Christoffel-style: gamma[k][i][j] with k the output
+component, i the differentiation direction and j the argument slot.
+
+A statistical structure is stored as the metric and its symbolic
+difference tensor K.  The Levi-Civita symbols are evaluated numerically
+(Koszul formula, numeric inverse), once per point batch, and both
+connections, ∇ = ∇̂ + K and its dual ∇* = ∇̂ − K, are read from that one
+evaluation.  A constant metric has ∇̂ = 0 and is inverted only once, to
+check that it is invertible.
 """
 
 import numpy as np
@@ -16,8 +21,8 @@ from .sampling import Samples, sample_box
 
 __all__ = [
     "GeometryError", "SingularMetricError",
-    "MetricField", "VectorField", "OneFormField", "ConnField", "StatTriple",
-    "levi_civita", "dual_connection", "covariant_derivative",
+    "Grid", "MetricField", "VectorField", "OneFormField", "ConnField",
+    "StatTriple", "levi_civita", "covariant_derivative",
     "covariant_derivative_at", "lie_bracket", "check_statistical",
     "metric_samples",
 ]
@@ -50,40 +55,47 @@ def _coerce_expr(e, dim):
     return expr
 
 
-_GRID_CACHE = {}
+class Grid:
+    """A nested tuple grid of expressions, flattened on first use for batch
+    evaluation.  A grid without coordinate dependence is evaluated once and
+    broadcast as a read-only view."""
 
+    def __init__(self, nested):
+        self.nested = nested
+        self.exprs = None
 
-def _eval_grid(grid, points):
-    """Evaluate a nested tuple-of-Expr grid at an (N, dim) batch; the sample
-    axis comes first in the result.  Constant grids are evaluated once and
-    broadcast (read-only view)."""
-    pts = np.asarray(points, dtype=float)
-    key = id(grid)
-    cached = _GRID_CACHE.get(key)
-    if cached is not None and cached[0] is grid:
-        vals = cached[1]
-        return np.broadcast_to(vals, (pts.shape[0],) + vals.shape)
+    def _compile(self):
+        exprs = []
 
-    flat = []
+        def walk(node):
+            if isinstance(node, Expr):
+                exprs.append(node)
+                return ()
+            sub = ()
+            for child in node:
+                sub = walk(child)
+            return (len(node),) + sub
 
-    def walk(node):
-        if isinstance(node, Expr):
-            flat.append(node)
-            return ()
-        sub = ()
-        for child in node:
-            sub = walk(child)
-        return (len(node),) + sub
+        self.shape = walk(self.nested)
+        self.exprs = exprs
+        self.const = None
+        if all(e.max_var < 0 for e in exprs):
+            dummy = (0.0,)
+            self.const = np.array([e.eval(dummy) for e in exprs]).reshape(self.shape)
 
-    shape = walk(grid)
-    if all(e.max_var < 0 for e in flat):
-        dummy = (0.0,)
-        vals = np.array([e.eval(dummy) for e in flat]).reshape(shape)
-        if isinstance(grid, tuple):
-            _GRID_CACHE[key] = (grid, vals)
-        return np.broadcast_to(vals, (pts.shape[0],) + vals.shape)
-    vals = np.stack([e.eval_many(pts) for e in flat], axis=-1)
-    return vals.reshape((pts.shape[0],) + shape)
+    @property
+    def is_constant(self):
+        if self.exprs is None:
+            self._compile()
+        return self.const is not None
+
+    def at(self, points):
+        """Values at an (N, dim) batch; the sample axis comes first."""
+        pts = np.asarray(points, dtype=float)
+        if self.is_constant:
+            return np.broadcast_to(self.const, (pts.shape[0],) + self.shape)
+        vals = np.stack([e.eval_many(pts) for e in self.exprs], axis=-1)
+        return vals.reshape((pts.shape[0],) + self.shape)
 
 
 class MetricField:
@@ -101,6 +113,7 @@ class MetricField:
             grid[i][j] = expr
             grid[j][i] = expr
         self.entries = tuple(tuple(row) for row in grid)
+        self._grid = Grid(self.entries)
         self._deriv = None
 
     @classmethod
@@ -123,22 +136,22 @@ class MetricField:
 
     @property
     def is_constant(self):
-        return all(e.max_var < 0 for row in self.entries for e in row)
+        return self._grid.is_constant
 
     def entry(self, i, j):
         return self.entries[i][j]
 
     def at(self, points):
-        return _eval_grid(self.entries, points)
+        return self._grid.at(points)
 
     def deriv_at(self, points):
         """d[n, k, i, j] = partial_k g_ij."""
         if self._deriv is None:
-            self._deriv = tuple(
+            self._deriv = Grid(tuple(
                 tuple(tuple(self.entries[i][j].diff(k) for j in range(self.dim))
                       for i in range(self.dim))
-                for k in range(self.dim))
-        return _eval_grid(self._deriv, points)
+                for k in range(self.dim)))
+        return self._deriv.at(points)
 
     def inverse_at(self, points):
         g = self.at(points)
@@ -153,20 +166,9 @@ class MetricField:
 
     def substitute(self, gamma):
         """Pull the entries back through a coordinate map (composition)."""
-        dim = len(gamma)
-        out = {}
-        for i in range(self.dim):
-            for j in range(i, self.dim):
-                out[(i, j)] = self.entries[i][j].substitute(gamma)
-        m = MetricField.__new__(MetricField)
-        m.dim = self.dim
-        grid = [[Const(0.0)] * self.dim for _ in range(self.dim)]
-        for (i, j), e in out.items():
-            grid[i][j] = e
-            grid[j][i] = e
-        m.entries = tuple(tuple(row) for row in grid)
-        m._deriv = None
-        return m
+        return MetricField(self.dim, {
+            (i, j): self.entries[i][j].substitute(gamma)
+            for i in range(self.dim) for j in range(i, self.dim)})
 
 
 class VectorField:
@@ -177,6 +179,7 @@ class VectorField:
         self.comps = tuple(_coerce_expr(c, dim) for c in comps)
         if len(self.comps) != dim:
             raise GeometryError("component count must equal the chart dimension")
+        self._grid = Grid(self.comps)
         self._jac = None
 
     @classmethod
@@ -184,15 +187,15 @@ class VectorField:
         return cls([Const(1.0 if k == index else 0.0) for k in range(dim)], dim)
 
     def at(self, points):
-        return _eval_grid(self.comps, points)
+        return self._grid.at(points)
 
     def jac_at(self, points):
         """j[n, k, i] = partial_i X^k."""
         if self._jac is None:
-            self._jac = tuple(
+            self._jac = Grid(tuple(
                 tuple(self.comps[k].diff(i) for i in range(self.dim))
-                for k in range(self.dim))
-        return _eval_grid(self._jac, points)
+                for k in range(self.dim)))
+        return self._jac.at(points)
 
 
 class OneFormField:
@@ -201,116 +204,66 @@ class OneFormField:
         dim = dim or len(comps)
         self.dim = dim
         self.comps = tuple(_coerce_expr(c, dim) for c in comps)
+        self._grid = Grid(self.comps)
         self._jac = None
 
     def at(self, points):
-        return _eval_grid(self.comps, points)
+        return self._grid.at(points)
 
     def jac_at(self, points):
         """j[n, a, i] = partial_i eta_a."""
         if self._jac is None:
-            self._jac = tuple(
+            self._jac = Grid(tuple(
                 tuple(self.comps[a].diff(i) for i in range(self.dim))
-                for a in range(self.dim))
-        return _eval_grid(self._jac, points)
+                for a in range(self.dim)))
+        return self._jac.at(points)
 
 
 class ConnField:
-    """Affine connection; symbolic coefficient grid or pointwise evaluator."""
+    """Symbolic coefficient grid of a connection, or of a (1,2)-tensor such
+    as the difference tensor K, indexed [k][i][j]."""
 
-    def __init__(self, dim, coeffs=None, fn=None, torsion_free=False):
-        if (coeffs is None) == (fn is None):
-            raise GeometryError("exactly one of coeffs / fn must be given")
+    def __init__(self, dim, coeffs):
         self.dim = dim
-        self.torsion_free = torsion_free
-        if coeffs is not None:
-            self.coeffs = tuple(
-                tuple(tuple(_coerce_expr(coeffs[k][i][j], dim)
-                            for j in range(dim))
-                      for i in range(dim))
-                for k in range(dim))
-            self.fn = None
-        else:
-            self.coeffs = None
-            self.fn = fn
+        self.coeffs = tuple(
+            tuple(tuple(_coerce_expr(coeffs[k][i][j], dim)
+                        for j in range(dim))
+                  for i in range(dim))
+            for k in range(dim))
+        self._grid = Grid(self.coeffs)
 
     @classmethod
     def flat(cls, dim):
         zero = Const(0.0)
-        grid = [[[zero] * dim for _ in range(dim)] for _ in range(dim)]
-        return cls(dim, coeffs=grid, torsion_free=True)
-
-    @property
-    def is_symbolic(self):
-        return self.coeffs is not None
+        return cls(dim, [[[zero] * dim for _ in range(dim)] for _ in range(dim)])
 
     def coeff(self, k, i, j):
-        if not self.is_symbolic:
-            raise GeometryError("connection is numeric-backed; no symbolic coefficients")
         return self.coeffs[k][i][j]
 
     def gamma_at(self, points):
         """gamma[n, k, i, j] at each sample."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.is_symbolic:
-            return _eval_grid(self.coeffs, pts)
-        return self.fn(pts)
-
-    def combine(self, other, a, b):
-        """a*self + b*other, staying symbolic when both sides are."""
-        if self.dim != other.dim:
-            raise GeometryError("dimension mismatch")
-        tf = self.torsion_free and other.torsion_free
-        if self.is_symbolic and other.is_symbolic:
-            d = self.dim
-            grid = [[[Const(a) * self.coeffs[k][i][j] + Const(b) * other.coeffs[k][i][j]
-                      for j in range(d)] for i in range(d)] for k in range(d)]
-            return ConnField(d, coeffs=grid, torsion_free=tf)
-        fn = lambda pts: a * self.gamma_at(pts) + b * other.gamma_at(pts)
-        return ConnField(self.dim, fn=fn, torsion_free=tf)
-
-    def __add__(self, other):
-        return self.combine(other, 1.0, 1.0)
-
-    def __sub__(self, other):
-        return self.combine(other, 1.0, -1.0)
+        return self._grid.at(np.atleast_2d(np.asarray(points, dtype=float)))
 
 
-def levi_civita(g):
-    """Christoffel symbols of the metric:
-    gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij).
-
-    For a constant metric all derivatives vanish, so the result is the
-    symbolic zero connection.  Otherwise the same formula runs pointwise
-    with a numeric inverse (determinant floor 1e-12)."""
+def levi_civita(g, points):
+    """Christoffel symbols of the metric at each point, [n, k, i, j]:
+    gamma^k_ij = 1/2 g^{kl} (d_i g_jl + d_j g_il - d_l g_ij), with a numeric
+    inverse (determinant floor 1e-12).  A constant metric has vanishing
+    symbols and is not inverted."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
     d = g.dim
     if g.is_constant:
-        g.inverse_at(np.zeros((1, d)))  # invertibility, reported early
-        return ConnField.flat(d)
-
-    def fn(pts):
-        ginv = g.inverse_at(pts)
-        dg = g.deriv_at(pts)                      # [n, k, i, j] = d_k g_ij
-        d_i_gjl = np.transpose(dg, (0, 1, 2, 3))  # indexed [n, i, j, l]
-        d_j_gil = np.transpose(dg, (0, 2, 1, 3))
-        d_l_gij = np.transpose(dg, (0, 2, 3, 1))
-        lower = 0.5 * (d_i_gjl + d_j_gil - d_l_gij)
-        return np.einsum("nkl,nijl->nkij", ginv, lower)
-
-    return ConnField(d, fn=fn, torsion_free=True)
-
-
-def dual_connection(nabla, g):
-    """The metric-dual connection 2*levi_civita(g) - nabla, which satisfies
-    X g(Y,Z) = g(nabla_X Y, Z) + g(Y, dual_X Z) on samples."""
-    return levi_civita(g).combine(nabla, 2.0, -1.0)
+        return np.broadcast_to(0.0, (pts.shape[0], d, d, d))
+    ginv = g.inverse_at(pts)
+    dg = g.deriv_at(pts)                      # [n, k, i, j] = d_k g_ij
+    d_j_gil = np.transpose(dg, (0, 2, 1, 3))  # indexed [n, i, j, l]
+    d_l_gij = np.transpose(dg, (0, 2, 3, 1))
+    lower = 0.5 * (dg + d_j_gil - d_l_gij)
+    return np.einsum("nkl,nijl->nkij", ginv, lower)
 
 
 def covariant_derivative(conn, X, Y):
-    """(nabla_X Y)^k = X^i d_i Y^k + X^i Y^j gamma^k_ij, as expressions.
-
-    Requires a symbolic connection; use covariant_derivative_at for
-    numeric-backed ones."""
+    """(nabla_X Y)^k = X^i d_i Y^k + X^i Y^j gamma^k_ij, as expressions."""
     d = conn.dim
     comps = []
     for k in range(d):
@@ -323,9 +276,10 @@ def covariant_derivative(conn, X, Y):
     return VectorField(comps, d)
 
 
-def covariant_derivative_at(conn, X, Y, points):
+def covariant_derivative_at(gam, X, Y, points):
+    """(nabla_X Y)^k at each point, from connection coefficients `gam`
+    [n, k, i, j] evaluated at the same points."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    gam = conn.gamma_at(pts)
     xv = X.at(pts)
     yv = Y.at(pts)
     dy = Y.jac_at(pts)  # [n, k, i]
@@ -346,28 +300,46 @@ def lie_bracket(X, Y):
 
 
 class StatTriple:
-    """Metric, a torsion-free connection, its metric dual, and the
-    difference tensor K = nabla - levi_civita, all over one chart."""
+    """A statistical structure over one chart, stored as the metric g and
+    the symbolic difference tensor K: the connection is ∇ = ∇̂ + K and its
+    metric dual is ∇* = ∇̂ − K, with ∇̂ the Levi-Civita connection of g."""
 
-    def __init__(self, g, nabla):
-        if g.dim != nabla.dim:
-            raise GeometryError("dimension mismatch between metric and connection")
+    def __init__(self, g, K):
+        if g.dim != K.dim:
+            raise GeometryError(
+                "dimension mismatch between metric and difference tensor")
         self.g = g
-        self.nabla = nabla
-        self.lc = levi_civita(g)
-        self.nabla_star = self.lc.combine(nabla, 2.0, -1.0)
+        self.K = K
+        self._minus_K = None
+        if g.is_constant:
+            g.inverse_at(np.zeros((1, g.dim)))  # invertibility, reported early
 
     @property
     def dim(self):
         return self.g.dim
 
-    def k_at(self, points):
-        """K^k_ij = gamma^k_ij - hat-gamma^k_ij."""
-        return self.nabla.gamma_at(points) - self.lc.gamma_at(points)
+    def _dual_K(self):
+        if self._minus_K is None:
+            self._minus_K = ConnField(self.dim, [[[-e for e in row]
+                                                  for row in plane]
+                                                 for plane in self.K.coeffs])
+        return self._minus_K
 
-    def k_apply(self, points, xv, yv):
-        """K(X, Y) for component batches xv, yv of shape (n, dim)."""
-        return np.einsum("nkij,ni,nj->nk", self.k_at(points), xv, yv)
+    def dual(self):
+        """The dual structure (g, ∇*), whose difference tensor is -K."""
+        return StatTriple(self.g, self._dual_K())
+
+    def gammas(self, points):
+        """(Γ̂, Γ, Γ*) at each point, each [n, k, i, j], from one
+        Levi-Civita evaluation.  A constant metric has Γ̂ = 0, so Γ = K and
+        Γ* = -K come straight from their symbolic grids, and a constant
+        grid stays a broadcast view instead of a full batch."""
+        k = self.K.gamma_at(points)
+        if self.g.is_constant:
+            return (np.broadcast_to(0.0, k.shape), k,
+                    self._dual_K().gamma_at(points))
+        lc = levi_civita(self.g, points)
+        return lc, lc + k, lc - k
 
 
 def metric_samples(g, count=None, seed=None, box=None):
@@ -411,8 +383,7 @@ def check_statistical(st, samples=None, tol=1e-8):
     rep.records.append(t.build(
         "metric-positive-definite", "g > 0 (smallest eigenvalue)", tol))
 
-    gam = st.nabla.gamma_at(pts)
-    gam_star = st.nabla_star.gamma_at(pts)
+    lc, gam, gam_star = st.gammas(pts)
     scale = float(max(np.abs(gam).max(), np.abs(gam_star).max(),
                       np.abs(gv).max(), 1.0))
 
@@ -433,15 +404,15 @@ def check_statistical(st, samples=None, tol=1e-8):
     rep.records.append(t.build(
         "codazzi", "(∇_X g)(Y,Z) = (∇_Y g)(X,Z)", tol))
 
-    duality = (dgv
-               - np.einsum("nlij,nlk->nijk", gam, gv)
-               - np.einsum("nlik,njl->nijk", gam_star, gv))
+    del nabla_g  # the batches below are as large; keep one alive at a time
     t = Tracker()
-    t.add_batch(duality, scale=scale)
+    t.add_batch(dgv
+                - np.einsum("nlij,nlk->nijk", gam, gv)
+                - np.einsum("nlik,njl->nijk", gam_star, gv), scale=scale)
     rep.records.append(t.build(
         "duality", "X g(Y,Z) = g(∇_X Y, Z) + g(Y, ∇*_X Z)", tol))
 
-    kt = gam - st.lc.gamma_at(pts)
+    kt = gam - lc
     t = Tracker()
     t.add_batch(kt - np.transpose(kt, (0, 1, 3, 2)), scale=scale)
     rep.records.append(t.build("difference-tensor-symmetry",

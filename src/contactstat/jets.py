@@ -10,8 +10,8 @@ anywhere.
 
 import numpy as np
 
-__all__ = ["Jet", "jet_from_exprs", "jconst", "jmatmat", "jmatvec", "jcol",
-           "jvecdot", "jinv", "jT", "jscale", "jsqrt", "jouter"]
+__all__ = ["Jet", "jet_from_exprs", "jconst", "jmatmat", "jmatvec",
+           "jvecdot", "jinv", "jT", "jscale"]
 
 
 class Jet:
@@ -84,10 +84,6 @@ def jmatvec(A, x):
     return Jet(val, d)
 
 
-def jcol(A, i):
-    return Jet(A.val[:, i], A.d[:, i, :])
-
-
 def jvecdot(x, y):
     val = float(x.val @ y.val)
     d = x.d.T @ y.val + y.d.T @ x.val
@@ -110,14 +106,3 @@ def jscale(x, s):
     d = x.d * s.val + np.einsum("...,m->...m", x.val, s.d)
     return Jet(val, d)
 
-
-def jsqrt(s):
-    root = np.sqrt(s.val)
-    return Jet(root, s.d / (2.0 * root))
-
-
-def jouter(x, y):
-    val = np.outer(x.val, y.val)
-    d = (np.einsum("am,b->abm", x.d, y.val)
-         + np.einsum("a,bm->abm", x.val, y.d))
-    return Jet(val, d)

@@ -1,5 +1,6 @@
 """Residual records and check reports, the engine's universal output."""
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,7 +30,8 @@ class Record:
     def passed(self):
         if self.informational:
             return None
-        return self.residual <= self.tolerance * (1.0 + self.scale)
+        return (math.isfinite(self.residual)
+                and self.residual <= self.tolerance * (1.0 + self.scale))
 
     @property
     def status(self):
@@ -109,9 +111,16 @@ class CheckReport:
         return "\n".join(lines)
 
 
+def _worse(value, residual):
+    """Whether `value` replaces `residual` as the worst defect; NaN is
+    worse than any number, so a non-finite sample is never dropped."""
+    return value > residual or (math.isnan(value) and not math.isnan(residual))
+
+
 class Tracker:
     """Streams (value, witness) pairs and keeps the deterministic maximum:
-    ties resolve to the first sample index, then first label seen."""
+    ties resolve to the first sample index, then first label seen.  A NaN
+    value counts as the worst."""
 
     def __init__(self):
         self.residual = 0.0
@@ -123,7 +132,7 @@ class Tracker:
         value = float(np.max(np.abs(value))) if np.ndim(value) else abs(float(value))
         self.count += 1
         self.scale = max(self.scale, float(scale))
-        if self.witness is None or value > self.residual:
+        if self.witness is None or _worse(value, self.residual):
             self.residual = value
             wit = {}
             if sample is not None:
@@ -140,7 +149,7 @@ class Tracker:
         idx = int(np.argmax(flat))
         self.count += arr.size
         self.scale = max(self.scale, float(scale))
-        if self.witness is None or flat[idx] > self.residual:
+        if self.witness is None or _worse(flat[idx], self.residual):
             self.residual = float(flat[idx])
             wit = {"sample": idx}
             if labels:

@@ -14,9 +14,9 @@ import numpy as np
 
 from .contactstruct import AlmostContact, SasakiStatStructure, lambda_family
 from .crchecks import CRStructure
-from .exprlang import ParseError, parse
-from .geometry import (ConnField, MetricField, StatTriple, VectorField,
-                       levi_civita)
+from .exprlang import Const, ParseError, parse
+from .geometry import (ConnField, MetricField, SingularMetricError,
+                       StatTriple, VectorField)
 from .submanifold import Embedding
 
 __all__ = ["SpecError", "SpecFile", "load_spec", "from_doc"]
@@ -265,15 +265,16 @@ def from_doc(doc, origin="<doc>"):
         phi=[[phi_entries.get((a, b), "0") for b in range(dim)]
              for a in range(dim)],
         xi=VectorField(xi, dim), eta=eta)
-    if klam is not None:
-        sss = lambda_family(g, acs, klam)
-    else:
-        from .exprlang import Const
-        grid = [[[kcoeffs.get((k, i, j), Const(0.0)) for j in range(dim)]
-                 for i in range(dim)] for k in range(dim)]
-        shift = ConnField(dim, coeffs=grid)
-        nabla = levi_civita(g).combine(shift, 1.0, 1.0)
-        sss = SasakiStatStructure(st=StatTriple(g, nabla), acs=acs, lam=None)
+    try:
+        if klam is not None:
+            sss = lambda_family(g, acs, klam)
+        else:
+            K = ConnField(dim, [[[kcoeffs.get((k, i, j), Const(0.0))
+                                  for j in range(dim)] for i in range(dim)]
+                                for k in range(dim)])
+            sss = SasakiStatStructure(st=StatTriple(g, K), acs=acs, lam=None)
+    except SingularMetricError as e:
+        raise SpecError([f"{origin}.ambient.metric: {e}"]) from None
 
     return SpecFile(doc=doc, name=doc.get("name", origin), g=g, acs=acs,
                     sss=sss, embedding=emb, d_gens=d_gens,

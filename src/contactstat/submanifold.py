@@ -12,10 +12,10 @@ independent of any choice of ambient extension.
 import numpy as np
 
 from .exprlang import Const, Expr
-from .geometry import (GeometryError, MetricField, VectorField, _coerce_expr,
-                       _eval_grid)
+from .geometry import (ConnField, GeometryError, Grid, MetricField,
+                       StatTriple, VectorField, _coerce_expr)
 from .jets import (Jet, jconst, jet_from_exprs, jinv, jmatmat, jmatvec,
-                   jscale, jsqrt, jT, jvecdot)
+                   jscale, jT, jvecdot)
 from .report import CheckReport, Tracker
 from .sampling import sample_box
 
@@ -49,12 +49,14 @@ class Embedding:
         self.jac_exprs = tuple(
             tuple(self.comps[a].diff(i) for i in range(m))
             for a in range(self.n))
+        self._grid = Grid(self.comps)
+        self._jac = Grid(self.jac_exprs)
 
     def at(self, points):
-        return _eval_grid(self.comps, points)
+        return self._grid.at(points)
 
     def jac_at(self, points):
-        return _eval_grid(self.jac_exprs, points)
+        return self._jac.at(points)
 
 
 class FramePoint:
@@ -119,28 +121,18 @@ def induced_metric(emb, g_ambient):
                     acc = acc + emb.jac_exprs[a][i] * gsub.entries[a][b] \
                         * emb.jac_exprs[b][j]
             upper[(i, j)] = acc
-    out = MetricField.__new__(MetricField)
-    out.dim = m
-    grid = [[Const(0.0)] * m for _ in range(m)]
-    for (i, j), e in upper.items():
-        grid[i][j] = e
-        grid[j][i] = e
-    out.entries = tuple(tuple(row) for row in grid)
-    out._deriv = None
-    return out
+    return MetricField(m, upper)
 
 
 class MapGeometry:
-    """Shared symbolic data for one (embedding, ambient structure) pair;
-    builds per-point Gauss-Weingarten contexts."""
+    """Shared symbolic data for one (embedding, ambient statistical
+    structure) pair; builds per-point Gauss-Weingarten contexts."""
 
-    def __init__(self, emb, g, nabla=None, nabla_star=None, acs=None):
+    def __init__(self, emb, st, acs=None):
         self.emb = emb
-        self.g = g
-        self.nabla = nabla
-        self.nabla_star = nabla_star
+        self.st = st
         self.acs = acs
-        self.gsub = g.substitute(emb.comps).entries
+        self.gsub = st.g.substitute(emb.comps).entries
         if acs is not None:
             self.phi_sub = tuple(
                 tuple(acs.phi[a][b].substitute(emb.comps) for b in range(emb.n))
@@ -209,8 +201,8 @@ class GWData:
                                               jmatmat(jT(self.J), self.G)))
         self.Pi_nor = jconst(np.eye(n), m) - self.Pi_tan
 
-        self.gamma = self._gamma_values(mg.nabla)
-        self.gamma_star = self._gamma_values(mg.nabla_star)
+        _, gam, gam_star = mg.st.gammas(self.y[None])
+        self.gamma, self.gamma_star = gam[0], gam_star[0]
 
         if mg.phi_sub is not None:
             self.phi = jet_from_exprs(mg.phi_sub, p,
@@ -229,11 +221,6 @@ class GWData:
         self.frame = FramePoint(p, self.y, self.J.val, self.G.val, normal)
 
     # -- construction helpers
-
-    def _gamma_values(self, conn):
-        if conn is None:
-            return None
-        return conn.gamma_at(self.y[None])[0]
 
     def _gs(self, candidates, against):
         frame = list(against)
@@ -335,8 +322,6 @@ class GWData:
         """ambient nabla_X W at this point for a domain direction X (given
         by coefficient values) and a field W given as a jet."""
         gam = self.gamma_star if star else self.gamma
-        if gam is None:
-            raise GeometryError("no connection bound to this context")
         xdom = np.asarray(xdom, dtype=float)
         xamb = self.J.val @ xdom
         return W.d @ xdom + np.einsum("kab,a,b->k", gam, xamb, W.val)
@@ -369,15 +354,14 @@ def _jrecip_sqrt(s):
 
 
 def frame_point(emb, g_ambient, p):
-    return MapGeometry(emb, g_ambient).context(p).frame
+    flat = StatTriple(g_ambient, ConnField.flat(g_ambient.dim))
+    return MapGeometry(emb, flat).context(p).frame
 
 
 def gauss_weingarten(emb, st, fp_or_p, acs=None):
     """Per-point evaluator bundle for a statistical ambient structure."""
     p = fp_or_p.p if isinstance(fp_or_p, FramePoint) else fp_or_p
-    mg = MapGeometry(emb, st.g, nabla=st.nabla, nabla_star=st.nabla_star,
-                     acs=acs)
-    return mg.context(p)
+    return MapGeometry(emb, st, acs=acs).context(p)
 
 
 class TFBCSplit:
@@ -396,7 +380,7 @@ def tfbc(acs, fp, phi_y=None):
     """Decompose phi at a frame point.  `phi_y` overrides the evaluated phi
     matrix (used when the caller already substituted along the map)."""
     if phi_y is None:
-        phi_y = _eval_grid(acs.phi, fp.y[None])[0]
+        phi_y = acs.phi_at(fp.y[None])[0]
     m = fp.m
     k = fp.normal.shape[1]
     phiJ = phi_y @ fp.J
@@ -415,16 +399,11 @@ def tfbc(acs, fp, phi_y=None):
 # checks
 
 
-def _domain_samples(emb, samples, count=None, seed=None, box=None):
+def _domain_samples(emb, samples=None, **kwargs):
+    """`samples` when given, else seeded samples on the domain chart;
+    `kwargs` are sample_box's count, seed and box."""
     if samples is not None:
         return samples
-    kwargs = {}
-    if count is not None:
-        kwargs["count"] = count
-    if seed is not None:
-        kwargs["seed"] = seed
-    if box is not None:
-        kwargs["box"] = box
     return sample_box(emb.m, **kwargs)
 
 
@@ -434,7 +413,7 @@ def check_gauss_weingarten(emb, st, samples=None, tol=1e-7, mg=None):
     h*, and the dual pairing of the induced connections."""
     samples = _domain_samples(emb, samples)
     if mg is None:
-        mg = MapGeometry(emb, st.g, nabla=st.nabla, nabla_star=st.nabla_star)
+        mg = MapGeometry(emb, st)
     m = emb.m
     gind = induced_metric(emb, st.g)
     dgind = {(i, j): [gind.entries[i][j].diff(k) for k in range(m)]
@@ -551,8 +530,7 @@ def check_structure_identities(emb, st, acs, samples=None, tol=1e-8, mg=None):
     skewness and the cross pairing."""
     samples = _domain_samples(emb, samples)
     if mg is None:
-        mg = MapGeometry(emb, st.g, nabla=st.nabla, nabla_star=st.nabla_star,
-                         acs=acs)
+        mg = MapGeometry(emb, st, acs=acs)
     rep = CheckReport(check="structure-identities",
                       census={"samples": samples.count, "m": emb.m, "n": emb.n})
 
@@ -629,8 +607,7 @@ def check_transport_identities(emb, sss, samples=None, tol=1e-8, mg=None):
     st, acs = sss.st, sss.acs
     samples = _domain_samples(emb, samples)
     if mg is None:
-        mg = MapGeometry(emb, st.g, nabla=st.nabla, nabla_star=st.nabla_star,
-                         acs=acs)
+        mg = MapGeometry(emb, st, acs=acs)
     m = emb.m
     rep = CheckReport(check="transport-identities",
                       census={"samples": samples.count, "m": m, "n": emb.n})

@@ -136,9 +136,9 @@ def test_05_paper_fixture_audit_records():
     # the defect at the first coordinate direction is exactly |phi e1| = 1
     from contactstat.geometry import covariant_derivative_at, levi_civita
     pts = samples.points[:8]
-    lc = levi_civita(spec.g)
     e1 = VectorField.coordinate(7, 0)
-    nxi = covariant_derivative_at(lc, e1, spec.acs.xi, pts)
+    nxi = covariant_derivative_at(levi_civita(spec.g, pts), e1, spec.acs.xi,
+                                  pts)
     defect = nxi + np.einsum("nab,nb->na", spec.acs.phi_at(pts),
                              e1.at(pts))
     gv = spec.g.at(pts)

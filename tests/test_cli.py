@@ -62,6 +62,72 @@ class TestExitCodes:
         code, out, err = invoke(capsys, "fixtures", "dump", "nope")
         assert code == 2
 
+    def test_singular_constant_metric_exit_two(self, tmp_path, capsys):
+        doc = fixture_doc("fix-s3")
+        doc["ambient"]["metric"] = {"1 1": "1", "2 2": "1"}
+        path = tmp_path / "singular.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "check", "--spec", str(path))
+        assert code == 2
+        assert err.startswith("error: ")
+        assert "ambient.metric" in err
+        assert "singular near point [0.0, 0.0, 0.0]" in err
+        assert "Traceback" not in err
+
+    def test_metric_never_positive_definite_exit_two(self, tmp_path, capsys):
+        doc = fixture_doc("fix-s3")
+        doc["ambient"]["metric"]["1 1"] = "-1 - x1^2"
+        path = tmp_path / "indefinite.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "check", "--spec", str(path))
+        assert code == 2
+        assert err.startswith("error: sampling.box: ")
+        assert "stuck at point" in err
+
+
+class TestEnginePreconditions:
+    def test_domain_error_becomes_failed_record(self, tmp_path, capsys):
+        # sqrt(x1) leaves its domain on the default box [-1, 1]
+        doc = fixture_doc("fix-cr5")
+        doc["submanifold"]["embedding"][0] = "sqrt(x1)"
+        path = tmp_path / "sqrt.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "check", "--spec", str(path),
+                                "--samples", "8", "--format", "structured")
+        assert code == 1
+        assert err == ""
+        doc = json.loads(out)
+        assert doc["suites"]["ambient"]["passed"]
+        for suite in ("submanifold", "cr", "product"):
+            for check in doc["suites"][suite]["checks"]:
+                [rec] = check["records"]
+                assert rec["name"] == "engine-precondition"
+                assert rec["status"] == "FAIL"
+                assert rec["note"] == ("DomainError: sqrt of negative value: "
+                                       "sqrt(x1)")
+
+    def test_classifier_runs_once_per_cr_suite(self, monkeypatch, capsys):
+        import contactstat.cli as cli
+        import contactstat.crchecks as crchecks
+
+        calls = []
+        classify = crchecks.classify_geodesic
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return classify(*args, **kwargs)
+
+        monkeypatch.setattr(crchecks, "classify_geodesic", counted)
+        monkeypatch.setattr(cli, "classify_geodesic", counted)
+        code, out, _ = invoke(capsys, "check", "--spec", "fix-cr5",
+                              "--suites", "cr", "--samples", "4",
+                              "--format", "structured")
+        assert code == 1
+        assert len(calls) == 1
+        [mixed] = [c for c in json.loads(out)["suites"]["cr"]["checks"]
+                   if c["check"] == "mixed-geodesic-consequences"]
+        assert mixed["census"]["mixed-geodesic"] is False
+
 
 class TestDeterminism:
     def test_structured_reports_byte_identical(self, capsys):

@@ -201,8 +201,8 @@ class TestSasakianStatistical:
         d = 3
         coeffs = [[[g.entry(i, j) * acs.xi.comps[k] for j in range(d)]
                    for i in range(d)] for k in range(d)]
-        nabla = levi_civita(g).combine(ConnField(d, coeffs=coeffs), 1.0, 1.0)
-        sss = SasakiStatStructure(st=StatTriple(g, nabla), acs=acs)
+        sss = SasakiStatStructure(st=StatTriple(g, ConnField(d, coeffs)),
+                                  acs=acs)
         rep = check_sasakian_statistical(sss, delegate=False)
         rec = rep.record("k-phi-anticommute")
         assert rec.status == "FAIL"
@@ -222,8 +222,8 @@ class TestLambdaFamily:
         g, acs = sasaki_r3()
         sss = lambda_family(g, acs, 0.0)
         pts = sample_box(3, count=16).points
-        assert np.abs(sss.st.nabla.gamma_at(pts)
-                      - levi_civita(g).gamma_at(pts)).max() == 0.0
+        assert np.abs(sss.st.gammas(pts)[1]
+                      - levi_civita(g, pts)).max() == 0.0
 
     def test_k_on_xi_pair_is_xi(self):
         g, acs = sasaki_r3()
@@ -231,7 +231,7 @@ class TestLambdaFamily:
             sss = lambda_family(g, acs, lam)
             pts = sample_box(3, count=8).points
             xv = acs.xi.at(pts)
-            kxx = sss.st.k_apply(pts, xv, xv)
+            kxx = np.einsum("nkij,ni,nj->nk", sss.st.K.gamma_at(pts), xv, xv)
             assert np.abs(kxx - lam * xv).max() < 1e-12
 
     def test_k_vanishes_off_xi(self):
@@ -241,7 +241,8 @@ class TestLambdaFamily:
         # d/dy is g-orthogonal to xi on this chart
         yv = np.zeros((8, 3))
         yv[:, 1] = 1.0
-        assert np.abs(sss.st.k_apply(pts, yv, yv)).max() == 0.0
+        kyy = np.einsum("nkij,ni,nj->nk", sss.st.K.gamma_at(pts), yv, yv)
+        assert np.abs(kyy).max() == 0.0
 
     def test_statistical_across_lambda_range(self):
         g, acs = sasaki_r3()

@@ -71,9 +71,9 @@ class TestDocsMatchHandBuiltStructures:
         pts = sample_box(7, count=8).points
         assert np.abs(spec.g.at(pts) - g.at(pts)).max() < 1e-15
         assert np.abs(spec.acs.phi_at(pts) - acs.phi_at(pts)).max() < 1e-15
-        assert np.abs(spec.sss.st.nabla.gamma_at(pts)
+        assert np.abs(spec.sss.st.gammas(pts)[1]
                       - conftest.e7_structure(
-                          frame_orthonormal=ortho).st.nabla.gamma_at(pts)
+                          frame_orthonormal=ortho).st.gammas(pts)[1]
                       ).max() < 1e-15
 
     def test_embeddings_match(self):
@@ -164,6 +164,6 @@ class TestSpecValidation:
         doc["ambient"]["K"] = {"coefficients": {"7 7 7": "1"}}
         spec = from_doc(doc)
         pts = sample_box(7, count=4).points
-        kt = spec.sss.st.k_at(pts)
+        kt = spec.sss.st.K.gamma_at(pts)
         assert kt[0, 6, 6, 6] == 1.0
         assert np.abs(kt).sum() == pts.shape[0]

@@ -97,9 +97,7 @@ class TestGaussWeingarten:
         rep = check_gauss_weingarten(emb, flat_statistical(3))
         assert rep.passed
         # h of a linear embedding in a flat ambient vanishes identically
-        mg = MapGeometry(emb, MetricField.euclidean(3),
-                         nabla=ConnField.flat(3),
-                         nabla_star=ConnField.flat(3))
+        mg = MapGeometry(emb, flat_statistical(3))
         ctx = mg.context(np.array([0.1, 0.2]))
         _, h = ctx.gauss(np.array([1.0, 0.0]), VectorField.coordinate(2, 1))
         assert np.abs(h).max() == 0.0
@@ -123,8 +121,7 @@ class TestGaussWeingarten:
     def test_e7_fundamental_forms_vanish(self):
         emb, _, _ = e7_submanifold()
         sss = e7_structure()
-        mg = MapGeometry(emb, sss.g, nabla=sss.st.nabla,
-                         nabla_star=sss.st.nabla_star)
+        mg = MapGeometry(emb, sss.st)
         frame = [VectorField.coordinate(5, i) for i in range(5)]
         for p in sample_box(5, count=8).points:
             ctx = mg.context(p)
@@ -182,8 +179,7 @@ def random_gw_case(rng, m, n):
     kup = np.einsum("kl,ijl->kij", np.linalg.inv(gmat), sym)
     coeffs = [[[Const(float(kup[k, i, j])) for j in range(n)]
                for i in range(n)] for k in range(n)]
-    nabla = ConnField(n, coeffs=coeffs, torsion_free=True)
-    return emb, StatTriple(g, nabla)
+    return emb, StatTriple(g, ConnField(n, coeffs))
 
 
 class TestRandomCorpus:
@@ -304,8 +300,7 @@ class TestTFBCReconstruction:
         emb, _, _ = cr5_submanifold()
         for p in sample_box(4, count=8).points:
             fp = frame_point(emb, g, p)
-            phiv = __import__("contactstat.geometry", fromlist=["_eval_grid"]) \
-                ._eval_grid(acs.phi, fp.y[None])[0]
+            phiv = acs.phi_at(fp.y[None])[0]
             parts = tfbc(acs, fp)
             for i in range(fp.m):
                 v = fp.J[:, i]
