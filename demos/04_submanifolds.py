@@ -40,7 +40,7 @@ print(gind.at(np.zeros((1, 5)))[0])
 # Splitting an ambient vector into tangent and normal coefficients.
 fp = frame_point(emb, spec.g, np.zeros(5))
 phi0 = spec.acs.phi_at(np.zeros((1, 7)))[0]
-v = phi0 @ fp.J[:, 2]     # phi of the third frame direction: wholly normal
+v = phi0 @ fp.J.val[:, 2]     # phi of the third frame direction: wholly normal
 a, b = split(fp, v)
 print()
 print("phi(e3) tangent coefficients:", np.round(a, 12))

@@ -16,8 +16,6 @@ import hashlib
 import json
 import sys
 
-import numpy as np
-
 from . import __version__
 from .contactstruct import (check_almost_contact, check_contact_metric,
                             check_sasakian, check_sasakian_statistical)
@@ -25,9 +23,8 @@ from .crchecks import (check_contact_cr, check_cr_product,
                        check_dual_shape_identities, check_integrability_D,
                        check_integrability_Dperp,
                        check_mixed_geodesic_consequences, classify_geodesic)
-from .exprlang import DomainError
 from .fixtures import fixture_doc, fixture_names
-from .geometry import GeometryError, check_statistical, metric_samples
+from .geometry import INPUT_ERRORS, check_statistical, metric_samples
 from .report import CheckReport, Record
 from .sampling import samples_from_points
 from .specfile import SpecError, load_spec
@@ -62,10 +59,11 @@ def _spec_samples(spec, chart, seed, count):
 
 def _guarded(fn, check_name):
     """Run one check; an input the check cannot be evaluated on becomes its
-    failed engine-precondition record, naming the exception."""
+    failed engine-precondition record, naming the exception (whose message
+    names the failing domain point where the engine knows it)."""
     try:
         return fn()
-    except (GeometryError, DomainError, np.linalg.LinAlgError) as e:
+    except INPUT_ERRORS as e:
         rep = CheckReport(check=check_name, census={})
         rep.records.append(Record(
             name="engine-precondition", identity="inputs admit this check",
@@ -103,6 +101,13 @@ def run(spec, suites, seed=None, count=None, tol=None):
     def tol_for(suite):
         return tol if tol is not None else spec.tol_for(suite)
 
+    def shared_domain():
+        # one Samples object, so each suite reuses the contexts built for it
+        if "domain" not in shared:
+            shared["domain"] = _spec_samples(spec, "domain", eff_seed,
+                                             eff_count)
+        return shared["domain"]
+
     def shared_mg():
         if "mg" not in shared:
             shared["mg"] = MapGeometry(spec.embedding, spec.sss.st,
@@ -139,7 +144,7 @@ def run(spec, suites, seed=None, count=None, tol=None):
                                                    delegate=False),
                 "sasakian-statistical"))
         elif suite == "submanifold":
-            samples = _spec_samples(spec, "domain", eff_seed, eff_count)
+            samples = shared_domain()
             t = tol_for(suite)
             checks.append(_guarded(
                 lambda: check_gauss_weingarten(spec.embedding, spec.sss.st,
@@ -155,7 +160,7 @@ def run(spec, suites, seed=None, count=None, tol=None):
                                      mg=shared_mg()),
                 "transport-identities"))
         elif suite == "cr":
-            samples = _spec_samples(spec, "domain", eff_seed, eff_count)
+            samples = shared_domain()
             t = tol_for(suite)
             cr = shared_cr()
             for name, fn in (
@@ -176,7 +181,7 @@ def run(spec, suites, seed=None, count=None, tol=None):
                     cr, samples, t, geo=geo if classified else None),
                 "mixed-geodesic-consequences"))
         elif suite == "product":
-            samples = _spec_samples(spec, "domain", eff_seed, eff_count)
+            samples = shared_domain()
             t = tol_for(suite)
             cr = shared_cr()
             checks.append(_guarded(

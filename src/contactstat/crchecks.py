@@ -13,7 +13,7 @@ import numpy as np
 from .geometry import GeometryError, VectorField, lie_bracket
 from .jets import jmatvec
 from .report import CheckReport, Tracker
-from .submanifold import MapGeometry, _domain_samples
+from .submanifold import MapGeometry, _built_once, _domain_samples
 
 __all__ = [
     "Distribution", "CRStructure",
@@ -28,8 +28,6 @@ class Distribution:
 
     def __init__(self, generators):
         self.generators = list(generators)
-        if not self.generators:
-            self.generators = []
         self.rank = len(self.generators)
         dims = {g.dim for g in self.generators}
         if len(dims) > 1:
@@ -53,13 +51,18 @@ class CRStructure:
         self._mg = mg if mg is not None else MapGeometry(emb, sss.st,
                                                          acs=sss.acs)
         self._brackets = {}
-        self._contexts = {}
+        self._built = None
+
+    def contexts(self, samples):
+        """One context per point of a Samples set, built once for the set
+        over the shared MapGeometry's contexts; a failed build raises the
+        same exception for every later request."""
+        return _built_once(self, samples, lambda s: [
+            _CRContext(self, ctx) for ctx in self._mg.contexts(s)])
 
     def context(self, p):
-        key = np.asarray(p, dtype=float).tobytes()
-        if key not in self._contexts:
-            self._contexts[key] = _CRContext(self, p)
-        return self._contexts[key]
+        """The context at one domain point, on a batch of one."""
+        return _CRContext(self, self._mg.context(p))
 
     def bracket(self, kind, i, j):
         key = (kind, i, j)
@@ -81,27 +84,27 @@ def _span_projector(cols, G):
 class _CRContext:
     """Per-point working data: the Gauss-Weingarten context plus pushed
     generators, span projectors, and the normal-bundle splitting into the
-    image of the anti-invariant distribution and its invariant complement."""
+    image of the anti-invariant distribution and its invariant complement.
+    Generator and bracket values come from their batched evaluation."""
 
-    def __init__(self, cr, p):
+    def __init__(self, cr, ctx):
         self.cr = cr
-        self.ctx = cr._mg.context(p)
-        ctx = self.ctx
-        fp = ctx.frame
-        self.fp = fp
-        self.G = fp.G
-        self.d_dom = [np.asarray(g.at(p[None])[0]) for g in cr.D.generators]
-        self.dp_dom = [np.asarray(g.at(p[None])[0]) for g in cr.Dperp.generators]
-        self.d_amb = [fp.J @ x for x in self.d_dom]
-        self.dp_amb = [fp.J @ x for x in self.dp_dom]
+        self.ctx = ctx
+        self.G = ctx.G.val
+        self.J = ctx.J.val
+        n = ctx.n
+        self.d_dom = [ctx.field_val(g) for g in cr.D.generators]
+        self.dp_dom = [ctx.field_val(g) for g in cr.Dperp.generators]
+        self.d_amb = [self.J @ x for x in self.d_dom]
+        self.dp_amb = [self.J @ x for x in self.dp_dom]
         self.P_D = _span_projector(
-            np.stack(self.d_amb, axis=1) if self.d_amb else np.zeros((fp.n, 0)),
+            np.stack(self.d_amb, axis=1) if self.d_amb else np.zeros((n, 0)),
             self.G)
         self.P_Dp = _span_projector(
-            np.stack(self.dp_amb, axis=1) if self.dp_amb else np.zeros((fp.n, 0)),
+            np.stack(self.dp_amb, axis=1) if self.dp_amb else np.zeros((n, 0)),
             self.G)
         self.xi = ctx.xi.val
-        self.xi_dom = fp.tangent_coeffs(self.xi)
+        self.xi_dom = ctx.tangent_coeffs(self.xi)
         # D with the Reeb direction removed, for the frame projections
         xi_unit = self.xi / max(ctx.gnorm(self.xi), 1e-300)
         reduced = []
@@ -113,7 +116,7 @@ class _CRContext:
             if norm > 1e-10:
                 reduced.append(w / norm)
         self.P_1 = _span_projector(
-            np.stack(reduced, axis=1) if reduced else np.zeros((fp.n, 0)),
+            np.stack(reduced, axis=1) if reduced else np.zeros((n, 0)),
             self.G)
         # normal splitting: the image of phi on Dperp, then its complement
         self.phiZ_jets = [ctx.f_jet(Z) for Z in cr.Dperp.generators]
@@ -122,10 +125,15 @@ class _CRContext:
         self.nu_jets = ctx._gs(ctx.normal_jets, fframe)
         self.P_nu = _span_projector(
             np.stack([f.val for f in self.nu_jets], axis=1)
-            if self.nu_jets else np.zeros((fp.n, 0)), self.G)
+            if self.nu_jets else np.zeros((n, 0)), self.G)
 
     def off(self, v, projector):
         return self.ctx.gnorm(v - projector @ v)
+
+    def bracket_amb(self, kind, i, j):
+        """The pushed value of the bracket of generators i and j of D
+        ("D") or of D-perp ("Dperp")."""
+        return self.J @ self.ctx.field_val(self.cr.bracket(kind, i, j))
 
 
 def check_contact_cr(cr, samples=None, tol=1e-8):
@@ -144,12 +152,11 @@ def check_contact_cr(cr, samples=None, tol=1e-8):
     tr = {nm: Tracker() for nm in names}
     m = cr.emb.m
 
-    for s, p in enumerate(samples.points):
-        c = cr.context(p)
+    for s, c in enumerate(cr.contexts(samples)):
         ctx = c.ctx
         scale = max(np.abs(c.G).max(), np.abs(ctx.phi.val).max(), 1.0)
         allgens = np.stack(c.d_dom + c.dp_dom, axis=1)
-        gram = allgens.T @ c.fp.gram @ allgens
+        gram = allgens.T @ c.ctx.gram @ allgens
         rank = np.linalg.matrix_rank(gram, tol=1e-10)
         tr["generator-rank"].add(float(cr.D.rank + cr.Dperp.rank - rank),
                                  sample=s, scale=scale)
@@ -172,7 +179,7 @@ def check_contact_cr(cr, samples=None, tol=1e-8):
             tr["nu-invariance"].add(c.off(philam, c.P_nu), sample=s,
                                     labels=f"ν{k+1}", scale=scale)
         # the normal bundle splits as (phi Dperp) + nu, orthogonally
-        nnormal = c.fp.normal.shape[1]
+        nnormal = c.ctx.normal.shape[1]
         tr["nu-decomposition"].add(
             float(nnormal - len(c.fframe) - len(c.nu_jets)), sample=s,
             scale=scale)
@@ -181,7 +188,7 @@ def check_contact_cr(cr, samples=None, tol=1e-8):
                 tr["nu-decomposition"].add(abs(ctx.ginner(f.val, nu.val)),
                                            sample=s, scale=scale)
         for i in range(m):
-            v = c.fp.J[:, i]
+            v = c.J[:, i]
             p1v = c.P_1 @ v
             p2v = c.P_Dp @ v
             tr["projection-decomposition"].add(
@@ -229,15 +236,13 @@ def check_integrability_D(cr, samples=None, tol=1e-8):
     t_br = Tracker()
     rD = cr.D.rank
 
-    for s, p in enumerate(samples.points):
-        c = cr.context(p)
+    for s, c in enumerate(cr.contexts(samples)):
         ctx = c.ctx
         scale = max(np.abs(c.G).max(), np.abs(ctx.phi.val).max(), 1.0)
         t_jets = [ctx.t_jet(X) for X in cr.D.generators]
         for i in range(rD):
             for j in range(i + 1, rD):
-                br = cr.bracket("D", i, j)
-                br_amb = c.fp.J @ np.asarray(br.at(p[None])[0])
+                br_amb = c.bracket_amb("D", i, j)
                 lab = f"X=D{i+1} Y=D{j+1}"
                 t_cl.add(c.off(br_amb, c.P_D), sample=s, labels=lab,
                          scale=scale)
@@ -276,14 +281,12 @@ def check_integrability_Dperp(cr, samples=None, tol=1e-8):
     t_br_alt = Tracker()
     rP = cr.Dperp.rank
 
-    for s, p in enumerate(samples.points):
-        c = cr.context(p)
+    for s, c in enumerate(cr.contexts(samples)):
         ctx = c.ctx
         scale = max(np.abs(c.G).max(), np.abs(ctx.phi.val).max(), 1.0)
         for i in range(rP):
             for j in range(i + 1, rP):
-                br = cr.bracket("Dperp", i, j)
-                br_amb = c.fp.J @ np.asarray(br.at(p[None])[0])
+                br_amb = c.bracket_amb("Dperp", i, j)
                 lab = f"X=P{i+1} Y=P{j+1}"
                 t_cl.add(c.off(br_amb, c.P_Dp), sample=s, labels=lab,
                          scale=scale)
@@ -331,8 +334,7 @@ def check_dual_shape_identities(cr, samples=None, tol=1e-8):
     rP = cr.Dperp.rank
     frame_fields = [VectorField.coordinate(m, j) for j in range(m)]
 
-    for s, p in enumerate(samples.points):
-        c = cr.context(p)
+    for s, c in enumerate(cr.contexts(samples)):
         ctx = c.ctx
         scale = max(np.abs(c.G).max(), np.abs(ctx.phi.val).max(), 1.0)
         # A_{FY} Z symmetric in the two anti-invariant slots
@@ -356,8 +358,8 @@ def check_dual_shape_identities(cr, samples=None, tol=1e-8):
                 if iu >= iv:
                     continue
                 lab = f"U=N{iu+1} V=N{iv+1}"
-                bu = c.fp.tangent_coeffs(bvals[iu].val)
-                bv = c.fp.tangent_coeffs(bvals[iv].val)
+                bu = ctx.tangent_coeffs(bvals[iu].val)
+                bv = ctx.tangent_coeffs(bvals[iv].val)
                 a1 = ctx.shape_op(bv, U, star=True)
                 a2 = ctx.shape_op(bu, V, star=True)
                 tr["b-shape-symmetric"].add(ctx.gnorm(a1 - a2), sample=s,
@@ -415,8 +417,7 @@ def classify_geodesic(cr, samples=None, tol=1e-8):
     umb_factor = {False: Tracker(), True: Tracker()}
     rD, rP = cr.D.rank, cr.Dperp.rank
 
-    for s, p in enumerate(samples.points):
-        c = cr.context(p)
+    for s, c in enumerate(cr.contexts(samples)):
         ctx = c.ctx
         scale = max(np.abs(c.G).max(), np.abs(ctx.phi.val).max(), 1.0)
         d_push = [ctx.push_jet(X) for X in cr.D.generators]
@@ -458,7 +459,7 @@ def classify_geodesic(cr, samples=None, tol=1e-8):
             # foliate consequence: h(phiX, phiY) = -h(X, Y) on D
             t_jets = [ctx.t_jet(X) for X in cr.D.generators]
             for i in range(rD):
-                ti_dom = c.fp.tangent_coeffs(t_jets[i].val)
+                ti_dom = ctx.tangent_coeffs(t_jets[i].val)
                 for j in range(rD):
                     hpp = ctx.h(ti_dom, t_jets[j], star)
                     tr[f"foliate-remark{sfx}"].add(
@@ -484,8 +485,7 @@ def classify_geodesic(cr, samples=None, tol=1e-8):
                         labels=f"V=N{kidx+1} X=P{i+1}", scale=scale)
         for i in range(rD):
             for j in range(i + 1, rD):
-                br = cr.bracket("D", i, j)
-                br_amb = c.fp.J @ np.asarray(br.at(p[None])[0])
+                br_amb = c.bracket_amb("D", i, j)
                 tr["foliate"].add(c.off(br_amb, c.P_D), sample=s,
                                   labels=f"X=D{i+1} Y=D{j+1}", scale=scale)
 
@@ -540,14 +540,13 @@ def check_mixed_geodesic_consequences(cr, samples=None, tol=1e-8, geo=None):
     tr = {nm: Tracker() for nm in names}
     rD = cr.D.rank
 
-    for s, p in enumerate(samples.points):
-        c = cr.context(p)
+    for s, c in enumerate(cr.contexts(samples)):
         ctx = c.ctx
         scale = max(np.abs(c.G).max(), np.abs(ctx.phi.val).max(), 1.0)
         t_jets = [ctx.t_jet(X) for X in cr.D.generators]
         for i in range(rD):
             xdom = c.d_dom[i]
-            phix_dom = c.fp.tangent_coeffs(t_jets[i].val)
+            phix_dom = ctx.tangent_coeffs(t_jets[i].val)
             for kidx, V in enumerate(ctx.normal_jets):
                 lab = f"X=D{i+1} V=N{kidx+1}"
                 cv = ctx.c_jet(V)
@@ -620,8 +619,7 @@ def check_cr_product(cr, samples=None, tol=1e-8):
     m = cr.emb.m
     rD, rP = cr.D.rank, cr.Dperp.rank
 
-    for s, p in enumerate(samples.points):
-        c = cr.context(p)
+    for s, c in enumerate(cr.contexts(samples)):
         ctx = c.ctx
         scale = max(np.abs(c.G).max(), np.abs(ctx.phi.val).max(), 1.0)
         # X ranges over the D generators plus the Reeb field explicitly
@@ -657,7 +655,7 @@ def check_cr_product(cr, samples=None, tol=1e-8):
         # shape/transport pairing over the full tangent frame
         for iu in range(m):
             udom = np.eye(m)[iu]
-            uamb = c.fp.J[:, iu]
+            uamb = c.J[:, iu]
             for jz in range(rP):
                 a = ctx.shape_op(udom, c.phiZ_jets[jz])
                 nst = ctx.nabla_tan(udom, d_pushes[jz], star=True)
@@ -685,7 +683,7 @@ def check_cr_product(cr, samples=None, tol=1e-8):
         # shape antisymmetry against the invariant normal complement
         t_jets = [ctx.t_jet(X) for X in cr.D.generators]
         for i in range(rD):
-            phix_dom = c.fp.tangent_coeffs(t_jets[i].val)
+            phix_dom = ctx.tangent_coeffs(t_jets[i].val)
             for k, lam in enumerate(c.nu_jets):
                 philam = jmatvec(ctx.phi, lam)
                 a1 = ctx.shape_op(phix_dom, lam, star=True)

@@ -18,6 +18,14 @@ Grammar (bit-exact)::
 Numbers are decimal literals with optional fraction and exponent.  The
 ``^`` exponent must be an unsigned integer literal, which keeps the power
 rule closed over the grammar.
+
+There is one evaluator, ``eval_many``: elementwise numpy over a batch of
+points, and one domain policy: a non-finite value means the point lies
+outside the expression's domain.  ``eval`` is ``eval_many`` at a batch of
+one and raises ``DomainError`` naming the expression; a caller that
+evaluates a batch raises the same error and also names the first failing
+point (the submanifold contexts do), or keeps the value and lets it fail a
+residual (the ambient checks do).
 """
 
 import math
@@ -46,11 +54,15 @@ class ParseError(ExprError):
 
 
 class DomainError(ExprError):
-    """Evaluation hit a singular point; carries the offending subexpression."""
+    """Evaluation left the domain; carries the offending expression and,
+    when a batched evaluation raised it, the first failing point."""
 
-    def __init__(self, message, expr):
-        super().__init__(f"{message}: {expr}")
+    def __init__(self, message, expr, point=None):
+        where = ("" if point is None
+                 else f" at domain point {np.asarray(point).tolist()}")
+        super().__init__(f"{message}: {expr}{where}")
         self.expr = expr
+        self.point = point
 
 
 class Expr:
@@ -104,16 +116,17 @@ class Expr:
         return None
 
     def eval(self, point):
-        """Evaluate at one coordinate point (sequence of reals)."""
-        p = tuple(float(c) for c in point)
-        v = self._eval(p)
+        """Evaluate at one coordinate point (sequence of reals): eval_many
+        at a batch of one, where a non-finite value is a DomainError."""
+        v = float(self.eval_many(np.asarray(point, dtype=float)[None])[0])
         if not math.isfinite(v):
             raise DomainError("non-finite result", self)
         return v
 
     def eval_many(self, points):
-        """Vectorised evaluation over an (N, dim) array.  Non-finite entries
-        are left in place; callers that need domain errors use eval()."""
+        """Vectorised evaluation over an (N, dim) array.  A value outside
+        the domain comes out non-finite and is left in place: the caller
+        owns the batch and raises for it (see the module docstring)."""
         pts = np.asarray(points, dtype=float)
         with np.errstate(all="ignore"):
             out = self._eval_many(pts)
@@ -149,9 +162,6 @@ class Const(Expr):
         return -1
 
     def const_value(self):
-        return self.value
-
-    def _eval(self, p):
         return self.value
 
     def _eval_many(self, pts):
@@ -193,9 +203,6 @@ class Var(Expr):
     def max_var(self):
         return self.index
 
-    def _eval(self, p):
-        return p[self.index]
-
     def _eval_many(self, pts):
         return pts[:, self.index]
 
@@ -232,28 +239,6 @@ class Bin(Expr):
     @property
     def max_var(self):
         return max(self.lhs.max_var, self.rhs.max_var)
-
-    def _eval(self, p):
-        a = self.lhs._eval(p)
-        if self.op == "^":
-            n = int(self.rhs.value)
-            try:
-                return a ** n
-            except (ZeroDivisionError, OverflowError):
-                raise DomainError("power overflow or zero base", self) from None
-        b = self.rhs._eval(p)
-        try:
-            if self.op == "+":
-                return a + b
-            if self.op == "-":
-                return a - b
-            if self.op == "*":
-                return a * b
-            if b == 0.0:
-                raise DomainError("division by zero", self)
-            return a / b
-        except OverflowError:
-            raise DomainError("overflow", self) from None
 
     def _eval_many(self, pts):
         a = self.lhs._eval_many(pts)
@@ -334,23 +319,6 @@ class Un(Expr):
     @property
     def max_var(self):
         return self.arg.max_var
-
-    def _eval(self, p):
-        v = self.arg._eval(p)
-        if self.op == "neg":
-            return -v
-        if self.op == "sin":
-            return math.sin(v)
-        if self.op == "cos":
-            return math.cos(v)
-        if self.op == "exp":
-            try:
-                return math.exp(v)
-            except OverflowError:
-                raise DomainError("exp overflow", self) from None
-        if v < 0.0:
-            raise DomainError("sqrt of negative value", self)
-        return math.sqrt(v)
 
     def _eval_many(self, pts):
         v = self.arg._eval_many(pts)

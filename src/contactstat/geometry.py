@@ -15,12 +15,12 @@ check that it is invertible.
 
 import numpy as np
 
-from .exprlang import Const, Expr, parse
+from .exprlang import Const, DomainError, Expr, parse
 from .report import CheckReport, Tracker
 from .sampling import Samples, sample_box
 
 __all__ = [
-    "GeometryError", "SingularMetricError",
+    "GeometryError", "SingularMetricError", "INPUT_ERRORS",
     "Grid", "MetricField", "VectorField", "OneFormField", "ConnField",
     "StatTriple", "levi_civita", "covariant_derivative",
     "covariant_derivative_at", "lie_bracket", "check_statistical",
@@ -38,6 +38,11 @@ class SingularMetricError(GeometryError):
     def __init__(self, point):
         super().__init__(f"metric is singular near point {np.asarray(point).tolist()}")
         self.point = np.asarray(point)
+
+
+# the errors that mean a check cannot be evaluated on its input; each
+# becomes that check's failed engine-precondition record
+INPUT_ERRORS = (GeometryError, DomainError, np.linalg.LinAlgError)
 
 
 def _coerce_expr(e, dim):
@@ -80,8 +85,9 @@ class Grid:
         self.exprs = exprs
         self.const = None
         if all(e.max_var < 0 for e in exprs):
-            dummy = (0.0,)
-            self.const = np.array([e.eval(dummy) for e in exprs]).reshape(self.shape)
+            vals = [e.const_value() for e in exprs]
+            self.const = np.array([e.eval(()) if v is None else v
+                                   for e, v in zip(exprs, vals)]).reshape(self.shape)
 
     @property
     def is_constant(self):
@@ -179,23 +185,28 @@ class VectorField:
         self.comps = tuple(_coerce_expr(c, dim) for c in comps)
         if len(self.comps) != dim:
             raise GeometryError("component count must equal the chart dimension")
-        self._grid = Grid(self.comps)
+        self.grid = Grid(self.comps)
         self._jac = None
 
     @classmethod
     def coordinate(cls, dim, index):
         return cls([Const(1.0 if k == index else 0.0) for k in range(dim)], dim)
 
-    def at(self, points):
-        return self._grid.at(points)
-
-    def jac_at(self, points):
-        """j[n, k, i] = partial_i X^k."""
+    @property
+    def jac_grid(self):
+        """The partials [k][i] = partial_i X^k, compiled on first use."""
         if self._jac is None:
             self._jac = Grid(tuple(
                 tuple(self.comps[k].diff(i) for i in range(self.dim))
                 for k in range(self.dim)))
-        return self._jac.at(points)
+        return self._jac
+
+    def at(self, points):
+        return self.grid.at(points)
+
+    def jac_at(self, points):
+        """j[n, k, i] = partial_i X^k."""
+        return self.jac_grid.at(points)
 
 
 class OneFormField:

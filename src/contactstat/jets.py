@@ -5,13 +5,15 @@ phi, second-fundamental-form arguments) are algebraic in the primitive
 symbolic fields, so carrying (value, gradient) pairs through the algebra
 gives their derivatives exactly: the symbolic layer differentiates the
 leaves, the product/inverse rules do the rest.  No truncation error enters
-anywhere.
+anywhere.  The leaves are evaluated once per sample set, in one batch (see
+`submanifold`); a jet holds one point's slice of that batch, and the
+algebra here runs one point at a time.
 """
 
 import numpy as np
 
-__all__ = ["Jet", "jet_from_exprs", "jconst", "jmatmat", "jmatvec",
-           "jvecdot", "jinv", "jT", "jscale"]
+__all__ = ["Jet", "jconst", "jmatmat", "jmatvec", "jvecdot", "jinv", "jT",
+           "jscale"]
 
 
 class Jet:
@@ -40,34 +42,6 @@ class Jet:
 def jconst(arr, m):
     arr = np.asarray(arr, dtype=float)
     return Jet(arr, np.zeros(arr.shape + (m,)))
-
-
-def jet_from_exprs(grid, point, diff_grid=None):
-    """Jet of a nested expression grid at a domain point.
-
-    `diff_grid`, when given, is the cached grid of symbolic partials with
-    the derivative index outermost; otherwise it is computed on the fly.
-    """
-    p = tuple(float(c) for c in point)
-    m = len(p)
-
-    def val_of(node):
-        if hasattr(node, "eval"):
-            return node.eval(p)
-        return [val_of(c) for c in node]
-
-    val = np.asarray(val_of(grid), dtype=float)
-    if diff_grid is None:
-        def diff_of(node, k):
-            if hasattr(node, "diff"):
-                return node.diff(k).eval(p)
-            return [diff_of(c, k) for c in node]
-        d = np.stack([np.asarray(diff_of(grid, k), dtype=float)
-                      for k in range(m)], axis=-1)
-    else:
-        d = np.stack([np.asarray(val_of(diff_grid[k]), dtype=float)
-                      for k in range(m)], axis=-1)
-    return Jet(val, d)
 
 
 def jmatmat(A, B):

@@ -3,24 +3,28 @@ projection, Gauss-Weingarten data for a pair of dual connections, the
 tangential/normal decomposition of an almost-contact tensor, and the
 first-order identity checks that tie them together.
 
-Normal fields along the map are handled as first-order jets in the domain
-coordinates; the ambient covariant derivative along the map uses the
-ambient Christoffel values at the image point, which keeps every evaluator
-independent of any choice of ambient extension.
+A sample set's contexts come from one batched evaluation: the image
+points, the Jacobian, the pulled-back metric and contact fields with their
+partials, and the ambient Christoffel values at every image point.  Each
+per-point context slices these arrays and carries the fields as first-order
+jets in the domain coordinates; the ambient covariant derivative along the
+map uses the ambient Christoffel values at the image point, which keeps
+every evaluator independent of any choice of ambient extension.  A
+non-finite value in the batch is a DomainError that names its expression
+and the first failing domain point.
 """
 
 import numpy as np
 
-from .exprlang import Const, Expr
-from .geometry import (ConnField, GeometryError, Grid, MetricField,
-                       StatTriple, VectorField, _coerce_expr)
-from .jets import (Jet, jconst, jet_from_exprs, jinv, jmatmat, jmatvec,
-                   jscale, jT, jvecdot)
+from .exprlang import Const, DomainError, Expr
+from .geometry import (INPUT_ERRORS, ConnField, GeometryError, Grid,
+                       MetricField, StatTriple, VectorField, _coerce_expr)
+from .jets import Jet, jconst, jinv, jmatmat, jmatvec, jscale, jT, jvecdot
 from .report import CheckReport, Tracker
 from .sampling import sample_box
 
 __all__ = [
-    "RankDropError", "Embedding", "FramePoint", "GWData", "TFBCSplit",
+    "RankDropError", "Embedding", "GWData", "TFBCSplit",
     "MapGeometry", "frame_point", "induced_metric", "split",
     "gauss_weingarten", "tfbc", "check_gauss_weingarten",
     "check_structure_identities", "check_transport_identities",
@@ -50,62 +54,9 @@ class Embedding:
             tuple(self.comps[a].diff(i) for i in range(m))
             for a in range(self.n))
         self._grid = Grid(self.comps)
-        self._jac = Grid(self.jac_exprs)
 
     def at(self, points):
         return self._grid.at(points)
-
-    def jac_at(self, points):
-        return self._jac.at(points)
-
-
-class FramePoint:
-    """Value-level frame data at one domain point: the Jacobian columns as
-    the tangent basis and a deterministic g-orthonormal normal basis."""
-
-    def __init__(self, p, y, J, G, normal):
-        self.p = np.asarray(p, dtype=float)
-        self.y = y
-        self.J = J
-        self.G = G
-        self.normal = normal      # (n, n-m), columns g-orthonormal
-        self.gram = J.T @ G @ J
-        self.gram_inv = np.linalg.inv(self.gram)
-        defect = np.abs(J.T @ G @ normal).max() if normal.size else 0.0
-        if defect > 1e-10:
-            raise GeometryError(f"tangent/normal orthogonality defect {defect:.2e}")
-
-    @property
-    def m(self):
-        return self.J.shape[1]
-
-    @property
-    def n(self):
-        return self.J.shape[0]
-
-    def tangent_coeffs(self, v):
-        return self.gram_inv @ (self.J.T @ (self.G @ v))
-
-    def tangential(self, v):
-        return self.J @ self.tangent_coeffs(v)
-
-    def normal_coeffs(self, v):
-        return self.normal.T @ (self.G @ v)
-
-    def gnorm(self, v):
-        return float(np.sqrt(max(0.0, v @ self.G @ v)))
-
-
-def split(fp, v):
-    """Decompose an ambient vector at fp into tangent-basis and
-    normal-basis coefficients; the reconstruction must close to 1e-10."""
-    v = np.asarray(v, dtype=float)
-    a = fp.tangent_coeffs(v)
-    b = fp.normal_coeffs(v)
-    recon = fp.J @ a + (fp.normal @ b if b.size else 0.0)
-    if fp.gnorm(v - recon) > 1e-10 * (1.0 + fp.gnorm(v)):
-        raise GeometryError("degenerate frame: split reconstruction failed")
-    return a, b
 
 
 def induced_metric(emb, g_ambient):
@@ -124,101 +75,141 @@ def induced_metric(emb, g_ambient):
     return MetricField(m, upper)
 
 
+def _partials(nested, m):
+    """The grid of partials of a nested expression grid, with the
+    derivative index innermost."""
+    if isinstance(nested, Expr):
+        return tuple(nested.diff(k) for k in range(m))
+    return tuple(_partials(child, m) for child in nested)
+
+
+def _checked(grids, points):
+    """Each grid's values at `points`, under the domain policy of
+    Expr.eval: a non-finite value raises DomainError naming the first
+    failing point and the first non-finite expression there."""
+    vals = [grid.at(points) for grid in grids]
+    bad = [~np.isfinite(v).reshape(len(points), -1) for v in vals]
+    rows = np.any([b.any(axis=1) for b in bad], axis=0)
+    if rows.any():
+        s = int(rows.argmax())
+        grid, row = next((g, b[s]) for g, b in zip(grids, bad) if b[s].any())
+        raise DomainError("non-finite result", grid.exprs[int(row.argmax())],
+                          points[s])
+    return vals
+
+
+def _built_once(owner, samples, build):
+    """build(samples), attempted once per sample set: the result, or the
+    input error that stopped it, is kept for the set `owner` saw last."""
+    if owner._built is None or owner._built[0] is not samples:
+        try:
+            result = build(samples)
+        except INPUT_ERRORS as e:
+            result = e
+        owner._built = (samples, result)
+    if isinstance(owner._built[1], Exception):
+        raise owner._built[1]
+    return owner._built[1]
+
+
+class _Batch:
+    """Everything the contexts of one point batch read, evaluated over the
+    whole batch at once; domain vector fields are evaluated on first use."""
+
+    def __init__(self, mg, points):
+        self.points = points
+        self.y, *fields = _checked(mg.grids, points)
+        self.fields = list(zip(fields[::2], fields[1::2]))
+        _, self.gamma, self.gamma_star = mg.st.gammas(self.y)
+        self._vector_fields = {}
+
+    def jets(self, s):
+        return [Jet(v[s], d[s]) for v, d in self.fields]
+
+    def vector_field(self, X):
+        """Values and partials [k][i] = d_i X^k of X at every point."""
+        hit = self._vector_fields.get(id(X))
+        if hit is None:
+            hit = (X, *_checked([X.grid, X.jac_grid], self.points))
+            self._vector_fields[id(X)] = hit
+        return hit[1:]
+
+
 class MapGeometry:
     """Shared symbolic data for one (embedding, ambient statistical
-    structure) pair; builds per-point Gauss-Weingarten contexts."""
+    structure) pair.  Builds the Gauss-Weingarten contexts of a sample set
+    from one batched evaluation and remembers them, or the exception that
+    stopped the build, for that set."""
 
     def __init__(self, emb, st, acs=None):
         self.emb = emb
         self.st = st
         self.acs = acs
-        self.gsub = st.g.substitute(emb.comps).entries
+        fields = [emb.jac_exprs, st.g.substitute(emb.comps).entries]
         if acs is not None:
-            self.phi_sub = tuple(
+            fields.append(tuple(
                 tuple(acs.phi[a][b].substitute(emb.comps) for b in range(emb.n))
-                for a in range(emb.n))
-            self.xi_sub = tuple(c.substitute(emb.comps) for c in acs.xi.comps)
-            self.eta_sub = tuple(c.substitute(emb.comps) for c in acs.eta.comps)
-        else:
-            self.phi_sub = self.xi_sub = self.eta_sub = None
-        self._diffs = {}
-        self._field_jets = {}
-        self._contexts = {}
+                for a in range(emb.n)))
+            fields.append(tuple(c.substitute(emb.comps) for c in acs.xi.comps))
+            fields.append(tuple(c.substitute(emb.comps) for c in acs.eta.comps))
+        # the image points, then the values and partials of J, G and, with
+        # a contact structure, phi, xi and eta along the map
+        self.grids = [emb._grid]
+        for f in fields:
+            self.grids += [Grid(f), Grid(_partials(f, emb.m))]
+        self._built = None
 
-    def diffs_of(self, name, grid):
-        """Cached symbolic partials of a nested grid, derivative index
-        outermost."""
-        if name not in self._diffs:
-            m = self.emb.m
-
-            def d(node, k):
-                if isinstance(node, Expr):
-                    return node.diff(k)
-                return tuple(d(child, k) for child in node)
-
-            self._diffs[name] = tuple(d(grid, k) for k in range(m))
-        return self._diffs[name]
-
-    def field_diffs(self, X):
-        key = id(X)
-        hit = self._field_jets.get(key)
-        if hit is None or hit[0] is not X:
-            m = self.emb.m
-            grid = tuple(tuple(c.diff(k) for c in X.comps) for k in range(m))
-            self._field_jets[key] = (X, grid)
-            hit = self._field_jets[key]
-        return hit[1]
+    def contexts(self, samples):
+        """One context per point of a Samples set, built once for the set."""
+        return _built_once(self, samples, lambda s: self._build(s.points))
 
     def context(self, p):
-        key = np.asarray(p, dtype=float).tobytes()
-        if key not in self._contexts:
-            self._contexts[key] = GWData(self, p)
-        return self._contexts[key]
+        """The context at one domain point: the same build, on a batch of one."""
+        return self._build(np.asarray(p, dtype=float)[None])[0]
+
+    def _build(self, points):
+        batch = _Batch(self, points)
+        return [GWData(batch, s) for s in range(len(points))]
 
 
 class GWData:
-    """Evaluators at one frame point: ambient derivative along the map for
-    both connections, fundamental forms, shape operators, normal
-    connections, and the tangential/normal parts of the contact tensor."""
+    """Evaluators at one frame point: the tangent frame (the Jacobian
+    columns) and a deterministic g-orthonormal normal frame, ambient
+    derivative along the map for both connections, fundamental forms, shape
+    operators, normal connections, and the tangential/normal parts of the
+    contact tensor."""
 
-    def __init__(self, mg, p):
-        self.mg = mg
-        emb = mg.emb
-        p = np.asarray(p, dtype=float)
-        self.p = p
-        m, n = emb.m, emb.n
-        self.mdim, self.ndim = m, n
-        self.y = emb.at(p[None])[0]
+    def __init__(self, batch, s):
+        self._batch = batch
+        self.s = s
+        self.p = batch.points[s]
+        self.y = batch.y[s]
 
-        self.J = jet_from_exprs(emb.jac_exprs, p,
-                                mg.diffs_of("jac", emb.jac_exprs))
-        self.G = jet_from_exprs(mg.gsub, p, mg.diffs_of("gsub", mg.gsub))
+        self.J, self.G, *contact = batch.jets(s)
+        n, m = self.n, self.m = self.J.val.shape
         if np.linalg.matrix_rank(self.J.val, tol=GS_THRESHOLD) < m:
-            raise RankDropError(p)
+            raise RankDropError(self.p)
         self.Gram = jmatmat(jT(self.J), jmatmat(self.G, self.J))
         self.Gram_inv = jinv(self.Gram)
         self.Pi_tan = jmatmat(self.J, jmatmat(self.Gram_inv,
                                               jmatmat(jT(self.J), self.G)))
         self.Pi_nor = jconst(np.eye(n), m) - self.Pi_tan
 
-        _, gam, gam_star = mg.st.gammas(self.y[None])
-        self.gamma, self.gamma_star = gam[0], gam_star[0]
-
-        if mg.phi_sub is not None:
-            self.phi = jet_from_exprs(mg.phi_sub, p,
-                                      mg.diffs_of("phi", mg.phi_sub))
-            self.xi = jet_from_exprs(mg.xi_sub, p,
-                                     mg.diffs_of("xi", mg.xi_sub))
-            self.eta = jet_from_exprs(mg.eta_sub, p,
-                                      mg.diffs_of("eta", mg.eta_sub))
-        else:
-            self.phi = self.xi = self.eta = None
+        self.gamma, self.gamma_star = batch.gamma[s], batch.gamma_star[s]
+        self.phi, self.xi, self.eta = contact or (None, None, None)
         self._jets = {}
 
         self.normal_jets = self._normal_frame()
-        normal = (np.stack([f.val for f in self.normal_jets], axis=1)
-                  if self.normal_jets else np.zeros((n, 0)))
-        self.frame = FramePoint(p, self.y, self.J.val, self.G.val, normal)
+        # the value-level frame: gram matrix of the tangent basis, and the
+        # normal basis as columns, g-orthonormal
+        J, G = self.J.val, self.G.val
+        self.normal = (np.stack([f.val for f in self.normal_jets], axis=1)
+                       if self.normal_jets else np.zeros((n, 0)))
+        self.gram = J.T @ G @ J
+        self.gram_inv = np.linalg.inv(self.gram)
+        defect = np.abs(J.T @ G @ self.normal).max() if self.normal.size else 0.0
+        if defect > 1e-10:
+            raise GeometryError(f"tangent/normal orthogonality defect {defect:.2e}")
 
     # -- construction helpers
 
@@ -238,7 +229,7 @@ class GWData:
         return kept
 
     def _normal_frame(self):
-        m, n = self.mdim, self.ndim
+        m, n = self.m, self.n
         tangent_cols = [Jet(self.J.val[:, i], self.J.d[:, i, :]) for i in range(m)]
         tan_on = self._gs(tangent_cols, [])
         if len(tan_on) < m:
@@ -247,6 +238,13 @@ class GWData:
         return self._gs(basis, tan_on)
 
     # -- value-level helpers
+
+    def tangent_coeffs(self, v):
+        """Coefficients of the tangential part of v in the Jacobian columns."""
+        return self.gram_inv @ (self.J.val.T @ (self.G.val @ v))
+
+    def normal_coeffs(self, v):
+        return self.normal.T @ (self.G.val @ v)
 
     def tangential(self, v):
         return self.Pi_tan.val @ v
@@ -272,13 +270,17 @@ class GWData:
     def f_val(self, v):
         return self.normal_part(self.phi_val(v))
 
+    def field_val(self, X):
+        """A domain vector field's value here, from its batched evaluation."""
+        return self._batch.vector_field(X)[0][self.s]
+
     # -- jet-level field builders (memoised per generator object)
 
     def domain_jet(self, X):
         key = ("dom", id(X))
         if key not in self._jets:
-            self._jets[key] = jet_from_exprs(X.comps, self.p,
-                                             self.mg.field_diffs(X))
+            vals, d = self._batch.vector_field(X)
+            self._jets[key] = Jet(vals[self.s], d[self.s])
         return self._jets[key]
 
     def push_jet(self, X):
@@ -312,9 +314,6 @@ class GWData:
         if key not in self._jets:
             self._jets[key] = (V, jmatvec(self.Pi_nor, jmatvec(self.phi, V)))
         return self._jets[key][1]
-
-    def xi_jet(self):
-        return self.xi
 
     # -- the covariant derivative along the map
 
@@ -353,20 +352,35 @@ def _jrecip_sqrt(s):
     return Jet(val, -0.5 * s.d / (root * s.val))
 
 
+def split(ctx, v):
+    """Decompose an ambient vector at a context's point into tangent-basis
+    and normal-basis coefficients; the reconstruction must close to 1e-10."""
+    v = np.asarray(v, dtype=float)
+    a = ctx.tangent_coeffs(v)
+    b = ctx.normal_coeffs(v)
+    recon = ctx.J.val @ a + (ctx.normal @ b if b.size else 0.0)
+    if ctx.gnorm(v - recon) > 1e-10 * (1.0 + ctx.gnorm(v)):
+        raise GeometryError("degenerate frame: split reconstruction failed")
+    return a, b
+
+
 def frame_point(emb, g_ambient, p):
+    """The context at p of the embedding into (g_ambient, flat connection):
+    its tangent and normal frames, for splitting ambient vectors."""
     flat = StatTriple(g_ambient, ConnField.flat(g_ambient.dim))
-    return MapGeometry(emb, flat).context(p).frame
+    return MapGeometry(emb, flat).context(p)
 
 
-def gauss_weingarten(emb, st, fp_or_p, acs=None):
-    """Per-point evaluator bundle for a statistical ambient structure."""
-    p = fp_or_p.p if isinstance(fp_or_p, FramePoint) else fp_or_p
+def gauss_weingarten(emb, st, ctx_or_p, acs=None):
+    """The context at a domain point, or at the point of another context,
+    for a statistical ambient structure."""
+    p = ctx_or_p.p if isinstance(ctx_or_p, GWData) else ctx_or_p
     return MapGeometry(emb, st, acs=acs).context(p)
 
 
 class TFBCSplit:
-    """Matrices of the tangential/normal parts of the contact tensor in the
-    frame-point bases: T tangent->tangent (Jacobian-column coefficients),
+    """Matrices of the tangential/normal parts of the contact tensor in a
+    context's frames: T tangent->tangent (Jacobian-column coefficients),
     F tangent->normal, B normal->tangent, C normal->normal."""
 
     def __init__(self, T, F, B, C):
@@ -376,21 +390,21 @@ class TFBCSplit:
         self.C = C
 
 
-def tfbc(acs, fp, phi_y=None):
-    """Decompose phi at a frame point.  `phi_y` overrides the evaluated phi
-    matrix (used when the caller already substituted along the map)."""
+def tfbc(acs, ctx, phi_y=None):
+    """Decompose phi at a context's point.  `phi_y` overrides the evaluated
+    phi matrix (used when the caller already substituted along the map)."""
     if phi_y is None:
-        phi_y = acs.phi_at(fp.y[None])[0]
-    m = fp.m
-    k = fp.normal.shape[1]
-    phiJ = phi_y @ fp.J
-    phiN = phi_y @ fp.normal if k else np.zeros((fp.n, 0))
-    T = np.stack([fp.tangent_coeffs(phiJ[:, i]) for i in range(m)], axis=1)
-    F = np.stack([fp.normal_coeffs(phiJ[:, i]) for i in range(m)], axis=1) \
+        phi_y = acs.phi_at(ctx.y[None])[0]
+    m = ctx.m
+    k = ctx.normal.shape[1]
+    phiJ = phi_y @ ctx.J.val
+    phiN = phi_y @ ctx.normal if k else np.zeros((ctx.n, 0))
+    T = np.stack([ctx.tangent_coeffs(phiJ[:, i]) for i in range(m)], axis=1)
+    F = np.stack([ctx.normal_coeffs(phiJ[:, i]) for i in range(m)], axis=1) \
         if k else np.zeros((0, m))
-    B = (np.stack([fp.tangent_coeffs(phiN[:, j]) for j in range(k)], axis=1)
+    B = (np.stack([ctx.tangent_coeffs(phiN[:, j]) for j in range(k)], axis=1)
          if k else np.zeros((m, 0)))
-    C = (np.stack([fp.normal_coeffs(phiN[:, j]) for j in range(k)], axis=1)
+    C = (np.stack([ctx.normal_coeffs(phiN[:, j]) for j in range(k)], axis=1)
          if k else np.zeros((0, 0)))
     return TFBCSplit(T, F, B, C)
 
@@ -415,9 +429,10 @@ def check_gauss_weingarten(emb, st, samples=None, tol=1e-7, mg=None):
     if mg is None:
         mg = MapGeometry(emb, st)
     m = emb.m
-    gind = induced_metric(emb, st.g)
-    dgind = {(i, j): [gind.entries[i][j].diff(k) for k in range(m)]
-             for i in range(m) for j in range(m)}
+    ctxs = mg.contexts(samples)
+    # d_i gind_jk at every sample, indexed [s, j, k, i]
+    [dgind] = _checked([Grid(_partials(induced_metric(emb, st.g).entries, m))],
+                       samples.points)
 
     rep = CheckReport(check="gauss-weingarten",
                       census={"samples": samples.count, "m": m, "n": emb.n})
@@ -433,13 +448,12 @@ def check_gauss_weingarten(emb, st, samples=None, tol=1e-7, mg=None):
     t_dual = Tracker()
 
     frame = [VectorField.coordinate(m, i) for i in range(m)]
-    for s, p in enumerate(samples.points):
-        ctx = mg.context(p)
-        fp = ctx.frame
+    for s, ctx in enumerate(ctxs):
+        J = ctx.J.val
         t_rank.add(0.0 if np.linalg.matrix_rank(
-            fp.J, tol=GS_THRESHOLD) == m else 1.0, sample=s)
-        scale = max(np.abs(fp.J).max(), np.abs(fp.G).max(), 1.0)
-        nk = fp.normal.shape[1]
+            J, tol=GS_THRESHOLD) == m else 1.0, sample=s)
+        scale = max(np.abs(J).max(), np.abs(ctx.G.val).max(), 1.0)
+        nk = ctx.normal.shape[1]
         hvals = np.zeros((m, m, emb.n))
         hvals_d = np.zeros((m, m, emb.n))
         nab = np.zeros((m, m, emb.n))
@@ -453,25 +467,25 @@ def check_gauss_weingarten(emb, st, samples=None, tol=1e-7, mg=None):
                     sink_t[i, j] = vt
                     sink_h[i, j] = vn
                     v = vt + vn
-                    a, b = split(fp, v)
-                    recon = fp.J @ a + (fp.normal @ b if nk else 0.0)
+                    a, b = split(ctx, v)
+                    recon = J @ a + (ctx.normal @ b if nk else 0.0)
                     (t_gauss_d if star else t_gauss).add(
-                        fp.gnorm(v - recon), sample=s,
+                        ctx.gnorm(v - recon), sample=s,
                         labels=f"X=u{i+1} Y=u{j+1}", scale=scale)
         for i in range(m):
             xdom = np.eye(m)[i]
             for kidx, Vjet in enumerate(ctx.normal_jets):
                 for star, sink in ((False, t_wein), (True, t_wein_d)):
                     v = ctx.dbar(xdom, Vjet, star)
-                    a, b = split(fp, v)
-                    recon = fp.J @ a + fp.normal @ b
-                    sink.add(fp.gnorm(v - recon), sample=s,
+                    a, b = split(ctx, v)
+                    recon = J @ a + ctx.normal @ b
+                    sink.add(ctx.gnorm(v - recon), sample=s,
                              labels=f"X=u{i+1} V=N{kidx+1}", scale=scale)
                 # pairing: g(A_V X, Y) = g(h*(X,Y), V) and the starred twin
                 A = ctx.shape_op(xdom, Vjet, star=False)
                 A_d = ctx.shape_op(xdom, Vjet, star=True)
                 for j in range(m):
-                    yamb = fp.J[:, j]
+                    yamb = J[:, j]
                     t_adj.add(abs(ctx.ginner(A, yamb)
                                   - ctx.ginner(hvals_d[i, j], Vjet.val)),
                               sample=s, labels=f"X=u{i+1} Y=u{j+1} V=N{kidx+1}",
@@ -485,13 +499,13 @@ def check_gauss_weingarten(emb, st, samples=None, tol=1e-7, mg=None):
         t_hsym_d.add_batch((hvals_d - np.transpose(hvals_d, (1, 0, 2)))[None],
                            scale=scale)
         # induced duality: d_i gind_jk = gind(nab_i j, k) + gind(j, nab*_i k)
-        gram = fp.gram
+        gram = ctx.gram
         for i in range(m):
             for j in range(m):
-                cj = fp.tangent_coeffs(nab[i, j])
+                cj = ctx.tangent_coeffs(nab[i, j])
                 for kq in range(m):
-                    ck = fp.tangent_coeffs(nab_d[i, kq])
-                    lhs = dgind[(j, kq)][i].eval(p)
+                    ck = ctx.tangent_coeffs(nab_d[i, kq])
+                    lhs = dgind[s, j, kq, i]
                     rhs = cj @ gram[:, kq] + gram[j, :] @ ck
                     t_dual.add(abs(lhs - rhs), sample=s,
                                labels=f"X=u{i+1} Y=u{j+1} Z=u{kq+1}",
@@ -548,16 +562,14 @@ def check_structure_identities(emb, st, acs, samples=None, tol=1e-8, mg=None):
     ]
     tr = {nm: Tracker() for nm in names}
 
-    for s, p in enumerate(samples.points):
-        ctx = mg.context(p)
-        fp = ctx.frame
-        scale = max(np.abs(ctx.phi.val).max(), np.abs(fp.G).max(), 1.0)
+    for s, ctx in enumerate(mg.contexts(samples)):
+        scale = max(np.abs(ctx.phi.val).max(), np.abs(ctx.G.val).max(), 1.0)
         xiv = ctx.xi.val
         xtan = ctx.tangential(xiv)
         tr["xi-tangency"].add(ctx.gnorm(xiv - xtan), sample=s, scale=scale)
 
-        tangents = [fp.J[:, i] for i in range(fp.m)]
-        normals = [fp.normal[:, j] for j in range(fp.normal.shape[1])]
+        tangents = [ctx.J.val[:, i] for i in range(ctx.m)]
+        normals = [ctx.normal[:, j] for j in range(ctx.normal.shape[1])]
         for i, v in enumerate(tangents):
             tv = ctx.t_val(v)
             fv = ctx.f_val(v)
@@ -618,21 +630,20 @@ def check_transport_identities(emb, sss, samples=None, tol=1e-8, mg=None):
     tr = {nm: Tracker() for nm in names}
     frame = [VectorField.coordinate(m, i) for i in range(m)]
 
-    for s, p in enumerate(samples.points):
-        ctx = mg.context(p)
-        fp = ctx.frame
-        scale = max(np.abs(ctx.phi.val).max(), np.abs(fp.G).max(),
+    for s, ctx in enumerate(mg.contexts(samples)):
+        J = ctx.J.val
+        scale = max(np.abs(ctx.phi.val).max(), np.abs(ctx.G.val).max(),
                     np.abs(ctx.gamma).max(), 1.0)
         xiv = ctx.xi.val
-        xi_jet = ctx.xi_jet()
+        xi_jet = ctx.xi
         pushes = [ctx.push_jet(Y) for Y in frame]
         t_jets = [ctx.t_jet(Y) for Y in frame]
         f_jets = [ctx.f_jet(Y) for Y in frame]
         for i in range(m):
             xdom = np.eye(m)[i]
-            xamb = fp.J[:, i]
+            xamb = J[:, i]
             for j in range(m):
-                yamb = fp.J[:, j]
+                yamb = J[:, j]
                 nab_star = ctx.nabla_tan(xdom, pushes[j], star=True)
                 hstar = ctx.h(xdom, pushes[j], star=True)
                 lab = f"X=u{i+1} Y=u{j+1}"

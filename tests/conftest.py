@@ -1,56 +1,29 @@
 """Shared structure builders for the test suite.
 
-Each builder returns plain engine objects.  The ambient structures are
-validated in test_contactstruct / test_geometry before anything else
-depends on them.
+Each builder returns plain engine objects.  The ambient charts are read
+from the built-in fixture documents, and are validated in
+test_contactstruct / test_geometry before anything else depends on them.
 """
 
-import numpy as np
-
-from contactstat.contactstruct import AlmostContact, lambda_family
-from contactstat.geometry import MetricField, VectorField
+from contactstat import fixtures
+from contactstat.contactstruct import lambda_family
+from contactstat.geometry import VectorField
+from contactstat.specfile import from_doc
 from contactstat.submanifold import Embedding
 
 
+def _ambient(doc):
+    spec = from_doc({"ambient": doc})
+    return spec.g, spec.acs
+
+
 def sasaki_chart(npairs):
-    """Standard Sasakian chart on R^(2*npairs+1): coordinates ordered as
-    (x1, y1, ..., xn, yn, z) with eta = (dz - sum yi dxi)/2, xi = 2 d/dz,
+    """Standard Sasakian chart on R^(2*npairs+1), read from the fixture
+    document: coordinates ordered as (x1, y1, ..., xn, yn, z) with
+    eta = (dz - sum yi dxi)/2, xi = 2 d/dz,
     g = eta (x) eta + (1/4) sum (dxi^2 + dyi^2), phi the compatible
     rotation with phi(d/dxi) = -d/dyi."""
-    d = 2 * npairs + 1
-    z = d - 1
-
-    def xvar(i):
-        return 2 * i
-
-    def yvar(i):
-        return 2 * i + 1
-
-    eta = ["0"] * d
-    for i in range(npairs):
-        eta[xvar(i)] = f"-x{yvar(i) + 1}/2"
-    eta[z] = "1/2"
-
-    upper = {}
-    for i in range(npairs):
-        yi = f"x{yvar(i) + 1}"
-        upper[(xvar(i), xvar(i))] = f"(1 + {yi}^2)/4"
-        upper[(xvar(i), z)] = f"-{yi}/4"
-        upper[(yvar(i), yvar(i))] = "1/4"
-        for j in range(i + 1, npairs):
-            yj = f"x{yvar(j) + 1}"
-            upper[(xvar(i), xvar(j))] = f"{yi}*{yj}/4"
-    upper[(z, z)] = "1/4"
-    g = MetricField(d, upper)
-
-    phi = [["0"] * d for _ in range(d)]
-    for i in range(npairs):
-        phi[yvar(i)][xvar(i)] = "-1"
-        phi[xvar(i)][yvar(i)] = "1"
-        phi[z][yvar(i)] = f"x{yvar(i) + 1}"
-    xi = ["0"] * (d - 1) + ["2"]
-    acs = AlmostContact(phi=phi, xi=VectorField(xi, d), eta=eta)
-    return g, acs
+    return _ambient(fixtures._sasaki_ambient(npairs))
 
 
 def sasaki_r3():
@@ -66,21 +39,11 @@ def sasaki_r7():
 
 
 def euclid_r7(frame_orthonormal=False):
-    """Flat 7-chart with the standard rotation pairs and eta = dz.  The
-    frame-orthonormal variant rescales the middle two coordinate pairs so
-    the fixture submanifold frame below has unit lengths."""
-    if frame_orthonormal:
-        diag = [1.0, 1.0, 0.5, 0.5, 0.5, 0.5, 1.0]
-        g = MetricField(7, {(i, i): v for i, v in enumerate(diag)})
-    else:
-        g = MetricField.euclidean(7)
-    phi = [["0"] * 7 for _ in range(7)]
-    for x, y in ((0, 1), (2, 3), (4, 5)):
-        phi[y][x] = "1"
-        phi[x][y] = "-1"
-    acs = AlmostContact(phi=phi, xi=VectorField(["0"] * 6 + ["1"], 7),
-                        eta=["0"] * 6 + ["1"])
-    return g, acs
+    """Flat 7-chart with the standard rotation pairs and eta = dz, read from
+    the fixture document.  The frame-orthonormal variant rescales the
+    middle two coordinate pairs so the fixture submanifold frame below has
+    unit lengths."""
+    return _ambient(fixtures._flat7_ambient(frame_orthonormal))
 
 
 def e7_submanifold():

@@ -209,7 +209,7 @@ def test_08_circle_control():
         assert abs(ctx.gnorm(h) - 1.0) < 1e-8
         N = ctx.normal_jets[0]
         A = ctx.shape_op(np.array([1.0]), N)
-        lhs = ctx.ginner(A, ctx.frame.J[:, 0])
+        lhs = ctx.ginner(A, ctx.J.val[:, 0])
         rhs = ctx.ginner(h, N.val)
         assert abs(lhs - rhs) < 1e-8
     announce(8, "unit circle: |h| = 1 and the shape pairing holds")

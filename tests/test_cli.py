@@ -5,6 +5,7 @@ import pytest
 
 from contactstat.cli import main, run
 from contactstat.fixtures import fixture_doc
+from contactstat.sampling import sample_box
 from contactstat.specfile import from_doc, load_spec
 
 
@@ -86,8 +87,19 @@ class TestExitCodes:
 
 
 class TestEnginePreconditions:
-    def test_domain_error_becomes_failed_record(self, tmp_path, capsys):
+    def test_domain_error_becomes_failed_record(self, tmp_path, capsys,
+                                                monkeypatch):
         # sqrt(x1) leaves its domain on the default box [-1, 1]
+        from contactstat.submanifold import MapGeometry
+
+        builds = []
+        build = MapGeometry._build
+
+        def counted(self, points):
+            builds.append(len(points))
+            return build(self, points)
+
+        monkeypatch.setattr(MapGeometry, "_build", counted)
         doc = fixture_doc("fix-cr5")
         doc["submanifold"]["embedding"][0] = "sqrt(x1)"
         path = tmp_path / "sqrt.json"
@@ -98,13 +110,18 @@ class TestEnginePreconditions:
         assert err == ""
         doc = json.loads(out)
         assert doc["suites"]["ambient"]["passed"]
+        pts = sample_box(4, count=8, seed=42).points
+        first = pts[pts[:, 0] < 0][0]
         for suite in ("submanifold", "cr", "product"):
             for check in doc["suites"][suite]["checks"]:
                 [rec] = check["records"]
                 assert rec["name"] == "engine-precondition"
                 assert rec["status"] == "FAIL"
-                assert rec["note"] == ("DomainError: sqrt of negative value: "
-                                       "sqrt(x1)")
+                assert rec["note"] == ("DomainError: non-finite result: "
+                                       f"sqrt(x1) at domain point "
+                                       f"{first.tolist()}")
+        # the ten checks share one failed build of the sample set
+        assert builds == [8]
 
     def test_classifier_runs_once_per_cr_suite(self, monkeypatch, capsys):
         import contactstat.cli as cli

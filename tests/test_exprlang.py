@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -94,14 +95,19 @@ class TestEval:
             parse("sqrt(x1)", 1).eval((-1.0,))
 
     def test_eval_many_matches_eval(self):
-        # scalar eval goes through libm, eval_many through numpy; the two can
-        # disagree by an ulp on transcendentals, never more
+        # one evaluator: eval is eval_many at a batch of one
         e = parse("sin(x1)*x2 + exp(x2/4)^2", 2)
         pts = np.random.default_rng(0).uniform(-2, 2, size=(50, 2))
         many = e.eval_many(pts)
         for k in range(50):
-            v = e.eval(pts[k])
-            assert many[k] == pytest.approx(v, rel=1e-14, abs=0)
+            assert e.eval(pts[k]) == many[k]
+
+    def test_domain_error_names_the_expression(self):
+        e = parse("x2 + sqrt(x1)", 2)
+        with pytest.raises(DomainError) as err:
+            e.eval((-1.0, 0.0))
+        assert str(err.value) == f"non-finite result: {e}"
+        assert err.value.expr is e
 
 
 class TestDiff:
@@ -243,3 +249,35 @@ def test_immutability():
     e = parse("x1 + 1", 1)
     with pytest.raises(AttributeError):
         e.lhs = Const(0.0)
+
+
+# -- one evaluator, one domain policy ----------------------------------------
+
+def _trees(dim):
+    leaves = st.one_of(
+        st.builds(Var, st.integers(0, dim - 1)),
+        st.builds(Const, st.sampled_from([0.0, 1.0, -2.5, 3.0, 710.0])))
+    return st.recursive(leaves, lambda sub: st.one_of(
+        st.builds(Bin, st.sampled_from("+-*/"), sub, sub),
+        st.builds(lambda a, n: Bin("^", a, Const(float(n))), sub,
+                  st.integers(0, 4)),
+        st.builds(Un, st.sampled_from(["neg", "sin", "cos", "exp", "sqrt"]),
+                  sub)), max_leaves=12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_eval_is_eval_many_at_one_point(data):
+    # trees leave their domain freely: sqrt of negatives, division by zero,
+    # exp overflow; eval raises exactly where the batch holds a non-finite
+    # value, and otherwise returns that value to the bit
+    dim = data.draw(st.integers(1, 3))
+    e = data.draw(_trees(dim))
+    coord = st.sampled_from([0.0, -1.0, 1.0]) | st.floats(-50, 50)
+    p = data.draw(st.lists(coord, min_size=dim, max_size=dim))
+    v = e.eval_many(np.array([p]))[0]
+    if np.isfinite(v):
+        assert struct.pack("d", e.eval(p)) == struct.pack("d", v)
+    else:
+        with pytest.raises(DomainError):
+            e.eval(p)

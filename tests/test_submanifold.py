@@ -4,10 +4,12 @@ import pytest
 from conftest import (cr5_structure, cr5_submanifold, e7_structure,
                       e7_submanifold, sasaki_r3)
 from contactstat.contactstruct import lambda_family
-from contactstat.exprlang import Const
+from contactstat.exprlang import Const, DomainError
+from contactstat.fixtures import fixture_doc
 from contactstat.geometry import (ConnField, MetricField, StatTriple,
                                   VectorField, check_statistical)
 from contactstat.sampling import sample_box, samples_from_points
+from contactstat.specfile import from_doc
 from contactstat.submanifold import (Embedding, MapGeometry, RankDropError,
                                      check_gauss_weingarten, check_transport_identities,
                                      check_structure_identities, frame_point,
@@ -50,7 +52,7 @@ class TestFramePointAndSplit:
         emb, _, _ = e7_submanifold()
         g = MetricField.euclidean(7)
         fp = frame_point(emb, g, np.zeros(5))
-        v = fp.J @ np.array([1.0, -2.0, 0.5, 0.0, 3.0])
+        v = fp.J.val @ np.array([1.0, -2.0, 0.5, 0.0, 3.0])
         a, b = split(fp, v)
         assert np.abs(b).max() < 1e-12
         assert np.allclose(a, [1.0, -2.0, 0.5, 0.0, 3.0])
@@ -59,7 +61,7 @@ class TestFramePointAndSplit:
         emb, _, _ = e7_submanifold()
         g, acs = __import__("conftest").euclid_r7()
         fp = frame_point(emb, g, np.zeros(5))
-        e3 = fp.J[:, 2]
+        e3 = fp.J.val[:, 2]
         phie3 = acs.phi_at(np.zeros((1, 7)))[0] @ e3
         a, b = split(fp, phie3)
         assert np.abs(a).max() < 1e-12
@@ -72,7 +74,7 @@ class TestFramePointAndSplit:
         rng = np.random.default_rng(5)
         a0 = rng.normal(size=5)
         b0 = rng.normal(size=2)
-        v = fp.J @ a0 + fp.normal @ b0
+        v = fp.J.val @ a0 + fp.normal @ b0
         a, b = split(fp, v)
         assert np.allclose(a, a0, atol=1e-12)
         assert np.allclose(b, b0, atol=1e-12)
@@ -87,8 +89,45 @@ class TestFramePointAndSplit:
         g, _ = __import__("conftest").sasaki_r5()
         emb, _, _ = cr5_submanifold()
         fp = frame_point(emb, g, np.array([0.3, -0.2, 0.5, 0.9]))
-        gram = fp.normal.T @ fp.G @ fp.normal
+        gram = fp.normal.T @ fp.G.val @ fp.normal
         assert np.abs(gram - np.eye(fp.normal.shape[1])).max() < 1e-12
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+class TestBatchedContexts:
+    @pytest.mark.parametrize("name", ["sasaki-r7-cr", "paper-r7-euclidean"])
+    def test_batch_equals_one_point_builds(self, name):
+        spec = from_doc(fixture_doc(name))
+        mg = MapGeometry(spec.embedding, spec.sss.st, acs=spec.acs)
+        samples = sample_box(spec.embedding.m, count=12, seed=3)
+        batch = mg.contexts(samples)
+        assert mg.contexts(samples) is batch
+        for ctx, p in zip(batch, samples.points):
+            one = mg.context(p)
+            pairs = [(ctx.gamma, one.gamma), (ctx.gamma_star, one.gamma_star),
+                     (ctx.normal, one.normal)]
+            for a, b in ((ctx.J, one.J), (ctx.G, one.G),
+                         (ctx.Pi_tan, one.Pi_tan), (ctx.Pi_nor, one.Pi_nor),
+                         *zip(ctx.normal_jets, one.normal_jets)):
+                pairs += [(a.val, b.val), (a.d, b.d)]
+            assert len(ctx.normal_jets) == len(one.normal_jets)
+            for a, b in pairs:
+                assert np.array_equal(_bits(a), _bits(b))
+
+    def test_failed_build_is_remembered_and_names_the_point(self):
+        emb = Embedding(["x1", "sqrt(x1)"], 1)
+        mg = MapGeometry(emb, flat_statistical(2))
+        samples = samples_from_points([[0.5], [-0.25], [-0.75]])
+        with pytest.raises(DomainError) as first:
+            mg.contexts(samples)
+        assert str(first.value) == ("non-finite result: sqrt(x1) "
+                                    "at domain point [-0.25]")
+        with pytest.raises(DomainError) as again:
+            mg.contexts(samples)
+        assert again.value is first.value
 
 
 class TestGaussWeingarten:
@@ -114,7 +153,7 @@ class TestGaussWeingarten:
             # pairing: g(A_N dt, dt) = g(h*(dt,dt), N) for the frame normal
             N = ctx.normal_jets[0]
             A = ctx.shape_op(np.array([1.0]), N)
-            lhs = ctx.ginner(A, ctx.frame.J[:, 0])
+            lhs = ctx.ginner(A, ctx.J.val[:, 0])
             rhs = ctx.ginner(h, N.val)
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
@@ -303,12 +342,12 @@ class TestTFBCReconstruction:
             phiv = acs.phi_at(fp.y[None])[0]
             parts = tfbc(acs, fp)
             for i in range(fp.m):
-                v = fp.J[:, i]
-                recon = fp.J @ parts.T[:, i] + fp.normal @ parts.F[:, i]
+                v = fp.J.val[:, i]
+                recon = fp.J.val @ parts.T[:, i] + fp.normal @ parts.F[:, i]
                 assert np.abs(phiv @ v - recon).max() < 1e-12
             for j in range(fp.normal.shape[1]):
                 w = fp.normal[:, j]
-                recon = fp.J @ parts.B[:, j] + fp.normal @ parts.C[:, j]
+                recon = fp.J.val @ parts.B[:, j] + fp.normal @ parts.C[:, j]
                 assert np.abs(phiv @ w - recon).max() < 1e-12
 
 
