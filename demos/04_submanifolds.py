@@ -23,7 +23,8 @@ circle = Embedding(["cos(x1)", "sin(x1)"], 1)
 flat = StatTriple(MetricField.euclidean(2), ConnField.flat(2))
 ctx = gauss_weingarten(circle, flat, np.array([0.7]))
 _, h = ctx.gauss(np.array([1.0]), VectorField.coordinate(1, 0))
-print("circle: h(dt, dt) =", np.round(h, 6), " |h| =", round(ctx.gnorm(h), 12))
+print("circle: h(dt, dt) =", np.round(h[0], 6),
+      " |h| =", round(float(ctx.gnorm(h)[0]), 12))
 
 gind = induced_metric(circle, MetricField.euclidean(2))
 print("circle induced metric entry:", gind.entry(0, 0))
@@ -40,19 +41,19 @@ print(gind.at(np.zeros((1, 5)))[0])
 # Splitting an ambient vector into tangent and normal coefficients.
 fp = frame_point(emb, spec.g, np.zeros(5))
 phi0 = spec.acs.phi_at(np.zeros((1, 7)))[0]
-v = phi0 @ fp.J.val[:, 2]     # phi of the third frame direction: wholly normal
-a, b = split(fp, v)
+v = phi0 @ fp.J.val[0, :, 2]  # phi of the third frame direction: wholly normal
+a, b = split(fp, v[None])
 print()
-print("phi(e3) tangent coefficients:", np.round(a, 12))
-print("phi(e3) normal coefficients: ", np.round(b, 6))
+print("phi(e3) tangent coefficients:", np.round(a[0], 12))
+print("phi(e3) normal coefficients: ", np.round(b[0], 6))
 
 # The tangential/normal split of phi at a frame point.
 parts = tfbc(spec.acs, fp)
 print()
 print("T (tangent -> tangent):")
-print(np.round(parts.T, 6))
+print(np.round(parts.T[0], 6))
 print("F (tangent -> normal):")
-print(np.round(parts.F, 6))
+print(np.round(parts.F[0], 6))
 
 # Everything above is wired into residual reports.
 print()

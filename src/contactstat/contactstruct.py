@@ -108,36 +108,36 @@ def check_almost_contact(acs, g, samples=None, tol=1e-8):
 
     t = Tracker()
     phisq = np.einsum("nac,ncb->nab", phi, phi)
-    t.add_batch(phisq + eye[None] - np.einsum("na,nb->nab", xiv, etav), scale=scale)
+    t.add(phisq + eye[None] - np.einsum("na,nb->nab", xiv, etav), scale=scale)
     rep.records.append(t.build(
         "phi-square", "φ²X = -X + η(X)ξ", tol))
 
     t = Tracker()
-    t.add_batch(np.einsum("nab,nb->na", gv, xiv) - etav, scale=scale)
+    t.add(np.einsum("nab,nb->na", gv, xiv) - etav, scale=scale)
     rep.records.append(t.build("metric-xi-pairing", "g(X, ξ) = η(X)", tol))
 
     t = Tracker()
     compat = (np.einsum("nca,ncd,ndb->nab", phi, gv, phi) - gv
               + np.einsum("na,nb->nab", etav, etav))
-    t.add_batch(compat, scale=scale)
+    t.add(compat, scale=scale)
     rep.records.append(t.build(
         "phi-compatibility",
         "g(φX, φY) = g(X,Y) - η(X)η(Y)", tol))
 
     t = Tracker()
-    t.add_batch(np.einsum("nab,na,nb->n", gv, xiv, xiv) - 1.0, scale=scale)
+    t.add(np.einsum("nab,na,nb->n", gv, xiv, xiv) - 1.0, scale=scale)
     rep.records.append(t.build("unit-xi", "g(ξ, ξ) = 1", tol))
 
     t = Tracker()
-    t.add_batch(np.einsum("nab,nb->na", phi, xiv), scale=scale)
+    t.add(np.einsum("nab,nb->na", phi, xiv), scale=scale)
     rep.records.append(t.build("phi-xi", "φξ = 0", tol))
 
     t = Tracker()
-    t.add_batch(np.einsum("na,nab->nb", etav, phi), scale=scale)
+    t.add(np.einsum("na,nab->nb", etav, phi), scale=scale)
     rep.records.append(t.build("eta-phi", "η ∘ φ = 0", tol))
 
     t = Tracker()
-    t.add_batch(np.einsum("na,na->n", etav, xiv) - 1.0, scale=scale)
+    t.add(np.einsum("na,na->n", etav, xiv) - 1.0, scale=scale)
     rep.records.append(t.build("eta-xi", "η(ξ) = 1", tol))
 
     # corank exactly one: smallest singular value ~ 0, second-smallest
@@ -146,7 +146,7 @@ def check_almost_contact(acs, g, samples=None, tol=1e-8):
     smin = sv[:, -1]
     ratio = sv[:, -2] / np.maximum(sv[:, 0], 1e-300)
     t = Tracker()
-    t.add_batch(np.maximum(smin, np.maximum(0.0, 1e-8 - ratio)), scale=scale)
+    t.add(np.maximum(smin, np.maximum(0.0, 1e-8 - ratio)), scale=scale)
     rep.records.append(t.build(
         "phi-rank", "rank φ = dim - 1 (kernel = span ξ)", tol,
         note="residual mixes the smallest singular value with the corank gap"))
@@ -171,17 +171,17 @@ def check_contact_metric(acs, g, samples=None, tol=1e-8):
     scale = float(max(np.abs(deta).max(), np.abs(pair).max(), 1.0))
 
     t = Tracker()
-    t.add_batch(deta - pair, scale=scale)
+    t.add(deta - pair, scale=scale)
     rep.records.append(t.build(
         "deta-pairing", "dη(X,Y) = g(X, φY)", tol))
 
     t = Tracker()
-    t.add_batch(deta + np.einsum("nki,nkj->nij", phi, gv), scale=scale)
+    t.add(deta + np.einsum("nki,nkj->nij", phi, gv), scale=scale)
     rep.records.append(t.build(
         "deta-pairing-skew", "dη(X,Y) = -g(φX, Y)", tol))
 
     t = Tracker()
-    t.add_batch(0.5 * deta - pair, scale=scale)
+    t.add(0.5 * deta - pair, scale=scale)
     rep.records.append(t.build(
         "deta-pairing-half",
         "½(Xη(Y) - Yη(X) - η([X,Y])) = g(X, φY)",
@@ -214,7 +214,7 @@ def check_sasakian(acs, g, samples=None, tol=1e-8):
     nxi = np.transpose(dxi, (0, 2, 1)) + np.einsum("nkil,nl->nik", gam, xiv)
     defect = nxi + np.transpose(phi, (0, 2, 1))        # [n, i, k]
     t = Tracker()
-    t.add_batch(_gnorm(gv, defect), scale=scale)
+    t.add(_gnorm(gv, defect), scale=scale)
     rep.records.append(t.build(
         "xi-derivative", "∇̂_X ξ = -φX", tol))
 
@@ -225,7 +225,7 @@ def check_sasakian(acs, g, samples=None, tol=1e-8):
     defect = (nphi - np.einsum("nij,nk->nkij", gv, xiv)
               + np.einsum("nj,ki->nkij", etav, eye))
     t = Tracker()
-    t.add_batch(_gnorm(gv, np.transpose(defect, (0, 2, 3, 1))), scale=scale)
+    t.add(_gnorm(gv, np.transpose(defect, (0, 2, 3, 1))), scale=scale)
     rep.records.append(t.build(
         "phi-derivative",
         "(∇̂_X φ)Y = g(X,Y)ξ - η(Y)X", tol))
@@ -244,7 +244,7 @@ def _transport_records(rep, prefix, gam_a, gam_b, gv, phi, dphi, xiv, dxi,
     rhs = (np.einsum("nij,nk->nkij", gv, xiv)
            - np.einsum("nj,ki->nkij", etav, eye))
     t = Tracker()
-    t.add_batch(_gnorm(gv, np.transpose(lhs - rhs, (0, 2, 3, 1))), scale=scale)
+    t.add(_gnorm(gv, np.transpose(lhs - rhs, (0, 2, 3, 1))), scale=scale)
     rep.records.append(t.build(
         f"{prefix}phi-transport",
         "∇_X(φY) - φ∇*_X Y = g(X,Y)ξ - η(Y)X"
@@ -252,7 +252,7 @@ def _transport_records(rep, prefix, gam_a, gam_b, gv, phi, dphi, xiv, dxi,
         "∇*_X(φY) - φ∇_X Y = g(X,Y)ξ - η(Y)X",
         tol))
     t = Tracker()
-    t.add_batch(_gnorm(gv, np.transpose(lhs + rhs, (0, 2, 3, 1))), scale=scale)
+    t.add(_gnorm(gv, np.transpose(lhs + rhs, (0, 2, 3, 1))), scale=scale)
     rep.records.append(t.build(
         f"{prefix}phi-transport-alt-sign",
         "∇_X(φY) - φ∇*_X Y = η(Y)X - g(X,Y)ξ"
@@ -266,7 +266,7 @@ def _transport_records(rep, prefix, gam_a, gam_b, gv, phi, dphi, xiv, dxi,
     corrected = nxi - np.einsum("ni,nk->nik", comp, xiv)
     phicols = np.transpose(phi, (0, 2, 1))
     t = Tracker()
-    t.add_batch(_gnorm(gv, corrected + phicols), scale=scale)
+    t.add(_gnorm(gv, corrected + phicols), scale=scale)
     rep.records.append(t.build(
         f"{prefix}xi-transport",
         "∇_X ξ - g(∇_X ξ, ξ)ξ = -φX"
@@ -274,7 +274,7 @@ def _transport_records(rep, prefix, gam_a, gam_b, gv, phi, dphi, xiv, dxi,
         "∇*_X ξ - g(∇*_X ξ, ξ)ξ = -φX",
         tol))
     t = Tracker()
-    t.add_batch(_gnorm(gv, corrected - phicols), scale=scale)
+    t.add(_gnorm(gv, corrected - phicols), scale=scale)
     rep.records.append(t.build(
         f"{prefix}xi-transport-alt-sign",
         "∇_X ξ - g(∇_X ξ, ξ)ξ = φX"
@@ -317,7 +317,7 @@ def check_sasakian_statistical(sss, samples=None, tol=1e-8, delegate=True):
     t = Tracker()
     anticomm = (np.einsum("nkil,nlj->nkij", kt, phi)
                 + np.einsum("nkl,nlij->nkij", phi, kt))
-    t.add_batch(_gnorm(gv, np.transpose(anticomm, (0, 2, 3, 1))), scale=scale)
+    t.add(_gnorm(gv, np.transpose(anticomm, (0, 2, 3, 1))), scale=scale)
     rep.records.append(t.build(
         "k-phi-anticommute", "K(X, φY) + φK(X, Y) = 0", tol))
 

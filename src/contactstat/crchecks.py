@@ -13,7 +13,9 @@ import numpy as np
 from .geometry import GeometryError, VectorField, lie_bracket
 from .jets import jmatvec
 from .report import CheckReport, Tracker
-from .submanifold import MapGeometry, _built_once, _domain_samples
+from .submanifold import (GWData, MapGeometry, _adder, _built_once,
+                          _by_pattern, _domain_samples, _scale, _tr,
+                          _uniform)
 
 __all__ = [
     "Distribution", "CRStructure",
@@ -54,15 +56,26 @@ class CRStructure:
         self._built = None
 
     def contexts(self, samples):
-        """One context per point of a Samples set, built once for the set
-        over the shared MapGeometry's contexts; a failed build raises the
-        same exception for every later request."""
-        return _built_once(self, samples, lambda s: [
-            _CRContext(self, ctx) for ctx in self._mg.contexts(s)])
+        """A sample set's contexts, one per drop pattern of the shared
+        MapGeometry's contexts and of the frames built here, built once for
+        the set; a failed build raises the same exception for every later
+        request."""
+        return _built_once(self, samples, self._build)
 
     def context(self, p):
         """The context at one domain point, on a batch of one."""
         return _CRContext(self, self._mg.context(p))
+
+    def _build(self, samples):
+        contexts = []
+        for ctx in self._mg.contexts(samples):
+            def build(points, index, ctx=ctx):
+                # a part of ctx's points gets its own Gauss-Weingarten context
+                if len(index) < len(ctx.index):
+                    ctx = GWData(self._mg, points, index)
+                return _CRContext(self, ctx)
+            contexts += _by_pattern(build, ctx.points, ctx.index)
+        return contexts
 
     def bracket(self, kind, i, j):
         key = (kind, i, j)
@@ -72,17 +85,32 @@ class CRStructure:
         return self._brackets[key]
 
 
-def _span_projector(cols, G):
-    """g-orthogonal projector onto the column span (empty span -> zero)."""
-    if cols.size == 0:
-        n = G.shape[0]
-        return np.zeros((n, n))
-    gram = cols.T @ G @ cols
-    return cols @ np.linalg.solve(gram, cols.T @ G)
+def _span_projector(cols, G, name, points):
+    """g-orthogonal projector onto the column span at each sample (empty
+    span -> zero).  Dependent columns are a GeometryError that names the
+    distribution and the first domain point whose own solve fails."""
+    if cols.shape[-1] == 0:
+        return np.zeros(G.shape)
+    rhs = _tr(cols) @ G
+    gram = rhs @ cols
+    try:
+        return cols @ np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError:
+        # slogdet's sign is 0 exactly where the LU factorisation that solve
+        # runs meets a zero pivot, which is where solve fails
+        singular = np.linalg.slogdet(gram)[0] == 0
+        raise GeometryError(
+            f"{name} generators are linearly dependent at domain point "
+            f"{points[singular.argmax()].tolist()}") from None
+
+
+def _as_columns(vectors, n, N):
+    """Per-sample vectors as the columns of an (N, n, k) stack."""
+    return np.stack(vectors, axis=-1) if vectors else np.zeros((N, n, 0))
 
 
 class _CRContext:
-    """Per-point working data: the Gauss-Weingarten context plus pushed
+    """Working data over a Gauss-Weingarten context's points: the pushed
     generators, span projectors, and the normal-bundle splitting into the
     image of the anti-invariant distribution and its invariant complement.
     Generator and bracket values come from their batched evaluation."""
@@ -90,50 +118,48 @@ class _CRContext:
     def __init__(self, cr, ctx):
         self.cr = cr
         self.ctx = ctx
+        self.index = ctx.index
         self.G = ctx.G.val
         self.J = ctx.J.val
-        n = ctx.n
-        self.d_dom = [ctx.field_val(g) for g in cr.D.generators]
-        self.dp_dom = [ctx.field_val(g) for g in cr.Dperp.generators]
-        self.d_amb = [self.J @ x for x in self.d_dom]
-        self.dp_amb = [self.J @ x for x in self.dp_dom]
-        self.P_D = _span_projector(
-            np.stack(self.d_amb, axis=1) if self.d_amb else np.zeros((n, 0)),
-            self.G)
-        self.P_Dp = _span_projector(
-            np.stack(self.dp_amb, axis=1) if self.dp_amb else np.zeros((n, 0)),
-            self.G)
+        N, n = len(ctx.index), ctx.n
+        self.d_dom = [ctx.domain_jet(g).val for g in cr.D.generators]
+        self.dp_dom = [ctx.domain_jet(g).val for g in cr.Dperp.generators]
+        self.d_amb = [np.matvec(self.J, x) for x in self.d_dom]
+        self.dp_amb = [np.matvec(self.J, x) for x in self.dp_dom]
+        self.P_D = _span_projector(_as_columns(self.d_amb, n, N), self.G, "D",
+                                   ctx.points)
+        self.P_Dp = _span_projector(_as_columns(self.dp_amb, n, N), self.G,
+                                    "Dperp", ctx.points)
         self.xi = ctx.xi.val
         self.xi_dom = ctx.tangent_coeffs(self.xi)
         # D with the Reeb direction removed, for the frame projections
-        xi_unit = self.xi / max(ctx.gnorm(self.xi), 1e-300)
+        xi_unit = self.xi / np.maximum(ctx.gnorm(self.xi), 1e-300)[:, None]
         reduced = []
         for v in self.d_amb:
-            w = v - ctx.ginner(v, xi_unit) * xi_unit
+            w = v - ctx.ginner(v, xi_unit)[:, None] * xi_unit
             for u in reduced:
-                w = w - ctx.ginner(w, u) * u
+                w = w - ctx.ginner(w, u)[:, None] * u
             norm = ctx.gnorm(w)
-            if norm > 1e-10:
-                reduced.append(w / norm)
-        self.P_1 = _span_projector(
-            np.stack(reduced, axis=1) if reduced else np.zeros((n, 0)),
-            self.G)
+            if _uniform(norm > 1e-10):
+                reduced.append(w / norm[:, None])
+        self.P_1 = _span_projector(_as_columns(reduced, n, N), self.G,
+                                   "reduced D", ctx.points)
         # normal splitting: the image of phi on Dperp, then its complement
         self.phiZ_jets = [ctx.f_jet(Z) for Z in cr.Dperp.generators]
-        fframe = ctx._gs(self.phiZ_jets, [])
-        self.fframe = fframe
-        self.nu_jets = ctx._gs(ctx.normal_jets, fframe)
+        self.fframe = ctx._gs(self.phiZ_jets, [])
+        self.nu_jets = ctx._gs(ctx.normal_jets, self.fframe)
         self.P_nu = _span_projector(
-            np.stack([f.val for f in self.nu_jets], axis=1)
-            if self.nu_jets else np.zeros((n, 0)), self.G)
+            _as_columns([f.val for f in self.nu_jets], n, N), self.G, "nu",
+            ctx.points)
 
     def off(self, v, projector):
-        return self.ctx.gnorm(v - projector @ v)
+        return self.ctx.gnorm(v - np.matvec(projector, v))
 
     def bracket_amb(self, kind, i, j):
-        """The pushed value of the bracket of generators i and j of D
+        """The pushed values of the bracket of generators i and j of D
         ("D") or of D-perp ("Dperp")."""
-        return self.J @ self.ctx.field_val(self.cr.bracket(kind, i, j))
+        return np.matvec(
+            self.J, self.ctx.domain_jet(self.cr.bracket(kind, i, j)).val)
 
 
 def check_contact_cr(cr, samples=None, tol=1e-8):
@@ -152,56 +178,44 @@ def check_contact_cr(cr, samples=None, tol=1e-8):
     tr = {nm: Tracker() for nm in names}
     m = cr.emb.m
 
-    for s, c in enumerate(cr.contexts(samples)):
+    for c in cr.contexts(samples):
         ctx = c.ctx
-        scale = max(np.abs(c.G).max(), np.abs(ctx.phi.val).max(), 1.0)
-        allgens = np.stack(c.d_dom + c.dp_dom, axis=1)
-        gram = allgens.T @ c.ctx.gram @ allgens
+        add = _adder(tr, _scale(c.G, ctx.phi.val), c.index)
+        allgens = np.stack(c.d_dom + c.dp_dom, axis=-1)
+        gram = _tr(allgens) @ ctx.gram @ allgens
         rank = np.linalg.matrix_rank(gram, tol=1e-10)
-        tr["generator-rank"].add(float(cr.D.rank + cr.Dperp.rank - rank),
-                                 sample=s, scale=scale)
-        tr["span-completeness"].add(float(m - rank), sample=s, scale=scale)
+        add("generator-rank", (cr.D.rank + cr.Dperp.rank - rank).astype(float))
+        add("span-completeness", (m - rank).astype(float))
         for i, x in enumerate(c.d_amb):
             for j, z in enumerate(c.dp_amb):
-                tr["d-dperp-orthogonal"].add(abs(ctx.ginner(x, z)), sample=s,
-                                             labels=f"X=D{i+1} Z=P{j+1}",
-                                             scale=scale)
+                add("d-dperp-orthogonal", abs(ctx.ginner(x, z)),
+                    f"X=D{i+1} Z=P{j+1}")
         for i, x in enumerate(c.d_amb):
-            tr["d-invariance"].add(c.off(ctx.phi_val(x), c.P_D), sample=s,
-                                   labels=f"X=D{i+1}", scale=scale)
+            add("d-invariance", c.off(ctx.phi_val(x), c.P_D), f"X=D{i+1}")
         for j, z in enumerate(c.dp_amb):
-            tr["dperp-anti-invariance"].add(
-                ctx.gnorm(ctx.tangential(ctx.phi_val(z))), sample=s,
-                labels=f"Z=P{j+1}", scale=scale)
-        tr["xi-in-d"].add(c.off(c.xi, c.P_D), sample=s, scale=scale)
+            add("dperp-anti-invariance",
+                ctx.gnorm(ctx.tangential(ctx.phi_val(z))), f"Z=P{j+1}")
+        add("xi-in-d", c.off(c.xi, c.P_D))
         for k, lam in enumerate(c.nu_jets):
             philam = ctx.phi_val(lam.val)
-            tr["nu-invariance"].add(c.off(philam, c.P_nu), sample=s,
-                                    labels=f"ν{k+1}", scale=scale)
+            add("nu-invariance", c.off(philam, c.P_nu), f"ν{k+1}")
         # the normal bundle splits as (phi Dperp) + nu, orthogonally
-        nnormal = c.ctx.normal.shape[1]
-        tr["nu-decomposition"].add(
-            float(nnormal - len(c.fframe) - len(c.nu_jets)), sample=s,
-            scale=scale)
+        missing = ctx.normal.shape[-1] - len(c.fframe) - len(c.nu_jets)
+        add("nu-decomposition", np.full(len(c.index), float(missing)))
         for f in c.fframe:
             for nu in c.nu_jets:
-                tr["nu-decomposition"].add(abs(ctx.ginner(f.val, nu.val)),
-                                           sample=s, scale=scale)
+                add("nu-decomposition", abs(ctx.ginner(f.val, nu.val)))
         for i in range(m):
-            v = c.J[:, i]
-            p1v = c.P_1 @ v
-            p2v = c.P_Dp @ v
-            tr["projection-decomposition"].add(
-                ctx.gnorm(v - p1v - p2v - ctx.eta_of(v) * c.xi), sample=s,
-                labels=f"X=u{i+1}", scale=scale)
-            tr["fp1-zero"].add(ctx.gnorm(ctx.f_val(p1v)), sample=s,
-                               labels=f"X=u{i+1}", scale=scale)
-            tr["tp2-zero"].add(ctx.gnorm(ctx.t_val(p2v)), sample=s,
-                               labels=f"X=u{i+1}", scale=scale)
-            tr["f-is-fp2"].add(ctx.gnorm(ctx.f_val(v) - ctx.f_val(p2v)),
-                               sample=s, labels=f"X=u{i+1}", scale=scale)
-            tr["t-is-tp1"].add(ctx.gnorm(ctx.t_val(v) - ctx.t_val(p1v)),
-                               sample=s, labels=f"X=u{i+1}", scale=scale)
+            v = c.J[:, :, i]
+            p1v = np.matvec(c.P_1, v)
+            p2v = np.matvec(c.P_Dp, v)
+            lab = f"X=u{i+1}"
+            add("projection-decomposition",
+                ctx.gnorm(v - p1v - p2v - ctx.eta_of(v)[:, None] * c.xi), lab)
+            add("fp1-zero", ctx.gnorm(ctx.f_val(p1v)), lab)
+            add("tp2-zero", ctx.gnorm(ctx.t_val(p2v)), lab)
+            add("f-is-fp2", ctx.gnorm(ctx.f_val(v) - ctx.f_val(p2v)), lab)
+            add("t-is-tp1", ctx.gnorm(ctx.t_val(v) - ctx.t_val(p1v)), lab)
 
     idents = {
         "generator-rank": "generators linearly independent",
@@ -231,39 +245,38 @@ def check_integrability_D(cr, samples=None, tol=1e-8):
     rep = CheckReport(check="integrability-d",
                       census={"samples": samples.count, "pairs":
                               cr.D.rank * (cr.D.rank - 1) // 2})
-    t_cl = Tracker()
-    t_cr = Tracker()
-    t_br = Tracker()
+    names = ["d-bracket-closure", "d-integrability-criterion",
+             "d-integrability-bridge"]
+    tr = {nm: Tracker() for nm in names}
     rD = cr.D.rank
 
-    for s, c in enumerate(cr.contexts(samples)):
+    for c in cr.contexts(samples):
         ctx = c.ctx
-        scale = max(np.abs(c.G).max(), np.abs(ctx.phi.val).max(), 1.0)
+        add = _adder(tr, _scale(c.G, ctx.phi.val), c.index)
         t_jets = [ctx.t_jet(X) for X in cr.D.generators]
         for i in range(rD):
             for j in range(i + 1, rD):
                 br_amb = c.bracket_amb("D", i, j)
                 lab = f"X=D{i+1} Y=D{j+1}"
-                t_cl.add(c.off(br_amb, c.P_D), sample=s, labels=lab,
-                         scale=scale)
+                add("d-bracket-closure", c.off(br_amb, c.P_D), lab)
                 hxphiy = ctx.h(c.d_dom[i], t_jets[j])
                 hyphix = ctx.h(c.d_dom[j], t_jets[i])
                 for k, z in enumerate(c.dp_amb):
                     phz = ctx.f_val(z)
-                    t_cr.add(abs(ctx.ginner(hxphiy - hyphix, phz)), sample=s,
-                             labels=f"{lab} Z=P{k+1}", scale=scale)
+                    add("d-integrability-criterion",
+                        abs(ctx.ginner(hxphiy - hyphix, phz)),
+                        f"{lab} Z=P{k+1}")
                 fbr = ctx.f_val(br_amb)
-                t_br.add(ctx.gnorm(fbr - (hxphiy - hyphix)), sample=s,
-                         labels=lab, scale=scale)
+                add("d-integrability-bridge",
+                    ctx.gnorm(fbr - (hxphiy - hyphix)), lab)
 
-    rep.records.append(t_cl.build(
-        "d-bracket-closure", "[X, Y] ∈ D for X, Y ∈ D", tol))
-    rep.records.append(t_cr.build(
-        "d-integrability-criterion",
-        "g(h(X,φY), φZ) = g(h(Y,φX), φZ)", tol))
-    rep.records.append(t_br.build(
-        "d-integrability-bridge",
-        "F[X,Y] = h(X,φY) - h(Y,φX)", tol))
+    idents = {
+        "d-bracket-closure": "[X, Y] ∈ D for X, Y ∈ D",
+        "d-integrability-criterion": "g(h(X,φY), φZ) = g(h(Y,φX), φZ)",
+        "d-integrability-bridge": "F[X,Y] = h(X,φY) - h(Y,φX)",
+    }
+    for nm in names:
+        rep.records.append(tr[nm].build(nm, idents[nm], tol))
     return rep
 
 
@@ -275,48 +288,47 @@ def check_integrability_Dperp(cr, samples=None, tol=1e-8):
     rep = CheckReport(check="integrability-dperp",
                       census={"samples": samples.count, "pairs":
                               cr.Dperp.rank * (cr.Dperp.rank - 1) // 2})
-    t_cl = Tracker()
-    t_cr = Tracker()
-    t_br = Tracker()
-    t_br_alt = Tracker()
+    names = ["dperp-bracket-closure", "dperp-integrability-criterion",
+             "dperp-integrability-bridge",
+             "dperp-integrability-bridge-alt-sign"]
+    tr = {nm: Tracker() for nm in names}
     rP = cr.Dperp.rank
 
-    for s, c in enumerate(cr.contexts(samples)):
+    for c in cr.contexts(samples):
         ctx = c.ctx
-        scale = max(np.abs(c.G).max(), np.abs(ctx.phi.val).max(), 1.0)
+        add = _adder(tr, _scale(c.G, ctx.phi.val), c.index)
         for i in range(rP):
             for j in range(i + 1, rP):
                 br_amb = c.bracket_amb("Dperp", i, j)
                 lab = f"X=P{i+1} Y=P{j+1}"
-                t_cl.add(c.off(br_amb, c.P_Dp), sample=s, labels=lab,
-                         scale=scale)
+                add("dperp-bracket-closure", c.off(br_amb, c.P_Dp), lab)
                 ax = ctx.shape_op(c.dp_dom[i], c.phiZ_jets[j])
                 ay = ctx.shape_op(c.dp_dom[j], c.phiZ_jets[i])
                 x_amb, y_amb = c.dp_amb[i], c.dp_amb[j]
-                rhs = (ctx.ginner(y_amb, c.xi) * x_amb
-                       - ctx.ginner(x_amb, c.xi) * y_amb)
-                t_cr.add(ctx.gnorm(ax - ay - rhs), sample=s, labels=lab,
-                         scale=scale)
+                rhs = (ctx.ginner(y_amb, c.xi)[:, None] * x_amb
+                       - ctx.ginner(x_amb, c.xi)[:, None] * y_amb)
+                add("dperp-integrability-criterion",
+                    ctx.gnorm(ax - ay - rhs), lab)
                 tbr = ctx.t_val(br_amb)
-                t_br.add(ctx.gnorm(ax - ay + tbr - rhs), sample=s,
-                         labels=lab, scale=scale)
-                t_br_alt.add(ctx.gnorm(ax - ay - tbr - rhs), sample=s,
-                             labels=lab, scale=scale)
+                add("dperp-integrability-bridge",
+                    ctx.gnorm(ax - ay + tbr - rhs), lab)
+                add("dperp-integrability-bridge-alt-sign",
+                    ctx.gnorm(ax - ay - tbr - rhs), lab)
 
-    rep.records.append(t_cl.build(
-        "dperp-bracket-closure", "[X, Y] ∈ D⊥ for X, Y ∈ D⊥",
-        tol))
-    rep.records.append(t_cr.build(
-        "dperp-integrability-criterion",
-        "A_{φY}X - A_{φX}Y = g(Y,ξ)X - g(X,ξ)Y", tol))
-    rep.records.append(t_br.build(
-        "dperp-integrability-bridge",
-        "A_{φY}X - A_{φX}Y = -T[X,Y] + g(Y,ξ)X - g(X,ξ)Y",
-        tol))
-    rep.records.append(t_br_alt.build(
-        "dperp-integrability-bridge-alt-sign",
-        "A_{φY}X - A_{φX}Y = T[X,Y] + g(Y,ξ)X - g(X,ξ)Y",
-        tol, informational=True, note="opposite sign convention"))
+    idents = {
+        "dperp-bracket-closure": "[X, Y] ∈ D⊥ for X, Y ∈ D⊥",
+        "dperp-integrability-criterion":
+            "A_{φY}X - A_{φX}Y = g(Y,ξ)X - g(X,ξ)Y",
+        "dperp-integrability-bridge":
+            "A_{φY}X - A_{φX}Y = -T[X,Y] + g(Y,ξ)X - g(X,ξ)Y",
+        "dperp-integrability-bridge-alt-sign":
+            "A_{φY}X - A_{φX}Y = T[X,Y] + g(Y,ξ)X - g(X,ξ)Y",
+    }
+    for nm in names:
+        info = nm.endswith("alt-sign")
+        rep.records.append(tr[nm].build(
+            nm, idents[nm], tol, informational=info,
+            note="opposite sign convention" if info else ""))
     return rep
 
 
@@ -334,9 +346,9 @@ def check_dual_shape_identities(cr, samples=None, tol=1e-8):
     rP = cr.Dperp.rank
     frame_fields = [VectorField.coordinate(m, j) for j in range(m)]
 
-    for s, c in enumerate(cr.contexts(samples)):
+    for c in cr.contexts(samples):
         ctx = c.ctx
-        scale = max(np.abs(c.G).max(), np.abs(ctx.phi.val).max(), 1.0)
+        add = _adder(tr, _scale(c.G, ctx.phi.val), c.index)
         # A_{FY} Z symmetric in the two anti-invariant slots
         for i in range(rP):
             for j in range(rP):
@@ -345,25 +357,22 @@ def check_dual_shape_identities(cr, samples=None, tol=1e-8):
                 lab = f"Y=P{i+1} Z=P{j+1}"
                 a1 = ctx.shape_op(c.dp_dom[j], c.phiZ_jets[i])
                 a2 = ctx.shape_op(c.dp_dom[i], c.phiZ_jets[j])
-                tr["a-f-symmetric"].add(ctx.gnorm(a1 - a2), sample=s,
-                                        labels=lab, scale=scale)
+                add("a-f-symmetric", ctx.gnorm(a1 - a2), lab)
                 a1 = ctx.shape_op(c.dp_dom[j], c.phiZ_jets[i], star=True)
                 a2 = ctx.shape_op(c.dp_dom[i], c.phiZ_jets[j], star=True)
-                tr["a-f-symmetric-dual"].add(ctx.gnorm(a1 - a2), sample=s,
-                                             labels=lab, scale=scale)
+                add("a-f-symmetric-dual", ctx.gnorm(a1 - a2), lab)
         # A*_U BV = A*_V BU over the normal frame
         bvals = [ctx.b_jet(V) for V in ctx.normal_jets]
         for iu, U in enumerate(ctx.normal_jets):
             for iv, V in enumerate(ctx.normal_jets):
                 if iu >= iv:
                     continue
-                lab = f"U=N{iu+1} V=N{iv+1}"
                 bu = ctx.tangent_coeffs(bvals[iu].val)
                 bv = ctx.tangent_coeffs(bvals[iv].val)
                 a1 = ctx.shape_op(bv, U, star=True)
                 a2 = ctx.shape_op(bu, V, star=True)
-                tr["b-shape-symmetric"].add(ctx.gnorm(a1 - a2), sample=s,
-                                            labels=lab, scale=scale)
+                add("b-shape-symmetric", ctx.gnorm(a1 - a2),
+                    f"U=N{iu+1} V=N{iv+1}")
         for i in range(m):
             xdom = np.eye(m)[i]
             for kidx, V in enumerate(ctx.normal_jets):
@@ -371,18 +380,14 @@ def check_dual_shape_identities(cr, samples=None, tol=1e-8):
                 perp_star = ctx.perp(xdom, V, star=True)
                 lhs = (ctx.perp(xdom, ctx.c_jet(V))
                        - ctx.normal_part(ctx.phi_val(perp_star)))
-                tr["c-perp-parallel"].add(ctx.gnorm(lhs), sample=s,
-                                          labels=lab, scale=scale)
+                add("c-perp-parallel", ctx.gnorm(lhs), lab)
                 lhs = (ctx.nabla_tan(xdom, ctx.b_jet(V))
                        - ctx.tangential(ctx.phi_val(perp_star)))
-                tr["b-perp-parallel"].add(ctx.gnorm(lhs), sample=s,
-                                          labels=lab, scale=scale)
+                add("b-perp-parallel", ctx.gnorm(lhs), lab)
             for j, Y in enumerate(frame_fields):
-                lab = f"X=u{i+1} Y=u{j+1}"
                 nab_star = ctx.nabla_tan(xdom, ctx.push_jet(Y), star=True)
                 lhs = (ctx.perp(xdom, ctx.f_jet(Y)) - ctx.f_val(nab_star))
-                tr["f-perp-parallel"].add(ctx.gnorm(lhs), sample=s,
-                                          labels=lab, scale=scale)
+                add("f-perp-parallel", ctx.gnorm(lhs), f"X=u{i+1} Y=u{j+1}")
 
     idents = {
         "a-f-symmetric": "A_{FY}Z = A_{FZ}Y on D⊥",
@@ -413,13 +418,14 @@ def classify_geodesic(cr, samples=None, tol=1e-8):
                        f"dperp-geodesic-shape{suffix}",
                        f"mixed-geodesic-shape{suffix}"]
     flag_names.append("foliate")
-    tr = {nm: Tracker() for nm in flag_names}
-    umb_factor = {False: Tracker(), True: Tracker()}
+    factor_names = ["d-umbilic-factor", "d-umbilic-factor-dual"]
+    tr = {nm: Tracker() for nm in flag_names + factor_names}
     rD, rP = cr.D.rank, cr.Dperp.rank
 
-    for s, c in enumerate(cr.contexts(samples)):
+    for c in cr.contexts(samples):
         ctx = c.ctx
-        scale = max(np.abs(c.G).max(), np.abs(ctx.phi.val).max(), 1.0)
+        scale = _scale(c.G, ctx.phi.val)
+        add = _adder(tr, scale, c.index)
         d_push = [ctx.push_jet(X) for X in cr.D.generators]
         dp_push = [ctx.push_jet(Z) for Z in cr.Dperp.generators]
         for star in (False, True):
@@ -428,66 +434,60 @@ def classify_geodesic(cr, samples=None, tol=1e-8):
             for i in range(rD):
                 for j in range(rD):
                     h_dd[(i, j)] = ctx.h(c.d_dom[i], d_push[j], star)
-                    tr[f"d-geodesic{sfx}"].add(
-                        ctx.gnorm(h_dd[(i, j)]), sample=s,
-                        labels=f"X=D{i+1} Y=D{j+1}", scale=scale)
+                    add(f"d-geodesic{sfx}", ctx.gnorm(h_dd[(i, j)]),
+                        f"X=D{i+1} Y=D{j+1}")
             for i in range(rP):
                 for j in range(rP):
-                    tr[f"dperp-geodesic{sfx}"].add(
+                    add(f"dperp-geodesic{sfx}",
                         ctx.gnorm(ctx.h(c.dp_dom[i], dp_push[j], star)),
-                        sample=s, labels=f"X=P{i+1} Y=P{j+1}", scale=scale)
+                        f"X=P{i+1} Y=P{j+1}")
             for i in range(rD):
                 for j in range(rP):
-                    tr[f"mixed-geodesic{sfx}"].add(
+                    add(f"mixed-geodesic{sfx}",
                         ctx.gnorm(ctx.h(c.d_dom[i], dp_push[j], star)),
-                        sample=s, labels=f"X=D{i+1} Y=P{j+1}", scale=scale)
+                        f"X=D{i+1} Y=P{j+1}")
             # umbilicity: least-squares normal factor over the D-pairs
-            gij = np.array([[ctx.ginner(c.d_amb[i], c.d_amb[j])
-                             for j in range(rD)] for i in range(rD)])
-            hstack = np.stack([[h_dd[(i, j)] for j in range(rD)]
-                               for i in range(rD)])
-            denom = float((gij ** 2).sum())
-            L = np.einsum("ij,ijk->k", gij, hstack) / max(denom, 1e-300)
-            fit = hstack - np.einsum("ij,k->ijk", gij, L)
-            fit_resid = max(ctx.gnorm(fit[i, j]) for i in range(rD)
-                            for j in range(rD))
-            tr[f"d-umbilic{sfx}"].add(fit_resid, sample=s, scale=scale)
-            umb_factor[star].add(ctx.gnorm(L), sample=s, scale=scale)
-            umbilic_ok = fit_resid <= tol * (1.0 + scale)
-            tr[f"umbilic-implies-geodesic{sfx}"].add(
-                ctx.gnorm(L) if umbilic_ok else 0.0, sample=s, scale=scale)
+            gij = np.stack([np.stack([ctx.ginner(c.d_amb[i], c.d_amb[j])
+                                      for j in range(rD)], axis=-1)
+                            for i in range(rD)], axis=-2)
+            hstack = np.stack([np.stack([h_dd[(i, j)] for j in range(rD)],
+                                        axis=1) for i in range(rD)], axis=1)
+            denom = (gij ** 2).reshape(len(gij), -1).sum(axis=1)
+            L = (np.einsum("...ij,...ijk->...k", gij, hstack)
+                 / np.maximum(denom, 1e-300)[:, None])
+            fit = hstack - np.einsum("...ij,...k->...ijk", gij, L)
+            fit_resid = np.max([ctx.gnorm(fit[:, i, j]) for i in range(rD)
+                                for j in range(rD)], axis=0)
+            add(f"d-umbilic{sfx}", fit_resid)
+            add(f"d-umbilic-factor{sfx}", ctx.gnorm(L))
+            # the umbilic test decides per sample, at that sample's scale
+            umbilic = fit_resid <= tol * (1.0 + scale)
+            add(f"umbilic-implies-geodesic{sfx}",
+                np.where(umbilic, ctx.gnorm(L), 0.0))
             # foliate consequence: h(phiX, phiY) = -h(X, Y) on D
             t_jets = [ctx.t_jet(X) for X in cr.D.generators]
             for i in range(rD):
                 ti_dom = ctx.tangent_coeffs(t_jets[i].val)
                 for j in range(rD):
                     hpp = ctx.h(ti_dom, t_jets[j], star)
-                    tr[f"foliate-remark{sfx}"].add(
-                        ctx.gnorm(hpp + h_dd[(i, j)]), sample=s,
-                        labels=f"X=D{i+1} Y=D{j+1}", scale=scale)
+                    add(f"foliate-remark{sfx}", ctx.gnorm(hpp + h_dd[(i, j)]),
+                        f"X=D{i+1} Y=D{j+1}")
             # shape-operator companions
             for kidx, V in enumerate(ctx.normal_jets):
                 for i in range(rD):
                     av = ctx.shape_op(c.d_dom[i], V, star)
-                    tr[f"d-geodesic-shape{sfx}"].add(
-                        c.off(av, c.P_Dp), sample=s,
-                        labels=f"V=N{kidx+1} X=D{i+1}", scale=scale)
-                    tr[f"mixed-geodesic-shape{sfx}"].add(
-                        c.off(av, c.P_D), sample=s,
-                        labels=f"V=N{kidx+1} X=D{i+1}", scale=scale)
+                    lab = f"V=N{kidx+1} X=D{i+1}"
+                    add(f"d-geodesic-shape{sfx}", c.off(av, c.P_Dp), lab)
+                    add(f"mixed-geodesic-shape{sfx}", c.off(av, c.P_D), lab)
                 for i in range(rP):
                     av = ctx.shape_op(c.dp_dom[i], V, star)
-                    tr[f"dperp-geodesic-shape{sfx}"].add(
-                        c.off(av, c.P_D), sample=s,
-                        labels=f"V=N{kidx+1} X=P{i+1}", scale=scale)
-                    tr[f"mixed-geodesic-shape{sfx}"].add(
-                        c.off(av, c.P_Dp), sample=s,
-                        labels=f"V=N{kidx+1} X=P{i+1}", scale=scale)
+                    lab = f"V=N{kidx+1} X=P{i+1}"
+                    add(f"dperp-geodesic-shape{sfx}", c.off(av, c.P_D), lab)
+                    add(f"mixed-geodesic-shape{sfx}", c.off(av, c.P_Dp), lab)
         for i in range(rD):
             for j in range(i + 1, rD):
                 br_amb = c.bracket_amb("D", i, j)
-                tr["foliate"].add(c.off(br_amb, c.P_D), sample=s,
-                                  labels=f"X=D{i+1} Y=D{j+1}", scale=scale)
+                add("foliate", c.off(br_amb, c.P_D), f"X=D{i+1} Y=D{j+1}")
 
     idents = {
         "d-geodesic": "h = 0 on D x D",
@@ -508,10 +508,10 @@ def classify_geodesic(cr, samples=None, tol=1e-8):
         if nm.endswith("-dual"):
             ident = ident.replace("h", "h*").replace("A_V", "A*_V")
         rep.records.append(tr[nm].build(nm, ident, tol))
-    rep.records.append(umb_factor[False].build(
+    rep.records.append(tr["d-umbilic-factor"].build(
         "d-umbilic-factor", "|L| recovered by least squares", tol,
         informational=True))
-    rep.records.append(umb_factor[True].build(
+    rep.records.append(tr["d-umbilic-factor-dual"].build(
         "d-umbilic-factor-dual", "|L| recovered by least squares (dual)", tol,
         informational=True))
     return rep
@@ -540,9 +540,9 @@ def check_mixed_geodesic_consequences(cr, samples=None, tol=1e-8, geo=None):
     tr = {nm: Tracker() for nm in names}
     rD = cr.D.rank
 
-    for s, c in enumerate(cr.contexts(samples)):
+    for c in cr.contexts(samples):
         ctx = c.ctx
-        scale = max(np.abs(c.G).max(), np.abs(ctx.phi.val).max(), 1.0)
+        add = _adder(tr, _scale(c.G, ctx.phi.val), c.index)
         t_jets = [ctx.t_jet(X) for X in cr.D.generators]
         for i in range(rD):
             xdom = c.d_dom[i]
@@ -552,30 +552,25 @@ def check_mixed_geodesic_consequences(cr, samples=None, tol=1e-8, geo=None):
                 cv = ctx.c_jet(V)
                 a_cv = ctx.shape_op(xdom, cv)
                 a_star = ctx.shape_op(xdom, V, star=True)
-                tr["shape-transfer"].add(
-                    ctx.gnorm(a_cv - ctx.tangential(ctx.phi_val(a_star))),
-                    sample=s, labels=lab, scale=scale)
+                add("shape-transfer",
+                    ctx.gnorm(a_cv - ctx.tangential(ctx.phi_val(a_star))), lab)
                 a_cv_d = ctx.shape_op(xdom, cv, star=True)
                 a_plain = ctx.shape_op(xdom, V)
-                tr["shape-transfer-dual"].add(
+                add("shape-transfer-dual",
                     ctx.gnorm(a_cv_d - ctx.tangential(ctx.phi_val(a_plain))),
-                    sample=s, labels=lab, scale=scale)
+                    lab)
                 lhs = (ctx.perp(xdom, cv)
                        - ctx.phi_val(ctx.perp(xdom, V, star=True)))
-                tr["perp-transfer"].add(ctx.gnorm(lhs), sample=s, labels=lab,
-                                        scale=scale)
+                add("perp-transfer", ctx.gnorm(lhs), lab)
                 lhs = (ctx.perp(xdom, cv, star=True)
                        - ctx.phi_val(ctx.perp(xdom, V)))
-                tr["perp-transfer-dual"].add(ctx.gnorm(lhs), sample=s,
-                                             labels=lab, scale=scale)
+                add("perp-transfer-dual", ctx.gnorm(lhs), lab)
                 a_phix_star = ctx.shape_op(phix_dom, V, star=True)
                 lhs = a_phix_star + ctx.tangential(ctx.phi_val(a_star))
-                tr["foliate-anticommute"].add(ctx.gnorm(lhs), sample=s,
-                                              labels=lab, scale=scale)
+                add("foliate-anticommute", ctx.gnorm(lhs), lab)
                 a_phix = ctx.shape_op(phix_dom, V)
                 lhs = a_phix + ctx.tangential(ctx.phi_val(a_plain))
-                tr["foliate-anticommute-dual"].add(ctx.gnorm(lhs), sample=s,
-                                                   labels=lab, scale=scale)
+                add("foliate-anticommute-dual", ctx.gnorm(lhs), lab)
 
     conds = {
         "shape-transfer": mixed_ok[False] and mixed_ok[True],
@@ -619,9 +614,9 @@ def check_cr_product(cr, samples=None, tol=1e-8):
     m = cr.emb.m
     rD, rP = cr.D.rank, cr.Dperp.rank
 
-    for s, c in enumerate(cr.contexts(samples)):
+    for c in cr.contexts(samples):
         ctx = c.ctx
-        scale = max(np.abs(c.G).max(), np.abs(ctx.phi.val).max(), 1.0)
+        add = _adder(tr, _scale(c.G, ctx.phi.val), c.index)
         # X ranges over the D generators plus the Reeb field explicitly
         xs = [(f"D{i+1}", c.d_dom[i], c.d_amb[i]) for i in range(rD)]
         xs.append(("ξ", c.xi_dom, c.xi))
@@ -631,12 +626,9 @@ def check_cr_product(cr, samples=None, tol=1e-8):
             for xlab, xdom, xamb in xs:
                 lab = f"X={xlab} U=P{j+1}"
                 a = ctx.shape_op(xdom, c.phiZ_jets[j])
-                eta_x = ctx.eta_of(xamb)
-                tr["product-criterion"].add(ctx.gnorm(a + eta_x * u_amb),
-                                            sample=s, labels=lab, scale=scale)
-                tr["product-criterion-alt-sign"].add(
-                    ctx.gnorm(a - eta_x * u_amb), sample=s, labels=lab,
-                    scale=scale)
+                eta_u = ctx.eta_of(xamb)[:, None] * u_amb
+                add("product-criterion", ctx.gnorm(a + eta_u), lab)
+                add("product-criterion-alt-sign", ctx.gnorm(a - eta_u), lab)
         # leaf pairing: g(h*(X,U), phi Z) = -eta(X) g(phi Z, phi U)
         for xlab, xdom, xamb in xs:
             eta_x = ctx.eta_of(xamb)
@@ -648,14 +640,12 @@ def check_cr_product(cr, samples=None, tol=1e-8):
                     lab = f"X={xlab} U=P{ju+1} Z=P{jz+1}"
                     lhs = ctx.ginner(hstar, phz)
                     rhs = eta_x * ctx.ginner(phz, phu)
-                    tr["leaf-pairing"].add(abs(lhs + rhs), sample=s,
-                                           labels=lab, scale=scale)
-                    tr["leaf-pairing-alt-sign"].add(abs(lhs - rhs), sample=s,
-                                                    labels=lab, scale=scale)
+                    add("leaf-pairing", abs(lhs + rhs), lab)
+                    add("leaf-pairing-alt-sign", abs(lhs - rhs), lab)
         # shape/transport pairing over the full tangent frame
         for iu in range(m):
             udom = np.eye(m)[iu]
-            uamb = c.J[:, iu]
+            uamb = c.J[:, :, iu]
             for jz in range(rP):
                 a = ctx.shape_op(udom, c.phiZ_jets[jz])
                 nst = ctx.nabla_tan(udom, d_pushes[jz], star=True)
@@ -666,20 +656,17 @@ def check_cr_product(cr, samples=None, tol=1e-8):
                     mid = ctx.ginner(nst, ctx.phi_val(xamb))
                     gzu = ctx.ginner(z_amb, uamb)
                     eta_x = ctx.eta_of(xamb)
-                    tr["shape-transport-pairing"].add(
-                        abs(lhs - mid + eta_x * gzu), sample=s, labels=lab,
-                        scale=scale)
-                    tr["shape-transport-pairing-alt-sign"].add(
-                        abs(lhs - mid - eta_x * gzu), sample=s, labels=lab,
-                        scale=scale)
+                    add("shape-transport-pairing",
+                        abs(lhs - mid + eta_x * gzu), lab)
+                    add("shape-transport-pairing-alt-sign",
+                        abs(lhs - mid - eta_x * gzu), lab)
         # normal-derivative antisymmetry stays inside phi(Dperp)
         for i in range(rP):
             for j in range(i + 1, rP):
                 lhs = (ctx.perp(c.dp_dom[i], c.phiZ_jets[j])
                        - ctx.perp(c.dp_dom[j], c.phiZ_jets[i]))
-                tr["phidperp-perp-antisymmetry"].add(
-                    ctx.gnorm(c.P_nu @ lhs), sample=s,
-                    labels=f"Z=P{i+1} W=P{j+1}", scale=scale)
+                add("phidperp-perp-antisymmetry",
+                    ctx.gnorm(np.matvec(c.P_nu, lhs)), f"Z=P{i+1} W=P{j+1}")
         # shape antisymmetry against the invariant normal complement
         t_jets = [ctx.t_jet(X) for X in cr.D.generators]
         for i in range(rD):
@@ -688,23 +675,20 @@ def check_cr_product(cr, samples=None, tol=1e-8):
                 philam = jmatvec(ctx.phi, lam)
                 a1 = ctx.shape_op(phix_dom, lam, star=True)
                 a2 = ctx.shape_op(c.d_dom[i], philam)
-                tr["nu-shape-antisymmetry"].add(
-                    ctx.gnorm(a1 + a2), sample=s,
-                    labels=f"Y=D{i+1} λ=ν{k+1}", scale=scale)
+                add("nu-shape-antisymmetry", ctx.gnorm(a1 + a2),
+                    f"Y=D{i+1} λ=ν{k+1}")
         # leaf surrogates
         for star, d_nm, p_nm in ((False, "d-leaf", "dperp-leaf"),
                                  (True, "d-leaf-dual", "dperp-leaf-dual")):
             for i in range(rP):
                 for j in range(rP):
                     nzw = ctx.nabla_tan(c.dp_dom[i], d_pushes[j], star)
-                    tr[p_nm].add(c.off(nzw, c.P_Dp), sample=s,
-                                 labels=f"Z=P{i+1} W=P{j+1}", scale=scale)
+                    add(p_nm, c.off(nzw, c.P_Dp), f"Z=P{i+1} W=P{j+1}")
             d_push = [ctx.push_jet(X) for X in cr.D.generators]
             for i in range(rD):
                 for j in range(rD):
                     nxy = ctx.nabla_tan(c.d_dom[i], d_push[j], star)
-                    tr[d_nm].add(c.off(nxy, c.P_D), sample=s,
-                                 labels=f"X=D{i+1} Y=D{j+1}", scale=scale)
+                    add(d_nm, c.off(nxy, c.P_D), f"X=D{i+1} Y=D{j+1}")
 
     idents = {
         "product-criterion": "A_{φU}X = -η(X)U",

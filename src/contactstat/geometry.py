@@ -390,7 +390,7 @@ def check_statistical(st, samples=None, tol=1e-8):
     dgv = g.deriv_at(pts)          # [n, k, i, j]
     min_eig = np.linalg.eigvalsh(gv)[:, 0]
     t = Tracker()
-    t.add_batch(np.maximum(0.0, -min_eig), scale=float(np.abs(gv).max()))
+    t.add(np.maximum(0.0, -min_eig), scale=float(np.abs(gv).max()))
     rep.records.append(t.build(
         "metric-positive-definite", "g > 0 (smallest eigenvalue)", tol))
 
@@ -399,11 +399,11 @@ def check_statistical(st, samples=None, tol=1e-8):
                       np.abs(gv).max(), 1.0))
 
     t = Tracker()
-    t.add_batch(gam - np.transpose(gam, (0, 1, 3, 2)), scale=scale)
+    t.add(gam - np.transpose(gam, (0, 1, 3, 2)), scale=scale)
     rep.records.append(t.build("torsion", "Γ^k_ij = Γ^k_ji", tol))
 
     t = Tracker()
-    t.add_batch(gam_star - np.transpose(gam_star, (0, 1, 3, 2)), scale=scale)
+    t.add(gam_star - np.transpose(gam_star, (0, 1, 3, 2)), scale=scale)
     rep.records.append(t.build("torsion-dual", "Γ*^k_ij = Γ*^k_ji", tol))
 
     # (nabla_i g)(j, k) = d_i g_jk - gamma^l_ij g_lk - gamma^l_ik g_jl
@@ -411,28 +411,28 @@ def check_statistical(st, samples=None, tol=1e-8):
                - np.einsum("nlij,nlk->nijk", gam, gv)
                - np.einsum("nlik,njl->nijk", gam, gv))
     t = Tracker()
-    t.add_batch(nabla_g - np.transpose(nabla_g, (0, 2, 1, 3)), scale=scale)
+    t.add(nabla_g - np.transpose(nabla_g, (0, 2, 1, 3)), scale=scale)
     rep.records.append(t.build(
         "codazzi", "(∇_X g)(Y,Z) = (∇_Y g)(X,Z)", tol))
 
     del nabla_g  # the batches below are as large; keep one alive at a time
     t = Tracker()
-    t.add_batch(dgv
-                - np.einsum("nlij,nlk->nijk", gam, gv)
-                - np.einsum("nlik,njl->nijk", gam_star, gv), scale=scale)
+    t.add(dgv
+          - np.einsum("nlij,nlk->nijk", gam, gv)
+          - np.einsum("nlik,njl->nijk", gam_star, gv), scale=scale)
     rep.records.append(t.build(
         "duality", "X g(Y,Z) = g(∇_X Y, Z) + g(Y, ∇*_X Z)", tol))
 
     kt = gam - lc
     t = Tracker()
-    t.add_batch(kt - np.transpose(kt, (0, 1, 3, 2)), scale=scale)
+    t.add(kt - np.transpose(kt, (0, 1, 3, 2)), scale=scale)
     rep.records.append(t.build("difference-tensor-symmetry",
                                "K(X,Y) = K(Y,X)", tol))
 
     selfadj = (np.einsum("nlij,nlk->nijk", kt, gv)
                - np.einsum("nlik,njl->nijk", kt, gv))
     t = Tracker()
-    t.add_batch(selfadj, scale=scale)
+    t.add(selfadj, scale=scale)
     rep.records.append(t.build("difference-tensor-self-adjoint",
                                "g(K_X Y, Z) = g(Y, K_X Z)", tol))
     return rep

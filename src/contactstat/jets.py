@@ -1,13 +1,14 @@
-"""First-order jets: values plus exact partial derivatives at one point.
+"""First-order jets: values plus exact partial derivatives, over a batch of
+points.
 
 Derived fields along an embedding (projections, tangential/normal parts of
 phi, second-fundamental-form arguments) are algebraic in the primitive
 symbolic fields, so carrying (value, gradient) pairs through the algebra
 gives their derivatives exactly: the symbolic layer differentiates the
 leaves, the product/inverse rules do the rest.  No truncation error enters
-anywhere.  The leaves are evaluated once per sample set, in one batch (see
-`submanifold`); a jet holds one point's slice of that batch, and the
-algebra here runs one point at a time.
+anywhere.  Every jet has a leading sample axis, so the algebra runs over a
+whole batch of points at once (vectorised forward-mode differentiation);
+each sample's arithmetic is the one-point arithmetic, bit for bit.
 """
 
 import numpy as np
@@ -17,7 +18,7 @@ __all__ = ["Jet", "jconst", "jmatmat", "jmatvec", "jvecdot", "jinv", "jT",
 
 
 class Jet:
-    """value array plus d = derivative array of shape val.shape + (m,)."""
+    """val of shape (N, ...) plus d = derivative array of shape val.shape + (m,)."""
 
     __slots__ = ("val", "d")
 
@@ -46,37 +47,38 @@ def jconst(arr, m):
 
 def jmatmat(A, B):
     val = A.val @ B.val
-    d = (np.einsum("abm,bc->acm", A.d, B.val)
-         + np.einsum("ab,bcm->acm", A.val, B.d))
+    d = (np.einsum("...abm,...bc->...acm", A.d, B.val)
+         + np.einsum("...ab,...bcm->...acm", A.val, B.d))
     return Jet(val, d)
 
 
 def jmatvec(A, x):
-    val = A.val @ x.val
-    d = (np.einsum("abm,b->am", A.d, x.val)
-         + np.einsum("ab,bm->am", A.val, x.d))
+    val = np.matvec(A.val, x.val)
+    d = (np.einsum("...abm,...b->...am", A.d, x.val)
+         + np.einsum("...ab,...bm->...am", A.val, x.d))
     return Jet(val, d)
 
 
 def jvecdot(x, y):
-    val = float(x.val @ y.val)
-    d = x.d.T @ y.val + y.d.T @ x.val
+    val = np.vecdot(x.val, y.val)
+    d = np.vecmat(y.val, x.d) + np.vecmat(x.val, y.d)
     return Jet(val, d)
 
 
 def jinv(A):
     inv = np.linalg.inv(A.val)
-    d = -np.einsum("ab,bcm,cd->adm", inv, A.d, inv)
+    d = -np.einsum("...ab,...bcm,...cd->...adm", inv, A.d, inv)
     return Jet(inv, d)
 
 
 def jT(A):
-    return Jet(A.val.T, np.transpose(A.d, (1, 0, 2)))
+    return Jet(np.swapaxes(A.val, -1, -2), np.swapaxes(A.d, -2, -3))
 
 
 def jscale(x, s):
-    """x * s for a scalar jet s."""
-    val = x.val * s.val
-    d = x.d * s.val + np.einsum("...,m->...m", x.val, s.d)
+    """x * s for a scalar jet s, sample by sample."""
+    sv = np.expand_dims(s.val, tuple(range(1, x.val.ndim)))
+    val = x.val * sv
+    d = x.d * sv[..., None] + x.val[..., None] * np.expand_dims(
+        s.d, tuple(range(1, x.val.ndim)))
     return Jet(val, d)
-

@@ -118,43 +118,34 @@ def _worse(value, residual):
 
 
 class Tracker:
-    """Streams (value, witness) pairs and keeps the deterministic maximum:
-    ties resolve to the first sample index, then first label seen.  A NaN
-    value counts as the worst."""
+    """Keeps the worst of a stream of per-sample values and its witness:
+    the first maximum in (sample, call) order, so ties resolve to the lowest
+    sample index, then to the first call that reached it.  A NaN value
+    counts as the worst."""
 
     def __init__(self):
         self.residual = 0.0
         self.scale = 0.0
         self.witness = None
-        self.count = 0
 
-    def add(self, value, sample=None, labels=None, scale=0.0):
-        value = float(np.max(np.abs(value))) if np.ndim(value) else abs(float(value))
-        self.count += 1
-        self.scale = max(self.scale, float(scale))
-        if self.witness is None or _worse(value, self.residual):
-            self.residual = value
-            wit = {}
-            if sample is not None:
-                wit["sample"] = int(sample)
-            if labels:
-                wit["labels"] = labels
-            self.witness = wit or None
-        return value
-
-    def add_batch(self, values, labels=None, scale=0.0):
-        """values indexed by sample along axis 0."""
+    def add(self, values, labels=None, scale=0.0, index=None):
+        """`values` has the sample axis first; `index` holds the sample
+        numbers of its rows (default 0, 1, ...).  `scale` is the largest
+        magnitude the values are measured against, for all samples at once
+        or one per sample."""
         arr = np.abs(np.asarray(values, dtype=float))
         flat = arr.reshape(arr.shape[0], -1).max(axis=1) if arr.ndim > 1 else arr
-        idx = int(np.argmax(flat))
-        self.count += arr.size
-        self.scale = max(self.scale, float(scale))
-        if self.witness is None or _worse(flat[idx], self.residual):
-            self.residual = float(flat[idx])
-            wit = {"sample": idx}
+        k = int(np.argmax(flat))
+        value = float(flat[k])
+        sample = k if index is None else int(index[k])
+        self.scale = max(self.scale, float(np.max(scale)))
+        if (self.witness is None or _worse(value, self.residual)
+                or (not _worse(self.residual, value)
+                    and sample < self.witness["sample"])):
+            self.residual = value
+            self.witness = {"sample": sample}
             if labels:
-                wit["labels"] = labels
-            self.witness = wit
+                self.witness["labels"] = labels
 
     def build(self, name, identity, tolerance, informational=False, note=""):
         return Record(name=name, identity=identity, residual=self.residual,

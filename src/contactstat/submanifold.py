@@ -3,15 +3,19 @@ projection, Gauss-Weingarten data for a pair of dual connections, the
 tangential/normal decomposition of an almost-contact tensor, and the
 first-order identity checks that tie them together.
 
-A sample set's contexts come from one batched evaluation: the image
-points, the Jacobian, the pulled-back metric and contact fields with their
-partials, and the ambient Christoffel values at every image point.  Each
-per-point context slices these arrays and carries the fields as first-order
-jets in the domain coordinates; the ambient covariant derivative along the
-map uses the ambient Christoffel values at the image point, which keeps
-every evaluator independent of any choice of ambient extension.  A
-non-finite value in the batch is a DomainError that names its expression
-and the first failing domain point.
+Everything here is array code over a leading sample axis.  A context
+(GWData) holds, for a batch of domain points, the image points, the
+Jacobian, the pulled-back metric and contact fields as first-order jets in
+the domain coordinates, and the ambient Christoffel values at every image
+point, all from one batched evaluation; the ambient covariant derivative
+along the map uses those Christoffel values, which keeps every evaluator
+independent of any choice of ambient extension.  Gram-Schmidt may keep a
+candidate at some samples and drop it at others (the circle
+(cos x1, sin x1) builds its normal from e1 at x1 = 0 and from e2 at
+x1 = pi/2), so a sample set gets one context per drop pattern, each with
+the sample numbers (`index`) of its points; the checks add one value per
+sample and context to their trackers.  A non-finite value in the batch is a
+DomainError that names its expression and the first failing domain point.
 """
 
 import numpy as np
@@ -112,34 +116,60 @@ def _built_once(owner, samples, build):
     return owner._built[1]
 
 
-class _Batch:
-    """Everything the contexts of one point batch read, evaluated over the
-    whole batch at once; domain vector fields are evaluated on first use."""
+class _Split(Exception):
+    """A Gram-Schmidt step keeps its candidate at the samples in `keep` and
+    drops it at the others, so they need contexts of their own."""
 
-    def __init__(self, mg, points):
-        self.points = points
-        self.y, *fields = _checked(mg.grids, points)
-        self.fields = list(zip(fields[::2], fields[1::2]))
-        _, self.gamma, self.gamma_star = mg.st.gammas(self.y)
-        self._vector_fields = {}
+    def __init__(self, keep):
+        super().__init__("mixed drop pattern")
+        self.keep = keep
 
-    def jets(self, s):
-        return [Jet(v[s], d[s]) for v, d in self.fields]
 
-    def vector_field(self, X):
-        """Values and partials [k][i] = d_i X^k of X at every point."""
-        hit = self._vector_fields.get(id(X))
-        if hit is None:
-            hit = (X, *_checked([X.grid, X.jac_grid], self.points))
-            self._vector_fields[id(X)] = hit
-        return hit[1:]
+def _uniform(keep):
+    """Whether a step keeps its candidate at every sample of a context
+    (True) or at none (False); anything else raises _Split."""
+    if keep.all():
+        return True
+    if keep.any():
+        raise _Split(keep)
+    return False
+
+
+def _by_pattern(build, points, index):
+    """build(points, index) as one context per drop pattern: a build that
+    meets a mixed step is split there, and each part is built on its own."""
+    try:
+        return [build(points, index)]
+    except _Split as split:
+        return [ctx for part in (split.keep, ~split.keep)
+                for ctx in _by_pattern(build, points[part], index[part])]
+
+
+def _scale(*arrays):
+    """Per-sample scale of a residual family: the largest magnitude in the
+    arrays, and at least 1."""
+    n = len(arrays[0])
+    return np.max([np.abs(a).reshape(n, -1).max(axis=1) for a in arrays]
+                  + [np.ones(n)], axis=0)
+
+
+def _adder(trackers, scale, index):
+    """add(name, values, labels=None): one context's per-sample values into
+    the named tracker, with that context's scale and sample numbers."""
+    def add(name, values, labels=None):
+        trackers[name].add(values, labels, scale, index)
+    return add
+
+
+def _tr(a):
+    return np.swapaxes(a, -1, -2)
 
 
 class MapGeometry:
     """Shared symbolic data for one (embedding, ambient statistical
     structure) pair.  Builds the Gauss-Weingarten contexts of a sample set
-    from one batched evaluation and remembers them, or the exception that
-    stopped the build, for that set."""
+    and remembers them, or the exception that stopped the build, for that
+    set."""
 
     def __init__(self, emb, st, acs=None):
         self.emb = emb
@@ -160,56 +190,63 @@ class MapGeometry:
         self._built = None
 
     def contexts(self, samples):
-        """One context per point of a Samples set, built once for the set."""
+        """A sample set's contexts, one per drop pattern, built once for
+        the set."""
         return _built_once(self, samples, lambda s: self._build(s.points))
 
     def context(self, p):
         """The context at one domain point: the same build, on a batch of one."""
-        return self._build(np.asarray(p, dtype=float)[None])[0]
+        [ctx] = self._build(np.asarray(p, dtype=float)[None])
+        return ctx
 
     def _build(self, points):
-        batch = _Batch(self, points)
-        return [GWData(batch, s) for s in range(len(points))]
+        return _by_pattern(lambda pts, idx: GWData(self, pts, idx), points,
+                           np.arange(len(points)))
 
 
 class GWData:
-    """Evaluators at one frame point: the tangent frame (the Jacobian
-    columns) and a deterministic g-orthonormal normal frame, ambient
-    derivative along the map for both connections, fundamental forms, shape
-    operators, normal connections, and the tangential/normal parts of the
-    contact tensor."""
+    """Evaluators over a batch of frame points that share one drop pattern:
+    the tangent frame (the Jacobian columns) and a deterministic
+    g-orthonormal normal frame, ambient derivative along the map for both
+    connections, fundamental forms, shape operators, normal connections,
+    and the tangential/normal parts of the contact tensor.  Every array has
+    the sample axis first; `index` holds the sample numbers of the points."""
 
-    def __init__(self, batch, s):
-        self._batch = batch
-        self.s = s
-        self.p = batch.points[s]
-        self.y = batch.y[s]
+    def __init__(self, mg, points, index):
+        self.points = points
+        self.index = index
+        self.y, *fields = _checked(mg.grids, points)
+        self.J, self.G, *contact = [Jet(v, d) for v, d
+                                    in zip(fields[::2], fields[1::2])]
+        _, self.gamma, self.gamma_star = mg.st.gammas(self.y)
+        self.phi, self.xi, self.eta = contact or (None, None, None)
+        self._jets = {}
 
-        self.J, self.G, *contact = batch.jets(s)
-        n, m = self.n, self.m = self.J.val.shape
-        if np.linalg.matrix_rank(self.J.val, tol=GS_THRESHOLD) < m:
-            raise RankDropError(self.p)
+        N, n, m = self.J.val.shape
+        self.n, self.m = n, m
+        low = np.linalg.matrix_rank(self.J.val, tol=GS_THRESHOLD) < m
+        if low.any():
+            raise RankDropError(points[low.argmax()])
         self.Gram = jmatmat(jT(self.J), jmatmat(self.G, self.J))
         self.Gram_inv = jinv(self.Gram)
         self.Pi_tan = jmatmat(self.J, jmatmat(self.Gram_inv,
                                               jmatmat(jT(self.J), self.G)))
         self.Pi_nor = jconst(np.eye(n), m) - self.Pi_tan
 
-        self.gamma, self.gamma_star = batch.gamma[s], batch.gamma_star[s]
-        self.phi, self.xi, self.eta = contact or (None, None, None)
-        self._jets = {}
-
         self.normal_jets = self._normal_frame()
         # the value-level frame: gram matrix of the tangent basis, and the
         # normal basis as columns, g-orthonormal
         J, G = self.J.val, self.G.val
-        self.normal = (np.stack([f.val for f in self.normal_jets], axis=1)
-                       if self.normal_jets else np.zeros((n, 0)))
-        self.gram = J.T @ G @ J
+        self.normal = (np.stack([f.val for f in self.normal_jets], axis=-1)
+                       if self.normal_jets else np.zeros((N, n, 0)))
+        self.gram = _tr(J) @ G @ J
         self.gram_inv = np.linalg.inv(self.gram)
-        defect = np.abs(J.T @ G @ self.normal).max() if self.normal.size else 0.0
-        if defect > 1e-10:
-            raise GeometryError(f"tangent/normal orthogonality defect {defect:.2e}")
+        if self.normal.size:
+            defect = np.abs(_tr(J) @ G @ self.normal).reshape(N, -1).max(axis=1)
+            bad = defect > 1e-10
+            if bad.any():
+                raise GeometryError("tangent/normal orthogonality defect "
+                                    f"{defect[bad.argmax()]:.2e}")
 
     # -- construction helpers
 
@@ -221,7 +258,7 @@ class GWData:
             for f in frame:
                 w = w - jscale(f, jvecdot(w, jmatvec(self.G, f)))
             nsq = jvecdot(w, jmatvec(self.G, w))
-            if nsq.val <= GS_THRESHOLD ** 2:
+            if not _uniform(~(nsq.val <= GS_THRESHOLD ** 2)):
                 continue
             unit = jscale(w, _jrecip_sqrt(nsq))
             frame.append(unit)
@@ -230,39 +267,42 @@ class GWData:
 
     def _normal_frame(self):
         m, n = self.m, self.n
-        tangent_cols = [Jet(self.J.val[:, i], self.J.d[:, i, :]) for i in range(m)]
+        tangent_cols = [Jet(self.J.val[:, :, i], self.J.d[:, :, i, :])
+                        for i in range(m)]
         tan_on = self._gs(tangent_cols, [])
         if len(tan_on) < m:
-            raise RankDropError(self.p)
-        basis = [jconst(np.eye(n)[:, a], m) for a in range(n)]
+            raise RankDropError(self.points[0])
+        eye = np.broadcast_to(np.eye(n), (len(self.points), n, n))
+        basis = [jconst(eye[:, :, a], m) for a in range(n)]
         return self._gs(basis, tan_on)
 
-    # -- value-level helpers
+    # -- value-level helpers, on one ambient vector per sample
 
     def tangent_coeffs(self, v):
         """Coefficients of the tangential part of v in the Jacobian columns."""
-        return self.gram_inv @ (self.J.val.T @ (self.G.val @ v))
+        return np.matvec(self.gram_inv,
+                         np.vecmat(np.matvec(self.G.val, v), self.J.val))
 
     def normal_coeffs(self, v):
-        return self.normal.T @ (self.G.val @ v)
+        return np.vecmat(np.matvec(self.G.val, v), self.normal)
 
     def tangential(self, v):
-        return self.Pi_tan.val @ v
+        return np.matvec(self.Pi_tan.val, v)
 
     def normal_part(self, v):
-        return self.Pi_nor.val @ v
+        return np.matvec(self.Pi_nor.val, v)
 
     def gnorm(self, v):
-        return float(np.sqrt(max(0.0, v @ self.G.val @ v)))
+        return np.sqrt(np.maximum(0.0, self.ginner(v, v)))
 
     def ginner(self, u, v):
-        return float(u @ self.G.val @ v)
+        return np.vecdot(np.vecmat(u, self.G.val), v)
 
     def eta_of(self, v):
-        return float(self.eta.val @ v)
+        return np.vecdot(self.eta.val, v)
 
     def phi_val(self, v):
-        return self.phi.val @ v
+        return np.matvec(self.phi.val, v)
 
     def t_val(self, v):
         return self.tangential(self.phi_val(v))
@@ -270,60 +310,49 @@ class GWData:
     def f_val(self, v):
         return self.normal_part(self.phi_val(v))
 
-    def field_val(self, X):
-        """A domain vector field's value here, from its batched evaluation."""
-        return self._batch.vector_field(X)[0][self.s]
+    # -- jet-level field builders (memoised per field)
 
-    # -- jet-level field builders (memoised per generator object)
+    def _memo(self, key, make):
+        if key not in self._jets:
+            self._jets[key] = make()
+        return self._jets[key]
 
     def domain_jet(self, X):
-        key = ("dom", id(X))
-        if key not in self._jets:
-            vals, d = self._batch.vector_field(X)
-            self._jets[key] = Jet(vals[self.s], d[self.s])
-        return self._jets[key]
+        """A domain vector field with its partials, evaluated on first use."""
+        return self._memo(("dom", X), lambda: Jet(
+            *_checked([X.grid, X.jac_grid], self.points)))
 
     def push_jet(self, X):
-        key = ("push", id(X))
-        if key not in self._jets:
-            self._jets[key] = jmatvec(self.J, self.domain_jet(X))
-        return self._jets[key]
+        return self._memo(("push", X),
+                          lambda: jmatvec(self.J, self.domain_jet(X)))
 
     def t_jet(self, X):
-        key = ("t", id(X))
-        if key not in self._jets:
-            self._jets[key] = jmatvec(
-                self.Pi_tan, jmatvec(self.phi, self.push_jet(X)))
-        return self._jets[key]
+        return self._memo(("t", X), lambda: jmatvec(
+            self.Pi_tan, jmatvec(self.phi, self.push_jet(X))))
 
     def f_jet(self, X):
-        key = ("f", id(X))
-        if key not in self._jets:
-            self._jets[key] = jmatvec(
-                self.Pi_nor, jmatvec(self.phi, self.push_jet(X)))
-        return self._jets[key]
+        return self._memo(("f", X), lambda: jmatvec(
+            self.Pi_nor, jmatvec(self.phi, self.push_jet(X))))
 
     def b_jet(self, V):
-        key = ("b", id(V))
-        if key not in self._jets:
-            self._jets[key] = (V, jmatvec(self.Pi_tan, jmatvec(self.phi, V)))
-        return self._jets[key][1]
+        return self._memo(("b", V), lambda: jmatvec(
+            self.Pi_tan, jmatvec(self.phi, V)))
 
     def c_jet(self, V):
-        key = ("c", id(V))
-        if key not in self._jets:
-            self._jets[key] = (V, jmatvec(self.Pi_nor, jmatvec(self.phi, V)))
-        return self._jets[key][1]
+        return self._memo(("c", V), lambda: jmatvec(
+            self.Pi_nor, jmatvec(self.phi, V)))
 
     # -- the covariant derivative along the map
 
     def dbar(self, xdom, W, star=False):
-        """ambient nabla_X W at this point for a domain direction X (given
-        by coefficient values) and a field W given as a jet."""
+        """ambient nabla_X W at each point for a domain direction X (given
+        by coefficient values, per sample or one for all) and a field W
+        given as a jet."""
         gam = self.gamma_star if star else self.gamma
         xdom = np.asarray(xdom, dtype=float)
-        xamb = self.J.val @ xdom
-        return W.d @ xdom + np.einsum("kab,a,b->k", gam, xamb, W.val)
+        xamb = np.matvec(self.J.val, xdom)
+        return (np.matvec(W.d, xdom)
+                + np.einsum("...kab,...a,...b->...k", gam, xamb, W.val))
 
     def gauss(self, xdom, Y, star=False):
         """(tangential part, normal part) of nabla-bar_X (push Y)."""
@@ -349,39 +378,40 @@ class GWData:
 def _jrecip_sqrt(s):
     root = np.sqrt(s.val)
     val = 1.0 / root
-    return Jet(val, -0.5 * s.d / (root * s.val))
+    return Jet(val, -0.5 * s.d / (root * s.val)[:, None])
 
 
 def split(ctx, v):
-    """Decompose an ambient vector at a context's point into tangent-basis
-    and normal-basis coefficients; the reconstruction must close to 1e-10."""
+    """Decompose ambient vectors, one per sample of a context, into
+    tangent-basis and normal-basis coefficients; every reconstruction must
+    close to 1e-10."""
     v = np.asarray(v, dtype=float)
     a = ctx.tangent_coeffs(v)
     b = ctx.normal_coeffs(v)
-    recon = ctx.J.val @ a + (ctx.normal @ b if b.size else 0.0)
-    if ctx.gnorm(v - recon) > 1e-10 * (1.0 + ctx.gnorm(v)):
+    recon = np.matvec(ctx.J.val, a) + np.matvec(ctx.normal, b)
+    if (ctx.gnorm(v - recon) > 1e-10 * (1.0 + ctx.gnorm(v))).any():
         raise GeometryError("degenerate frame: split reconstruction failed")
     return a, b
 
 
 def frame_point(emb, g_ambient, p):
-    """The context at p of the embedding into (g_ambient, flat connection):
-    its tangent and normal frames, for splitting ambient vectors."""
+    """The one-point context at p of the embedding into (g_ambient, flat
+    connection): its tangent and normal frames, for splitting ambient
+    vectors."""
     flat = StatTriple(g_ambient, ConnField.flat(g_ambient.dim))
     return MapGeometry(emb, flat).context(p)
 
 
-def gauss_weingarten(emb, st, ctx_or_p, acs=None):
-    """The context at a domain point, or at the point of another context,
-    for a statistical ambient structure."""
-    p = ctx_or_p.p if isinstance(ctx_or_p, GWData) else ctx_or_p
+def gauss_weingarten(emb, st, p, acs=None):
+    """The one-point context at a domain point, for a statistical ambient
+    structure."""
     return MapGeometry(emb, st, acs=acs).context(p)
 
 
 class TFBCSplit:
     """Matrices of the tangential/normal parts of the contact tensor in a
-    context's frames: T tangent->tangent (Jacobian-column coefficients),
-    F tangent->normal, B normal->tangent, C normal->normal."""
+    context's frames, per sample: T tangent->tangent (Jacobian-column
+    coefficients), F tangent->normal, B normal->tangent, C normal->normal."""
 
     def __init__(self, T, F, B, C):
         self.T = T
@@ -390,23 +420,20 @@ class TFBCSplit:
         self.C = C
 
 
-def tfbc(acs, ctx, phi_y=None):
-    """Decompose phi at a context's point.  `phi_y` overrides the evaluated
-    phi matrix (used when the caller already substituted along the map)."""
-    if phi_y is None:
-        phi_y = acs.phi_at(ctx.y[None])[0]
-    m = ctx.m
-    k = ctx.normal.shape[1]
+def _per_column(coeffs, cols):
+    """coeffs applied to each column of an (N, n, k) stack."""
+    return np.moveaxis(coeffs(np.moveaxis(cols, -1, 0)), 0, -1)
+
+
+def tfbc(acs, ctx):
+    """Decompose phi at a context's points."""
+    phi_y = acs.phi_at(ctx.y)
     phiJ = phi_y @ ctx.J.val
-    phiN = phi_y @ ctx.normal if k else np.zeros((ctx.n, 0))
-    T = np.stack([ctx.tangent_coeffs(phiJ[:, i]) for i in range(m)], axis=1)
-    F = np.stack([ctx.normal_coeffs(phiJ[:, i]) for i in range(m)], axis=1) \
-        if k else np.zeros((0, m))
-    B = (np.stack([ctx.tangent_coeffs(phiN[:, j]) for j in range(k)], axis=1)
-         if k else np.zeros((m, 0)))
-    C = (np.stack([ctx.normal_coeffs(phiN[:, j]) for j in range(k)], axis=1)
-         if k else np.zeros((0, 0)))
-    return TFBCSplit(T, F, B, C)
+    phiN = phi_y @ ctx.normal
+    return TFBCSplit(_per_column(ctx.tangent_coeffs, phiJ),
+                     _per_column(ctx.normal_coeffs, phiJ),
+                     _per_column(ctx.tangent_coeffs, phiN),
+                     _per_column(ctx.normal_coeffs, phiN))
 
 
 # ---------------------------------------------------------------------------
@@ -436,105 +463,88 @@ def check_gauss_weingarten(emb, st, samples=None, tol=1e-7, mg=None):
 
     rep = CheckReport(check="gauss-weingarten",
                       census={"samples": samples.count, "m": m, "n": emb.n})
-    t_rank = Tracker()
-    t_gauss = Tracker()
-    t_gauss_d = Tracker()
-    t_wein = Tracker()
-    t_wein_d = Tracker()
-    t_adj = Tracker()
-    t_adj_d = Tracker()
-    t_hsym = Tracker()
-    t_hsym_d = Tracker()
-    t_dual = Tracker()
+    names = ["jacobian-rank", "gauss-reconstruction",
+             "gauss-reconstruction-dual", "weingarten-reconstruction",
+             "weingarten-reconstruction-dual", "shape-pairing",
+             "shape-pairing-dual", "h-symmetry", "hstar-symmetry",
+             "induced-duality"]
+    tr = {nm: Tracker() for nm in names}
 
     frame = [VectorField.coordinate(m, i) for i in range(m)]
-    for s, ctx in enumerate(ctxs):
+    for ctx in ctxs:
         J = ctx.J.val
-        t_rank.add(0.0 if np.linalg.matrix_rank(
-            J, tol=GS_THRESHOLD) == m else 1.0, sample=s)
-        scale = max(np.abs(J).max(), np.abs(ctx.G.val).max(), 1.0)
-        nk = ctx.normal.shape[1]
-        hvals = np.zeros((m, m, emb.n))
-        hvals_d = np.zeros((m, m, emb.n))
-        nab = np.zeros((m, m, emb.n))
-        nab_d = np.zeros((m, m, emb.n))
+        scale = _scale(J, ctx.G.val)
+        add = _adder(tr, scale, ctx.index)
+        full = np.linalg.matrix_rank(J, tol=GS_THRESHOLD) == m
+        tr["jacobian-rank"].add(np.where(full, 0.0, 1.0), index=ctx.index)
+        shape = (len(J), m, m, emb.n)
+        hvals, hvals_d, nab, nab_d = (np.zeros(shape) for _ in range(4))
         for i in range(m):
             xdom = np.eye(m)[i]
             for j in range(m):
                 for star, sink_t, sink_h in ((False, nab, hvals),
                                              (True, nab_d, hvals_d)):
                     vt, vn = ctx.gauss(xdom, frame[j], star)
-                    sink_t[i, j] = vt
-                    sink_h[i, j] = vn
+                    sink_t[:, i, j] = vt
+                    sink_h[:, i, j] = vn
                     v = vt + vn
                     a, b = split(ctx, v)
-                    recon = J @ a + (ctx.normal @ b if nk else 0.0)
-                    (t_gauss_d if star else t_gauss).add(
-                        ctx.gnorm(v - recon), sample=s,
-                        labels=f"X=u{i+1} Y=u{j+1}", scale=scale)
+                    recon = np.matvec(J, a) + np.matvec(ctx.normal, b)
+                    add("gauss-reconstruction-dual" if star
+                        else "gauss-reconstruction",
+                        ctx.gnorm(v - recon), f"X=u{i+1} Y=u{j+1}")
         for i in range(m):
             xdom = np.eye(m)[i]
             for kidx, Vjet in enumerate(ctx.normal_jets):
-                for star, sink in ((False, t_wein), (True, t_wein_d)):
+                for nm, star in (("weingarten-reconstruction", False),
+                                 ("weingarten-reconstruction-dual", True)):
                     v = ctx.dbar(xdom, Vjet, star)
                     a, b = split(ctx, v)
-                    recon = J @ a + ctx.normal @ b
-                    sink.add(ctx.gnorm(v - recon), sample=s,
-                             labels=f"X=u{i+1} V=N{kidx+1}", scale=scale)
+                    recon = np.matvec(J, a) + np.matvec(ctx.normal, b)
+                    add(nm, ctx.gnorm(v - recon), f"X=u{i+1} V=N{kidx+1}")
                 # pairing: g(A_V X, Y) = g(h*(X,Y), V) and the starred twin
                 A = ctx.shape_op(xdom, Vjet, star=False)
                 A_d = ctx.shape_op(xdom, Vjet, star=True)
                 for j in range(m):
-                    yamb = J[:, j]
-                    t_adj.add(abs(ctx.ginner(A, yamb)
-                                  - ctx.ginner(hvals_d[i, j], Vjet.val)),
-                              sample=s, labels=f"X=u{i+1} Y=u{j+1} V=N{kidx+1}",
-                              scale=scale)
-                    t_adj_d.add(abs(ctx.ginner(A_d, yamb)
-                                    - ctx.ginner(hvals[i, j], Vjet.val)),
-                                sample=s, labels=f"X=u{i+1} Y=u{j+1} V=N{kidx+1}",
-                                scale=scale)
-        t_hsym.add_batch((hvals - np.transpose(hvals, (1, 0, 2)))[None],
-                         scale=scale)
-        t_hsym_d.add_batch((hvals_d - np.transpose(hvals_d, (1, 0, 2)))[None],
-                           scale=scale)
+                    yamb = J[:, :, j]
+                    lab = f"X=u{i+1} Y=u{j+1} V=N{kidx+1}"
+                    add("shape-pairing",
+                        abs(ctx.ginner(A, yamb)
+                            - ctx.ginner(hvals_d[:, i, j], Vjet.val)), lab)
+                    add("shape-pairing-dual",
+                        abs(ctx.ginner(A_d, yamb)
+                            - ctx.ginner(hvals[:, i, j], Vjet.val)), lab)
+        add("h-symmetry", hvals - np.transpose(hvals, (0, 2, 1, 3)))
+        add("hstar-symmetry", hvals_d - np.transpose(hvals_d, (0, 2, 1, 3)))
         # induced duality: d_i gind_jk = gind(nab_i j, k) + gind(j, nab*_i k)
         gram = ctx.gram
         for i in range(m):
             for j in range(m):
-                cj = ctx.tangent_coeffs(nab[i, j])
+                cj = ctx.tangent_coeffs(nab[:, i, j])
                 for kq in range(m):
-                    ck = ctx.tangent_coeffs(nab_d[i, kq])
-                    lhs = dgind[s, j, kq, i]
-                    rhs = cj @ gram[:, kq] + gram[j, :] @ ck
-                    t_dual.add(abs(lhs - rhs), sample=s,
-                               labels=f"X=u{i+1} Y=u{j+1} Z=u{kq+1}",
-                               scale=max(scale, abs(lhs)))
+                    ck = ctx.tangent_coeffs(nab_d[:, i, kq])
+                    lhs = dgind[ctx.index, j, kq, i]
+                    rhs = (np.vecdot(cj, gram[:, :, kq])
+                           + np.vecdot(gram[:, j, :], ck))
+                    tr["induced-duality"].add(
+                        abs(lhs - rhs), f"X=u{i+1} Y=u{j+1} Z=u{kq+1}",
+                        np.maximum(scale, abs(lhs)), ctx.index)
 
-    rep.records.append(t_rank.build(
-        "jacobian-rank", "rank J = m at samples", tol))
-    rep.records.append(t_gauss.build(
-        "gauss-reconstruction",
-        "∇̄_X Y = ∇_X Y + h(X,Y)", tol))
-    rep.records.append(t_gauss_d.build(
-        "gauss-reconstruction-dual",
-        "∇̄*_X Y = ∇*_X Y + h*(X,Y)", tol))
-    rep.records.append(t_wein.build(
-        "weingarten-reconstruction",
-        "∇̄_X V = -A_V X + ∇⊥_X V", tol))
-    rep.records.append(t_wein_d.build(
-        "weingarten-reconstruction-dual",
-        "∇̄*_X V = -A*_V X + ∇*⊥_X V", tol))
-    rep.records.append(t_adj.build(
-        "shape-pairing", "g(A_V X, Y) = g(h*(X,Y), V)", tol))
-    rep.records.append(t_adj_d.build(
-        "shape-pairing-dual", "g(A*_V X, Y) = g(h(X,Y), V)", tol))
-    rep.records.append(t_hsym.build("h-symmetry", "h(X,Y) = h(Y,X)", tol))
-    rep.records.append(t_hsym_d.build("hstar-symmetry", "h*(X,Y) = h*(Y,X)", tol))
-    rep.records.append(t_dual.build(
-        "induced-duality",
-        "X g(Y,Z) = g(∇_X Y, Z) + g(Y, ∇*_X Z) on the submanifold",
-        tol))
+    idents = {
+        "jacobian-rank": "rank J = m at samples",
+        "gauss-reconstruction": "∇̄_X Y = ∇_X Y + h(X,Y)",
+        "gauss-reconstruction-dual": "∇̄*_X Y = ∇*_X Y + h*(X,Y)",
+        "weingarten-reconstruction": "∇̄_X V = -A_V X + ∇⊥_X V",
+        "weingarten-reconstruction-dual": "∇̄*_X V = -A*_V X + ∇*⊥_X V",
+        "shape-pairing": "g(A_V X, Y) = g(h*(X,Y), V)",
+        "shape-pairing-dual": "g(A*_V X, Y) = g(h(X,Y), V)",
+        "h-symmetry": "h(X,Y) = h(Y,X)",
+        "hstar-symmetry": "h*(X,Y) = h*(Y,X)",
+        "induced-duality":
+            "X g(Y,Z) = g(∇_X Y, Z) + g(Y, ∇*_X Z) on the submanifold",
+    }
+    for nm in names:
+        rep.records.append(tr[nm].build(nm, idents[nm], tol))
     return rep
 
 
@@ -562,49 +572,43 @@ def check_structure_identities(emb, st, acs, samples=None, tol=1e-8, mg=None):
     ]
     tr = {nm: Tracker() for nm in names}
 
-    for s, ctx in enumerate(mg.contexts(samples)):
-        scale = max(np.abs(ctx.phi.val).max(), np.abs(ctx.G.val).max(), 1.0)
+    for ctx in mg.contexts(samples):
+        add = _adder(tr, _scale(ctx.phi.val, ctx.G.val), ctx.index)
         xiv = ctx.xi.val
         xtan = ctx.tangential(xiv)
-        tr["xi-tangency"].add(ctx.gnorm(xiv - xtan), sample=s, scale=scale)
+        add("xi-tangency", ctx.gnorm(xiv - xtan))
 
-        tangents = [ctx.J.val[:, i] for i in range(ctx.m)]
-        normals = [ctx.normal[:, j] for j in range(ctx.normal.shape[1])]
+        tangents = [ctx.J.val[:, :, i] for i in range(ctx.m)]
+        normals = [ctx.normal[:, :, j] for j in range(ctx.normal.shape[-1])]
         for i, v in enumerate(tangents):
             tv = ctx.t_val(v)
             fv = ctx.f_val(v)
-            lhs = (ctx.t_val(tv) + v - ctx.eta_of(v) * xtan
+            lhs = (ctx.t_val(tv) + v - ctx.eta_of(v)[:, None] * xtan
                    + ctx.tangential(ctx.phi_val(fv)))
-            tr["t-squared"].add(ctx.gnorm(lhs), sample=s,
-                                labels=f"X=u{i+1}", scale=scale)
+            add("t-squared", ctx.gnorm(lhs), f"X=u{i+1}")
             ftx = ctx.f_val(tv)
             cfx = ctx.normal_part(ctx.phi_val(fv))
-            tr["ft-cf"].add(ctx.gnorm(ftx + cfx), sample=s,
-                            labels=f"X=u{i+1}", scale=scale)
+            add("ft-cf", ctx.gnorm(ftx + cfx), f"X=u{i+1}")
             for j, w in enumerate(tangents):
-                tr["t-skew"].add(
+                add("t-skew",
                     abs(ctx.ginner(tv, w) + ctx.ginner(v, ctx.t_val(w))),
-                    sample=s, labels=f"X=u{i+1} Y=u{j+1}", scale=scale)
+                    f"X=u{i+1} Y=u{j+1}")
             for j, nv in enumerate(normals):
                 bv = ctx.tangential(ctx.phi_val(nv))
-                tr["fb-adjoint"].add(
-                    abs(ctx.ginner(fv, nv) + ctx.ginner(v, bv)),
-                    sample=s, labels=f"X=u{i+1} V=N{j+1}", scale=scale)
+                add("fb-adjoint", abs(ctx.ginner(fv, nv) + ctx.ginner(v, bv)),
+                    f"X=u{i+1} V=N{j+1}")
         for j, nv in enumerate(normals):
             bv = ctx.tangential(ctx.phi_val(nv))
             cv = ctx.normal_part(ctx.phi_val(nv))
             lhs = ctx.normal_part(ctx.phi_val(cv)) + nv + ctx.f_val(bv)
-            tr["c-squared"].add(ctx.gnorm(lhs), sample=s,
-                                labels=f"V=N{j+1}", scale=scale)
+            add("c-squared", ctx.gnorm(lhs), f"V=N{j+1}")
             tbv = ctx.t_val(bv)
             bcv = ctx.tangential(ctx.phi_val(cv))
-            tr["tb-bc"].add(ctx.gnorm(tbv + bcv), sample=s,
-                            labels=f"V=N{j+1}", scale=scale)
+            add("tb-bc", ctx.gnorm(tbv + bcv), f"V=N{j+1}")
             for j2, nw in enumerate(normals):
                 cw = ctx.normal_part(ctx.phi_val(nw))
-                tr["c-skew"].add(
-                    abs(ctx.ginner(cv, nw) + ctx.ginner(nv, cw)),
-                    sample=s, labels=f"U=N{j+1} V=N{j2+1}", scale=scale)
+                add("c-skew", abs(ctx.ginner(cv, nw) + ctx.ginner(nv, cw)),
+                    f"U=N{j+1} V=N{j2+1}")
 
     for nm, ident in zip(names, idents):
         rep.records.append(tr[nm].build(nm, ident, tol))
@@ -630,10 +634,9 @@ def check_transport_identities(emb, sss, samples=None, tol=1e-8, mg=None):
     tr = {nm: Tracker() for nm in names}
     frame = [VectorField.coordinate(m, i) for i in range(m)]
 
-    for s, ctx in enumerate(mg.contexts(samples)):
+    for ctx in mg.contexts(samples):
         J = ctx.J.val
-        scale = max(np.abs(ctx.phi.val).max(), np.abs(ctx.G.val).max(),
-                    np.abs(ctx.gamma).max(), 1.0)
+        add = _adder(tr, _scale(ctx.phi.val, ctx.G.val, ctx.gamma), ctx.index)
         xiv = ctx.xi.val
         xi_jet = ctx.xi
         pushes = [ctx.push_jet(Y) for Y in frame]
@@ -641,9 +644,9 @@ def check_transport_identities(emb, sss, samples=None, tol=1e-8, mg=None):
         f_jets = [ctx.f_jet(Y) for Y in frame]
         for i in range(m):
             xdom = np.eye(m)[i]
-            xamb = J[:, i]
+            xamb = J[:, :, i]
             for j in range(m):
-                yamb = J[:, j]
+                yamb = J[:, :, j]
                 nab_star = ctx.nabla_tan(xdom, pushes[j], star=True)
                 hstar = ctx.h(xdom, pushes[j], star=True)
                 lab = f"X=u{i+1} Y=u{j+1}"
@@ -652,35 +655,28 @@ def check_transport_identities(emb, sss, samples=None, tol=1e-8, mg=None):
                        - ctx.t_val(nab_star)
                        - ctx.shape_op(xdom, f_jets[j])
                        - ctx.tangential(ctx.phi_val(hstar)))
-                rhs = ctx.ginner(xamb, yamb) * xiv - ctx.eta_of(yamb) * xamb
-                tr["t-transport"].add(ctx.gnorm(lhs - rhs), sample=s,
-                                      labels=lab, scale=scale)
-                tr["t-transport-alt-sign"].add(ctx.gnorm(lhs + rhs),
-                                               sample=s, labels=lab,
-                                               scale=scale)
+                rhs = (ctx.ginner(xamb, yamb)[:, None] * xiv
+                       - ctx.eta_of(yamb)[:, None] * xamb)
+                add("t-transport", ctx.gnorm(lhs - rhs), lab)
+                add("t-transport-alt-sign", ctx.gnorm(lhs + rhs), lab)
                 # normal transport
                 lhsn = (ctx.perp(xdom, f_jets[j])
                         - ctx.f_val(nab_star)
                         - ctx.normal_part(ctx.phi_val(hstar))
                         + ctx.h(xdom, t_jets[j]))
-                tr["f-transport"].add(ctx.gnorm(lhsn), sample=s,
-                                      labels=lab, scale=scale)
+                add("f-transport", ctx.gnorm(lhsn), lab)
             # xi reduction and h(X, xi)
             nxi = ctx.nabla_tan(xdom, xi_jet)
             comp = ctx.ginner(nxi, xiv)
-            red = nxi - comp * ctx.tangential(xiv)
+            red = nxi - comp[:, None] * ctx.tangential(xiv)
             tx = ctx.t_val(xamb)
             lab = f"X=u{i+1}"
-            tr["xi-reduction"].add(ctx.gnorm(red + tx), sample=s,
-                                   labels=lab, scale=scale)
-            tr["xi-reduction-alt-sign"].add(ctx.gnorm(red - tx), sample=s,
-                                            labels=lab, scale=scale)
+            add("xi-reduction", ctx.gnorm(red + tx), lab)
+            add("xi-reduction-alt-sign", ctx.gnorm(red - tx), lab)
             hxi = ctx.h(xdom, xi_jet)
             fx = ctx.f_val(xamb)
-            tr["h-xi"].add(ctx.gnorm(hxi + fx), sample=s, labels=lab,
-                           scale=scale)
-            tr["h-xi-alt-sign"].add(ctx.gnorm(hxi - fx), sample=s,
-                                    labels=lab, scale=scale)
+            add("h-xi", ctx.gnorm(hxi + fx), lab)
+            add("h-xi-alt-sign", ctx.gnorm(hxi - fx), lab)
             # normal-argument transports
             for kidx, Vjet in enumerate(ctx.normal_jets):
                 lab = f"X=u{i+1} V=N{kidx+1}"
@@ -692,14 +688,12 @@ def check_transport_identities(emb, sss, samples=None, tol=1e-8, mg=None):
                        - ctx.tangential(ctx.phi_val(perp_star))
                        - ctx.shape_op(xdom, c_jet)
                        + ctx.t_val(a_star))
-                tr["b-transport"].add(ctx.gnorm(lhs), sample=s, labels=lab,
-                                      scale=scale)
+                add("b-transport", ctx.gnorm(lhs), lab)
                 lhs = (ctx.perp(xdom, c_jet)
                        - ctx.normal_part(ctx.phi_val(perp_star))
                        + ctx.h(xdom, b_jet)
                        + ctx.f_val(a_star))
-                tr["c-transport"].add(ctx.gnorm(lhs), sample=s, labels=lab,
-                                      scale=scale)
+                add("c-transport", ctx.gnorm(lhs), lab)
 
     idents = {
         "t-transport":

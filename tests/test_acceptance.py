@@ -206,11 +206,11 @@ def test_08_circle_control():
     for t in np.linspace(-3.0, 3.0, 13):
         ctx = gauss_weingarten(emb, st, np.array([t]))
         _, h = ctx.gauss(np.array([1.0]), VectorField.coordinate(1, 0))
-        assert abs(ctx.gnorm(h) - 1.0) < 1e-8
+        assert abs(ctx.gnorm(h)[0] - 1.0) < 1e-8
         N = ctx.normal_jets[0]
         A = ctx.shape_op(np.array([1.0]), N)
-        lhs = ctx.ginner(A, ctx.J.val[:, 0])
-        rhs = ctx.ginner(h, N.val)
+        lhs = ctx.ginner(A, ctx.J.val[:, :, 0])[0]
+        rhs = ctx.ginner(h, N.val)[0]
         assert abs(lhs - rhs) < 1e-8
     announce(8, "unit circle: |h| = 1 and the shape pairing holds")
 

@@ -123,6 +123,28 @@ class TestEnginePreconditions:
         # the ten checks share one failed build of the sample set
         assert builds == [8]
 
+    def test_dependent_generators_name_the_distribution_and_point(
+            self, tmp_path, capsys):
+        doc = fixture_doc("fix-cr5")
+        doc["submanifold"]["D"][2] = doc["submanifold"]["D"][0]
+        path = tmp_path / "dependent.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "check", "--spec", str(path),
+                                "--samples", "8", "--format", "structured")
+        assert code == 1
+        assert err == ""
+        first = sample_box(4, count=8, seed=42).points[0]
+        doc = json.loads(out)
+        checks = [c for suite in ("cr", "product")
+                  for c in doc["suites"][suite]["checks"]]
+        assert len(checks) == 7
+        for check in checks:
+            [rec] = check["records"]
+            assert rec["name"] == "engine-precondition"
+            assert rec["note"] == ("GeometryError: D generators are linearly "
+                                   "dependent at domain point "
+                                   f"{first.tolist()}")
+
     def test_classifier_runs_once_per_cr_suite(self, monkeypatch, capsys):
         import contactstat.cli as cli
         import contactstat.crchecks as crchecks

@@ -10,7 +10,7 @@ from contactstat.crchecks import (
     check_integrability_Dperp, check_mixed_geodesic_consequences,
     classify_geodesic,
 )
-from contactstat.geometry import VectorField
+from contactstat.geometry import GeometryError, VectorField
 from contactstat.sampling import sample_box, samples_from_points
 from contactstat.submanifold import Embedding
 
@@ -299,14 +299,26 @@ class TestStructuralProperties:
                 assert rec_a.residual == pytest.approx(rec_b.residual,
                                                        abs=1e-12), rec_a.name
 
+    def test_dependent_generators_name_the_first_failing_point(self):
+        # the third D generator vanishes where x1 = 0
+        emb, d_gens, dp_gens = cr5_submanifold()
+        d_gens[2] = VectorField(["0", "0", "x1", "0"], 4)
+        cr = CRStructure(emb, cr5_structure(), d_gens, dp_gens)
+        pts = samples_from_points([[0.5, 0.1, 0.2, 0.3], [0.0, 0.4, 0.5, 0.6],
+                                   [0.0, 0.7, 0.8, 0.9]])
+        with pytest.raises(GeometryError) as err:
+            cr.contexts(pts)
+        assert str(err.value) == ("D generators are linearly dependent at "
+                                  "domain point [0.0, 0.4, 0.5, 0.6]")
+
     def test_phi_rank_on_d_drops_by_one(self):
         # phi kills exactly the Reeb direction inside D
         for cr, m in ((e7_cr(), 5), (cr5(), 4)):
             for p in sample_box(m, count=6).points:
                 c = cr.context(p)
-                cols = np.stack([c.ctx.phi_val(v) for v in c.d_amb], axis=1)
+                cols = np.stack([c.ctx.phi_val(v)[0] for v in c.d_amb], axis=1)
                 assert np.linalg.matrix_rank(cols, tol=1e-8) == cr.D.rank - 1
                 # and the anti-invariant image meets the tangent space only at 0
                 for z in c.dp_amb:
                     tang = c.ctx.tangential(c.ctx.phi_val(z))
-                    assert c.ctx.gnorm(tang) < 1e-10
+                    assert c.ctx.gnorm(tang)[0] < 1e-10

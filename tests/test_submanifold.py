@@ -4,6 +4,13 @@ import pytest
 from conftest import (cr5_structure, cr5_submanifold, e7_structure,
                       e7_submanifold, sasaki_r3)
 from contactstat.contactstruct import lambda_family
+from contactstat.crchecks import (CRStructure, check_contact_cr,
+                                  check_cr_product,
+                                  check_dual_shape_identities,
+                                  check_integrability_D,
+                                  check_integrability_Dperp,
+                                  check_mixed_geodesic_consequences,
+                                  classify_geodesic)
 from contactstat.exprlang import Const, DomainError
 from contactstat.fixtures import fixture_doc
 from contactstat.geometry import (ConnField, MetricField, StatTriple,
@@ -52,20 +59,20 @@ class TestFramePointAndSplit:
         emb, _, _ = e7_submanifold()
         g = MetricField.euclidean(7)
         fp = frame_point(emb, g, np.zeros(5))
-        v = fp.J.val @ np.array([1.0, -2.0, 0.5, 0.0, 3.0])
-        a, b = split(fp, v)
-        assert np.abs(b).max() < 1e-12
-        assert np.allclose(a, [1.0, -2.0, 0.5, 0.0, 3.0])
+        v = fp.J.val[0] @ np.array([1.0, -2.0, 0.5, 0.0, 3.0])
+        a, b = split(fp, v[None])
+        assert np.abs(b[0]).max() < 1e-12
+        assert np.allclose(a[0], [1.0, -2.0, 0.5, 0.0, 3.0])
 
     def test_phi_of_e3_is_wholly_normal(self):
         emb, _, _ = e7_submanifold()
         g, acs = __import__("conftest").euclid_r7()
         fp = frame_point(emb, g, np.zeros(5))
-        e3 = fp.J.val[:, 2]
+        e3 = fp.J.val[0, :, 2]
         phie3 = acs.phi_at(np.zeros((1, 7)))[0] @ e3
-        a, b = split(fp, phie3)
-        assert np.abs(a).max() < 1e-12
-        assert np.abs(b).max() > 0.5
+        a, b = split(fp, phie3[None])
+        assert np.abs(a[0]).max() < 1e-12
+        assert np.abs(b[0]).max() > 0.5
 
     def test_round_trip_of_mixed_vector(self):
         emb, _, _ = e7_submanifold()
@@ -74,10 +81,10 @@ class TestFramePointAndSplit:
         rng = np.random.default_rng(5)
         a0 = rng.normal(size=5)
         b0 = rng.normal(size=2)
-        v = fp.J.val @ a0 + fp.normal @ b0
-        a, b = split(fp, v)
-        assert np.allclose(a, a0, atol=1e-12)
-        assert np.allclose(b, b0, atol=1e-12)
+        v = fp.J.val[0] @ a0 + fp.normal[0] @ b0
+        a, b = split(fp, v[None])
+        assert np.allclose(a[0], a0, atol=1e-12)
+        assert np.allclose(b[0], b0, atol=1e-12)
 
     def test_rank_drop_is_reported(self):
         emb = Embedding(["x1*x1", "x1*x1"], 1)
@@ -89,12 +96,46 @@ class TestFramePointAndSplit:
         g, _ = __import__("conftest").sasaki_r5()
         emb, _, _ = cr5_submanifold()
         fp = frame_point(emb, g, np.array([0.3, -0.2, 0.5, 0.9]))
-        gram = fp.normal.T @ fp.G.val @ fp.normal
-        assert np.abs(gram - np.eye(fp.normal.shape[1])).max() < 1e-12
+        normal = fp.normal[0]
+        gram = normal.T @ fp.G.val[0] @ normal
+        assert np.abs(gram - np.eye(normal.shape[1])).max() < 1e-12
 
 
 def _bits(a):
     return np.ascontiguousarray(a, dtype=float).view(np.uint64)
+
+
+def _same_sample(batched, s, one):
+    """Sample s of batched arrays (or jets) equals sample 0 of one-point
+    ones, bit for bit."""
+    assert len(batched) == len(one)
+    for a, b in zip(batched, one):
+        if hasattr(a, "val"):
+            for x, y in ((a.val, b.val), (a.d, b.d)):
+                assert np.array_equal(_bits(x[s]), _bits(y[0]))
+        else:
+            assert np.array_equal(_bits(a[s]), _bits(b[0]))
+
+
+def _gw_arrays(ctx):
+    return [ctx.gamma, ctx.gamma_star, ctx.normal, ctx.J, ctx.G, ctx.Pi_tan,
+            ctx.Pi_nor, *ctx.normal_jets]
+
+
+def _cr_arrays(c):
+    return [c.P_D, c.P_Dp, c.P_1, c.P_nu, *c.fframe, *c.nu_jets]
+
+
+def reeb_mixed_cr():
+    """fix-cr5's structure with its first D generator replaced by
+    x1 e1 + xi, which is the Reeb field where x1 = 0."""
+    emb, d_gens, dp_gens = cr5_submanifold()
+    d_gens = [VectorField(["x1", "0", "2", "0"], 4), d_gens[0], d_gens[1]]
+    return CRStructure(emb, cr5_structure(), d_gens, dp_gens)
+
+
+REEB_MIXED_POINTS = [[0.3, 0.1, 0.2, 0.4], [0.0, 0.5, -0.2, 0.1],
+                     [-0.6, 0.2, 0.3, 0.3]]
 
 
 class TestBatchedContexts:
@@ -102,20 +143,43 @@ class TestBatchedContexts:
     def test_batch_equals_one_point_builds(self, name):
         spec = from_doc(fixture_doc(name))
         mg = MapGeometry(spec.embedding, spec.sss.st, acs=spec.acs)
+        cr = spec.cr_structure(mg=mg)
         samples = sample_box(spec.embedding.m, count=12, seed=3)
         batch = mg.contexts(samples)
         assert mg.contexts(samples) is batch
-        for ctx, p in zip(batch, samples.points):
-            one = mg.context(p)
-            pairs = [(ctx.gamma, one.gamma), (ctx.gamma_star, one.gamma_star),
-                     (ctx.normal, one.normal)]
-            for a, b in ((ctx.J, one.J), (ctx.G, one.G),
-                         (ctx.Pi_tan, one.Pi_tan), (ctx.Pi_nor, one.Pi_nor),
-                         *zip(ctx.normal_jets, one.normal_jets)):
-                pairs += [(a.val, b.val), (a.d, b.d)]
-            assert len(ctx.normal_jets) == len(one.normal_jets)
-            for a, b in pairs:
-                assert np.array_equal(_bits(a), _bits(b))
+        [ctx] = batch
+        [c] = cr.contexts(samples)
+        assert c.ctx is ctx
+        assert ctx.index.tolist() == list(range(12))
+        for s, p in enumerate(samples.points):
+            _same_sample(_gw_arrays(ctx), s, _gw_arrays(mg.context(p)))
+            _same_sample(_cr_arrays(c), s, _cr_arrays(cr.context(p)))
+
+    def test_mixed_drop_patterns_equal_one_point_builds(self):
+        # the circle's normal is e1 made orthogonal to the tangent, except
+        # at x1 = pi/2 where that vanishes and e2 is kept instead
+        mg = MapGeometry(circle(), flat_statistical(2))
+        samples = samples_from_points([[0.0], [np.pi / 2], [1.0]])
+        ctxs = mg.contexts(samples)
+        assert [ctx.index.tolist() for ctx in ctxs] == [[0, 2], [1]]
+        for ctx in ctxs:
+            for s, k in enumerate(ctx.index):
+                _same_sample(_gw_arrays(ctx), s,
+                             _gw_arrays(mg.context(samples.points[k])))
+
+    def test_mixed_cr_drop_patterns_equal_one_point_builds(self):
+        # one Gauss-Weingarten pattern, but the first D generator is the
+        # Reeb field where x1 = 0, so the reduced D frame drops it there
+        cr = reeb_mixed_cr()
+        samples = samples_from_points(REEB_MIXED_POINTS)
+        [ctx] = cr._mg.contexts(samples)
+        crs = cr.contexts(samples)
+        assert [c.index.tolist() for c in crs] == [[0, 2], [1]]
+        for c in crs:
+            for s, k in enumerate(c.index):
+                one = cr.context(samples.points[k])
+                _same_sample(_gw_arrays(c.ctx), s, _gw_arrays(one.ctx))
+                _same_sample(_cr_arrays(c), s, _cr_arrays(one))
 
     def test_failed_build_is_remembered_and_names_the_point(self):
         emb = Embedding(["x1", "sqrt(x1)"], 1)
@@ -128,6 +192,83 @@ class TestBatchedContexts:
         with pytest.raises(DomainError) as again:
             mg.contexts(samples)
         assert again.value is first.value
+
+
+def torsion_case():
+    """(x1, x2, 0) in flat R^3 whose only difference-tensor entry is
+    K^3_12 = x1*x1, so h(X,Y) - h(Y,X) grows with x1."""
+    K = [[["0"] * 3 for _ in range(3)] for _ in range(3)]
+    K[2][0][1] = "x1*x1"
+    st = StatTriple(MetricField.euclidean(3), ConnField(3, K))
+    return Embedding(["x1", "x2", "0"], 2), st
+
+
+def _submanifold_runs(emb, st):
+    return [lambda s: check_gauss_weingarten(emb, st, s)]
+
+
+def _fixture_runs(name):
+    spec = from_doc(fixture_doc(name))
+    return _cr_runs(spec.cr_structure())
+
+
+def _cr_runs(cr):
+    emb, sss = cr.emb, cr.sss
+    return [
+        lambda s: check_gauss_weingarten(emb, sss.st, s),
+        lambda s: check_structure_identities(emb, sss.st, sss.acs, s),
+        lambda s: check_transport_identities(emb, sss, s),
+        lambda s: check_contact_cr(cr, s),
+        lambda s: check_integrability_D(cr, s),
+        lambda s: check_integrability_Dperp(cr, s),
+        lambda s: check_dual_shape_identities(cr, s),
+        lambda s: classify_geodesic(cr, s),
+        lambda s: check_mixed_geodesic_consequences(cr, s),
+        lambda s: check_cr_product(cr, s),
+    ]
+
+
+SET_CASES = {
+    "torsion": (lambda: _submanifold_runs(*torsion_case()),
+                [[0.1, 0.0], [2.0, 0.0], [0.5, 0.0]]),
+    "circle": (lambda: _submanifold_runs(circle(), flat_statistical(2)),
+               [[0.0], [np.pi / 2], [1.0]]),
+    "fix-cr5": (lambda: _fixture_runs("fix-cr5"),
+                sample_box(4, count=4, seed=11).points),
+    "sasaki-r7-cr": (lambda: _fixture_runs("sasaki-r7-cr"),
+                     sample_box(4, count=4, seed=12).points),
+    "reeb-mixed": (lambda: _cr_runs(reeb_mixed_cr()), REEB_MIXED_POINTS),
+}
+
+
+class TestReportsOverSetsAgreeWithSinglePoints:
+    @pytest.mark.parametrize("case", sorted(SET_CASES))
+    def test_record_by_record(self, case):
+        # each record over a set is the worst one-point record: the largest
+        # residual, first reached at the witness sample, with its labels
+        make_runs, points = SET_CASES[case]
+        points = np.asarray(points, dtype=float)
+        for run in make_runs():
+            whole = run(samples_from_points(points))
+            singles = [run(samples_from_points(p[None])) for p in points]
+            for k, rec in enumerate(whole.records):
+                ones = [one.records[k] for one in singles]
+                assert {one.name for one in ones} == {rec.name}
+                worst = max(one.residual for one in ones)
+                first = [one.residual for one in ones].index(worst)
+                assert rec.residual == worst, rec.name
+                wit = ones[first].witness
+                assert rec.witness == (wit and dict(wit, sample=first)), \
+                    rec.name
+                assert rec.scale == max(one.scale for one in ones), rec.name
+
+    def test_torsion_witness_is_the_worst_sample(self):
+        emb, st = torsion_case()
+        rep = check_gauss_weingarten(emb, st, samples_from_points(
+            [[0.1, 0.0], [2.0, 0.0], [0.5, 0.0]]))
+        for name in ("h-symmetry", "hstar-symmetry"):
+            assert rep.record(name).residual == 4.0
+            assert rep.record(name).witness == {"sample": 1}
 
 
 class TestGaussWeingarten:
@@ -148,13 +289,13 @@ class TestGaussWeingarten:
         for t in (0.0, 0.7, 2.1, -1.3):
             ctx = gauss_weingarten(emb, st, np.array([t]))
             _, h = ctx.gauss(np.array([1.0]), VectorField.coordinate(1, 0))
-            assert np.allclose(h, [-np.cos(t), -np.sin(t)], atol=1e-12)
-            assert ctx.gnorm(h) == pytest.approx(1.0, abs=1e-12)
+            assert np.allclose(h[0], [-np.cos(t), -np.sin(t)], atol=1e-12)
+            assert ctx.gnorm(h)[0] == pytest.approx(1.0, abs=1e-12)
             # pairing: g(A_N dt, dt) = g(h*(dt,dt), N) for the frame normal
             N = ctx.normal_jets[0]
             A = ctx.shape_op(np.array([1.0]), N)
-            lhs = ctx.ginner(A, ctx.J.val[:, 0])
-            rhs = ctx.ginner(h, N.val)
+            lhs = ctx.ginner(A, ctx.J.val[:, :, 0])[0]
+            rhs = ctx.ginner(h, N.val)[0]
             assert lhs == pytest.approx(rhs, abs=1e-12)
 
     def test_e7_fundamental_forms_vanish(self):
@@ -244,12 +385,13 @@ class TestTFBC:
         g, acs = __import__("conftest").euclid_r7()
         fp = frame_point(emb, g, np.zeros(5))
         parts = tfbc(acs, fp)
+        T, F = parts.T[0], parts.F[0]
         # phi e1 = e2: purely tangent
-        assert np.allclose(parts.T[:, 0], [0, 1, 0, 0, 0], atol=1e-12)
-        assert np.abs(parts.F[:, 0]).max() < 1e-12
+        assert np.allclose(T[:, 0], [0, 1, 0, 0, 0], atol=1e-12)
+        assert np.abs(F[:, 0]).max() < 1e-12
         # phi e3: purely normal
-        assert np.abs(parts.T[:, 2]).max() < 1e-12
-        assert np.abs(parts.F[:, 2]).max() > 0.5
+        assert np.abs(T[:, 2]).max() < 1e-12
+        assert np.abs(F[:, 2]).max() > 0.5
 
     def test_invariant_identity_embedding(self):
         g, acs = sasaki_r3()
@@ -258,7 +400,7 @@ class TestTFBC:
         parts = tfbc(acs, fp)
         assert parts.F.size == 0 and parts.B.size == 0 and parts.C.size == 0
         phiv = acs.phi_at(np.array([[0.1, -0.4, 0.3]]))[0]
-        assert np.abs(parts.T - phiv).max() < 1e-12
+        assert np.abs(parts.T[0] - phiv).max() < 1e-12
 
 
 class TestStructureIdentities:
@@ -339,15 +481,17 @@ class TestTFBCReconstruction:
         emb, _, _ = cr5_submanifold()
         for p in sample_box(4, count=8).points:
             fp = frame_point(emb, g, p)
-            phiv = acs.phi_at(fp.y[None])[0]
+            phiv = acs.phi_at(fp.y)[0]
             parts = tfbc(acs, fp)
+            J, normal = fp.J.val[0], fp.normal[0]
+            T, F, B, C = parts.T[0], parts.F[0], parts.B[0], parts.C[0]
             for i in range(fp.m):
-                v = fp.J.val[:, i]
-                recon = fp.J.val @ parts.T[:, i] + fp.normal @ parts.F[:, i]
+                v = J[:, i]
+                recon = J @ T[:, i] + normal @ F[:, i]
                 assert np.abs(phiv @ v - recon).max() < 1e-12
-            for j in range(fp.normal.shape[1]):
-                w = fp.normal[:, j]
-                recon = fp.J.val @ parts.B[:, j] + fp.normal @ parts.C[:, j]
+            for j in range(normal.shape[1]):
+                w = normal[:, j]
+                recon = J @ B[:, j] + normal @ C[:, j]
                 assert np.abs(phiv @ w - recon).max() < 1e-12
 
 
@@ -359,8 +503,8 @@ class TestAntiInvariantToy:
         sss = e7_structure()
         fp = frame_point(emb, sss.g, np.array([0.3]))
         parts = tfbc(sss.acs, fp)
-        assert np.abs(parts.T).max() < 1e-12
-        bf = parts.B @ parts.F
+        assert np.abs(parts.T[0]).max() < 1e-12
+        bf = parts.B[0] @ parts.F[0]
         assert np.abs(bf + np.eye(1)).max() < 1e-12
         # the Reeb field is not tangent to this line, so the precondition
         # record fails while every Reeb-free identity still closes
