@@ -1,7 +1,10 @@
 """Chart-level Riemannian and affine-connection machinery.
 
 Metrics, vector fields and tensor fields are grids of expressions over one
-chart; each field compiles its grid once for batch evaluation.  Connection
+chart, and every field is evaluated through `Grid`.  A grid is compiled once
+into an evaluation plan: most entries of these tensors are literal zeros, so
+the constant entries fill a template row at compile time, and a batch of
+points costs one evaluation per distinct non-constant entry.  Connection
 coefficients are stored Christoffel-style: gamma[k][i][j] with k the output
 component, i the differentiation direction and j the argument slot.
 
@@ -61,9 +64,21 @@ def _coerce_expr(e, dim):
 
 
 class Grid:
-    """A nested tuple grid of expressions, flattened on first use for batch
-    evaluation.  A grid without coordinate dependence is evaluated once and
-    broadcast as a read-only view."""
+    """A nested tuple grid of expressions, compiled on first use into an
+    evaluation plan for batches of points.
+
+    `exprs` keeps the entries in position order.  A grid without coordinate
+    dependence is evaluated once and broadcast as a read-only view.  For any
+    other grid the plan is
+    - a template row of the constant entries: a literal's value, or a
+      constant tree such as ``1/2`` evaluated once at one point, so a
+      non-finite constant stays non-finite for the caller to report;
+    - a scatter list pairing each distinct non-constant entry with the
+      positions it fills.  Entries are the same when their text is: the
+      text tells ``0.0`` from ``-0.0`` and keeps every parenthesis, so
+      entries with the same text give the same value bit for bit.
+    `at` fills a fresh batch from the template and evaluates each distinct
+    entry once."""
 
     def __init__(self, nested):
         self.nested = nested
@@ -84,10 +99,21 @@ class Grid:
         self.shape = walk(self.nested)
         self.exprs = exprs
         self.const = None
+        vals = [e.const_value() for e in exprs]
         if all(e.max_var < 0 for e in exprs):
-            vals = [e.const_value() for e in exprs]
             self.const = np.array([e.eval(()) if v is None else v
                                    for e, v in zip(exprs, vals)]).reshape(self.shape)
+            return
+        self.template = np.zeros(len(exprs))
+        groups = {}
+        for col, (e, v) in enumerate(zip(exprs, vals)):
+            if v is not None:
+                self.template[col] = v
+            elif e.max_var < 0:
+                self.template[col] = e.eval_many(np.zeros((1, 0)))[0]
+            else:
+                groups.setdefault(str(e), (e, []))[1].append(col)
+        self.scatter = [(e, np.array(cols)) for e, cols in groups.values()]
 
     @property
     def is_constant(self):
@@ -100,7 +126,10 @@ class Grid:
         pts = np.asarray(points, dtype=float)
         if self.is_constant:
             return np.broadcast_to(self.const, (pts.shape[0],) + self.shape)
-        vals = np.stack([e.eval_many(pts) for e in self.exprs], axis=-1)
+        vals = np.empty((pts.shape[0], len(self.exprs)))
+        vals[:] = self.template
+        for e, cols in self.scatter:
+            vals[:, cols] = e.eval_many(pts)[:, None]
         return vals.reshape((pts.shape[0],) + self.shape)
 
 

@@ -209,6 +209,10 @@ def from_doc(doc, origin="<doc>"):
                 col.error(f"{origin}.submanifold",
                           f"D and Dperp provide {len(d_gens) + len(dperp_gens)} "
                           f"generators for a {m}-dimensional submanifold")
+            if dperp_gens and not d_gens:
+                col.error(f"{origin}.submanifold.D",
+                          "at least one generator required: a contact CR "
+                          "structure has xi in D")
 
     sampling = doc.get("sampling", {"mode": "seeded-random", "seed": 42,
                                     "count": 64, "box": [-1.0, 1.0]})

@@ -75,6 +75,22 @@ class TestExitCodes:
         assert "singular near point [0.0, 0.0, 0.0]" in err
         assert "Traceback" not in err
 
+    def test_empty_d_exit_two(self, tmp_path, capsys):
+        # a contact CR structure has xi in D, so D cannot be empty
+        doc = fixture_doc("fix-cr5")
+        sub = doc["submanifold"]
+        sub["Dperp"] = sub["D"] + sub["Dperp"]
+        sub["D"] = []
+        path = tmp_path / "empty-d.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "check", "--spec", str(path),
+                                "--samples", "8")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+        assert f"{path}.submanifold.D: at least one generator required" in err
+        assert "Traceback" not in err
+
     def test_metric_never_positive_definite_exit_two(self, tmp_path, capsys):
         doc = fixture_doc("fix-s3")
         doc["ambient"]["metric"]["1 1"] = "-1 - x1^2"

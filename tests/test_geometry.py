@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from contactstat.exprlang import Const, parse
+from contactstat.exprlang import Bin, Const, DomainError, Expr, Un, Var, parse
 from contactstat.geometry import (
-    ConnField, MetricField, OneFormField, SingularMetricError, StatTriple,
+    ConnField, Grid, MetricField, OneFormField, SingularMetricError, StatTriple,
     VectorField, check_statistical, covariant_derivative,
     covariant_derivative_at, levi_civita, lie_bracket,
     metric_samples,
 )
 from contactstat.sampling import Samples, sample_box
+from contactstat.specfile import load_spec
+from contactstat.submanifold import _checked
 
 
 def koszul_fd(g, pts, h=1e-6):
@@ -256,3 +259,94 @@ class TestCheckStatistical:
         a = check_statistical(st).to_dict()
         b = check_statistical(st).to_dict()
         assert a == b
+
+
+# -- the compiled evaluation plan of a grid ------------------------------------
+
+def _entries():
+    """Grid entries that stress the plan: literal and non-literal constants
+    (some non-finite), trees that differ only in the sign of a zero, trees
+    that leave their domain, and the same text built as separate objects."""
+    texts = ["x1", "x2*x3", "sqrt(x1)", "sqrt(-x2)", "1/x3", "exp(x1*710)",
+             "sin(x1)+cos(x2)", "1/(x1*0.0)", "1/(x1*-0.0)", "1/2", "1/0",
+             "0/0", "sqrt(0-1)", "2", "-0.0", "0.0"]
+    built = [Const(0.0), Const(-0.0), Const(1.5),
+             Bin("/", Const(1.0), Bin("*", Var(0), Const(0.0))),
+             Bin("/", Const(1.0), Bin("*", Var(0), Const(-0.0))),
+             Bin("*", Var(1), Const(-0.0)), Un("neg", Bin("*", Var(1), Const(0.0)))]
+    return st.sampled_from(texts).map(lambda t: parse(t, 3)) | st.sampled_from(built)
+
+
+def _nest(flat, shape):
+    if not shape:
+        return flat[0]
+    step = len(flat) // shape[0]
+    return tuple(_nest(flat[i * step:(i + 1) * step], shape[1:])
+                 for i in range(shape[0]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_grid_plan_equals_entrywise_evaluation(data):
+    shape = tuple(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)))
+    size = int(np.prod(shape))
+    flat = data.draw(st.lists(_entries(), min_size=size, max_size=size))
+    # the same entry object at several positions
+    flat = [flat[data.draw(st.integers(0, i))] if data.draw(st.booleans())
+            else e for i, e in enumerate(flat)]
+    # a non-constant entry somewhere, so the grid takes the plan path
+    flat[data.draw(st.integers(0, size - 1))] = parse("x1+x2", 3)
+    grid = Grid(_nest(flat, shape))
+    coord = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-50, 50)
+    n = data.draw(st.integers(1, 5))
+    pts = np.array(data.draw(st.lists(
+        st.lists(coord, min_size=3, max_size=3), min_size=n, max_size=n)))
+    got = grid.at(pts)
+    assert not grid.is_constant
+    assert grid.exprs == flat
+    want = np.stack([e.eval_many(pts) for e in grid.exprs], -1).reshape(
+        (n,) + shape)
+    assert got.shape == want.shape
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_each_distinct_entry_is_evaluated_once(monkeypatch):
+    g = load_spec("sasaki-r7-cr").g
+    pts = sample_box(g.dim, count=4).points
+    g.deriv_at(pts)  # compiles the grid
+    entries = [e for plane in g._deriv.nested for row in plane for e in row]
+    distinct = {str(e) for e in entries if e.max_var >= 0}
+    assert 0 < len(distinct) < sum(e.max_var >= 0 for e in entries)
+    calls = []
+    eval_many = Expr.eval_many
+
+    def counted(self, points):
+        calls.append(str(self))
+        return eval_many(self, points)
+
+    monkeypatch.setattr(Expr, "eval_many", counted)
+    g.deriv_at(pts)
+    assert sorted(calls) == sorted(distinct)
+
+
+class TestCheckedNamesFirstNonFinite:
+    def test_first_failing_point_then_first_entry_in_grid_order(self):
+        half, root, inv = parse("1/2", 2), parse("sqrt(x1)", 2), parse("1/x2", 2)
+        grid = Grid((half, root, inv, root))
+        pts = np.array([[1.0, 1.0], [1.0, 0.0], [-1.0, 0.0]])
+        with pytest.raises(DomainError) as err:
+            _checked([grid], pts)
+        assert err.value.expr is inv
+        assert str(err.value) == "non-finite result: 1.0/x2 at domain point [1.0, 0.0]"
+        with pytest.raises(DomainError) as err:
+            _checked([grid], pts[2:])
+        assert err.value.expr is root
+
+    def test_non_finite_constant_entry_is_named(self):
+        grid = Grid(((parse("x1", 1), parse("sqrt(x1)", 1)),
+                     (parse("1/0", 1), parse("x1", 1))))
+        with pytest.raises(DomainError, match=(r"non-finite result: 1\.0/0\.0 "
+                                               r"at domain point \[1\.0\]")):
+            _checked([grid], np.array([[1.0], [2.0]]))
