@@ -10,7 +10,7 @@ from contactstat.contactstruct import (check_almost_contact,
                                        check_sasakian_statistical,
                                        lambda_family)
 from contactstat.fixtures import fixture_doc
-from contactstat.geometry import metric_samples
+from contactstat.geometry import check_statistical, metric_samples
 from contactstat.specfile import from_doc
 
 spec = from_doc(fixture_doc("fix-s3"))
@@ -34,10 +34,17 @@ print()
 
 # A one-parameter family of compatible statistical structures: the
 # difference tensor K = eta (x) eta (x) xi scaled by lambda.  Every member
-# passes the full conjunction, including the transport identities for both
-# connections.
+# passes the full conjunction: the statistical, almost-contact and Sasakian
+# checks, and the Sasakian statistical one with the transport identities for
+# both connections.
 for lam in (0.0, 1.0, 2.5):
-    rep = check_sasakian_statistical(lambda_family(g, acs, lam), samples)
-    worst = max(r.residual for r in rep.records if not r.informational)
-    print(f"lambda = {lam:3.1f}: all records pass = {rep.passed}, "
+    sss = lambda_family(g, acs, lam)
+    reps = [check_statistical(sss.st, samples),
+            check_almost_contact(acs, g, samples),
+            check_sasakian(acs, g, samples),
+            check_sasakian_statistical(sss, samples)]
+    worst = max(r.residual for rep in reps for r in rep.records
+                if not r.informational)
+    print(f"lambda = {lam:3.1f}: "
+          f"all records pass = {all(rep.passed for rep in reps)}, "
           f"worst residual = {worst:.2e}")

@@ -4,7 +4,9 @@
 # builds the tangent frame (Jacobian columns), a deterministic orthonormal
 # normal frame, and evaluators for the fundamental forms h, h*, the shape
 # operators A, A*, and the normal connections, for both connections of a
-# statistical ambient structure.
+# statistical ambient structure.  A MapGeometry holds that data for one
+# embedding: `context(p)` builds it at one domain point, and every
+# submanifold check takes the MapGeometry and a sample set.
 
 import numpy as np
 
@@ -13,15 +15,15 @@ from contactstat.geometry import (ConnField, MetricField, StatTriple,
                                   VectorField)
 from contactstat.sampling import sample_box
 from contactstat.specfile import from_doc
-from contactstat.submanifold import (Embedding, check_gauss_weingarten,
-                                     check_structure_identities, frame_point,
-                                     gauss_weingarten, induced_metric, split,
-                                     tfbc)
+from contactstat.submanifold import (Embedding, MapGeometry,
+                                     check_gauss_weingarten,
+                                     check_structure_identities,
+                                     induced_metric, split, tfbc)
 
 # The classical control: the unit circle in the flat plane.
 circle = Embedding(["cos(x1)", "sin(x1)"], 1)
 flat = StatTriple(MetricField.euclidean(2), ConnField.flat(2))
-ctx = gauss_weingarten(circle, flat, np.array([0.7]))
+ctx = MapGeometry(circle, flat).context(np.array([0.7]))
 _, h = ctx.gauss(np.array([1.0]), VectorField.coordinate(1, 0))
 print("circle: h(dt, dt) =", np.round(h[0], 6),
       " |h| =", round(float(ctx.gnorm(h)[0]), 12))
@@ -39,7 +41,8 @@ print("induced metric of the 5-chart:")
 print(gind.at(np.zeros((1, 5)))[0])
 
 # Splitting an ambient vector into tangent and normal coefficients.
-fp = frame_point(emb, spec.g, np.zeros(5))
+mg = MapGeometry(emb, spec.sss.st, acs=spec.acs)
+fp = mg.context(np.zeros(5))
 phi0 = spec.acs.phi_at(np.zeros((1, 7)))[0]
 v = phi0 @ fp.J.val[0, :, 2]  # phi of the third frame direction: wholly normal
 a, b = split(fp, v[None])
@@ -56,10 +59,8 @@ print("F (tangent -> normal):")
 print(np.round(parts.F[0], 6))
 
 # Everything above is wired into residual reports.
+samples = sample_box(5, count=16)
 print()
-rep = check_gauss_weingarten(emb, spec.sss.st, sample_box(5, count=16))
-print(rep.table())
+print(check_gauss_weingarten(mg, samples).table())
 print()
-rep = check_structure_identities(emb, spec.sss.st, spec.acs,
-                                 sample_box(5, count=16))
-print(rep.table())
+print(check_structure_identities(mg, samples).table())

@@ -14,23 +14,24 @@ same inputs and seed.
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 from . import __version__
 from .contactstruct import (check_almost_contact, check_contact_metric,
                             check_sasakian, check_sasakian_statistical)
-from .crchecks import (check_contact_cr, check_cr_product,
+from .crchecks import (CRStructure, check_contact_cr, check_cr_product,
                        check_dual_shape_identities, check_integrability_D,
                        check_integrability_Dperp,
                        check_mixed_geodesic_consequences, classify_geodesic)
 from .fixtures import fixture_doc, fixture_names
 from .geometry import INPUT_ERRORS, check_statistical, metric_samples
 from .report import CheckReport, Record
-from .sampling import samples_from_points
+from .sampling import SamplingError, sample_box, samples_from_points
 from .specfile import SpecError, load_spec
-from .submanifold import (MapGeometry, _domain_samples,
-                          check_gauss_weingarten, check_transport_identities,
-                          check_structure_identities)
+from .submanifold import (MapGeometry, check_gauss_weingarten,
+                          check_structure_identities,
+                          check_transport_identities)
 
 SUITE_ORDER = ("ambient", "contact", "submanifold", "cr", "product")
 
@@ -49,10 +50,10 @@ def _spec_samples(spec, chart, seed, count):
         return samples_from_points(pts)
     box = tuple(spec.sampling.get("box", (-1.0, 1.0)))
     if chart == "domain":
-        return _domain_samples(spec.embedding, count=count, seed=seed, box=box)
+        return sample_box(spec.embedding.m, count=count, seed=seed, box=box)
     try:
         return metric_samples(spec.g, count=count, seed=seed, box=box)
-    except ValueError as e:
+    except SamplingError as e:
         raise SpecError([f"sampling.box: metric not positive definite "
                          f"({e})"]) from None
 
@@ -77,14 +78,20 @@ def run(spec, suites, seed=None, count=None, tol=None):
     report document.  Engine precondition failures become failed records;
     the run continues."""
     if suites == "auto":
-        suites = list(SUITE_ORDER) if spec.has_submanifold \
-            else ["ambient", "contact"]
+        suites = ["ambient", "contact"]
+        if spec.has_submanifold:
+            suites.append("submanifold")
+        if spec.d_gens:
+            suites += ["cr", "product"]
     suites = [s for s in SUITE_ORDER if s in suites]
-    needs_sub = {"submanifold", "cr", "product"}
-    missing = [s for s in suites if s in needs_sub and not spec.has_submanifold]
+    missing = []
+    for s in suites:
+        if s in ("submanifold", "cr", "product") and not spec.has_submanifold:
+            missing.append(f"suite {s!r} requires a submanifold block")
+        elif s in ("cr", "product") and not spec.d_gens:
+            missing.append(f"suite {s!r} requires submanifold D generators")
     if missing:
-        raise SpecError([f"suite {s!r} requires a submanifold block"
-                         for s in missing])
+        raise SpecError(missing)
 
     sampling = dict(spec.sampling)
     if seed is not None:
@@ -94,98 +101,59 @@ def run(spec, suites, seed=None, count=None, tol=None):
     eff_seed = sampling.get("seed", 42)
     eff_count = sampling.get("count", 64)
 
+    # what the requested suites share, each built once before any check
+    # runs: the ambient samples, the domain samples with their
+    # MapGeometry, and the CR structure over that MapGeometry
+    wanted = set(suites)
+    if wanted & {"ambient", "contact"}:
+        ambient = _spec_samples(spec, "ambient", eff_seed, eff_count)
+    if wanted & {"submanifold", "cr", "product"}:
+        domain = _spec_samples(spec, "domain", eff_seed, eff_count)
+        mg = MapGeometry(spec.embedding, spec.sss.st, acs=spec.acs)
+    if wanted & {"cr", "product"}:
+        cr = CRStructure(mg, spec.d_gens, spec.dperp_gens)
+
     suite_reports = {}
     overall = True
-    shared = {}
-
-    def tol_for(suite):
-        return tol if tol is not None else spec.tol_for(suite)
-
-    def shared_domain():
-        # one Samples object, so each suite reuses the contexts built for it
-        if "domain" not in shared:
-            shared["domain"] = _spec_samples(spec, "domain", eff_seed,
-                                             eff_count)
-        return shared["domain"]
-
-    def shared_mg():
-        if "mg" not in shared:
-            shared["mg"] = MapGeometry(spec.embedding, spec.sss.st,
-                                       acs=spec.acs)
-        return shared["mg"]
-
-    def shared_cr():
-        if "cr" not in shared:
-            shared["cr"] = spec.cr_structure(mg=shared_mg())
-        return shared["cr"]
-
     for suite in suites:
-        checks = []
+        t = tol if tol is not None else spec.tol_for(suite)
+        # each check is looked up as a module attribute when it runs, so a
+        # rebinding of its name (bench/tracer.py times checks so) holds
         if suite == "ambient":
-            samples = _spec_samples(spec, "ambient", eff_seed, eff_count)
-            t = tol_for(suite)
-            checks.append(_guarded(
-                lambda: check_statistical(spec.sss.st, samples, t),
-                "statistical"))
+            runs = [("statistical",
+                     lambda: check_statistical(spec.sss.st, ambient, t))]
         elif suite == "contact":
-            samples = _spec_samples(spec, "ambient", eff_seed, eff_count)
-            t = tol_for(suite)
-            checks.append(_guarded(
-                lambda: check_almost_contact(spec.acs, spec.g, samples, t),
-                "almost-contact"))
-            checks.append(_guarded(
-                lambda: check_contact_metric(spec.acs, spec.g, samples, t),
-                "contact-metric"))
-            checks.append(_guarded(
-                lambda: check_sasakian(spec.acs, spec.g, samples, t),
-                "sasakian"))
-            checks.append(_guarded(
-                lambda: check_sasakian_statistical(spec.sss, samples, t,
-                                                   delegate=False),
-                "sasakian-statistical"))
+            runs = [(name, lambda fn=fn: fn(spec.acs, spec.g, ambient, t))
+                    for name, fn in (("almost-contact", check_almost_contact),
+                                     ("contact-metric", check_contact_metric),
+                                     ("sasakian", check_sasakian))]
+            runs.append(("sasakian-statistical",
+                         lambda: check_sasakian_statistical(spec.sss, ambient,
+                                                            t)))
         elif suite == "submanifold":
-            samples = shared_domain()
-            t = tol_for(suite)
-            checks.append(_guarded(
-                lambda: check_gauss_weingarten(spec.embedding, spec.sss.st,
-                                               samples, t, mg=shared_mg()),
-                "gauss-weingarten"))
-            checks.append(_guarded(
-                lambda: check_structure_identities(spec.embedding,
-                                                   spec.sss.st, spec.acs,
-                                                   samples, t, mg=shared_mg()),
-                "structure-identities"))
-            checks.append(_guarded(
-                lambda: check_transport_identities(spec.embedding, spec.sss, samples, t,
-                                     mg=shared_mg()),
-                "transport-identities"))
+            runs = [(name, lambda fn=fn: fn(mg, domain, t)) for name, fn in (
+                ("gauss-weingarten", check_gauss_weingarten),
+                ("structure-identities", check_structure_identities),
+                ("transport-identities", check_transport_identities))]
         elif suite == "cr":
-            samples = shared_domain()
-            t = tol_for(suite)
-            cr = shared_cr()
-            for name, fn in (
-                    ("contact-cr", check_contact_cr),
-                    ("integrability-d", check_integrability_D),
-                    ("integrability-dperp", check_integrability_Dperp),
-                    ("dual-shape-identities", check_dual_shape_identities)):
-                checks.append(_guarded(
-                    lambda fn=fn: fn(cr, samples, t), name))
-            geo = _guarded(lambda: classify_geodesic(cr, samples, t),
-                           "geodesic-classifiers")
-            checks.append(geo)
+            runs = [(name, lambda fn=fn: fn(cr, domain, t)) for name, fn in (
+                ("contact-cr", check_contact_cr),
+                ("integrability-d", check_integrability_D),
+                ("integrability-dperp", check_integrability_Dperp),
+                ("dual-shape-identities", check_dual_shape_identities),
+                ("geodesic-classifiers", classify_geodesic))]
+        else:
+            runs = [("cr-product", lambda: check_cr_product(cr, domain, t))]
+        checks = [_guarded(fn, name) for name, fn in runs]
+        if suite == "cr":
             # after an engine-precondition record the consequences classify
             # again, and so report the same failure
+            geo = checks[-1]
             classified = geo.records[0].name != "engine-precondition"
             checks.append(_guarded(
                 lambda: check_mixed_geodesic_consequences(
-                    cr, samples, t, geo=geo if classified else None),
+                    cr, domain, t, geo=geo if classified else None),
                 "mixed-geodesic-consequences"))
-        elif suite == "product":
-            samples = shared_domain()
-            t = tol_for(suite)
-            cr = shared_cr()
-            checks.append(_guarded(
-                lambda: check_cr_product(cr, samples, t), "cr-product"))
         passed = all(rep.passed for rep in checks)
         overall = overall and passed
         suite_reports[suite] = {"passed": passed,
@@ -269,6 +237,20 @@ def _cmd_fixtures(args):
     return 0
 
 
+def _checked_value(convert, ok, wanted):
+    """An argparse type: `convert` of the text, refused with a message
+    naming what was `wanted` unless `ok` holds for it."""
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"expected {wanted}, got {text!r}")
+        return value
+    return parse
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="verify",
@@ -285,9 +267,13 @@ def build_parser():
                      help="comma-separated subset of "
                           f"{','.join(SUITE_ORDER)}, or 'auto' for all "
                           "suites the spec provides inputs for")
-    chk.add_argument("--seed", type=int, default=None)
-    chk.add_argument("--samples", type=int, default=None)
-    chk.add_argument("--tol", type=float, default=None)
+    chk.add_argument("--seed", default=None, type=_checked_value(
+        int, lambda v: v >= 0, "a non-negative integer"))
+    chk.add_argument("--samples", default=None, type=_checked_value(
+        int, lambda v: v >= 1, "a positive integer"))
+    chk.add_argument("--tol", default=None, type=_checked_value(
+        float, lambda v: math.isfinite(v) and v > 0,
+        "a finite positive number"))
     chk.add_argument("--format", choices=("text", "structured"),
                      default="text")
     chk.set_defaults(fn=_cmd_check)

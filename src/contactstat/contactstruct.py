@@ -23,8 +23,7 @@ import numpy as np
 
 from .exprlang import Const, Expr
 from .geometry import (ConnField, GeometryError, Grid, OneFormField,
-                       StatTriple, VectorField, _coerce_expr, levi_civita,
-                       metric_samples)
+                       StatTriple, VectorField, _coerce_expr, levi_civita)
 from .report import CheckReport, Tracker
 
 __all__ = [
@@ -87,13 +86,11 @@ def _gnorm(gv, vecs):
     return np.sqrt(np.maximum(q, 0.0))
 
 
-def check_almost_contact(acs, g, samples=None, tol=1e-8):
+def check_almost_contact(acs, g, samples, tol=1e-8):
     """Residuals of the almost-contact-metric axioms over the coordinate
     frame: phi^2 = -id + eta (x) xi, g(., xi) = eta, the phi-compatibility
     of the metric, unit xi, phi xi = 0, eta o phi = 0 and eta(xi) = 1; plus
     the corank-one property of phi."""
-    if samples is None:
-        samples = metric_samples(g)
     pts = samples.points
     n, d = pts.shape
     rep = CheckReport(check="almost-contact",
@@ -153,12 +150,10 @@ def check_almost_contact(acs, g, samples=None, tol=1e-8):
     return rep
 
 
-def check_contact_metric(acs, g, samples=None, tol=1e-8):
+def check_contact_metric(acs, g, samples, tol=1e-8):
     """dη pairing residuals over coordinate-frame pairs, in the engine's
     no-half convention, plus the 1/2-convention value as an informational
     record."""
-    if samples is None:
-        samples = metric_samples(g)
     pts = samples.points
     rep = CheckReport(check="contact-metric",
                       census={"samples": samples.count, "dim": g.dim})
@@ -190,11 +185,9 @@ def check_contact_metric(acs, g, samples=None, tol=1e-8):
     return rep
 
 
-def check_sasakian(acs, g, samples=None, tol=1e-8):
+def check_sasakian(acs, g, samples, tol=1e-8):
     """Residuals of the two Sasakian axioms with the Levi-Civita connection
     of g, over coordinate-frame arguments."""
-    if samples is None:
-        samples = metric_samples(g)
     pts = samples.points
     n, d = pts.shape
     rep = CheckReport(check="sasakian",
@@ -258,7 +251,7 @@ def _transport_records(rep, prefix, gam_a, gam_b, gv, phi, dphi, xiv, dxi,
         "∇_X(φY) - φ∇*_X Y = η(Y)X - g(X,Y)ξ"
         if not prefix else
         "∇*_X(φY) - φ∇_X Y = η(Y)X - g(X,Y)ξ",
-        tol, informational=True, note="opposite sign convention"))
+        tol))
 
     # nabla^a_i xi, tangentially corrected by its xi-component
     nxi = np.transpose(dxi, (0, 2, 1)) + np.einsum("nkil,nl->nik", gam_a, xiv)
@@ -280,27 +273,20 @@ def _transport_records(rep, prefix, gam_a, gam_b, gv, phi, dphi, xiv, dxi,
         "∇_X ξ - g(∇_X ξ, ξ)ξ = φX"
         if not prefix else
         "∇*_X ξ - g(∇*_X ξ, ξ)ξ = φX",
-        tol, informational=True, note="opposite sign convention"))
+        tol))
 
 
-def check_sasakian_statistical(sss, samples=None, tol=1e-8, delegate=True):
-    """The full conjunction: statistical axioms, almost-contact axioms, the
-    Sasakian axioms, the K-phi anticommutation, and the first-order
-    transport identities for both connections (with the opposite-sign
-    variants reported informationally)."""
+def check_sasakian_statistical(sss, samples, tol=1e-8):
+    """What a Sasakian statistical structure adds to the statistical,
+    almost-contact and Sasakian axioms (each its own check): the K-phi
+    anticommutation and the first-order transport identities for both
+    connections (with the opposite-sign variants reported
+    informationally)."""
     st, acs = sss.st, sss.acs
     g = st.g
-    if samples is None:
-        samples = metric_samples(g)
     pts = samples.points
     rep = CheckReport(check="sasakian-statistical",
                       census={"samples": samples.count, "dim": g.dim})
-
-    if delegate:
-        from .geometry import check_statistical
-        rep.extend(check_statistical(st, samples, tol), prefix="statistical")
-        rep.extend(check_almost_contact(acs, g, samples, tol), prefix="almost-contact")
-        rep.extend(check_sasakian(acs, g, samples, tol), prefix="sasakian")
 
     gv = g.at(pts)
     phi = acs.phi_at(pts)

@@ -13,9 +13,8 @@ import numpy as np
 from .geometry import GeometryError, VectorField, lie_bracket
 from .jets import jmatvec
 from .report import CheckReport, Tracker
-from .submanifold import (GWData, MapGeometry, _adder, _built_once,
-                          _by_pattern, _domain_samples, _scale, _tr,
-                          _uniform)
+from .submanifold import (GWData, _adder, _built_once, _by_pattern, _scale,
+                          _tr, _uniform)
 
 __all__ = [
     "Distribution", "CRStructure",
@@ -43,15 +42,13 @@ class Distribution:
 class CRStructure:
     """Submanifold plus the orthogonal splitting of its tangent bundle into
     an invariant distribution (containing the ambient Reeb field) and an
-    anti-invariant complement."""
+    anti-invariant complement.  `mg` is the submanifold's MapGeometry, with
+    the ambient almost-contact structure."""
 
-    def __init__(self, emb, sss, D, Dperp, mg=None):
-        self.emb = emb
-        self.sss = sss
+    def __init__(self, mg, D, Dperp):
+        self.mg = mg
         self.D = D if isinstance(D, Distribution) else Distribution(D)
         self.Dperp = Dperp if isinstance(Dperp, Distribution) else Distribution(Dperp)
-        self._mg = mg if mg is not None else MapGeometry(emb, sss.st,
-                                                         acs=sss.acs)
         self._brackets = {}
         self._built = None
 
@@ -64,15 +61,15 @@ class CRStructure:
 
     def context(self, p):
         """The context at one domain point, on a batch of one."""
-        return _CRContext(self, self._mg.context(p))
+        return _CRContext(self, self.mg.context(p))
 
     def _build(self, samples):
         contexts = []
-        for ctx in self._mg.contexts(samples):
+        for ctx in self.mg.contexts(samples):
             def build(points, index, ctx=ctx):
                 # a part of ctx's points gets its own Gauss-Weingarten context
                 if len(index) < len(ctx.index):
-                    ctx = GWData(self._mg, points, index)
+                    ctx = GWData(self.mg, points, index)
                 return _CRContext(self, ctx)
             contexts += _by_pattern(build, ctx.points, ctx.index)
         return contexts
@@ -162,12 +159,11 @@ class _CRContext:
             self.J, self.ctx.domain_jet(self.cr.bracket(kind, i, j)).val)
 
 
-def check_contact_cr(cr, samples=None, tol=1e-8):
+def check_contact_cr(cr, samples, tol=1e-8):
     """Structural records: generator independence and spanning, mutual
     orthogonality, invariance of D, anti-invariance of its complement, Reeb
     membership, invariance of the nu-subbundle, and the four projection
     identities of the tangential/normal decomposition."""
-    samples = _domain_samples(cr.emb, samples)
     rep = CheckReport(check="contact-cr",
                       census={"samples": samples.count,
                               "rank-D": cr.D.rank, "rank-Dperp": cr.Dperp.rank})
@@ -176,7 +172,7 @@ def check_contact_cr(cr, samples=None, tol=1e-8):
              "nu-invariance", "nu-decomposition", "projection-decomposition",
              "fp1-zero", "tp2-zero", "f-is-fp2", "t-is-tp1"]
     tr = {nm: Tracker() for nm in names}
-    m = cr.emb.m
+    m = cr.mg.emb.m
 
     for c in cr.contexts(samples):
         ctx = c.ctx
@@ -237,11 +233,10 @@ def check_contact_cr(cr, samples=None, tol=1e-8):
     return rep
 
 
-def check_integrability_D(cr, samples=None, tol=1e-8):
+def check_integrability_D(cr, samples, tol=1e-8):
     """Involutivity of the invariant distribution: bracket closure, the
     fundamental-form symmetry criterion, and the bridge identity tying the
     two together."""
-    samples = _domain_samples(cr.emb, samples)
     rep = CheckReport(check="integrability-d",
                       census={"samples": samples.count, "pairs":
                               cr.D.rank * (cr.D.rank - 1) // 2})
@@ -280,11 +275,10 @@ def check_integrability_D(cr, samples=None, tol=1e-8):
     return rep
 
 
-def check_integrability_Dperp(cr, samples=None, tol=1e-8):
+def check_integrability_Dperp(cr, samples, tol=1e-8):
     """Involutivity of the anti-invariant distribution: bracket closure,
     the shape-operator criterion, and its bridge through the tangential
     part of the bracket (sign-convention twin reported informationally)."""
-    samples = _domain_samples(cr.emb, samples)
     rep = CheckReport(check="integrability-dperp",
                       census={"samples": samples.count, "pairs":
                               cr.Dperp.rank * (cr.Dperp.rank - 1) // 2})
@@ -325,24 +319,20 @@ def check_integrability_Dperp(cr, samples=None, tol=1e-8):
             "A_{φY}X - A_{φX}Y = T[X,Y] + g(Y,ξ)X - g(X,ξ)Y",
     }
     for nm in names:
-        info = nm.endswith("alt-sign")
-        rep.records.append(tr[nm].build(
-            nm, idents[nm], tol, informational=info,
-            note="opposite sign convention" if info else ""))
+        rep.records.append(tr[nm].build(nm, idents[nm], tol))
     return rep
 
 
-def check_dual_shape_identities(cr, samples=None, tol=1e-8):
+def check_dual_shape_identities(cr, samples, tol=1e-8):
     """Shape-operator symmetry on the anti-invariant distribution and the
     two transport equivalences between normal-bundle derivatives of the
     F/B/C parts; each equivalence is reported as its two sides."""
-    samples = _domain_samples(cr.emb, samples)
     rep = CheckReport(check="dual-shape-identities",
                       census={"samples": samples.count})
     names = ["a-f-symmetric", "a-f-symmetric-dual", "b-shape-symmetric",
              "c-perp-parallel", "f-perp-parallel", "b-perp-parallel"]
     tr = {nm: Tracker() for nm in names}
-    m = cr.emb.m
+    m = cr.mg.emb.m
     rP = cr.Dperp.rank
     frame_fields = [VectorField.coordinate(m, j) for j in range(m)]
 
@@ -402,10 +392,9 @@ def check_dual_shape_identities(cr, samples=None, tol=1e-8):
     return rep
 
 
-def classify_geodesic(cr, samples=None, tol=1e-8):
+def classify_geodesic(cr, samples, tol=1e-8):
     """Geodesicity/umbilicity/foliate classifiers for both fundamental
     forms, with the shape-operator companions of their characterisations."""
-    samples = _domain_samples(cr.emb, samples)
     rep = CheckReport(check="geodesic-classifiers",
                       census={"samples": samples.count})
     flag_names = []
@@ -517,13 +506,12 @@ def classify_geodesic(cr, samples=None, tol=1e-8):
     return rep
 
 
-def check_mixed_geodesic_consequences(cr, samples=None, tol=1e-8, geo=None):
+def check_mixed_geodesic_consequences(cr, samples, tol=1e-8, geo=None):
     """Shape/normal-connection transfers that hold on mixed-geodesic
     submanifolds; when the precondition fails the records are emitted as
     informational with the precondition status attached.  `geo` is the
     classify_geodesic report on the same samples and tolerance; it is
     computed here when not given."""
-    samples = _domain_samples(cr.emb, samples)
     if geo is None:
         geo = classify_geodesic(cr, samples, tol)
     mixed_ok = {False: geo.record("mixed-geodesic").passed,
@@ -596,14 +584,13 @@ def check_mixed_geodesic_consequences(cr, samples=None, tol=1e-8, geo=None):
     return rep
 
 
-def check_cr_product(cr, samples=None, tol=1e-8):
+def check_cr_product(cr, samples, tol=1e-8):
     """The CR-product criterion and its supporting identities: the shape
     pairing with the anti-invariant image, the leaf-geodesy surrogates for
     both distributions and both connections, the normal-derivative
     antisymmetry inside the image of the anti-invariant distribution, and
     the shape antisymmetry against the invariant normal complement.
     Sign-convention twins are reported informationally."""
-    samples = _domain_samples(cr.emb, samples)
     rep = CheckReport(check="cr-product", census={"samples": samples.count})
     names = ["product-criterion", "product-criterion-alt-sign",
              "leaf-pairing", "leaf-pairing-alt-sign",
@@ -611,7 +598,7 @@ def check_cr_product(cr, samples=None, tol=1e-8):
              "phidperp-perp-antisymmetry", "nu-shape-antisymmetry",
              "dperp-leaf", "dperp-leaf-dual", "d-leaf", "d-leaf-dual"]
     tr = {nm: Tracker() for nm in names}
-    m = cr.emb.m
+    m = cr.mg.emb.m
     rD, rP = cr.D.rank, cr.Dperp.rank
 
     for c in cr.contexts(samples):
@@ -710,8 +697,5 @@ def check_cr_product(cr, samples=None, tol=1e-8):
         "d-leaf-dual": "∇*_X Y ∈ D for X, Y ∈ D",
     }
     for nm in names:
-        info = nm.endswith("alt-sign")
-        rep.records.append(tr[nm].build(
-            nm, idents[nm], tol, informational=info,
-            note="opposite sign convention" if info else ""))
+        rep.records.append(tr[nm].build(nm, idents[nm], tol))
     return rep

@@ -35,7 +35,7 @@ import numpy as np
 __all__ = [
     "Expr", "Const", "Var", "Bin", "Un",
     "ExprError", "ParseError", "DomainError",
-    "parse", "var", "const", "sin", "cos", "exp", "sqrt",
+    "parse", "const", "sin", "cos", "exp", "sqrt",
 ]
 
 _FUNCS = ("sin", "cos", "exp", "sqrt")
@@ -468,10 +468,6 @@ def _neg(a):
     if isinstance(a, Un) and a.op == "neg":
         return a.arg
     return Un("neg", a)
-
-
-def var(index):
-    return Var(index)
 
 
 def const(value):

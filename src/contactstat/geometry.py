@@ -20,13 +20,12 @@ import numpy as np
 
 from .exprlang import Const, DomainError, Expr, parse
 from .report import CheckReport, Tracker
-from .sampling import Samples, sample_box
+from .sampling import DEFAULT_BOX, DEFAULT_COUNT, DEFAULT_SEED, sample_box
 
 __all__ = [
     "GeometryError", "SingularMetricError", "INPUT_ERRORS",
     "Grid", "MetricField", "VectorField", "OneFormField", "ConnField",
-    "StatTriple", "levi_civita", "covariant_derivative",
-    "covariant_derivative_at", "lie_bracket", "check_statistical",
+    "StatTriple", "levi_civita", "lie_bracket", "check_statistical",
     "metric_samples",
 ]
 
@@ -302,30 +301,6 @@ def levi_civita(g, points):
     return np.einsum("nkl,nijl->nkij", ginv, lower)
 
 
-def covariant_derivative(conn, X, Y):
-    """(nabla_X Y)^k = X^i d_i Y^k + X^i Y^j gamma^k_ij, as expressions."""
-    d = conn.dim
-    comps = []
-    for k in range(d):
-        acc = Const(0.0)
-        for i in range(d):
-            acc = acc + X.comps[i] * Y.comps[k].diff(i)
-            for j in range(d):
-                acc = acc + X.comps[i] * Y.comps[j] * conn.coeff(k, i, j)
-        comps.append(acc)
-    return VectorField(comps, d)
-
-
-def covariant_derivative_at(gam, X, Y, points):
-    """(nabla_X Y)^k at each point, from connection coefficients `gam`
-    [n, k, i, j] evaluated at the same points."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    xv = X.at(pts)
-    yv = Y.at(pts)
-    dy = Y.jac_at(pts)  # [n, k, i]
-    return np.einsum("ni,nki->nk", xv, dy) + np.einsum("ni,nj,nkij->nk", xv, yv, gam)
-
-
 def lie_bracket(X, Y):
     """[X, Y]^k = X^i d_i Y^k - Y^i d_i X^k."""
     d = X.dim
@@ -382,24 +357,14 @@ class StatTriple:
         return lc, lc + k, lc - k
 
 
-def metric_samples(g, count=None, seed=None, box=None):
+def metric_samples(g, count=DEFAULT_COUNT, seed=DEFAULT_SEED, box=DEFAULT_BOX):
     """Seeded samples on which the metric is positive definite; failures are
     resampled at most ten times, then reported."""
-    kwargs = {}
-    if count is not None:
-        kwargs["count"] = count
-    if seed is not None:
-        kwargs["seed"] = seed
-    if box is not None:
-        kwargs["box"] = box
-
-    def accept(pts):
-        return g.min_eigenvalue_at(pts) > 0.0
-
-    return sample_box(g.dim, accept=accept, **kwargs)
+    return sample_box(g.dim, count, seed, box,
+                      accept=lambda pts: g.min_eigenvalue_at(pts) > 0.0)
 
 
-def check_statistical(st, samples=None, tol=1e-8):
+def check_statistical(st, samples, tol=1e-8):
     """Residual records for the statistical-manifold axioms.
 
     (a) vanishing torsion of nabla and its dual; (b) total symmetry of the
@@ -409,8 +374,6 @@ def check_statistical(st, samples=None, tol=1e-8):
     symmetry and metric self-adjointness of the difference tensor K.
     """
     g = st.g
-    if samples is None:
-        samples = metric_samples(g)
     pts = samples.points
     rep = CheckReport(check="statistical",
                       census={"samples": samples.count, "dim": g.dim})

@@ -73,15 +73,6 @@ class CheckReport:
                 return r
         raise KeyError(f"no record named {name!r} in {self.check}")
 
-    def extend(self, other, prefix=None):
-        for r in other.records:
-            if prefix is not None:
-                r = Record(f"{prefix}/{r.name}", r.identity, r.residual,
-                           r.scale, r.tolerance, r.witness, r.informational,
-                           r.note)
-            self.records.append(r)
-        return self
-
     def to_dict(self):
         return {
             "check": self.check,
@@ -148,6 +139,11 @@ class Tracker:
                 self.witness["labels"] = labels
 
     def build(self, name, identity, tolerance, informational=False, note=""):
+        """The record of the tracked values.  A name ending in `-alt-sign`
+        is the opposite sign convention's twin of an identity: it is
+        reported for information only."""
+        if name.endswith("-alt-sign"):
+            informational, note = True, "opposite sign convention"
         return Record(name=name, identity=identity, residual=self.residual,
                       scale=self.scale, tolerance=tolerance,
                       witness=self.witness, informational=informational,

@@ -8,8 +8,12 @@ DEFAULT_SEED = 42
 DEFAULT_COUNT = 64
 DEFAULT_BOX = (-1.0, 1.0)
 
-__all__ = ["Samples", "sample_box", "samples_from_points",
+__all__ = ["Samples", "SamplingError", "sample_box", "samples_from_points",
            "DEFAULT_SEED", "DEFAULT_COUNT", "DEFAULT_BOX"]
+
+
+class SamplingError(ValueError):
+    """The acceptance predicate kept rejecting a point."""
 
 
 @dataclass(frozen=True)
@@ -49,7 +53,7 @@ def sample_box(dim, count=DEFAULT_COUNT, seed=DEFAULT_SEED, box=DEFAULT_BOX,
 
     `accept` is an optional boolean-mask predicate over a point batch;
     rejected points are resampled at most `max_rounds` times, after which a
-    ValueError reports the first stubborn point.
+    SamplingError reports the first stubborn point.
     """
     lo, hi = box
     rng = np.random.default_rng(seed)
@@ -67,7 +71,7 @@ def sample_box(dim, count=DEFAULT_COUNT, seed=DEFAULT_SEED, box=DEFAULT_BOX,
             ok = np.asarray(accept(pts), dtype=bool)
             if not ok.all():
                 first = pts[~ok][0]
-                raise ValueError(
+                raise SamplingError(
                     f"sampling could not satisfy the acceptance predicate; "
                     f"stuck at point {first.tolist()}")
     return Samples(points=pts, seed=seed, box=box, resampled=resampled)

@@ -8,6 +8,7 @@ once.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +18,7 @@ from .crchecks import CRStructure
 from .exprlang import Const, ParseError, parse
 from .geometry import (ConnField, MetricField, SingularMetricError,
                        StatTriple, VectorField)
-from .submanifold import Embedding
+from .submanifold import Embedding, MapGeometry
 
 __all__ = ["SpecError", "SpecFile", "load_spec", "from_doc"]
 
@@ -79,6 +80,20 @@ def _parse_indexed(mapping, nidx, dim, where, col):
     return out
 
 
+def _integer(value):
+    """Whether the value is an integer; JSON's true and false are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite(*values):
+    """Whether every value is a number with a finite float value."""
+    try:
+        return all((_integer(v) or isinstance(v, float)) and math.isfinite(v)
+                   for v in values)
+    except OverflowError:
+        return False
+
+
 def _parse_vector(items, length, dim, where, col):
     if not isinstance(items, (list, tuple)) or len(items) != length:
         col.error(where, f"expected {length} expression strings")
@@ -111,11 +126,11 @@ class SpecFile:
     def has_submanifold(self):
         return self.embedding is not None
 
-    def cr_structure(self, mg=None):
+    def cr_structure(self):
         if not self.has_submanifold:
             raise SpecError(["submanifold: block required for CR checks"])
-        return CRStructure(self.embedding, self.sss, self.d_gens,
-                           self.dperp_gens, mg=mg)
+        mg = MapGeometry(self.embedding, self.sss.st, acs=self.acs)
+        return CRStructure(mg, self.d_gens, self.dperp_gens)
 
     def tol_for(self, suite):
         return float(self.tolerance.get(suite, self.tolerance.get("default", 1e-8)))
@@ -224,16 +239,18 @@ def from_doc(doc, origin="<doc>"):
             col.error(f"{origin}.sampling.{key}", "unknown key")
     mode = sampling.get("mode", "seeded-random")
     if mode == "seeded-random":
-        if not isinstance(sampling.get("seed", 42), int):
-            col.error(f"{origin}.sampling.seed", "integer required")
-        if not isinstance(sampling.get("count", 64), int) \
+        if not _integer(sampling.get("seed", 42)) \
+                or sampling.get("seed", 42) < 0:
+            col.error(f"{origin}.sampling.seed", "non-negative integer required")
+        if not _integer(sampling.get("count", 64)) \
                 or sampling.get("count", 64) < 1:
             col.error(f"{origin}.sampling.count", "positive integer required")
         box = sampling.get("box", [-1.0, 1.0])
         if (not isinstance(box, (list, tuple)) or len(box) != 2
-                or not all(isinstance(v, (int, float)) for v in box)
-                or not box[0] < box[1]):
-            col.error(f"{origin}.sampling.box", "expected [lo, hi] with lo < hi")
+                or not _finite(*box) or not box[0] < box[1]
+                or not _finite(box[1] - box[0])):
+            col.error(f"{origin}.sampling.box",
+                      "expected [lo, hi] with lo < hi and a finite width")
     elif mode == "points":
         for key, want in (("ambient", dim),
                           ("domain", sub.get("dim") if sub else None)):
@@ -244,10 +261,17 @@ def from_doc(doc, origin="<doc>"):
                 col.error(f"{origin}.sampling.{key}",
                           "no block of this kind to sample")
                 continue
-            arr = np.asarray(pts, dtype=float) if pts else np.zeros((0, want))
+            try:
+                arr = np.asarray(pts, dtype=float)
+            except (TypeError, ValueError, OverflowError):
+                arr = np.zeros((0, want))
             if arr.ndim != 2 or arr.shape[1] != want or arr.shape[0] < 1:
                 col.error(f"{origin}.sampling.{key}",
-                          f"expected a non-empty list of {want}-vectors")
+                          f"expected a non-empty list of {want}-vectors "
+                          "of numbers")
+            elif not np.isfinite(arr).all():
+                col.error(f"{origin}.sampling.{key}",
+                          "sample points must be finite")
     else:
         col.error(f"{origin}.sampling.mode",
                   'expected "seeded-random" or "points"')
@@ -259,8 +283,9 @@ def from_doc(doc, origin="<doc>"):
     for key, val in tolerance.items():
         if key != "default" and key not in _SUITES:
             col.error(f"{origin}.tolerance.{key}", "unknown key")
-        elif not isinstance(val, (int, float)) or val <= 0:
-            col.error(f"{origin}.tolerance.{key}", "positive number required")
+        elif not _finite(val) or val <= 0:
+            col.error(f"{origin}.tolerance.{key}",
+                      "finite positive number required")
 
     col.raise_if_any()
 

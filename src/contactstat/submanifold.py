@@ -21,16 +21,15 @@ DomainError that names its expression and the first failing domain point.
 import numpy as np
 
 from .exprlang import Const, DomainError, Expr
-from .geometry import (INPUT_ERRORS, ConnField, GeometryError, Grid,
-                       MetricField, StatTriple, VectorField, _coerce_expr)
+from .geometry import (INPUT_ERRORS, GeometryError, Grid, MetricField,
+                       VectorField, _coerce_expr)
 from .jets import Jet, jconst, jinv, jmatmat, jmatvec, jscale, jT, jvecdot
 from .report import CheckReport, Tracker
-from .sampling import sample_box
 
 __all__ = [
     "RankDropError", "Embedding", "GWData", "TFBCSplit",
-    "MapGeometry", "frame_point", "induced_metric", "split",
-    "gauss_weingarten", "tfbc", "check_gauss_weingarten",
+    "MapGeometry", "induced_metric", "split", "tfbc",
+    "check_gauss_weingarten",
     "check_structure_identities", "check_transport_identities",
 ]
 
@@ -167,9 +166,10 @@ def _tr(a):
 
 class MapGeometry:
     """Shared symbolic data for one (embedding, ambient statistical
-    structure) pair.  Builds the Gauss-Weingarten contexts of a sample set
-    and remembers them, or the exception that stopped the build, for that
-    set."""
+    structure) pair, with the ambient almost-contact structure `acs` that
+    the structure, transport and CR checks read.  Every submanifold check
+    takes one.  Builds the Gauss-Weingarten contexts of a sample set and
+    remembers them, or the exception that stopped the build, for that set."""
 
     def __init__(self, emb, st, acs=None):
         self.emb = emb
@@ -394,20 +394,6 @@ def split(ctx, v):
     return a, b
 
 
-def frame_point(emb, g_ambient, p):
-    """The one-point context at p of the embedding into (g_ambient, flat
-    connection): its tangent and normal frames, for splitting ambient
-    vectors."""
-    flat = StatTriple(g_ambient, ConnField.flat(g_ambient.dim))
-    return MapGeometry(emb, flat).context(p)
-
-
-def gauss_weingarten(emb, st, p, acs=None):
-    """The one-point context at a domain point, for a statistical ambient
-    structure."""
-    return MapGeometry(emb, st, acs=acs).context(p)
-
-
 class TFBCSplit:
     """Matrices of the tangential/normal parts of the contact tensor in a
     context's frames, per sample: T tangent->tangent (Jacobian-column
@@ -440,26 +426,16 @@ def tfbc(acs, ctx):
 # checks
 
 
-def _domain_samples(emb, samples=None, **kwargs):
-    """`samples` when given, else seeded samples on the domain chart;
-    `kwargs` are sample_box's count, seed and box."""
-    if samples is not None:
-        return samples
-    return sample_box(emb.m, **kwargs)
-
-
-def check_gauss_weingarten(emb, st, samples=None, tol=1e-7, mg=None):
+def check_gauss_weingarten(mg, samples, tol=1e-7):
     """Reconstruction of the two derivative decompositions, the pairing of
     shape operators with the opposite fundamental forms, symmetry of h and
     h*, and the dual pairing of the induced connections."""
-    samples = _domain_samples(emb, samples)
-    if mg is None:
-        mg = MapGeometry(emb, st)
+    emb = mg.emb
     m = emb.m
     ctxs = mg.contexts(samples)
     # d_i gind_jk at every sample, indexed [s, j, k, i]
-    [dgind] = _checked([Grid(_partials(induced_metric(emb, st.g).entries, m))],
-                       samples.points)
+    gind = induced_metric(emb, mg.st.g)
+    [dgind] = _checked([Grid(_partials(gind.entries, m))], samples.points)
 
     rep = CheckReport(check="gauss-weingarten",
                       census={"samples": samples.count, "m": m, "n": emb.n})
@@ -548,15 +524,13 @@ def check_gauss_weingarten(emb, st, samples=None, tol=1e-7, mg=None):
     return rep
 
 
-def check_structure_identities(emb, st, acs, samples=None, tol=1e-8, mg=None):
+def check_structure_identities(mg, samples, tol=1e-8):
     """The algebraic consequences of the tangential/normal splitting of the
     contact tensor: the squared-part identities, the transfer relations,
     skewness and the cross pairing."""
-    samples = _domain_samples(emb, samples)
-    if mg is None:
-        mg = MapGeometry(emb, st, acs=acs)
     rep = CheckReport(check="structure-identities",
-                      census={"samples": samples.count, "m": emb.m, "n": emb.n})
+                      census={"samples": samples.count, "m": mg.emb.m,
+                              "n": mg.emb.n})
 
     names = ["xi-tangency", "t-squared", "c-squared", "ft-cf", "tb-bc",
              "t-skew", "c-skew", "fb-adjoint"]
@@ -615,18 +589,14 @@ def check_structure_identities(emb, st, acs, samples=None, tol=1e-8, mg=None):
     return rep
 
 
-def check_transport_identities(emb, sss, samples=None, tol=1e-8, mg=None):
+def check_transport_identities(mg, samples, tol=1e-8):
     """First-order transport identities for the tangential/normal parts of
     the contact tensor along a submanifold of a compatible statistical
     ambient space, plus the reduction of the xi-transport to the
     submanifold.  Sign-convention twins are reported informationally."""
-    st, acs = sss.st, sss.acs
-    samples = _domain_samples(emb, samples)
-    if mg is None:
-        mg = MapGeometry(emb, st, acs=acs)
-    m = emb.m
+    m = mg.emb.m
     rep = CheckReport(check="transport-identities",
-                      census={"samples": samples.count, "m": m, "n": emb.n})
+                      census={"samples": samples.count, "m": m, "n": mg.emb.n})
 
     names = ["t-transport", "t-transport-alt-sign", "f-transport",
              "b-transport", "c-transport", "xi-reduction",
@@ -714,8 +684,5 @@ def check_transport_identities(emb, sss, samples=None, tol=1e-8, mg=None):
         "h-xi-alt-sign": "h(X, ξ) = FX",
     }
     for nm in names:
-        info = nm.endswith("alt-sign")
-        rep.records.append(tr[nm].build(
-            nm, idents[nm], tol, informational=info,
-            note="opposite sign convention" if info else ""))
+        rep.records.append(tr[nm].build(nm, idents[nm], tol))
     return rep

@@ -9,7 +9,7 @@ from contactstat import fixtures
 from contactstat.contactstruct import lambda_family
 from contactstat.geometry import VectorField
 from contactstat.specfile import from_doc
-from contactstat.submanifold import Embedding
+from contactstat.submanifold import Embedding, MapGeometry
 
 
 def _ambient(doc):
@@ -92,3 +92,9 @@ def cr5_structure(lam=1.0):
 def r7nu_structure(lam=1.0):
     g, acs = sasaki_r7()
     return lambda_family(g, acs, lam)
+
+
+def map_geometry(emb, sss):
+    """The MapGeometry of an embedding into a Sasakian statistical
+    structure, as every submanifold and CR check takes it."""
+    return MapGeometry(emb, sss.st, acs=sss.acs)

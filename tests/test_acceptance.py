@@ -32,10 +32,10 @@ from contactstat.geometry import (ConnField, MetricField, StatTriple,
                                   metric_samples)
 from contactstat.sampling import sample_box, samples_from_points
 from contactstat.specfile import from_doc
-from contactstat.submanifold import (Embedding, check_gauss_weingarten,
+from contactstat.submanifold import (Embedding, MapGeometry,
+                                     check_gauss_weingarten,
                                      check_transport_identities,
-                                     check_structure_identities,
-                                     gauss_weingarten)
+                                     check_structure_identities)
 from test_exprlang import central_diff, random_expr
 from test_submanifold import random_gw_case
 
@@ -96,7 +96,7 @@ def test_03_paper_fixture_statistical():
                  "difference-tensor-symmetry",
                  "difference-tensor-self-adjoint"):
         assert rep.record(name).residual < 1e-9, name
-    srep = check_sasakian_statistical(spec.sss, samples, delegate=False)
+    srep = check_sasakian_statistical(spec.sss, samples)
     assert srep.record("k-phi-anticommute").residual < 1e-9
     announce(3, "statistical + anticommutation residuals < 1e-9")
 
@@ -134,11 +134,12 @@ def test_05_paper_fixture_audit_records():
     assert rec.status == "FAIL"
     assert rec.residual == pytest.approx(1.0, abs=1e-9)
     # the defect at the first coordinate direction is exactly |phi e1| = 1
-    from contactstat.geometry import covariant_derivative_at, levi_civita
     pts = samples.points[:8]
     e1 = VectorField.coordinate(7, 0)
-    nxi = covariant_derivative_at(levi_civita(spec.g, pts), e1, spec.acs.xi,
-                                  pts)
+    # nabla-hat_{e1} xi = d_1 xi + Gamma-hat(e1, xi)
+    lc = spec.sss.st.gammas(pts)[0]
+    nxi = (spec.acs.xi.jac_at(pts)[:, :, 0]
+           + np.einsum("nkj,nj->nk", lc[:, :, 0, :], spec.acs.xi.at(pts)))
     defect = nxi + np.einsum("nab,nb->na", spec.acs.phi_at(pts),
                              e1.at(pts))
     gv = spec.g.at(pts)
@@ -170,8 +171,10 @@ def test_06_sasaki_control_lambda_family():
     assert srep.passed
     for rec in srep.records:
         assert rec.residual < 1e-7, rec.name
+    assert check_almost_contact(spec.acs, spec.g, samples).passed
     for lam in (0.0, 1.0, 2.5):
         sss = lambda_family(spec.g, spec.acs, lam)
+        assert check_statistical(sss.st, samples).passed, lam
         rep = check_sasakian_statistical(sss, samples)
         assert rep.passed, lam
         for name in ("phi-transport", "xi-transport", "dual-phi-transport",
@@ -188,7 +191,7 @@ def test_07_gauss_weingarten_random_corpus():
         n = int(rng.integers(m + 1, 6))
         emb, st = random_gw_case(rng, m, n)
         samples = sample_box(m, count=4, seed=int(rng.integers(1 << 32)))
-        rep = check_gauss_weingarten(emb, st, samples)
+        rep = check_gauss_weingarten(MapGeometry(emb, st), samples)
         for name in ("gauss-reconstruction", "gauss-reconstruction-dual",
                      "weingarten-reconstruction",
                      "weingarten-reconstruction-dual", "shape-pairing",
@@ -203,8 +206,9 @@ def test_07_gauss_weingarten_random_corpus():
 def test_08_circle_control():
     emb = Embedding(["cos(x1)", "sin(x1)"], 1)
     st = StatTriple(MetricField.euclidean(2), ConnField.flat(2))
+    mg = MapGeometry(emb, st)
     for t in np.linspace(-3.0, 3.0, 13):
-        ctx = gauss_weingarten(emb, st, np.array([t]))
+        ctx = mg.context(np.array([t]))
         _, h = ctx.gauss(np.array([1.0]), VectorField.coordinate(1, 0))
         assert abs(ctx.gnorm(h)[0] - 1.0) < 1e-8
         N = ctx.normal_jets[0]
@@ -220,7 +224,7 @@ def test_09_cr5_product_fixture():
     cr = spec.cr_structure()
     samples = sample_box(4, count=64)
 
-    rep = check_transport_identities(spec.embedding, spec.sss, samples)
+    rep = check_transport_identities(cr.mg, samples)
     for name in ("t-transport", "f-transport", "b-transport", "c-transport",
                  "xi-reduction", "h-xi"):
         assert rep.record(name).residual < 1e-6, name
@@ -259,8 +263,8 @@ def test_10_tfbc_identities_all_fixtures():
              ("fix-cr5", 4)]
     for name, m in cases:
         spec = from_doc(fixture_doc(name))
-        rep = check_structure_identities(spec.embedding, spec.sss.st,
-                                         spec.acs, sample_box(m, count=32))
+        mg = MapGeometry(spec.embedding, spec.sss.st, acs=spec.acs)
+        rep = check_structure_identities(mg, sample_box(m, count=32))
         for rec in rep.records:
             assert rec.residual < 1e-9, (name, rec.name)
     announce(10, "splitting identities < 1e-9 on all three fixtures")

@@ -91,6 +91,27 @@ class TestExitCodes:
         assert f"{path}.submanifold.D: at least one generator required" in err
         assert "Traceback" not in err
 
+    def test_no_generators_leave_out_the_cr_suites(self, tmp_path, capsys):
+        # a submanifold block without D or Dperp has no CR structure to check
+        doc = fixture_doc("fix-cr5")
+        del doc["submanifold"]["D"], doc["submanifold"]["Dperp"]
+        path = tmp_path / "no-gens.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "check", "--spec", str(path),
+                                "--samples", "8", "--format", "structured")
+        assert code in (0, 1)
+        assert err == ""
+        assert list(json.loads(out)["suites"]) == ["ambient", "contact",
+                                                   "submanifold"]
+        for suites in ("cr", "product", "submanifold,product"):
+            code, out, err = invoke(capsys, "check", "--spec", str(path),
+                                    "--samples", "8", "--suites", suites)
+            assert code == 2
+            assert out == ""
+            wanted = suites.split(",")[-1]
+            assert err == (f"error: suite {wanted!r} requires submanifold D "
+                           "generators\n")
+
     def test_metric_never_positive_definite_exit_two(self, tmp_path, capsys):
         doc = fixture_doc("fix-s3")
         doc["ambient"]["metric"]["1 1"] = "-1 - x1^2"
@@ -100,6 +121,57 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: sampling.box: ")
         assert "stuck at point" in err
+
+
+class TestBadValues:
+    @pytest.mark.parametrize("flag,value", [
+        ("--samples", "0"), ("--samples", "-3"), ("--seed", "-1"),
+        ("--tol", "-1"), ("--tol", "0"), ("--tol", "nan"), ("--tol", "inf")])
+    def test_flag_out_of_range_exit_two(self, capsys, flag, value):
+        code, out, err = invoke(capsys, "check", "--spec", "fix-s3",
+                                "--suites", "ambient", flag, value)
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}: expected a" in err
+        assert "not positive definite" not in err
+
+    @pytest.mark.parametrize("sampling,key", [
+        ({"seed": -5}, "sampling.seed"),
+        ({"seed": True}, "sampling.seed"),
+        ({"count": 0}, "sampling.count"),
+        ({"count": True}, "sampling.count"),
+        ({"box": [-1e308, 1e308]}, "sampling.box"),
+        ({"box": [float("-inf"), 1.0]}, "sampling.box"),
+        ({"box": [False, True]}, "sampling.box"),
+        ({"mode": "points", "ambient": [["a", 0, 0]]}, "sampling.ambient"),
+        ({"mode": "points", "ambient": [[0, 0], [0, 0, 0]]},
+         "sampling.ambient"),
+        ({"mode": "points", "ambient": [[0, 0, float("nan")]]},
+         "sampling.ambient")])
+    def test_spec_sampling_out_of_range_exit_two(self, tmp_path, capsys,
+                                                 sampling, key):
+        doc = fixture_doc("fix-s3")
+        doc["sampling"] = sampling
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "check", "--spec", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {path}.{key}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("value", [-1, 0, float("nan"), float("inf"),
+                                       True])
+    def test_spec_tolerance_out_of_range_exit_two(self, tmp_path, capsys,
+                                                  value):
+        doc = fixture_doc("fix-s3")
+        doc["tolerance"] = {"ambient": value}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "check", "--spec", str(path))
+        assert code == 2
+        assert err == (f"error: {path}.tolerance.ambient: finite positive "
+                       "number required\n")
 
 
 class TestEnginePreconditions:
@@ -182,6 +254,27 @@ class TestEnginePreconditions:
         [mixed] = [c for c in json.loads(out)["suites"]["cr"]["checks"]
                    if c["check"] == "mixed-geodesic-consequences"]
         assert mixed["census"]["mixed-geodesic"] is False
+
+
+class TestCheckLookup:
+    def test_run_calls_the_checks_bound_in_cli(self, monkeypatch):
+        # the benchmark's tracer times each check by rebinding its name in
+        # the cli module, so run() must look the checks up there
+        import contactstat.cli as cli
+
+        calls = []
+
+        def counting(name, check):
+            def counted(*args, **kwargs):
+                calls.append(name)
+                return check(*args, **kwargs)
+            return counted
+
+        for name in ("check_cr_product", "check_gauss_weingarten"):
+            monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
+        spec = from_doc(fixture_doc("fix-cr5"))
+        run(spec, "auto", count=4)
+        assert calls == ["check_gauss_weingarten", "check_cr_product"]
 
 
 class TestDeterminism:

@@ -65,14 +65,14 @@ class TestAlmostContact:
 
     def test_r3_passes(self):
         g, acs = sasaki_r3()
-        rep = check_almost_contact(acs, g)
+        rep = check_almost_contact(acs, g, metric_samples(g))
         assert rep.passed
 
     def test_degenerate_structure_fails_on_phi_square(self):
         g = MetricField.euclidean(3)
         acs = AlmostContact(phi=[["0"] * 3] * 3,
                             xi=VectorField(["0"] * 3, 3), eta=["0"] * 3)
-        rep = check_almost_contact(acs, g)
+        rep = check_almost_contact(acs, g, metric_samples(g))
         rec = rep.record("phi-square")
         assert rec.status == "FAIL"
         assert rec.residual == pytest.approx(1.0)
@@ -86,7 +86,7 @@ class TestAlmostContact:
 
     def test_phi_rank_is_corank_one(self):
         g, acs = sasaki_r3()
-        rep = check_almost_contact(acs, g)
+        rep = check_almost_contact(acs, g, metric_samples(g))
         assert rep.record("phi-rank").status == "PASS"
 
 
@@ -95,7 +95,7 @@ class TestContactMetric:
         # constant eta makes the exterior derivative vanish while the
         # pairing g(X, phi Y) does not; the engine reports, never assumes
         g, acs = euclid_r7()
-        rep = check_contact_metric(acs, g)
+        rep = check_contact_metric(acs, g, metric_samples(g))
         rec = rep.record("deta-pairing")
         assert rec.status == "FAIL"
         assert rec.residual == pytest.approx(1.0)
@@ -105,7 +105,7 @@ class TestContactMetric:
         acs = AlmostContact(phi=[["0"] * 3] * 3,
                             xi=VectorField(["0", "0", "1"], 3),
                             eta=["0", "0", "1"])
-        rep = check_contact_metric(acs, g)
+        rep = check_contact_metric(acs, g, metric_samples(g))
         assert rep.record("deta-pairing").residual == 0.0
 
     def test_r3_half_convention_matches(self):
@@ -113,7 +113,7 @@ class TestContactMetric:
         # informational record vanishes and the no-half record is exactly
         # the d-eta magnitude mismatch of 1/4
         g, acs = sasaki_r3()
-        rep = check_contact_metric(acs, g)
+        rep = check_contact_metric(acs, g, metric_samples(g))
         half = rep.record("deta-pairing-half")
         assert half.informational and half.residual < 1e-12
         rec = rep.record("deta-pairing")
@@ -124,7 +124,7 @@ class TestContactMetric:
 class TestSasakian:
     def test_r3_control_is_sasakian(self):
         g, acs = sasaki_r3()
-        rep = check_sasakian(acs, g)
+        rep = check_sasakian(acs, g, metric_samples(g))
         assert rep.passed
         for rec in rep.records:
             assert rec.residual < 1e-7, rec.name
@@ -143,7 +143,7 @@ class TestSasakian:
 
     def test_r7_fails_xi_derivative_with_unit_residual(self):
         g, acs = euclid_r7()
-        rep = check_sasakian(acs, g)
+        rep = check_sasakian(acs, g, metric_samples(g))
         rec = rep.record("xi-derivative")
         assert rec.status == "FAIL"
         assert rec.residual == pytest.approx(1.0, abs=1e-9)
@@ -153,7 +153,7 @@ class TestSasakian:
         acs = AlmostContact(phi=[["0"] * 3] * 3,
                             xi=VectorField(["0", "0", "1"], 3),
                             eta=["0", "0", "1"])
-        rep = check_sasakian(acs, g)
+        rep = check_sasakian(acs, g, metric_samples(g))
         assert rep.record("xi-derivative").residual == 0.0
         rec = rep.record("phi-derivative")
         assert rec.status == "FAIL"
@@ -165,17 +165,25 @@ class TestSasakianStatistical:
     def test_r3_lambda_family_passes(self, lam):
         g, acs = sasaki_r3()
         sss = lambda_family(g, acs, lam)
-        rep = check_sasakian_statistical(sss)
-        assert rep.passed, [r.name for r in rep.records if r.passed is False]
-        for rec in rep.records:
-            if not rec.informational:
-                assert rec.residual < 1e-7, rec.name
+        samples = metric_samples(g)
+        # the ladder below the Sasakian statistical records is checked by
+        # the three checks of its own
+        for rep in (check_statistical(sss.st, samples),
+                    check_almost_contact(acs, g, samples),
+                    check_sasakian(acs, g, samples),
+                    check_sasakian_statistical(sss, samples)):
+            assert rep.passed, [r.name for r in rep.records
+                                if r.passed is False]
+            for rec in rep.records:
+                if not rec.informational:
+                    assert rec.residual < 1e-7, rec.name
 
     def test_r3_alt_sign_records_fail_loudly(self):
         # the opposite-sign transport variants cannot also hold: their
         # residual is twice the right-hand side's magnitude
         g, acs = sasaki_r3()
-        rep = check_sasakian_statistical(lambda_family(g, acs, 1.0))
+        rep = check_sasakian_statistical(lambda_family(g, acs, 1.0),
+                                         metric_samples(g))
         for name in ("phi-transport-alt-sign", "xi-transport-alt-sign",
                      "dual-phi-transport-alt-sign", "dual-xi-transport-alt-sign"):
             assert rep.record(name).residual > 0.5, name
@@ -183,7 +191,7 @@ class TestSasakianStatistical:
     def test_r7_anticommutation_tiny(self):
         g, acs = euclid_r7()
         sss = lambda_family(g, acs, 1.0)
-        rep = check_sasakian_statistical(sss, metric_samples(g), delegate=False)
+        rep = check_sasakian_statistical(sss, metric_samples(g))
         assert rep.record("k-phi-anticommute").residual < 1e-12
 
     def test_r7_xi_transport_fails(self):
@@ -191,7 +199,7 @@ class TestSasakianStatistical:
         # inherit that failure
         g, acs = euclid_r7()
         sss = lambda_family(g, acs, 1.0)
-        rep = check_sasakian_statistical(sss, delegate=False)
+        rep = check_sasakian_statistical(sss, metric_samples(g))
         assert rep.record("xi-transport").status == "FAIL"
         assert rep.record("xi-transport").residual == pytest.approx(1.0, abs=1e-9)
 
@@ -203,7 +211,7 @@ class TestSasakianStatistical:
                    for i in range(d)] for k in range(d)]
         sss = SasakiStatStructure(st=StatTriple(g, ConnField(d, coeffs)),
                                   acs=acs)
-        rep = check_sasakian_statistical(sss, delegate=False)
+        rep = check_sasakian_statistical(sss, metric_samples(g))
         rec = rep.record("k-phi-anticommute")
         assert rec.status == "FAIL"
         assert rec.residual > 0.1
@@ -212,7 +220,8 @@ class TestSasakianStatistical:
         # if the structure passes, so does the one with the dual connection
         # in the primary role: the dual-* records are exactly that swap
         g, acs = sasaki_r3()
-        rep = check_sasakian_statistical(lambda_family(g, acs, 1.5))
+        rep = check_sasakian_statistical(lambda_family(g, acs, 1.5),
+                                         metric_samples(g))
         assert rep.record("dual-phi-transport").status == "PASS"
         assert rep.record("dual-xi-transport").status == "PASS"
 
@@ -247,5 +256,6 @@ class TestLambdaFamily:
     def test_statistical_across_lambda_range(self):
         g, acs = sasaki_r3()
         for lam in np.linspace(-2.0, 2.0, 9):
-            rep = check_statistical(lambda_family(g, acs, lam).st)
+            rep = check_statistical(lambda_family(g, acs, lam).st,
+                                    metric_samples(g))
             assert rep.passed, lam

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (cr5_structure, cr5_submanifold, e7_structure,
-                      e7_submanifold, euclid_r7, r7nu_structure,
+                      e7_submanifold, euclid_r7, map_geometry, r7nu_structure,
                       r7nu_submanifold)
 from contactstat.crchecks import (
     CRStructure, Distribution, check_contact_cr, check_cr_product,
@@ -18,17 +18,17 @@ from contactstat.submanifold import Embedding
 def e7_cr(frame_orthonormal=False, lam=1.0):
     emb, d_gens, dp_gens = e7_submanifold()
     sss = e7_structure(lam=lam, frame_orthonormal=frame_orthonormal)
-    return CRStructure(emb, sss, d_gens, dp_gens)
+    return CRStructure(map_geometry(emb, sss), d_gens, dp_gens)
 
 
 def cr5():
     emb, d_gens, dp_gens = cr5_submanifold()
-    return CRStructure(emb, cr5_structure(), d_gens, dp_gens)
+    return CRStructure(map_geometry(emb, cr5_structure()), d_gens, dp_gens)
 
 
 def r7nu():
     emb, d_gens, dp_gens = r7nu_submanifold()
-    return CRStructure(emb, r7nu_structure(), d_gens, dp_gens)
+    return CRStructure(map_geometry(emb, r7nu_structure()), d_gens, dp_gens)
 
 
 SAMPLES5 = sample_box(5, count=24)
@@ -54,7 +54,7 @@ class TestContactCR:
     def test_xi_moved_to_dperp_fails_membership(self):
         emb, d_gens, dp_gens = e7_submanifold()
         sss = e7_structure()
-        broken = CRStructure(emb, sss,
+        broken = CRStructure(map_geometry(emb, sss),
                              [d_gens[0], d_gens[1]], dp_gens + [d_gens[2]])
         rep = check_contact_cr(broken, SAMPLES5)
         assert rep.record("xi-in-d").status == "FAIL"
@@ -63,7 +63,8 @@ class TestContactCR:
     def test_e3_moved_into_d_fails_invariance(self):
         emb, d_gens, dp_gens = e7_submanifold()
         sss = e7_structure()
-        broken = CRStructure(emb, sss, d_gens + [dp_gens[0]], [dp_gens[1]])
+        broken = CRStructure(map_geometry(emb, sss), d_gens + [dp_gens[0]],
+                             [dp_gens[1]])
         rep = check_contact_cr(broken, SAMPLES5)
         rec = rep.record("d-invariance")
         assert rec.status == "FAIL"
@@ -103,7 +104,7 @@ class TestIntegrability:
         D = [VectorField.coordinate(3, 0),
              VectorField(["0", "1", "x1"], 3)]
         Dp = [VectorField(["0", "-x1", "1"], 3)]
-        cr = CRStructure(emb, sss, D, Dp)
+        cr = CRStructure(map_geometry(emb, sss), D, Dp)
         rep = check_integrability_D(cr, sample_box(3, count=16))
         rec = rep.record("d-bracket-closure")
         assert rec.status == "FAIL"
@@ -171,7 +172,8 @@ class TestClassifyGeodesic:
                              eta=["0", "1"])
         sss = lambda_family(g2, acs2, 0.0)
         emb = Embedding(["cos(x1)", "sin(x1)"], 1)
-        cr = CRStructure(emb, sss, [VectorField.coordinate(1, 0)], [])
+        cr = CRStructure(map_geometry(emb, sss),
+                         [VectorField.coordinate(1, 0)], [])
         rep = classify_geodesic(cr, sample_box(1, count=8, box=(-3, 3)))
         rec = rep.record("d-geodesic")
         assert rec.status == "FAIL"
@@ -278,7 +280,7 @@ class TestStructuralProperties:
         emb = Embedding(["x1", "x2", "x3"], 3)
         D = [VectorField.coordinate(3, 0), VectorField.coordinate(3, 1),
              VectorField(["0", "0", "2"], 3)]
-        cr = CRStructure(emb, sss, D, [])
+        cr = CRStructure(map_geometry(emb, sss), D, [])
         rep = check_integrability_D(cr, sample_box(3, count=8))
         assert rep.passed
         assert rep.record("d-bracket-closure").residual < 1e-12
@@ -288,8 +290,9 @@ class TestStructuralProperties:
     def test_generator_permutation_leaves_max_residuals(self):
         emb, d_gens, dp_gens = e7_submanifold()
         sss = e7_structure()
-        a = CRStructure(emb, sss, d_gens, dp_gens)
-        b = CRStructure(emb, sss, [d_gens[2], d_gens[0], d_gens[1]],
+        mg = map_geometry(emb, sss)
+        a = CRStructure(mg, d_gens, dp_gens)
+        b = CRStructure(mg, [d_gens[2], d_gens[0], d_gens[1]],
                         [dp_gens[1], dp_gens[0]])
         pts = sample_box(5, count=12)
         for check in (check_contact_cr, check_cr_product, classify_geodesic):
@@ -303,7 +306,7 @@ class TestStructuralProperties:
         # the third D generator vanishes where x1 = 0
         emb, d_gens, dp_gens = cr5_submanifold()
         d_gens[2] = VectorField(["0", "0", "x1", "0"], 4)
-        cr = CRStructure(emb, cr5_structure(), d_gens, dp_gens)
+        cr = CRStructure(map_geometry(emb, cr5_structure()), d_gens, dp_gens)
         pts = samples_from_points([[0.5, 0.1, 0.2, 0.3], [0.0, 0.4, 0.5, 0.6],
                                    [0.0, 0.7, 0.8, 0.9]])
         with pytest.raises(GeometryError) as err:

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from contactstat.exprlang import (
     Bin, Const, DomainError, ParseError, Un, Var,
-    const, cos, exp, parse, sin, sqrt, var,
+    const, cos, exp, parse, sin, sqrt,
 )
 
 
@@ -138,7 +138,7 @@ class TestDiff:
         assert isinstance(d, Const) and d.value == 0.0
 
     def test_chain_rule_sqrt(self):
-        e = sqrt(var(0) * var(0) + 1.0)
+        e = sqrt(Var(0) * Var(0) + 1.0)
         d = e.diff(0)
         t = 0.7
         assert abs(d.eval((t,)) - t / math.sqrt(t * t + 1)) < 1e-14

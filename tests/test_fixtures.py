@@ -96,6 +96,8 @@ class TestFixtureAdmission:
         assert rep.passed
         for rec in rep.records:
             assert rec.residual < 1e-7
+        assert check_statistical(spec.sss.st, samples).passed
+        assert check_almost_contact(spec.acs, spec.g, samples).passed
         rep = check_sasakian_statistical(spec.sss, samples)
         assert rep.passed
 
@@ -114,6 +116,9 @@ class TestFixtureAdmission:
     def test_sasaki_r7_cr_ambient_and_cr(self):
         spec = from_doc(fixture_doc("sasaki-r7-cr"))
         samples = metric_samples(spec.g, count=16)
+        assert check_statistical(spec.sss.st, samples).passed
+        assert check_almost_contact(spec.acs, spec.g, samples).passed
+        assert check_sasakian(spec.acs, spec.g, samples).passed
         assert check_sasakian_statistical(spec.sss, samples).passed
         cr = spec.cr_structure()
         assert check_contact_cr(cr, sample_box(4, count=16)).passed

@@ -1,9 +1,10 @@
-"""Golden reports: the structured report of every built-in fixture is pinned
-by its sha256, so a change to the engine that moves any byte of a residual,
-witness, status or census shows here.  The digests were written from the
-engine before the submanifold and CR checks were batched over the sample
-axis; a change that moves a report on purpose says so in CHANGES.md and
-rewrites the digest it moved."""
+"""Golden reports: the structured and the text report of every built-in
+fixture are pinned by their sha256, so a change to the engine that moves
+any byte of a residual, witness, status or census shows here.  The
+structured digests were written from the engine before the submanifold and
+CR checks were batched over the sample axis, the text digests before every
+check took one calling convention; a change that moves a report on purpose
+says so in CHANGES.md and rewrites the digest it moved."""
 
 import hashlib
 
@@ -37,6 +38,32 @@ GOLDEN = {
 }
 
 
+# (fixture, seed) -> sha256 of the text stdout, at 64 samples; the exit
+# code and the empty stderr are those of the structured run
+GOLDEN_TEXT = {
+    ("fix-cr5", 7):
+        "391b5382d9fa561005de1f7034c39b69cb239fbe64d93397086c95d47aeae5ae",
+    ("fix-cr5", 42):
+        "530071ad1eaa2bbdaae24fede2e2f9ba83a3ac5c2f49874e9a7afcadb9fbe4e9",
+    ("fix-s3", 7):
+        "2ce4e4b582609bb97665ed46ee1fa66dc39264390f93c62e336097495e393974",
+    ("fix-s3", 42):
+        "71a52a516f6e7e1bdf4257018f041a2c85861affcc39747029c060199cbcfb10",
+    ("paper-r7-euclidean", 7):
+        "84e91f3b4125dab27522e7ecc0db59d8c07c75f52db131722d338e92dc191cea",
+    ("paper-r7-euclidean", 42):
+        "cc23caf937175b884d304aae22599c26cdf646c26e471354b651a5504e1178a3",
+    ("paper-r7-frame-orthonormal", 7):
+        "89080434b48b455b61118ffa8ae2f5e37d923a7f24df4f4cdd865e01d0df753b",
+    ("paper-r7-frame-orthonormal", 42):
+        "3c472de4dfd499c8f802601882aa0788eb550d81ade7f430e7bc884bddc2d7e4",
+    ("sasaki-r7-cr", 7):
+        "38594262bd2bac9aa772f0cd743687216bb0e74de2de97adb6f2f5ce8dfcedce",
+    ("sasaki-r7-cr", 42):
+        "bdb175858bb31bd3a433b2c9fd664ac2732453a595c34a4ab266bf696f5c47c3",
+}
+
+
 @pytest.mark.parametrize("name,seed", sorted(GOLDEN))
 def test_structured_report_is_golden(capsys, name, seed):
     code = main(["check", "--spec", name, "--samples", "64",
@@ -44,4 +71,14 @@ def test_structured_report_is_golden(capsys, name, seed):
     out = capsys.readouterr()
     digest = hashlib.sha256(out.out.encode()).hexdigest()
     assert (digest, code) == GOLDEN[(name, seed)]
+    assert out.err == ""
+
+
+@pytest.mark.parametrize("name,seed", sorted(GOLDEN_TEXT))
+def test_text_report_is_golden(capsys, name, seed):
+    code = main(["check", "--spec", name, "--samples", "64",
+                 "--seed", str(seed), "--format", "text"])
+    out = capsys.readouterr()
+    digest = hashlib.sha256(out.out.encode()).hexdigest()
+    assert (digest, code) == (GOLDEN_TEXT[(name, seed)], GOLDEN[(name, seed)][1])
     assert out.err == ""

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import (cr5_structure, cr5_submanifold, e7_structure,
-                      e7_submanifold, sasaki_r3)
+                      e7_submanifold, map_geometry, sasaki_r3)
 from contactstat.contactstruct import lambda_family
 from contactstat.crchecks import (CRStructure, check_contact_cr,
                                   check_cr_product,
@@ -14,18 +14,23 @@ from contactstat.crchecks import (CRStructure, check_contact_cr,
 from contactstat.exprlang import Const, DomainError
 from contactstat.fixtures import fixture_doc
 from contactstat.geometry import (ConnField, MetricField, StatTriple,
-                                  VectorField, check_statistical)
+                                  VectorField, check_statistical,
+                                  metric_samples)
 from contactstat.sampling import sample_box, samples_from_points
 from contactstat.specfile import from_doc
 from contactstat.submanifold import (Embedding, MapGeometry, RankDropError,
                                      check_gauss_weingarten, check_transport_identities,
-                                     check_structure_identities, frame_point,
-                                     gauss_weingarten, induced_metric, split,
-                                     tfbc)
+                                     check_structure_identities,
+                                     induced_metric, split, tfbc)
+
+
+def flat_over(g):
+    """The metric g with the flat connection."""
+    return StatTriple(g, ConnField.flat(g.dim))
 
 
 def flat_statistical(dim):
-    return StatTriple(MetricField.euclidean(dim), ConnField.flat(dim))
+    return flat_over(MetricField.euclidean(dim))
 
 
 def circle():
@@ -58,7 +63,7 @@ class TestFramePointAndSplit:
     def test_tangent_vector_has_no_normal_coeffs(self):
         emb, _, _ = e7_submanifold()
         g = MetricField.euclidean(7)
-        fp = frame_point(emb, g, np.zeros(5))
+        fp = MapGeometry(emb, flat_over(g)).context(np.zeros(5))
         v = fp.J.val[0] @ np.array([1.0, -2.0, 0.5, 0.0, 3.0])
         a, b = split(fp, v[None])
         assert np.abs(b[0]).max() < 1e-12
@@ -67,7 +72,7 @@ class TestFramePointAndSplit:
     def test_phi_of_e3_is_wholly_normal(self):
         emb, _, _ = e7_submanifold()
         g, acs = __import__("conftest").euclid_r7()
-        fp = frame_point(emb, g, np.zeros(5))
+        fp = MapGeometry(emb, flat_over(g)).context(np.zeros(5))
         e3 = fp.J.val[0, :, 2]
         phie3 = acs.phi_at(np.zeros((1, 7)))[0] @ e3
         a, b = split(fp, phie3[None])
@@ -77,7 +82,8 @@ class TestFramePointAndSplit:
     def test_round_trip_of_mixed_vector(self):
         emb, _, _ = e7_submanifold()
         g = MetricField.euclidean(7)
-        fp = frame_point(emb, g, np.array([0.2, -0.4, 0.1, 0.7, -0.3]))
+        fp = MapGeometry(emb, flat_over(g)).context(
+            np.array([0.2, -0.4, 0.1, 0.7, -0.3]))
         rng = np.random.default_rng(5)
         a0 = rng.normal(size=5)
         b0 = rng.normal(size=2)
@@ -90,12 +96,13 @@ class TestFramePointAndSplit:
         emb = Embedding(["x1*x1", "x1*x1"], 1)
         g = MetricField.euclidean(2)
         with pytest.raises(RankDropError):
-            frame_point(emb, g, np.zeros(1))
+            MapGeometry(emb, flat_over(g)).context(np.zeros(1))
 
     def test_normal_frame_is_g_orthonormal(self):
         g, _ = __import__("conftest").sasaki_r5()
         emb, _, _ = cr5_submanifold()
-        fp = frame_point(emb, g, np.array([0.3, -0.2, 0.5, 0.9]))
+        fp = MapGeometry(emb, flat_over(g)).context(
+            np.array([0.3, -0.2, 0.5, 0.9]))
         normal = fp.normal[0]
         gram = normal.T @ fp.G.val[0] @ normal
         assert np.abs(gram - np.eye(normal.shape[1])).max() < 1e-12
@@ -131,7 +138,7 @@ def reeb_mixed_cr():
     x1 e1 + xi, which is the Reeb field where x1 = 0."""
     emb, d_gens, dp_gens = cr5_submanifold()
     d_gens = [VectorField(["x1", "0", "2", "0"], 4), d_gens[0], d_gens[1]]
-    return CRStructure(emb, cr5_structure(), d_gens, dp_gens)
+    return CRStructure(map_geometry(emb, cr5_structure()), d_gens, dp_gens)
 
 
 REEB_MIXED_POINTS = [[0.3, 0.1, 0.2, 0.4], [0.0, 0.5, -0.2, 0.1],
@@ -142,8 +149,8 @@ class TestBatchedContexts:
     @pytest.mark.parametrize("name", ["sasaki-r7-cr", "paper-r7-euclidean"])
     def test_batch_equals_one_point_builds(self, name):
         spec = from_doc(fixture_doc(name))
-        mg = MapGeometry(spec.embedding, spec.sss.st, acs=spec.acs)
-        cr = spec.cr_structure(mg=mg)
+        cr = spec.cr_structure()
+        mg = cr.mg
         samples = sample_box(spec.embedding.m, count=12, seed=3)
         batch = mg.contexts(samples)
         assert mg.contexts(samples) is batch
@@ -172,7 +179,7 @@ class TestBatchedContexts:
         # Reeb field where x1 = 0, so the reduced D frame drops it there
         cr = reeb_mixed_cr()
         samples = samples_from_points(REEB_MIXED_POINTS)
-        [ctx] = cr._mg.contexts(samples)
+        [ctx] = cr.mg.contexts(samples)
         crs = cr.contexts(samples)
         assert [c.index.tolist() for c in crs] == [[0, 2], [1]]
         for c in crs:
@@ -204,7 +211,8 @@ def torsion_case():
 
 
 def _submanifold_runs(emb, st):
-    return [lambda s: check_gauss_weingarten(emb, st, s)]
+    mg = MapGeometry(emb, st)
+    return [lambda s: check_gauss_weingarten(mg, s)]
 
 
 def _fixture_runs(name):
@@ -213,11 +221,11 @@ def _fixture_runs(name):
 
 
 def _cr_runs(cr):
-    emb, sss = cr.emb, cr.sss
+    mg = cr.mg
     return [
-        lambda s: check_gauss_weingarten(emb, sss.st, s),
-        lambda s: check_structure_identities(emb, sss.st, sss.acs, s),
-        lambda s: check_transport_identities(emb, sss, s),
+        lambda s: check_gauss_weingarten(mg, s),
+        lambda s: check_structure_identities(mg, s),
+        lambda s: check_transport_identities(mg, s),
         lambda s: check_contact_cr(cr, s),
         lambda s: check_integrability_D(cr, s),
         lambda s: check_integrability_Dperp(cr, s),
@@ -264,7 +272,7 @@ class TestReportsOverSetsAgreeWithSinglePoints:
 
     def test_torsion_witness_is_the_worst_sample(self):
         emb, st = torsion_case()
-        rep = check_gauss_weingarten(emb, st, samples_from_points(
+        rep = check_gauss_weingarten(MapGeometry(emb, st), samples_from_points(
             [[0.1, 0.0], [2.0, 0.0], [0.5, 0.0]]))
         for name in ("h-symmetry", "hstar-symmetry"):
             assert rep.record(name).residual == 4.0
@@ -274,20 +282,19 @@ class TestReportsOverSetsAgreeWithSinglePoints:
 class TestGaussWeingarten:
     def test_flat_linear_trivial(self):
         emb = Embedding(["x1", "x2", "x1+x2"], 2)
-        rep = check_gauss_weingarten(emb, flat_statistical(3))
+        mg = MapGeometry(emb, flat_statistical(3))
+        rep = check_gauss_weingarten(mg, sample_box(2))
         assert rep.passed
         # h of a linear embedding in a flat ambient vanishes identically
-        mg = MapGeometry(emb, flat_statistical(3))
         ctx = mg.context(np.array([0.1, 0.2]))
         _, h = ctx.gauss(np.array([1.0, 0.0]), VectorField.coordinate(2, 1))
         assert np.abs(h).max() == 0.0
 
     def test_unit_circle_curvature(self):
         # classical control: h(dt, dt) is the inward unit normal
-        emb = circle()
-        st = flat_statistical(2)
+        mg = MapGeometry(circle(), flat_statistical(2))
         for t in (0.0, 0.7, 2.1, -1.3):
-            ctx = gauss_weingarten(emb, st, np.array([t]))
+            ctx = mg.context(np.array([t]))
             _, h = ctx.gauss(np.array([1.0]), VectorField.coordinate(1, 0))
             assert np.allclose(h[0], [-np.cos(t), -np.sin(t)], atol=1e-12)
             assert ctx.gnorm(h)[0] == pytest.approx(1.0, abs=1e-12)
@@ -315,15 +322,15 @@ class TestGaussWeingarten:
     def test_e7_report_passes(self):
         emb, _, _ = e7_submanifold()
         sss = e7_structure()
-        rep = check_gauss_weingarten(emb, sss.st,
-                                     samples=sample_box(5, count=16))
+        rep = check_gauss_weingarten(MapGeometry(emb, sss.st),
+                                     sample_box(5, count=16))
         assert rep.passed
 
     def test_cr5_report_passes(self):
         emb, _, _ = cr5_submanifold()
         sss = cr5_structure()
-        rep = check_gauss_weingarten(emb, sss.st,
-                                     samples=sample_box(4, count=16))
+        rep = check_gauss_weingarten(MapGeometry(emb, sss.st),
+                                     sample_box(4, count=16))
         assert rep.passed
         for rec in rep.records:
             assert rec.residual < 1e-7, rec.name
@@ -370,9 +377,10 @@ class TestRandomCorpus:
             m = int(rng.integers(1, 4))
             n = int(rng.integers(m + 1, 6))
             emb, st = random_gw_case(rng, m, n)
-            assert check_statistical(st).passed
+            assert check_statistical(st, metric_samples(st.g)).passed
             rep = check_gauss_weingarten(
-                emb, st, samples=sample_box(m, count=5, seed=int(rng.integers(1e6))))
+                MapGeometry(emb, st),
+                sample_box(m, count=5, seed=int(rng.integers(1e6))))
             for rec in rep.records:
                 assert rec.residual < 1e-7 * (1 + rec.scale), rec.name
             cases += 1
@@ -383,7 +391,7 @@ class TestTFBC:
     def test_e7_t_and_f_on_frame(self):
         emb, _, _ = e7_submanifold()
         g, acs = __import__("conftest").euclid_r7()
-        fp = frame_point(emb, g, np.zeros(5))
+        fp = MapGeometry(emb, flat_over(g)).context(np.zeros(5))
         parts = tfbc(acs, fp)
         T, F = parts.T[0], parts.F[0]
         # phi e1 = e2: purely tangent
@@ -396,7 +404,7 @@ class TestTFBC:
     def test_invariant_identity_embedding(self):
         g, acs = sasaki_r3()
         emb = Embedding(["x1", "x2", "x3"], 3)
-        fp = frame_point(emb, g, np.array([0.1, -0.4, 0.3]))
+        fp = MapGeometry(emb, flat_over(g)).context(np.array([0.1, -0.4, 0.3]))
         parts = tfbc(acs, fp)
         assert parts.F.size == 0 and parts.B.size == 0 and parts.C.size == 0
         phiv = acs.phi_at(np.array([[0.1, -0.4, 0.3]]))[0]
@@ -407,8 +415,8 @@ class TestStructureIdentities:
     def test_e7_all_under_1e9(self):
         emb, _, _ = e7_submanifold()
         sss = e7_structure()
-        rep = check_structure_identities(emb, sss.st, sss.acs,
-                                         samples=sample_box(5, count=32))
+        rep = check_structure_identities(map_geometry(emb, sss),
+                                         sample_box(5, count=32))
         assert rep.passed
         for rec in rep.records:
             assert rec.residual < 1e-9, rec.name
@@ -416,16 +424,16 @@ class TestStructureIdentities:
     def test_e7_frame_orthonormal_variant(self):
         emb, _, _ = e7_submanifold()
         sss = e7_structure(frame_orthonormal=True)
-        rep = check_structure_identities(emb, sss.st, sss.acs,
-                                         samples=sample_box(5, count=32))
+        rep = check_structure_identities(map_geometry(emb, sss),
+                                         sample_box(5, count=32))
         for rec in rep.records:
             assert rec.residual < 1e-9, rec.name
 
     def test_cr5_all_under_1e9(self):
         emb, _, _ = cr5_submanifold()
         sss = cr5_structure()
-        rep = check_structure_identities(emb, sss.st, sss.acs,
-                                         samples=sample_box(4, count=32))
+        rep = check_structure_identities(map_geometry(emb, sss),
+                                         sample_box(4, count=32))
         for rec in rep.records:
             assert rec.residual < 1e-9, rec.name
 
@@ -433,7 +441,8 @@ class TestStructureIdentities:
         g, acs = sasaki_r3()
         sss = lambda_family(g, acs, 1.0)
         emb = Embedding(["x1", "x2", "x3"], 3)
-        rep = check_structure_identities(emb, sss.st, acs)
+        rep = check_structure_identities(map_geometry(emb, sss),
+                                         sample_box(3))
         assert rep.passed
 
 
@@ -444,7 +453,8 @@ class TestTransportIdentities:
         g, acs = sasaki_r3()
         sss = lambda_family(g, acs, 1.0)
         emb = Embedding(["x1", "x2", "x3"], 3)
-        rep = check_transport_identities(emb, sss, samples=sample_box(3, count=16))
+        rep = check_transport_identities(map_geometry(emb, sss),
+                                         sample_box(3, count=16))
         assert rep.passed
         for rec in rep.records:
             if not rec.informational:
@@ -453,7 +463,8 @@ class TestTransportIdentities:
     def test_cr5_product_fixture(self):
         emb, _, _ = cr5_submanifold()
         sss = cr5_structure()
-        rep = check_transport_identities(emb, sss, samples=sample_box(4, count=32))
+        rep = check_transport_identities(map_geometry(emb, sss),
+                                         sample_box(4, count=32))
         assert rep.passed
         for rec in rep.records:
             if not rec.informational:
@@ -464,7 +475,8 @@ class TestTransportIdentities:
         # the engine reports the exact defect magnitudes
         emb, _, _ = e7_submanifold()
         sss = e7_structure()
-        rep = check_transport_identities(emb, sss, samples=sample_box(5, count=16))
+        rep = check_transport_identities(map_geometry(emb, sss),
+                                         sample_box(5, count=16))
         assert not rep.passed
         assert rep.record("xi-reduction").residual == pytest.approx(1.0, abs=1e-9)
         assert rep.record("h-xi").residual == pytest.approx(np.sqrt(2.0), abs=1e-9)
@@ -479,8 +491,9 @@ class TestTFBCReconstruction:
         # normal vectors, to solver precision
         g, acs = __import__("conftest").sasaki_r5()
         emb, _, _ = cr5_submanifold()
+        mg = MapGeometry(emb, flat_over(g))
         for p in sample_box(4, count=8).points:
-            fp = frame_point(emb, g, p)
+            fp = mg.context(p)
             phiv = acs.phi_at(fp.y)[0]
             parts = tfbc(acs, fp)
             J, normal = fp.J.val[0], fp.normal[0]
@@ -501,15 +514,15 @@ class TestAntiInvariantToy:
         # identity reduces to BF X = X (eta vanishes on the line's tangent)
         emb = Embedding(["0", "0", "x1", "0", "0", "0-x1", "0"], 1)
         sss = e7_structure()
-        fp = frame_point(emb, sss.g, np.array([0.3]))
+        mg = map_geometry(emb, sss)
+        fp = mg.context(np.array([0.3]))
         parts = tfbc(sss.acs, fp)
         assert np.abs(parts.T[0]).max() < 1e-12
         bf = parts.B[0] @ parts.F[0]
         assert np.abs(bf + np.eye(1)).max() < 1e-12
         # the Reeb field is not tangent to this line, so the precondition
         # record fails while every Reeb-free identity still closes
-        rep = check_structure_identities(emb, sss.st, sss.acs,
-                                         samples=sample_box(1, count=8))
+        rep = check_structure_identities(mg, sample_box(1, count=8))
         assert rep.record("xi-tangency").status == "FAIL"
         for name in ("t-squared", "ft-cf", "tb-bc", "t-skew", "c-skew",
                      "fb-adjoint"):
