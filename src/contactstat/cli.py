@@ -161,11 +161,14 @@ def run(spec, suites, seed=None, count=None, tol=None):
                                 "reports": checks}
 
     digest = hashlib.sha256(spec.canonical_bytes()).hexdigest()
+    # listed points have no seed or count; those the flags or the spec
+    # give would not be the ones the checks ran on
+    mode = sampling.get("mode", "seeded-random")
     doc = {
         "tool": {"name": "contactstat", "version": __version__},
         "input": {"name": spec.name, "digest": digest},
-        "sampling": {"seed": eff_seed, "count": eff_count,
-                     "mode": sampling.get("mode", "seeded-random")},
+        "sampling": ({"mode": mode} if mode == "points" else
+                     {"seed": eff_seed, "count": eff_count, "mode": mode}),
         "suites": {s: {"passed": r["passed"], "checks": r["checks"]}
                    for s, r in suite_reports.items()},
         "overall": "PASS" if overall else "FAIL",
@@ -176,8 +179,9 @@ def run(spec, suites, seed=None, count=None, tol=None):
 def _format_text(doc, suite_reports):
     lines = [f"contactstat {doc['tool']['version']}  "
              f"input={doc['input']['name']}  digest={doc['input']['digest'][:12]}",
-             f"sampling: mode={doc['sampling']['mode']} "
-             f"seed={doc['sampling']['seed']} count={doc['sampling']['count']}",
+             "sampling: " + " ".join(f"{k}={doc['sampling'][k]}"
+                                     for k in ("mode", "seed", "count")
+                                     if k in doc["sampling"]),
              ""]
     for suite, data in suite_reports.items():
         verdict = "PASS" if data["passed"] else "FAIL"

@@ -13,8 +13,8 @@ import numpy as np
 from .geometry import GeometryError, VectorField, lie_bracket
 from .jets import jmatvec
 from .report import CheckReport, Tracker
-from .submanifold import (GWData, _adder, _built_once, _by_pattern, _scale,
-                          _tr, _uniform)
+from .submanifold import (GWData, _adder, _built_once, _by_pattern,
+                          _empty_nabla_memos, _scale, _tr, _uniform)
 
 __all__ = [
     "Distribution", "CRStructure",
@@ -56,8 +56,11 @@ class CRStructure:
         """A sample set's contexts, one per drop pattern of the shared
         MapGeometry's contexts and of the frames built here, built once for
         the set; a failed build raises the same exception for every later
-        request."""
-        return _built_once(self, samples, self._build)
+        request.  Each call hands the contexts out with an empty nabla
+        memo."""
+        contexts = _built_once(self, samples, self._build)
+        _empty_nabla_memos(c.ctx for c in contexts)
+        return contexts
 
     def context(self, p):
         """The context at one domain point, on a batch of one."""
@@ -80,6 +83,11 @@ class CRStructure:
             gens = (self.D if kind == "D" else self.Dperp).generators
             self._brackets[key] = lie_bracket(gens[i], gens[j])
         return self._brackets[key]
+
+    def bracket_amb(self, c, kind, i, j):
+        """The pushed values, at a context's points, of the bracket of
+        generators i and j of D ("D") or of D-perp ("Dperp")."""
+        return np.matvec(c.J, c.ctx.domain_jet(self.bracket(kind, i, j)).val)
 
 
 def _span_projector(cols, G, name, points):
@@ -110,10 +118,12 @@ class _CRContext:
     """Working data over a Gauss-Weingarten context's points: the pushed
     generators, span projectors, and the normal-bundle splitting into the
     image of the anti-invariant distribution and its invariant complement.
-    Generator and bracket values come from their batched evaluation."""
+    Generator and bracket values come from their batched evaluation.  It
+    keeps no reference to the CRStructure that keeps it: that cycle would
+    hold every array of the set's contexts until the cyclic garbage
+    collector ran, long after the run that built them."""
 
     def __init__(self, cr, ctx):
-        self.cr = cr
         self.ctx = ctx
         self.index = ctx.index
         self.G = ctx.G.val
@@ -151,12 +161,6 @@ class _CRContext:
 
     def off(self, v, projector):
         return self.ctx.gnorm(v - np.matvec(projector, v))
-
-    def bracket_amb(self, kind, i, j):
-        """The pushed values of the bracket of generators i and j of D
-        ("D") or of D-perp ("Dperp")."""
-        return np.matvec(
-            self.J, self.ctx.domain_jet(self.cr.bracket(kind, i, j)).val)
 
 
 def check_contact_cr(cr, samples, tol=1e-8):
@@ -251,7 +255,7 @@ def check_integrability_D(cr, samples, tol=1e-8):
         t_jets = [ctx.t_jet(X) for X in cr.D.generators]
         for i in range(rD):
             for j in range(i + 1, rD):
-                br_amb = c.bracket_amb("D", i, j)
+                br_amb = cr.bracket_amb(c, "D", i, j)
                 lab = f"X=D{i+1} Y=D{j+1}"
                 add("d-bracket-closure", c.off(br_amb, c.P_D), lab)
                 hxphiy = ctx.h(c.d_dom[i], t_jets[j])
@@ -293,7 +297,7 @@ def check_integrability_Dperp(cr, samples, tol=1e-8):
         add = _adder(tr, _scale(c.G, ctx.phi.val), c.index)
         for i in range(rP):
             for j in range(i + 1, rP):
-                br_amb = c.bracket_amb("Dperp", i, j)
+                br_amb = cr.bracket_amb(c, "Dperp", i, j)
                 lab = f"X=P{i+1} Y=P{j+1}"
                 add("dperp-bracket-closure", c.off(br_amb, c.P_Dp), lab)
                 ax = ctx.shape_op(c.dp_dom[i], c.phiZ_jets[j])
@@ -475,7 +479,7 @@ def classify_geodesic(cr, samples, tol=1e-8):
                     add(f"mixed-geodesic-shape{sfx}", c.off(av, c.P_Dp), lab)
         for i in range(rD):
             for j in range(i + 1, rD):
-                br_amb = c.bracket_amb("D", i, j)
+                br_amb = cr.bracket_amb(c, "D", i, j)
                 add("foliate", c.off(br_amb, c.P_D), f"X=D{i+1} Y=D{j+1}")
 
     idents = {
@@ -656,10 +660,10 @@ def check_cr_product(cr, samples, tol=1e-8):
                     ctx.gnorm(np.matvec(c.P_nu, lhs)), f"Z=P{i+1} W=P{j+1}")
         # shape antisymmetry against the invariant normal complement
         t_jets = [ctx.t_jet(X) for X in cr.D.generators]
+        philams = [jmatvec(ctx.phi, lam) for lam in c.nu_jets]
         for i in range(rD):
             phix_dom = ctx.tangent_coeffs(t_jets[i].val)
-            for k, lam in enumerate(c.nu_jets):
-                philam = jmatvec(ctx.phi, lam)
+            for k, (lam, philam) in enumerate(zip(c.nu_jets, philams)):
                 a1 = ctx.shape_op(phix_dom, lam, star=True)
                 a2 = ctx.shape_op(c.d_dom[i], philam)
                 add("nu-shape-antisymmetry", ctx.gnorm(a1 + a2),

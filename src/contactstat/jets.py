@@ -9,6 +9,13 @@ leaves, the product/inverse rules do the rest.  No truncation error enters
 anywhere.  Every jet has a leading sample axis, so the algebra runs over a
 whole batch of points at once (vectorised forward-mode differentiation);
 each sample's arithmetic is the one-point arithmetic, bit for bit.
+
+The products contract with `@`, `np.matvec` and `np.vecmat` (no einsum):
+the derivative axis rides along as an extra matrix column or batch axis,
+and leading axes broadcast, so an operand whose sample axis has stride 0
+(a constant grid's) takes no special case.  The ambient covariant derivative of a jet field along the
+map, nabla-bar W = W.d + Gamma(J., W), is built from these jets by
+submanifold.GWData.nabla, one (N, n, m) array per field and connection.
 """
 
 import numpy as np
@@ -47,15 +54,18 @@ def jconst(arr, m):
 
 def jmatmat(A, B):
     val = A.val @ B.val
-    d = (np.einsum("...abm,...bc->...acm", A.d, B.val)
-         + np.einsum("...ab,...bcm->...acm", A.val, B.d))
+    # d[a, c] = A.d[a, b] B[b, c] + A[a, b] B.d[b, c]: the first term is
+    # one (c, b) @ (b, m) product per row a, the second one (a, b) @
+    # (b, c*m) product with (c, m) flattened
+    Bd = B.d.reshape(B.d.shape[:-2] + (-1,))
+    d = (_tr(B.val)[..., None, :, :] @ A.d
+         + (A.val @ Bd).reshape(val.shape + (B.d.shape[-1],)))
     return Jet(val, d)
 
 
 def jmatvec(A, x):
     val = np.matvec(A.val, x.val)
-    d = (np.einsum("...abm,...b->...am", A.d, x.val)
-         + np.einsum("...ab,...bm->...am", A.val, x.d))
+    d = np.vecmat(x.val[..., None, :], A.d) + A.val @ x.d
     return Jet(val, d)
 
 
@@ -67,12 +77,19 @@ def jvecdot(x, y):
 
 def jinv(A):
     inv = np.linalg.inv(A.val)
-    d = -np.einsum("...ab,...bcm,...cd->...adm", inv, A.d, inv)
+    # d[..., m] = -inv A.d[..., m] inv, with the derivative axis moved in
+    # front of the matrix axes and back
+    Ad = np.moveaxis(A.d, -1, -3)
+    d = -np.moveaxis(inv[..., None, :, :] @ Ad @ inv[..., None, :, :], -3, -1)
     return Jet(inv, d)
 
 
 def jT(A):
-    return Jet(np.swapaxes(A.val, -1, -2), np.swapaxes(A.d, -2, -3))
+    return Jet(_tr(A.val), np.swapaxes(A.d, -2, -3))
+
+
+def _tr(a):
+    return np.swapaxes(a, -1, -2)
 
 
 def jscale(x, s):

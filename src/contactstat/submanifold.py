@@ -23,7 +23,8 @@ import numpy as np
 from .exprlang import Const, DomainError, Expr
 from .geometry import (INPUT_ERRORS, GeometryError, Grid, MetricField,
                        VectorField, _coerce_expr)
-from .jets import Jet, jconst, jinv, jmatmat, jmatvec, jscale, jT, jvecdot
+from .jets import (Jet, _tr, jconst, jinv, jmatmat, jmatvec, jscale, jT,
+                   jvecdot)
 from .report import CheckReport, Tracker
 
 __all__ = [
@@ -144,6 +145,13 @@ def _by_pattern(build, points, index):
                 for ctx in _by_pattern(build, points[part], index[part])]
 
 
+def _empty_nabla_memos(contexts):
+    """Empty the nabla memo of each GWData: the memo lives for one check,
+    so that no check holds the (N, n, m) arrays of another."""
+    for ctx in contexts:
+        ctx.nabla_memo.clear()
+
+
 def _scale(*arrays):
     """Per-sample scale of a residual family: the largest magnitude in the
     arrays, and at least 1."""
@@ -158,10 +166,6 @@ def _adder(trackers, scale, index):
     def add(name, values, labels=None):
         trackers[name].add(values, labels, scale, index)
     return add
-
-
-def _tr(a):
-    return np.swapaxes(a, -1, -2)
 
 
 class MapGeometry:
@@ -191,8 +195,10 @@ class MapGeometry:
 
     def contexts(self, samples):
         """A sample set's contexts, one per drop pattern, built once for
-        the set."""
-        return _built_once(self, samples, lambda s: self._build(s.points))
+        the set and handed out with an empty nabla memo."""
+        ctxs = _built_once(self, samples, lambda s: self._build(s.points))
+        _empty_nabla_memos(ctxs)
+        return ctxs
 
     def context(self, p):
         """The context at one domain point: the same build, on a batch of one."""
@@ -210,7 +216,11 @@ class GWData:
     g-orthonormal normal frame, ambient derivative along the map for both
     connections, fundamental forms, shape operators, normal connections,
     and the tangential/normal parts of the contact tensor.  Every array has
-    the sample axis first; `index` holds the sample numbers of the points."""
+    the sample axis first; `index` holds the sample numbers of the points.
+
+    Two memos: derived jet fields (push, t, f, b, c) live as long as the
+    context; the (N, n, m) covariant derivatives nabla-bar W of `nabla`
+    live for one check, because every contexts() call empties them."""
 
     def __init__(self, mg, points, index):
         self.points = points
@@ -221,6 +231,7 @@ class GWData:
         _, self.gamma, self.gamma_star = mg.st.gammas(self.y)
         self.phi, self.xi, self.eta = contact or (None, None, None)
         self._jets = {}
+        self.nabla_memo = {}
 
         N, n, m = self.J.val.shape
         self.n, self.m = n, m
@@ -344,15 +355,26 @@ class GWData:
 
     # -- the covariant derivative along the map
 
+    def nabla(self, W, star=False):
+        """The ambient covariant derivative of a jet field W along the map,
+        for the connection (star=False) or its dual (star=True), in every
+        domain direction at once: the (N, n, m) array
+        nabla-bar W = W.d + Gamma(J., W), whose column i is
+        nabla-bar_{d/du^i} W.  It is memoised per (field, connection) in
+        `nabla_memo` for one check: every contexts() call of MapGeometry
+        and CRStructure hands its contexts out with that memo empty."""
+        key = (W, star)
+        if key not in self.nabla_memo:
+            gam = self.gamma_star if star else self.gamma
+            self.nabla_memo[key] = (
+                W.d + np.matvec(gam, W.val[:, None, :]) @ self.J.val)
+        return self.nabla_memo[key]
+
     def dbar(self, xdom, W, star=False):
         """ambient nabla_X W at each point for a domain direction X (given
         by coefficient values, per sample or one for all) and a field W
-        given as a jet."""
-        gam = self.gamma_star if star else self.gamma
-        xdom = np.asarray(xdom, dtype=float)
-        xamb = np.matvec(self.J.val, xdom)
-        return (np.matvec(W.d, xdom)
-                + np.einsum("...kab,...a,...b->...k", gam, xamb, W.val))
+        given as a jet: nabla(W, star) applied to X."""
+        return np.matvec(self.nabla(W, star), np.asarray(xdom, dtype=float))
 
     def gauss(self, xdom, Y, star=False):
         """(tangential part, normal part) of nabla-bar_X (push Y)."""

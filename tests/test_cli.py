@@ -368,3 +368,25 @@ class TestRunApi:
         out, reports, code = run(spec, ["ambient"])
         assert code == 0
         assert out["suites"]["ambient"]["checks"][0]["census"]["samples"] == 2
+
+    def test_points_mode_reports_neither_seed_nor_count(self, tmp_path,
+                                                        capsys):
+        # the checks run on the listed points, so neither the defaults nor
+        # --seed/--samples may show up in the sampling block or header
+        doc = fixture_doc("fix-s3")
+        doc["sampling"] = {"mode": "points",
+                           "ambient": [[0.1, 0.2, 0.3], [0.0, -0.5, 0.4]]}
+        path = tmp_path / "points.json"
+        path.write_text(json.dumps(doc))
+        for extra in ((), ("--samples", "16", "--seed", "3")):
+            argv = ("check", "--spec", str(path), "--suites", "ambient",
+                    *extra)
+            code, out, _ = invoke(capsys, *argv, "--format", "structured")
+            rep = json.loads(out)
+            assert code == 0
+            assert rep["sampling"] == {"mode": "points"}
+            census = rep["suites"]["ambient"]["checks"][0]["census"]
+            assert census["samples"] == 2
+            code, out, _ = invoke(capsys, *argv)
+            assert code == 0
+            assert out.splitlines()[1] == "sampling: mode=points"

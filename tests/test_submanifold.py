@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -277,6 +280,90 @@ class TestReportsOverSetsAgreeWithSinglePoints:
         for name in ("h-symmetry", "hstar-symmetry"):
             assert rep.record(name).residual == 4.0
             assert rep.record(name).witness == {"sample": 1}
+
+
+def dbar_reference(ctx, x, W, star):
+    """nabla-bar_X W as one direction at a time: the partials of W along X
+    plus Gamma(J X, W), contracted in one einsum."""
+    gam = ctx.gamma_star if star else ctx.gamma
+    x = np.broadcast_to(np.asarray(x, dtype=float), (len(ctx.index), ctx.m))
+    return (np.matvec(W.d, x)
+            + np.einsum("...kab,...a,...b->...k", gam,
+                        np.matvec(ctx.J.val, x), W.val))
+
+
+class TestCovariantDerivativeAlongTheMap:
+    """GWData.dbar reads one memoised (N, n, m) array per field and
+    connection; it must agree with the direction-at-a-time formula."""
+
+    @pytest.mark.parametrize("name", ["sasaki-r7-cr", "paper-r7-euclidean"])
+    def test_dbar_agrees_with_the_direction_formula(self, name):
+        spec = from_doc(fixture_doc(name))
+        cr = spec.cr_structure()
+        samples = sample_box(spec.embedding.m, count=9, seed=4)
+        [c] = cr.contexts(samples)
+        ctx = c.ctx
+        # the flat fixture's Christoffel values are one constant broadcast
+        # over the samples, the Sasaki fixture's vary with the point
+        assert (ctx.gamma.strides[0] == 0) == (name == "paper-r7-euclidean")
+        m = ctx.m
+        frame = [VectorField.coordinate(m, i) for i in range(m)]
+        fields = ([ctx.push_jet(Y) for Y in frame]
+                  + [ctx.t_jet(Y) for Y in frame]
+                  + [ctx.f_jet(Y) for Y in frame]
+                  + [ctx.xi] + c.phiZ_jets + list(ctx.normal_jets)
+                  + [ctx.b_jet(V) for V in ctx.normal_jets]
+                  + [ctx.c_jet(V) for V in ctx.normal_jets])
+        # coordinate directions, one for all samples, and generator
+        # directions with their own coefficients at each sample
+        directions = ([np.eye(m)[i] for i in range(m)] + c.d_dom + c.dp_dom
+                      + [c.xi_dom])
+        assert all(x.shape == (9, m) for x in c.d_dom + c.dp_dom)
+        for star in (False, True):
+            for W in fields:
+                for x in directions:
+                    got = ctx.dbar(x, W, star)
+                    want = dbar_reference(ctx, x, W, star)
+                    assert got.shape == want.shape == (9, ctx.n)
+                    assert np.all(np.abs(got - want)
+                                  <= 1e-14 * (1.0 + np.abs(want)))
+
+    def test_nabla_memo_lives_for_one_check(self):
+        spec = from_doc(fixture_doc("sasaki-r7-cr"))
+        cr = spec.cr_structure()
+        mg = cr.mg
+        samples = sample_box(spec.embedding.m, count=6, seed=2)
+        check_gauss_weingarten(mg, samples)
+        # the contexts the check used, read without handing them out again
+        [ctx] = mg._built[1]
+        assert ctx.nabla_memo
+        again = mg.contexts(samples)
+        assert again == [ctx]
+        assert ctx.nabla_memo == {}
+        # the CR checks share that context, and their contexts() call
+        # empties its memo the same way
+        check_cr_product(cr, samples)
+        assert ctx.nabla_memo
+        [c] = cr.contexts(samples)
+        assert c.ctx is ctx
+        assert ctx.nabla_memo == {}
+
+    def test_contexts_die_with_their_structures(self):
+        # no reference cycle holds a sample set's contexts, with their
+        # memos, once the MapGeometry and the CRStructure are dropped
+        spec = from_doc(fixture_doc("sasaki-r7-cr"))
+        cr = spec.cr_structure()
+        samples = sample_box(spec.embedding.m, count=6, seed=2)
+        gc.disable()
+        try:
+            check_integrability_D(cr, samples)
+            check_cr_product(cr, samples)
+            [c] = cr.contexts(samples)
+            gw, crc = weakref.ref(c.ctx), weakref.ref(c)
+            del c, cr
+            assert gw() is None and crc() is None
+        finally:
+            gc.enable()
 
 
 class TestGaussWeingarten:
