@@ -22,9 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exprlang import Const, Expr
-from .geometry import (ConnField, GeometryError, Grid, OneFormField,
-                       StatTriple, VectorField, _coerce_expr, levi_civita)
-from .report import CheckReport, Tracker
+from .geometry import (ConnField, GeometryError, Grid, StatTriple,
+                       VectorField, _coerce_expr, levi_civita)
+from .report import Residuals
 
 __all__ = [
     "AlmostContact", "SasakiStatStructure",
@@ -41,7 +41,8 @@ class AlmostContact:
         self.xi = xi if isinstance(xi, VectorField) else VectorField(xi)
         dim = self.xi.dim
         self.dim = dim
-        self.eta = eta if isinstance(eta, OneFormField) else OneFormField(eta, dim)
+        self.eta = (eta if isinstance(eta, VectorField)
+                    else VectorField(eta, dim))
         if self.eta.dim != dim:
             raise GeometryError("eta dimension mismatch")
         self.phi = tuple(
@@ -69,7 +70,6 @@ class SasakiStatStructure:
 
     st: StatTriple
     acs: AlmostContact
-    lam: float | None = None
 
     @property
     def g(self):
@@ -93,61 +93,42 @@ def check_almost_contact(acs, g, samples, tol=1e-8):
     the corank-one property of phi."""
     pts = samples.points
     n, d = pts.shape
-    rep = CheckReport(check="almost-contact",
-                      census={"samples": samples.count, "dim": d})
+    res = Residuals("almost-contact", {"samples": samples.count, "dim": d}, {
+        "phi-square": "φ²X = -X + η(X)ξ",
+        "metric-xi-pairing": "g(X, ξ) = η(X)",
+        "phi-compatibility": "g(φX, φY) = g(X,Y) - η(X)η(Y)",
+        "unit-xi": "g(ξ, ξ) = 1",
+        "phi-xi": "φξ = 0",
+        "eta-phi": "η ∘ φ = 0",
+        "eta-xi": "η(ξ) = 1",
+        "phi-rank": "rank φ = dim - 1 (kernel = span ξ)",
+    })
 
     gv = g.at(pts)
     phi = acs.phi_at(pts)
     xiv = acs.xi.at(pts)
     etav = acs.eta.at(pts)
     eye = np.eye(d)
-    scale = float(max(np.abs(gv).max(), np.abs(phi).max(), 1.0))
+    add = res.adder(float(max(np.abs(gv).max(), np.abs(phi).max(), 1.0)))
 
-    t = Tracker()
     phisq = np.einsum("nac,ncb->nab", phi, phi)
-    t.add(phisq + eye[None] - np.einsum("na,nb->nab", xiv, etav), scale=scale)
-    rep.records.append(t.build(
-        "phi-square", "φ²X = -X + η(X)ξ", tol))
-
-    t = Tracker()
-    t.add(np.einsum("nab,nb->na", gv, xiv) - etav, scale=scale)
-    rep.records.append(t.build("metric-xi-pairing", "g(X, ξ) = η(X)", tol))
-
-    t = Tracker()
-    compat = (np.einsum("nca,ncd,ndb->nab", phi, gv, phi) - gv
-              + np.einsum("na,nb->nab", etav, etav))
-    t.add(compat, scale=scale)
-    rep.records.append(t.build(
-        "phi-compatibility",
-        "g(φX, φY) = g(X,Y) - η(X)η(Y)", tol))
-
-    t = Tracker()
-    t.add(np.einsum("nab,na,nb->n", gv, xiv, xiv) - 1.0, scale=scale)
-    rep.records.append(t.build("unit-xi", "g(ξ, ξ) = 1", tol))
-
-    t = Tracker()
-    t.add(np.einsum("nab,nb->na", phi, xiv), scale=scale)
-    rep.records.append(t.build("phi-xi", "φξ = 0", tol))
-
-    t = Tracker()
-    t.add(np.einsum("na,nab->nb", etav, phi), scale=scale)
-    rep.records.append(t.build("eta-phi", "η ∘ φ = 0", tol))
-
-    t = Tracker()
-    t.add(np.einsum("na,na->n", etav, xiv) - 1.0, scale=scale)
-    rep.records.append(t.build("eta-xi", "η(ξ) = 1", tol))
+    add("phi-square", phisq + eye[None] - np.einsum("na,nb->nab", xiv, etav))
+    add("metric-xi-pairing", np.einsum("nab,nb->na", gv, xiv) - etav)
+    add("phi-compatibility", np.einsum("nca,ncd,ndb->nab", phi, gv, phi) - gv
+        + np.einsum("na,nb->nab", etav, etav))
+    add("unit-xi", np.einsum("nab,na,nb->n", gv, xiv, xiv) - 1.0)
+    add("phi-xi", np.einsum("nab,nb->na", phi, xiv))
+    add("eta-phi", np.einsum("na,nab->nb", etav, phi))
+    add("eta-xi", np.einsum("na,na->n", etav, xiv) - 1.0)
 
     # corank exactly one: smallest singular value ~ 0, second-smallest
     # bounded away from zero
     sv = np.linalg.svd(phi, compute_uv=False)
     smin = sv[:, -1]
     ratio = sv[:, -2] / np.maximum(sv[:, 0], 1e-300)
-    t = Tracker()
-    t.add(np.maximum(smin, np.maximum(0.0, 1e-8 - ratio)), scale=scale)
-    rep.records.append(t.build(
-        "phi-rank", "rank φ = dim - 1 (kernel = span ξ)", tol,
-        note="residual mixes the smallest singular value with the corank gap"))
-    return rep
+    add("phi-rank", np.maximum(smin, np.maximum(0.0, 1e-8 - ratio)))
+    return res.report(tol, notes={"phi-rank": "residual mixes the smallest "
+                                  "singular value with the corank gap"})
 
 
 def check_contact_metric(acs, g, samples, tol=1e-8):
@@ -155,34 +136,25 @@ def check_contact_metric(acs, g, samples, tol=1e-8):
     no-half convention, plus the 1/2-convention value as an informational
     record."""
     pts = samples.points
-    rep = CheckReport(check="contact-metric",
-                      census={"samples": samples.count, "dim": g.dim})
+    res = Residuals(
+        "contact-metric", {"samples": samples.count, "dim": g.dim}, {
+            "deta-pairing": "dη(X,Y) = g(X, φY)",
+            "deta-pairing-skew": "dη(X,Y) = -g(φX, Y)",
+            "deta-pairing-half": "½(Xη(Y) - Yη(X) - η([X,Y])) = g(X, φY)",
+        })
 
     gv = g.at(pts)
     phi = acs.phi_at(pts)
     deta_j = acs.eta.jac_at(pts)                       # [n, a, i] = d_i eta_a
     deta = np.transpose(deta_j, (0, 2, 1)) - deta_j    # [n, i, j] = d_i eta_j - d_j eta_i
     pair = np.einsum("nik,nkj->nij", gv, phi)          # g(e_i, phi e_j)
-    scale = float(max(np.abs(deta).max(), np.abs(pair).max(), 1.0))
+    add = res.adder(float(max(np.abs(deta).max(), np.abs(pair).max(), 1.0)))
 
-    t = Tracker()
-    t.add(deta - pair, scale=scale)
-    rep.records.append(t.build(
-        "deta-pairing", "dη(X,Y) = g(X, φY)", tol))
-
-    t = Tracker()
-    t.add(deta + np.einsum("nki,nkj->nij", phi, gv), scale=scale)
-    rep.records.append(t.build(
-        "deta-pairing-skew", "dη(X,Y) = -g(φX, Y)", tol))
-
-    t = Tracker()
-    t.add(0.5 * deta - pair, scale=scale)
-    rep.records.append(t.build(
-        "deta-pairing-half",
-        "½(Xη(Y) - Yη(X) - η([X,Y])) = g(X, φY)",
-        tol, informational=True,
-        note="alternative exterior-derivative normalisation"))
-    return rep
+    add("deta-pairing", deta - pair)
+    add("deta-pairing-skew", deta + np.einsum("nki,nkj->nij", phi, gv))
+    add("deta-pairing-half", 0.5 * deta - pair)
+    return res.report(tol, informational=("deta-pairing-half",), notes={
+        "deta-pairing-half": "alternative exterior-derivative normalisation"})
 
 
 def check_sasakian(acs, g, samples, tol=1e-8):
@@ -190,8 +162,10 @@ def check_sasakian(acs, g, samples, tol=1e-8):
     of g, over coordinate-frame arguments."""
     pts = samples.points
     n, d = pts.shape
-    rep = CheckReport(check="sasakian",
-                      census={"samples": samples.count, "dim": d})
+    res = Residuals("sasakian", {"samples": samples.count, "dim": d}, {
+        "xi-derivative": "∇̂_X ξ = -φX",
+        "phi-derivative": "(∇̂_X φ)Y = g(X,Y)ξ - η(Y)X",
+    })
 
     gv = g.at(pts)
     gam = levi_civita(g, pts)
@@ -201,15 +175,13 @@ def check_sasakian(acs, g, samples, tol=1e-8):
     dxi = acs.xi.jac_at(pts)      # [n, k, i]
     etav = acs.eta.at(pts)
     eye = np.eye(d)
-    scale = float(max(np.abs(gv).max(), np.abs(phi).max(), np.abs(gam).max(), 1.0))
+    add = res.adder(float(max(np.abs(gv).max(), np.abs(phi).max(),
+                              np.abs(gam).max(), 1.0)))
 
     # nabla-hat_i xi + phi e_i
     nxi = np.transpose(dxi, (0, 2, 1)) + np.einsum("nkil,nl->nik", gam, xiv)
     defect = nxi + np.transpose(phi, (0, 2, 1))        # [n, i, k]
-    t = Tracker()
-    t.add(_gnorm(gv, defect), scale=scale)
-    rep.records.append(t.build(
-        "xi-derivative", "∇̂_X ξ = -φX", tol))
+    add("xi-derivative", _gnorm(gv, defect))
 
     # (nabla-hat_i phi) e_j - g_ij xi + eta_j e_i
     nphi = (np.transpose(dphi, (0, 2, 1, 3))
@@ -217,17 +189,14 @@ def check_sasakian(acs, g, samples, tol=1e-8):
             - np.einsum("nkl,nlij->nkij", phi, gam))   # [n, k, i, j]
     defect = (nphi - np.einsum("nij,nk->nkij", gv, xiv)
               + np.einsum("nj,ki->nkij", etav, eye))
-    t = Tracker()
-    t.add(_gnorm(gv, np.transpose(defect, (0, 2, 3, 1))), scale=scale)
-    rep.records.append(t.build(
-        "phi-derivative",
-        "(∇̂_X φ)Y = g(X,Y)ξ - η(Y)X", tol))
-    return rep
+    add("phi-derivative", _gnorm(gv, np.transpose(defect, (0, 2, 3, 1))))
+    return res.report(tol)
 
 
-def _transport_records(rep, prefix, gam_a, gam_b, gv, phi, dphi, xiv, dxi,
-                       etav, tol, scale):
-    """phi- and xi-transport residuals for one (nabla_a, nabla_b) ordering."""
+def _transport_records(add, prefix, gam_a, gam_b, gv, phi, dphi, xiv, dxi,
+                       etav):
+    """phi- and xi-transport residuals for one (nabla_a, nabla_b) ordering,
+    into the families named with `prefix`."""
     n, d = gv.shape[:2]
     eye = np.eye(d)
     # nabla^a_i (phi e_j) - phi nabla^b_i e_j
@@ -236,44 +205,18 @@ def _transport_records(rep, prefix, gam_a, gam_b, gv, phi, dphi, xiv, dxi,
            - np.einsum("nkl,nlij->nkij", phi, gam_b))
     rhs = (np.einsum("nij,nk->nkij", gv, xiv)
            - np.einsum("nj,ki->nkij", etav, eye))
-    t = Tracker()
-    t.add(_gnorm(gv, np.transpose(lhs - rhs, (0, 2, 3, 1))), scale=scale)
-    rep.records.append(t.build(
-        f"{prefix}phi-transport",
-        "∇_X(φY) - φ∇*_X Y = g(X,Y)ξ - η(Y)X"
-        if not prefix else
-        "∇*_X(φY) - φ∇_X Y = g(X,Y)ξ - η(Y)X",
-        tol))
-    t = Tracker()
-    t.add(_gnorm(gv, np.transpose(lhs + rhs, (0, 2, 3, 1))), scale=scale)
-    rep.records.append(t.build(
-        f"{prefix}phi-transport-alt-sign",
-        "∇_X(φY) - φ∇*_X Y = η(Y)X - g(X,Y)ξ"
-        if not prefix else
-        "∇*_X(φY) - φ∇_X Y = η(Y)X - g(X,Y)ξ",
-        tol))
+    add(f"{prefix}phi-transport",
+        _gnorm(gv, np.transpose(lhs - rhs, (0, 2, 3, 1))))
+    add(f"{prefix}phi-transport-alt-sign",
+        _gnorm(gv, np.transpose(lhs + rhs, (0, 2, 3, 1))))
 
     # nabla^a_i xi, tangentially corrected by its xi-component
     nxi = np.transpose(dxi, (0, 2, 1)) + np.einsum("nkil,nl->nik", gam_a, xiv)
     comp = np.einsum("nik,nkl,nl->ni", nxi, gv, xiv)
     corrected = nxi - np.einsum("ni,nk->nik", comp, xiv)
     phicols = np.transpose(phi, (0, 2, 1))
-    t = Tracker()
-    t.add(_gnorm(gv, corrected + phicols), scale=scale)
-    rep.records.append(t.build(
-        f"{prefix}xi-transport",
-        "∇_X ξ - g(∇_X ξ, ξ)ξ = -φX"
-        if not prefix else
-        "∇*_X ξ - g(∇*_X ξ, ξ)ξ = -φX",
-        tol))
-    t = Tracker()
-    t.add(_gnorm(gv, corrected - phicols), scale=scale)
-    rep.records.append(t.build(
-        f"{prefix}xi-transport-alt-sign",
-        "∇_X ξ - g(∇_X ξ, ξ)ξ = φX"
-        if not prefix else
-        "∇*_X ξ - g(∇*_X ξ, ξ)ξ = φX",
-        tol))
+    add(f"{prefix}xi-transport", _gnorm(gv, corrected + phicols))
+    add(f"{prefix}xi-transport-alt-sign", _gnorm(gv, corrected - phicols))
 
 
 def check_sasakian_statistical(sss, samples, tol=1e-8):
@@ -285,8 +228,19 @@ def check_sasakian_statistical(sss, samples, tol=1e-8):
     st, acs = sss.st, sss.acs
     g = st.g
     pts = samples.points
-    rep = CheckReport(check="sasakian-statistical",
-                      census={"samples": samples.count, "dim": g.dim})
+    res = Residuals(
+        "sasakian-statistical", {"samples": samples.count, "dim": g.dim}, {
+            "k-phi-anticommute": "K(X, φY) + φK(X, Y) = 0",
+            "phi-transport": "∇_X(φY) - φ∇*_X Y = g(X,Y)ξ - η(Y)X",
+            "phi-transport-alt-sign": "∇_X(φY) - φ∇*_X Y = η(Y)X - g(X,Y)ξ",
+            "xi-transport": "∇_X ξ - g(∇_X ξ, ξ)ξ = -φX",
+            "xi-transport-alt-sign": "∇_X ξ - g(∇_X ξ, ξ)ξ = φX",
+            "dual-phi-transport": "∇*_X(φY) - φ∇_X Y = g(X,Y)ξ - η(Y)X",
+            "dual-phi-transport-alt-sign":
+                "∇*_X(φY) - φ∇_X Y = η(Y)X - g(X,Y)ξ",
+            "dual-xi-transport": "∇*_X ξ - g(∇*_X ξ, ξ)ξ = -φX",
+            "dual-xi-transport-alt-sign": "∇*_X ξ - g(∇*_X ξ, ξ)ξ = φX",
+        })
 
     gv = g.at(pts)
     phi = acs.phi_at(pts)
@@ -297,21 +251,17 @@ def check_sasakian_statistical(sss, samples, tol=1e-8):
     lc, gam, gam_star = st.gammas(pts)
     kt = gam - lc
     del lc  # only K is needed from here; free a full batch
-    scale = float(max(np.abs(gv).max(), np.abs(phi).max(),
-                      np.abs(gam).max(), np.abs(gam_star).max(), 1.0))
+    add = res.adder(float(max(np.abs(gv).max(), np.abs(phi).max(),
+                              np.abs(gam).max(), np.abs(gam_star).max(), 1.0)))
 
-    t = Tracker()
     anticomm = (np.einsum("nkil,nlj->nkij", kt, phi)
                 + np.einsum("nkl,nlij->nkij", phi, kt))
-    t.add(_gnorm(gv, np.transpose(anticomm, (0, 2, 3, 1))), scale=scale)
-    rep.records.append(t.build(
-        "k-phi-anticommute", "K(X, φY) + φK(X, Y) = 0", tol))
+    add("k-phi-anticommute", _gnorm(gv, np.transpose(anticomm, (0, 2, 3, 1))))
 
-    _transport_records(rep, "", gam, gam_star, gv, phi, dphi, xiv, dxi,
-                       etav, tol, scale)
-    _transport_records(rep, "dual-", gam_star, gam, gv, phi, dphi, xiv, dxi,
-                       etav, tol, scale)
-    return rep
+    _transport_records(add, "", gam, gam_star, gv, phi, dphi, xiv, dxi, etav)
+    _transport_records(add, "dual-", gam_star, gam, gv, phi, dphi, xiv, dxi,
+                       etav)
+    return res.report(tol)
 
 
 def lambda_family(g, acs, lam):
@@ -322,4 +272,4 @@ def lambda_family(g, acs, lam):
     K = ConnField(d, [[[Const(float(lam)) * acs.eta.comps[i] * acs.eta.comps[j]
                         * acs.xi.comps[k] for j in range(d)] for i in range(d)]
                       for k in range(d)])
-    return SasakiStatStructure(st=StatTriple(g, K), acs=acs, lam=float(lam))
+    return SasakiStatStructure(st=StatTriple(g, K), acs=acs)

@@ -12,8 +12,8 @@ import numpy as np
 
 from .geometry import GeometryError, VectorField, lie_bracket
 from .jets import jmatvec
-from .report import CheckReport, Tracker
-from .submanifold import (GWData, _adder, _built_once, _by_pattern,
+from .report import Residuals
+from .submanifold import (GWData, _built_once, _by_pattern,
                           _empty_nabla_memos, _scale, _tr, _uniform)
 
 __all__ = [
@@ -168,19 +168,28 @@ def check_contact_cr(cr, samples, tol=1e-8):
     orthogonality, invariance of D, anti-invariance of its complement, Reeb
     membership, invariance of the nu-subbundle, and the four projection
     identities of the tangential/normal decomposition."""
-    rep = CheckReport(check="contact-cr",
-                      census={"samples": samples.count,
-                              "rank-D": cr.D.rank, "rank-Dperp": cr.Dperp.rank})
-    names = ["generator-rank", "span-completeness", "d-dperp-orthogonal",
-             "d-invariance", "dperp-anti-invariance", "xi-in-d",
-             "nu-invariance", "nu-decomposition", "projection-decomposition",
-             "fp1-zero", "tp2-zero", "f-is-fp2", "t-is-tp1"]
-    tr = {nm: Tracker() for nm in names}
+    res = Residuals(
+        "contact-cr", {"samples": samples.count, "rank-D": cr.D.rank,
+                       "rank-Dperp": cr.Dperp.rank}, {
+            "generator-rank": "generators linearly independent",
+            "span-completeness": "TM = D ⊕ D⊥",
+            "d-dperp-orthogonal": "g(D, D⊥) = 0",
+            "d-invariance": "φ(D) ⊆ D",
+            "dperp-anti-invariance": "φ(D⊥) ⊆ T⊥M",
+            "xi-in-d": "ξ ∈ D",
+            "nu-invariance": "φ(ν) ⊆ ν",
+            "nu-decomposition": "T⊥M = φD⊥ ⊕ ν, φD⊥ ⊥ ν",
+            "projection-decomposition": "X = P₁X + P₂X + η(X)ξ",
+            "fp1-zero": "FP₁ = 0",
+            "tp2-zero": "TP₂ = 0",
+            "f-is-fp2": "F = FP₂",
+            "t-is-tp1": "T = TP₁",
+        })
     m = cr.mg.emb.m
 
     for c in cr.contexts(samples):
         ctx = c.ctx
-        add = _adder(tr, _scale(c.G, ctx.phi.val), c.index)
+        add = res.adder(_scale(c.G, ctx.phi.val), c.index)
         allgens = np.stack(c.d_dom + c.dp_dom, axis=-1)
         gram = _tr(allgens) @ ctx.gram @ allgens
         rank = np.linalg.matrix_rank(gram, tol=1e-10)
@@ -217,41 +226,25 @@ def check_contact_cr(cr, samples, tol=1e-8):
             add("f-is-fp2", ctx.gnorm(ctx.f_val(v) - ctx.f_val(p2v)), lab)
             add("t-is-tp1", ctx.gnorm(ctx.t_val(v) - ctx.t_val(p1v)), lab)
 
-    idents = {
-        "generator-rank": "generators linearly independent",
-        "span-completeness": "TM = D ⊕ D⊥",
-        "d-dperp-orthogonal": "g(D, D⊥) = 0",
-        "d-invariance": "φ(D) ⊆ D",
-        "dperp-anti-invariance": "φ(D⊥) ⊆ T⊥M",
-        "xi-in-d": "ξ ∈ D",
-        "nu-invariance": "φ(ν) ⊆ ν",
-        "nu-decomposition": "T⊥M = φD⊥ ⊕ ν, φD⊥ ⊥ ν",
-        "projection-decomposition": "X = P₁X + P₂X + η(X)ξ",
-        "fp1-zero": "FP₁ = 0",
-        "tp2-zero": "TP₂ = 0",
-        "f-is-fp2": "F = FP₂",
-        "t-is-tp1": "T = TP₁",
-    }
-    for nm in names:
-        rep.records.append(tr[nm].build(nm, idents[nm], tol))
-    return rep
+    return res.report(tol)
 
 
 def check_integrability_D(cr, samples, tol=1e-8):
     """Involutivity of the invariant distribution: bracket closure, the
     fundamental-form symmetry criterion, and the bridge identity tying the
     two together."""
-    rep = CheckReport(check="integrability-d",
-                      census={"samples": samples.count, "pairs":
-                              cr.D.rank * (cr.D.rank - 1) // 2})
-    names = ["d-bracket-closure", "d-integrability-criterion",
-             "d-integrability-bridge"]
-    tr = {nm: Tracker() for nm in names}
+    res = Residuals(
+        "integrability-d", {"samples": samples.count,
+                            "pairs": cr.D.rank * (cr.D.rank - 1) // 2}, {
+            "d-bracket-closure": "[X, Y] ∈ D for X, Y ∈ D",
+            "d-integrability-criterion": "g(h(X,φY), φZ) = g(h(Y,φX), φZ)",
+            "d-integrability-bridge": "F[X,Y] = h(X,φY) - h(Y,φX)",
+        })
     rD = cr.D.rank
 
     for c in cr.contexts(samples):
         ctx = c.ctx
-        add = _adder(tr, _scale(c.G, ctx.phi.val), c.index)
+        add = res.adder(_scale(c.G, ctx.phi.val), c.index)
         t_jets = [ctx.t_jet(X) for X in cr.D.generators]
         for i in range(rD):
             for j in range(i + 1, rD):
@@ -269,32 +262,29 @@ def check_integrability_D(cr, samples, tol=1e-8):
                 add("d-integrability-bridge",
                     ctx.gnorm(fbr - (hxphiy - hyphix)), lab)
 
-    idents = {
-        "d-bracket-closure": "[X, Y] ∈ D for X, Y ∈ D",
-        "d-integrability-criterion": "g(h(X,φY), φZ) = g(h(Y,φX), φZ)",
-        "d-integrability-bridge": "F[X,Y] = h(X,φY) - h(Y,φX)",
-    }
-    for nm in names:
-        rep.records.append(tr[nm].build(nm, idents[nm], tol))
-    return rep
+    return res.report(tol)
 
 
 def check_integrability_Dperp(cr, samples, tol=1e-8):
     """Involutivity of the anti-invariant distribution: bracket closure,
     the shape-operator criterion, and its bridge through the tangential
     part of the bracket (sign-convention twin reported informationally)."""
-    rep = CheckReport(check="integrability-dperp",
-                      census={"samples": samples.count, "pairs":
-                              cr.Dperp.rank * (cr.Dperp.rank - 1) // 2})
-    names = ["dperp-bracket-closure", "dperp-integrability-criterion",
-             "dperp-integrability-bridge",
-             "dperp-integrability-bridge-alt-sign"]
-    tr = {nm: Tracker() for nm in names}
+    res = Residuals(
+        "integrability-dperp", {"samples": samples.count, "pairs":
+                                cr.Dperp.rank * (cr.Dperp.rank - 1) // 2}, {
+            "dperp-bracket-closure": "[X, Y] ∈ D⊥ for X, Y ∈ D⊥",
+            "dperp-integrability-criterion":
+                "A_{φY}X - A_{φX}Y = g(Y,ξ)X - g(X,ξ)Y",
+            "dperp-integrability-bridge":
+                "A_{φY}X - A_{φX}Y = -T[X,Y] + g(Y,ξ)X - g(X,ξ)Y",
+            "dperp-integrability-bridge-alt-sign":
+                "A_{φY}X - A_{φX}Y = T[X,Y] + g(Y,ξ)X - g(X,ξ)Y",
+        })
     rP = cr.Dperp.rank
 
     for c in cr.contexts(samples):
         ctx = c.ctx
-        add = _adder(tr, _scale(c.G, ctx.phi.val), c.index)
+        add = res.adder(_scale(c.G, ctx.phi.val), c.index)
         for i in range(rP):
             for j in range(i + 1, rP):
                 br_amb = cr.bracket_amb(c, "Dperp", i, j)
@@ -313,36 +303,28 @@ def check_integrability_Dperp(cr, samples, tol=1e-8):
                 add("dperp-integrability-bridge-alt-sign",
                     ctx.gnorm(ax - ay - tbr - rhs), lab)
 
-    idents = {
-        "dperp-bracket-closure": "[X, Y] ∈ D⊥ for X, Y ∈ D⊥",
-        "dperp-integrability-criterion":
-            "A_{φY}X - A_{φX}Y = g(Y,ξ)X - g(X,ξ)Y",
-        "dperp-integrability-bridge":
-            "A_{φY}X - A_{φX}Y = -T[X,Y] + g(Y,ξ)X - g(X,ξ)Y",
-        "dperp-integrability-bridge-alt-sign":
-            "A_{φY}X - A_{φX}Y = T[X,Y] + g(Y,ξ)X - g(X,ξ)Y",
-    }
-    for nm in names:
-        rep.records.append(tr[nm].build(nm, idents[nm], tol))
-    return rep
+    return res.report(tol)
 
 
 def check_dual_shape_identities(cr, samples, tol=1e-8):
     """Shape-operator symmetry on the anti-invariant distribution and the
     two transport equivalences between normal-bundle derivatives of the
     F/B/C parts; each equivalence is reported as its two sides."""
-    rep = CheckReport(check="dual-shape-identities",
-                      census={"samples": samples.count})
-    names = ["a-f-symmetric", "a-f-symmetric-dual", "b-shape-symmetric",
-             "c-perp-parallel", "f-perp-parallel", "b-perp-parallel"]
-    tr = {nm: Tracker() for nm in names}
+    res = Residuals("dual-shape-identities", {"samples": samples.count}, {
+        "a-f-symmetric": "A_{FY}Z = A_{FZ}Y on D⊥",
+        "a-f-symmetric-dual": "A*_{FY}Z = A*_{FZ}Y on D⊥",
+        "b-shape-symmetric": "A*_U BV = A*_V BU",
+        "c-perp-parallel": "∇⊥_X CV = C∇*⊥_X V",
+        "f-perp-parallel": "∇⊥_X FY = F∇*_X Y",
+        "b-perp-parallel": "∇_X BV = B∇*⊥_X V",
+    })
     m = cr.mg.emb.m
     rP = cr.Dperp.rank
     frame_fields = [VectorField.coordinate(m, j) for j in range(m)]
 
     for c in cr.contexts(samples):
         ctx = c.ctx
-        add = _adder(tr, _scale(c.G, ctx.phi.val), c.index)
+        add = res.adder(_scale(c.G, ctx.phi.val), c.index)
         # A_{FY} Z symmetric in the two anti-invariant slots
         for i in range(rP):
             for j in range(rP):
@@ -383,42 +365,39 @@ def check_dual_shape_identities(cr, samples, tol=1e-8):
                 lhs = (ctx.perp(xdom, ctx.f_jet(Y)) - ctx.f_val(nab_star))
                 add("f-perp-parallel", ctx.gnorm(lhs), f"X=u{i+1} Y=u{j+1}")
 
-    idents = {
-        "a-f-symmetric": "A_{FY}Z = A_{FZ}Y on D⊥",
-        "a-f-symmetric-dual": "A*_{FY}Z = A*_{FZ}Y on D⊥",
-        "b-shape-symmetric": "A*_U BV = A*_V BU",
-        "c-perp-parallel": "∇⊥_X CV = C∇*⊥_X V",
-        "f-perp-parallel": "∇⊥_X FY = F∇*_X Y",
-        "b-perp-parallel": "∇_X BV = B∇*⊥_X V",
-    }
-    for nm in names:
-        rep.records.append(tr[nm].build(nm, idents[nm], tol))
-    return rep
+    return res.report(tol)
 
 
 def classify_geodesic(cr, samples, tol=1e-8):
     """Geodesicity/umbilicity/foliate classifiers for both fundamental
     forms, with the shape-operator companions of their characterisations."""
-    rep = CheckReport(check="geodesic-classifiers",
-                      census={"samples": samples.count})
-    flag_names = []
-    for suffix in ("", "-dual"):
-        flag_names += [f"d-geodesic{suffix}", f"dperp-geodesic{suffix}",
-                       f"mixed-geodesic{suffix}", f"d-umbilic{suffix}",
-                       f"umbilic-implies-geodesic{suffix}",
-                       f"foliate-remark{suffix}",
-                       f"d-geodesic-shape{suffix}",
-                       f"dperp-geodesic-shape{suffix}",
-                       f"mixed-geodesic-shape{suffix}"]
-    flag_names.append("foliate")
-    factor_names = ["d-umbilic-factor", "d-umbilic-factor-dual"]
-    tr = {nm: Tracker() for nm in flag_names + factor_names}
+    plain = {
+        "d-geodesic": "h = 0 on D x D",
+        "dperp-geodesic": "h = 0 on D⊥ x D⊥",
+        "mixed-geodesic": "h = 0 on D x D⊥",
+        "d-umbilic": "h(X,Y) = g(X,Y)L on D x D (fit residual)",
+        "umbilic-implies-geodesic": "D-umbilic forces L = 0 (h(ξ,ξ) = 0)",
+        "foliate-remark": "h(φX, φY) = -h(X,Y) on D",
+        "d-geodesic-shape": "A_V X ∈ D⊥ for X ∈ D",
+        "dperp-geodesic-shape": "A_V X ∈ D for X ∈ D⊥",
+        "mixed-geodesic-shape":
+            "A_V X ∈ D for X ∈ D and A_V X ∈ D⊥ for X ∈ D⊥",
+    }
+    res = Residuals("geodesic-classifiers", {"samples": samples.count}, {
+        **plain,
+        # each dual classifier reads h* and A* in place of h and A
+        **{f"{nm}-dual": ident.replace("h", "h*").replace("A_V", "A*_V")
+           for nm, ident in plain.items()},
+        "foliate": "[X, Y] ∈ D for X, Y ∈ D (D involutive)",
+        "d-umbilic-factor": "|L| recovered by least squares",
+        "d-umbilic-factor-dual": "|L| recovered by least squares (dual)",
+    })
     rD, rP = cr.D.rank, cr.Dperp.rank
 
     for c in cr.contexts(samples):
         ctx = c.ctx
         scale = _scale(c.G, ctx.phi.val)
-        add = _adder(tr, scale, c.index)
+        add = res.adder(scale, c.index)
         d_push = [ctx.push_jet(X) for X in cr.D.generators]
         dp_push = [ctx.push_jet(Z) for Z in cr.Dperp.generators]
         for star in (False, True):
@@ -482,32 +461,8 @@ def classify_geodesic(cr, samples, tol=1e-8):
                 br_amb = cr.bracket_amb(c, "D", i, j)
                 add("foliate", c.off(br_amb, c.P_D), f"X=D{i+1} Y=D{j+1}")
 
-    idents = {
-        "d-geodesic": "h = 0 on D x D",
-        "dperp-geodesic": "h = 0 on D⊥ x D⊥",
-        "mixed-geodesic": "h = 0 on D x D⊥",
-        "d-umbilic": "h(X,Y) = g(X,Y)L on D x D (fit residual)",
-        "umbilic-implies-geodesic": "D-umbilic forces L = 0 (h(ξ,ξ) = 0)",
-        "foliate-remark": "h(φX, φY) = -h(X,Y) on D",
-        "d-geodesic-shape": "A_V X ∈ D⊥ for X ∈ D",
-        "dperp-geodesic-shape": "A_V X ∈ D for X ∈ D⊥",
-        "mixed-geodesic-shape":
-            "A_V X ∈ D for X ∈ D and A_V X ∈ D⊥ for X ∈ D⊥",
-        "foliate": "[X, Y] ∈ D for X, Y ∈ D (D involutive)",
-    }
-    for nm in flag_names:
-        base = nm[:-5] if nm.endswith("-dual") else nm
-        ident = idents[base]
-        if nm.endswith("-dual"):
-            ident = ident.replace("h", "h*").replace("A_V", "A*_V")
-        rep.records.append(tr[nm].build(nm, ident, tol))
-    rep.records.append(tr["d-umbilic-factor"].build(
-        "d-umbilic-factor", "|L| recovered by least squares", tol,
-        informational=True))
-    rep.records.append(tr["d-umbilic-factor-dual"].build(
-        "d-umbilic-factor-dual", "|L| recovered by least squares (dual)", tol,
-        informational=True))
-    return rep
+    return res.report(tol, informational=("d-umbilic-factor",
+                                          "d-umbilic-factor-dual"))
 
 
 def check_mixed_geodesic_consequences(cr, samples, tol=1e-8, geo=None):
@@ -521,20 +476,23 @@ def check_mixed_geodesic_consequences(cr, samples, tol=1e-8, geo=None):
     mixed_ok = {False: geo.record("mixed-geodesic").passed,
                 True: geo.record("mixed-geodesic-dual").passed}
     foliate_ok = geo.record("foliate").passed
-    rep = CheckReport(check="mixed-geodesic-consequences",
-                      census={"samples": samples.count,
-                              "mixed-geodesic": bool(mixed_ok[False]),
-                              "mixed-geodesic-dual": bool(mixed_ok[True]),
-                              "foliate": bool(foliate_ok)})
-    names = ["shape-transfer", "shape-transfer-dual", "perp-transfer",
-             "perp-transfer-dual", "foliate-anticommute",
-             "foliate-anticommute-dual"]
-    tr = {nm: Tracker() for nm in names}
+    res = Residuals(
+        "mixed-geodesic-consequences",
+        {"samples": samples.count, "mixed-geodesic": bool(mixed_ok[False]),
+         "mixed-geodesic-dual": bool(mixed_ok[True]),
+         "foliate": bool(foliate_ok)}, {
+            "shape-transfer": "A_{(φV)⊥}X = φA*_V X on D",
+            "shape-transfer-dual": "A*_{(φV)⊥}X = φA_V X on D",
+            "perp-transfer": "∇⊥_X (φV)⊥ = φ∇*⊥_X V on D",
+            "perp-transfer-dual": "∇*⊥_X (φV)⊥ = φ∇⊥_X V on D",
+            "foliate-anticommute": "A*_V φX + φA*_V X = 0 on D",
+            "foliate-anticommute-dual": "A_V φX + φA_V X = 0 on D",
+        })
     rD = cr.D.rank
 
     for c in cr.contexts(samples):
         ctx = c.ctx
-        add = _adder(tr, _scale(c.G, ctx.phi.val), c.index)
+        add = res.adder(_scale(c.G, ctx.phi.val), c.index)
         t_jets = [ctx.t_jet(X) for X in cr.D.generators]
         for i in range(rD):
             xdom = c.d_dom[i]
@@ -564,28 +522,15 @@ def check_mixed_geodesic_consequences(cr, samples, tol=1e-8, geo=None):
                 lhs = a_phix + ctx.tangential(ctx.phi_val(a_plain))
                 add("foliate-anticommute-dual", ctx.gnorm(lhs), lab)
 
-    conds = {
-        "shape-transfer": mixed_ok[False] and mixed_ok[True],
-        "shape-transfer-dual": mixed_ok[False] and mixed_ok[True],
-        "perp-transfer": mixed_ok[False] and mixed_ok[True],
-        "perp-transfer-dual": mixed_ok[False] and mixed_ok[True],
-        "foliate-anticommute": foliate_ok and mixed_ok[False] and mixed_ok[True],
-        "foliate-anticommute-dual": foliate_ok and mixed_ok[False] and mixed_ok[True],
-    }
-    idents = {
-        "shape-transfer": "A_{(φV)⊥}X = φA*_V X on D",
-        "shape-transfer-dual": "A*_{(φV)⊥}X = φA_V X on D",
-        "perp-transfer": "∇⊥_X (φV)⊥ = φ∇*⊥_X V on D",
-        "perp-transfer-dual": "∇*⊥_X (φV)⊥ = φ∇⊥_X V on D",
-        "foliate-anticommute": "A*_V φX + φA*_V X = 0 on D",
-        "foliate-anticommute-dual": "A_V φX + φA_V X = 0 on D",
-    }
-    for nm in names:
-        ok = conds[nm]
-        rep.records.append(tr[nm].build(
-            nm, idents[nm], tol, informational=not ok,
-            note="" if ok else "precondition failed; reported for information"))
-    return rep
+    # every record needs both mixed-geodesic verdicts; the anticommutation
+    # records also need D foliate
+    unmet = []
+    if not (mixed_ok[False] and mixed_ok[True]):
+        unmet = list(res.identities)
+    elif not foliate_ok:
+        unmet = ["foliate-anticommute", "foliate-anticommute-dual"]
+    return res.report(tol, informational=unmet, notes=dict.fromkeys(
+        unmet, "precondition failed; reported for information"))
 
 
 def check_cr_product(cr, samples, tol=1e-8):
@@ -595,19 +540,28 @@ def check_cr_product(cr, samples, tol=1e-8):
     antisymmetry inside the image of the anti-invariant distribution, and
     the shape antisymmetry against the invariant normal complement.
     Sign-convention twins are reported informationally."""
-    rep = CheckReport(check="cr-product", census={"samples": samples.count})
-    names = ["product-criterion", "product-criterion-alt-sign",
-             "leaf-pairing", "leaf-pairing-alt-sign",
-             "shape-transport-pairing", "shape-transport-pairing-alt-sign",
-             "phidperp-perp-antisymmetry", "nu-shape-antisymmetry",
-             "dperp-leaf", "dperp-leaf-dual", "d-leaf", "d-leaf-dual"]
-    tr = {nm: Tracker() for nm in names}
+    res = Residuals("cr-product", {"samples": samples.count}, {
+        "product-criterion": "A_{φU}X = -η(X)U",
+        "product-criterion-alt-sign": "A_{φU}X = η(X)U",
+        "leaf-pairing": "g(h*(X,U), φZ) = -η(X) g(φZ, φU)",
+        "leaf-pairing-alt-sign": "g(h*(X,U), φZ) = η(X) g(φZ, φU)",
+        "shape-transport-pairing":
+            "g(A_{φZ}U, X) = g(∇*_U Z, φX) - η(X) g(Z,U)",
+        "shape-transport-pairing-alt-sign":
+            "g(A_{φZ}U, X) = g(∇*_U Z, φX) + η(X) g(Z,U)",
+        "phidperp-perp-antisymmetry": "∇⊥_Z φW - ∇⊥_W φZ ∈ φD⊥",
+        "nu-shape-antisymmetry": "A*_λ φY = -A_{φλ}Y",
+        "dperp-leaf": "∇_Z W ∈ D⊥ for Z, W ∈ D⊥",
+        "dperp-leaf-dual": "∇*_Z W ∈ D⊥ for Z, W ∈ D⊥",
+        "d-leaf": "∇_X Y ∈ D for X, Y ∈ D",
+        "d-leaf-dual": "∇*_X Y ∈ D for X, Y ∈ D",
+    })
     m = cr.mg.emb.m
     rD, rP = cr.D.rank, cr.Dperp.rank
 
     for c in cr.contexts(samples):
         ctx = c.ctx
-        add = _adder(tr, _scale(c.G, ctx.phi.val), c.index)
+        add = res.adder(_scale(c.G, ctx.phi.val), c.index)
         # X ranges over the D generators plus the Reeb field explicitly
         xs = [(f"D{i+1}", c.d_dom[i], c.d_amb[i]) for i in range(rD)]
         xs.append(("ξ", c.xi_dom, c.xi))
@@ -681,25 +635,4 @@ def check_cr_product(cr, samples, tol=1e-8):
                     nxy = ctx.nabla_tan(c.d_dom[i], d_push[j], star)
                     add(d_nm, c.off(nxy, c.P_D), f"X=D{i+1} Y=D{j+1}")
 
-    idents = {
-        "product-criterion": "A_{φU}X = -η(X)U",
-        "product-criterion-alt-sign": "A_{φU}X = η(X)U",
-        "leaf-pairing":
-            "g(h*(X,U), φZ) = -η(X) g(φZ, φU)",
-        "leaf-pairing-alt-sign":
-            "g(h*(X,U), φZ) = η(X) g(φZ, φU)",
-        "shape-transport-pairing":
-            "g(A_{φZ}U, X) = g(∇*_U Z, φX) - η(X) g(Z,U)",
-        "shape-transport-pairing-alt-sign":
-            "g(A_{φZ}U, X) = g(∇*_U Z, φX) + η(X) g(Z,U)",
-        "phidperp-perp-antisymmetry":
-            "∇⊥_Z φW - ∇⊥_W φZ ∈ φD⊥",
-        "nu-shape-antisymmetry": "A*_λ φY = -A_{φλ}Y",
-        "dperp-leaf": "∇_Z W ∈ D⊥ for Z, W ∈ D⊥",
-        "dperp-leaf-dual": "∇*_Z W ∈ D⊥ for Z, W ∈ D⊥",
-        "d-leaf": "∇_X Y ∈ D for X, Y ∈ D",
-        "d-leaf-dual": "∇*_X Y ∈ D for X, Y ∈ D",
-    }
-    for nm in names:
-        rep.records.append(tr[nm].build(nm, idents[nm], tol))
-    return rep
+    return res.report(tol)

@@ -19,12 +19,12 @@ check that it is invertible.
 import numpy as np
 
 from .exprlang import Const, DomainError, Expr, parse
-from .report import CheckReport, Tracker
+from .report import Residuals
 from .sampling import DEFAULT_BOX, DEFAULT_COUNT, DEFAULT_SEED, sample_box
 
 __all__ = [
     "GeometryError", "SingularMetricError", "INPUT_ERRORS",
-    "Grid", "MetricField", "VectorField", "OneFormField", "ConnField",
+    "Grid", "MetricField", "VectorField", "ConnField",
     "StatTriple", "levi_civita", "lie_bracket", "check_statistical",
     "metric_samples",
 ]
@@ -62,6 +62,18 @@ def _coerce_expr(e, dim):
     return expr
 
 
+def _flatten(node, out):
+    """Append the expressions of a nested tuple grid to `out` in position
+    order and return the grid's shape."""
+    if isinstance(node, Expr):
+        out.append(node)
+        return ()
+    sub = ()
+    for child in node:
+        sub = _flatten(child, out)
+    return (len(node),) + sub
+
+
 class Grid:
     """A nested tuple grid of expressions, compiled on first use into an
     evaluation plan for batches of points.
@@ -85,17 +97,7 @@ class Grid:
 
     def _compile(self):
         exprs = []
-
-        def walk(node):
-            if isinstance(node, Expr):
-                exprs.append(node)
-                return ()
-            sub = ()
-            for child in node:
-                sub = walk(child)
-            return (len(node),) + sub
-
-        self.shape = walk(self.nested)
+        self.shape = _flatten(self.nested, exprs)
         self.exprs = exprs
         self.const = None
         vals = [e.const_value() for e in exprs]
@@ -206,6 +208,8 @@ class MetricField:
 
 
 class VectorField:
+    """A vector field, or a one-form: one expression per component."""
+
     def __init__(self, comps, dim=None):
         comps = list(comps)
         dim = dim or len(comps)
@@ -235,27 +239,6 @@ class VectorField:
     def jac_at(self, points):
         """j[n, k, i] = partial_i X^k."""
         return self.jac_grid.at(points)
-
-
-class OneFormField:
-    def __init__(self, comps, dim=None):
-        comps = list(comps)
-        dim = dim or len(comps)
-        self.dim = dim
-        self.comps = tuple(_coerce_expr(c, dim) for c in comps)
-        self._grid = Grid(self.comps)
-        self._jac = None
-
-    def at(self, points):
-        return self._grid.at(points)
-
-    def jac_at(self, points):
-        """j[n, a, i] = partial_i eta_a."""
-        if self._jac is None:
-            self._jac = Grid(tuple(
-                tuple(self.comps[a].diff(i) for i in range(self.dim))
-                for a in range(self.dim)))
-        return self._jac.at(points)
 
 
 class ConnField:
@@ -375,56 +358,42 @@ def check_statistical(st, samples, tol=1e-8):
     """
     g = st.g
     pts = samples.points
-    rep = CheckReport(check="statistical",
-                      census={"samples": samples.count, "dim": g.dim})
+    res = Residuals("statistical", {"samples": samples.count, "dim": g.dim}, {
+        "metric-positive-definite": "g > 0 (smallest eigenvalue)",
+        "torsion": "Γ^k_ij = Γ^k_ji",
+        "torsion-dual": "Γ*^k_ij = Γ*^k_ji",
+        "codazzi": "(∇_X g)(Y,Z) = (∇_Y g)(X,Z)",
+        "duality": "X g(Y,Z) = g(∇_X Y, Z) + g(Y, ∇*_X Z)",
+        "difference-tensor-symmetry": "K(X,Y) = K(Y,X)",
+        "difference-tensor-self-adjoint": "g(K_X Y, Z) = g(Y, K_X Z)",
+    })
 
     gv = g.at(pts)
     dgv = g.deriv_at(pts)          # [n, k, i, j]
     min_eig = np.linalg.eigvalsh(gv)[:, 0]
-    t = Tracker()
-    t.add(np.maximum(0.0, -min_eig), scale=float(np.abs(gv).max()))
-    rep.records.append(t.build(
-        "metric-positive-definite", "g > 0 (smallest eigenvalue)", tol))
+    res.add("metric-positive-definite", np.maximum(0.0, -min_eig),
+            scale=float(np.abs(gv).max()))
 
     lc, gam, gam_star = st.gammas(pts)
-    scale = float(max(np.abs(gam).max(), np.abs(gam_star).max(),
-                      np.abs(gv).max(), 1.0))
+    add = res.adder(float(max(np.abs(gam).max(), np.abs(gam_star).max(),
+                              np.abs(gv).max(), 1.0)))
 
-    t = Tracker()
-    t.add(gam - np.transpose(gam, (0, 1, 3, 2)), scale=scale)
-    rep.records.append(t.build("torsion", "Γ^k_ij = Γ^k_ji", tol))
-
-    t = Tracker()
-    t.add(gam_star - np.transpose(gam_star, (0, 1, 3, 2)), scale=scale)
-    rep.records.append(t.build("torsion-dual", "Γ*^k_ij = Γ*^k_ji", tol))
+    add("torsion", gam - np.transpose(gam, (0, 1, 3, 2)))
+    add("torsion-dual", gam_star - np.transpose(gam_star, (0, 1, 3, 2)))
 
     # (nabla_i g)(j, k) = d_i g_jk - gamma^l_ij g_lk - gamma^l_ik g_jl
     nabla_g = (dgv
                - np.einsum("nlij,nlk->nijk", gam, gv)
                - np.einsum("nlik,njl->nijk", gam, gv))
-    t = Tracker()
-    t.add(nabla_g - np.transpose(nabla_g, (0, 2, 1, 3)), scale=scale)
-    rep.records.append(t.build(
-        "codazzi", "(∇_X g)(Y,Z) = (∇_Y g)(X,Z)", tol))
+    add("codazzi", nabla_g - np.transpose(nabla_g, (0, 2, 1, 3)))
 
     del nabla_g  # the batches below are as large; keep one alive at a time
-    t = Tracker()
-    t.add(dgv
-          - np.einsum("nlij,nlk->nijk", gam, gv)
-          - np.einsum("nlik,njl->nijk", gam_star, gv), scale=scale)
-    rep.records.append(t.build(
-        "duality", "X g(Y,Z) = g(∇_X Y, Z) + g(Y, ∇*_X Z)", tol))
+    add("duality", dgv
+        - np.einsum("nlij,nlk->nijk", gam, gv)
+        - np.einsum("nlik,njl->nijk", gam_star, gv))
 
     kt = gam - lc
-    t = Tracker()
-    t.add(kt - np.transpose(kt, (0, 1, 3, 2)), scale=scale)
-    rep.records.append(t.build("difference-tensor-symmetry",
-                               "K(X,Y) = K(Y,X)", tol))
-
-    selfadj = (np.einsum("nlij,nlk->nijk", kt, gv)
-               - np.einsum("nlik,njl->nijk", kt, gv))
-    t = Tracker()
-    t.add(selfadj, scale=scale)
-    rep.records.append(t.build("difference-tensor-self-adjoint",
-                               "g(K_X Y, Z) = g(Y, K_X Z)", tol))
-    return rep
+    add("difference-tensor-symmetry", kt - np.transpose(kt, (0, 1, 3, 2)))
+    add("difference-tensor-self-adjoint", np.einsum("nlij,nlk->nijk", kt, gv)
+        - np.einsum("nlik,njl->nijk", kt, gv))
+    return res.report(tol)

@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Record", "CheckReport", "Tracker"]
+__all__ = ["Record", "CheckReport", "Tracker", "Residuals"]
 
 
 @dataclass
@@ -148,3 +148,38 @@ class Tracker:
                       scale=self.scale, tolerance=tolerance,
                       witness=self.witness, informational=informational,
                       note=note)
+
+
+class Residuals:
+    """The residual families of one check, declared once: `identities`
+    maps each record name to its identity, in report order, and each name
+    gets one Tracker."""
+
+    def __init__(self, check, census, identities):
+        self.check = check
+        self.census = census
+        self.identities = identities
+        self.trackers = {name: Tracker() for name in self.identities}
+
+    def add(self, name, values, labels=None, scale=0.0, index=None):
+        """Tracker.add on the named family; an undeclared name is a
+        KeyError."""
+        self.trackers[name].add(values, labels, scale, index)
+
+    def adder(self, scale, index=None):
+        """add(name, values, labels=None) with one context's per-sample
+        scale and sample numbers."""
+        def add(name, values, labels=None):
+            self.add(name, values, labels, scale, index)
+        return add
+
+    def report(self, tol, informational=(), notes=None):
+        """The check's report, one record per declared name in declaration
+        order; the names in `informational` never count toward the verdict,
+        and `notes` maps a name to its record's note."""
+        notes = notes or {}
+        return CheckReport(check=self.check, census=self.census, records=[
+            t.build(name, self.identities[name], tol,
+                    informational=name in informational,
+                    note=notes.get(name, ""))
+            for name, t in self.trackers.items()])

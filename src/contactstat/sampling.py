@@ -1,12 +1,13 @@
 """Deterministic sample-point generation for residual checks."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 DEFAULT_SEED = 42
 DEFAULT_COUNT = 64
 DEFAULT_BOX = (-1.0, 1.0)
+MAX_ROUNDS = 10
 
 __all__ = ["Samples", "SamplingError", "sample_box", "samples_from_points",
            "DEFAULT_SEED", "DEFAULT_COUNT", "DEFAULT_BOX"]
@@ -25,10 +26,7 @@ class Samples:
     """
 
     points: np.ndarray
-    seed: int | None = None
-    box: tuple[float, float] = DEFAULT_BOX
     resampled: int = 0
-    meta: dict = field(default_factory=dict)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -48,11 +46,11 @@ class Samples:
 
 
 def sample_box(dim, count=DEFAULT_COUNT, seed=DEFAULT_SEED, box=DEFAULT_BOX,
-               accept=None, max_rounds=10):
+               accept=None):
     """Uniform points in box^dim from a seeded PRNG.
 
     `accept` is an optional boolean-mask predicate over a point batch;
-    rejected points are resampled at most `max_rounds` times, after which a
+    rejected points are resampled at most MAX_ROUNDS times, after which a
     SamplingError reports the first stubborn point.
     """
     lo, hi = box
@@ -60,7 +58,7 @@ def sample_box(dim, count=DEFAULT_COUNT, seed=DEFAULT_SEED, box=DEFAULT_BOX,
     pts = rng.uniform(lo, hi, size=(count, dim))
     resampled = 0
     if accept is not None:
-        for _ in range(max_rounds):
+        for _ in range(MAX_ROUNDS):
             ok = np.asarray(accept(pts), dtype=bool)
             if ok.all():
                 break
@@ -74,8 +72,8 @@ def sample_box(dim, count=DEFAULT_COUNT, seed=DEFAULT_SEED, box=DEFAULT_BOX,
                 raise SamplingError(
                     f"sampling could not satisfy the acceptance predicate; "
                     f"stuck at point {first.tolist()}")
-    return Samples(points=pts, seed=seed, box=box, resampled=resampled)
+    return Samples(points=pts, resampled=resampled)
 
 
 def samples_from_points(points):
-    return Samples(points=np.asarray(points, dtype=float), seed=None)
+    return Samples(points=np.asarray(points, dtype=float))

@@ -301,7 +301,7 @@ def from_doc(doc, origin="<doc>"):
             K = ConnField(dim, [[[kcoeffs.get((k, i, j), Const(0.0))
                                   for j in range(dim)] for i in range(dim)]
                                 for k in range(dim)])
-            sss = SasakiStatStructure(st=StatTriple(g, K), acs=acs, lam=None)
+            sss = SasakiStatStructure(st=StatTriple(g, K), acs=acs)
     except SingularMetricError as e:
         raise SpecError([f"{origin}.ambient.metric: {e}"]) from None
 

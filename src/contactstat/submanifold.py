@@ -25,7 +25,7 @@ from .geometry import (INPUT_ERRORS, GeometryError, Grid, MetricField,
                        VectorField, _coerce_expr)
 from .jets import (Jet, _tr, jconst, jinv, jmatmat, jmatvec, jscale, jT,
                    jvecdot)
-from .report import CheckReport, Tracker
+from .report import Residuals
 
 __all__ = [
     "RankDropError", "Embedding", "GWData", "TFBCSplit",
@@ -158,14 +158,6 @@ def _scale(*arrays):
     n = len(arrays[0])
     return np.max([np.abs(a).reshape(n, -1).max(axis=1) for a in arrays]
                   + [np.ones(n)], axis=0)
-
-
-def _adder(trackers, scale, index):
-    """add(name, values, labels=None): one context's per-sample values into
-    the named tracker, with that context's scale and sample numbers."""
-    def add(name, values, labels=None):
-        trackers[name].add(values, labels, scale, index)
-    return add
 
 
 class MapGeometry:
@@ -459,22 +451,28 @@ def check_gauss_weingarten(mg, samples, tol=1e-7):
     gind = induced_metric(emb, mg.st.g)
     [dgind] = _checked([Grid(_partials(gind.entries, m))], samples.points)
 
-    rep = CheckReport(check="gauss-weingarten",
-                      census={"samples": samples.count, "m": m, "n": emb.n})
-    names = ["jacobian-rank", "gauss-reconstruction",
-             "gauss-reconstruction-dual", "weingarten-reconstruction",
-             "weingarten-reconstruction-dual", "shape-pairing",
-             "shape-pairing-dual", "h-symmetry", "hstar-symmetry",
-             "induced-duality"]
-    tr = {nm: Tracker() for nm in names}
+    res = Residuals(
+        "gauss-weingarten", {"samples": samples.count, "m": m, "n": emb.n}, {
+            "jacobian-rank": "rank J = m at samples",
+            "gauss-reconstruction": "∇̄_X Y = ∇_X Y + h(X,Y)",
+            "gauss-reconstruction-dual": "∇̄*_X Y = ∇*_X Y + h*(X,Y)",
+            "weingarten-reconstruction": "∇̄_X V = -A_V X + ∇⊥_X V",
+            "weingarten-reconstruction-dual": "∇̄*_X V = -A*_V X + ∇*⊥_X V",
+            "shape-pairing": "g(A_V X, Y) = g(h*(X,Y), V)",
+            "shape-pairing-dual": "g(A*_V X, Y) = g(h(X,Y), V)",
+            "h-symmetry": "h(X,Y) = h(Y,X)",
+            "hstar-symmetry": "h*(X,Y) = h*(Y,X)",
+            "induced-duality":
+                "X g(Y,Z) = g(∇_X Y, Z) + g(Y, ∇*_X Z) on the submanifold",
+        })
 
     frame = [VectorField.coordinate(m, i) for i in range(m)]
     for ctx in ctxs:
         J = ctx.J.val
         scale = _scale(J, ctx.G.val)
-        add = _adder(tr, scale, ctx.index)
+        add = res.adder(scale, ctx.index)
         full = np.linalg.matrix_rank(J, tol=GS_THRESHOLD) == m
-        tr["jacobian-rank"].add(np.where(full, 0.0, 1.0), index=ctx.index)
+        res.add("jacobian-rank", np.where(full, 0.0, 1.0), index=ctx.index)
         shape = (len(J), m, m, emb.n)
         hvals, hvals_d, nab, nab_d = (np.zeros(shape) for _ in range(4))
         for i in range(m):
@@ -524,52 +522,31 @@ def check_gauss_weingarten(mg, samples, tol=1e-7):
                     lhs = dgind[ctx.index, j, kq, i]
                     rhs = (np.vecdot(cj, gram[:, :, kq])
                            + np.vecdot(gram[:, j, :], ck))
-                    tr["induced-duality"].add(
-                        abs(lhs - rhs), f"X=u{i+1} Y=u{j+1} Z=u{kq+1}",
-                        np.maximum(scale, abs(lhs)), ctx.index)
-
-    idents = {
-        "jacobian-rank": "rank J = m at samples",
-        "gauss-reconstruction": "∇̄_X Y = ∇_X Y + h(X,Y)",
-        "gauss-reconstruction-dual": "∇̄*_X Y = ∇*_X Y + h*(X,Y)",
-        "weingarten-reconstruction": "∇̄_X V = -A_V X + ∇⊥_X V",
-        "weingarten-reconstruction-dual": "∇̄*_X V = -A*_V X + ∇*⊥_X V",
-        "shape-pairing": "g(A_V X, Y) = g(h*(X,Y), V)",
-        "shape-pairing-dual": "g(A*_V X, Y) = g(h(X,Y), V)",
-        "h-symmetry": "h(X,Y) = h(Y,X)",
-        "hstar-symmetry": "h*(X,Y) = h*(Y,X)",
-        "induced-duality":
-            "X g(Y,Z) = g(∇_X Y, Z) + g(Y, ∇*_X Z) on the submanifold",
-    }
-    for nm in names:
-        rep.records.append(tr[nm].build(nm, idents[nm], tol))
-    return rep
+                    res.add("induced-duality", abs(lhs - rhs),
+                            f"X=u{i+1} Y=u{j+1} Z=u{kq+1}",
+                            np.maximum(scale, abs(lhs)), ctx.index)
+    return res.report(tol)
 
 
 def check_structure_identities(mg, samples, tol=1e-8):
     """The algebraic consequences of the tangential/normal splitting of the
     contact tensor: the squared-part identities, the transfer relations,
     skewness and the cross pairing."""
-    rep = CheckReport(check="structure-identities",
-                      census={"samples": samples.count, "m": mg.emb.m,
-                              "n": mg.emb.n})
-
-    names = ["xi-tangency", "t-squared", "c-squared", "ft-cf", "tb-bc",
-             "t-skew", "c-skew", "fb-adjoint"]
-    idents = [
-        "ξ ∈ TM",
-        "T²X = -X + η(X)ξ - BFX",
-        "C²V = -V - FBV",
-        "FTX = -CFX",
-        "TBV = -BCV",
-        "g(TX, Y) = -g(X, TY)",
-        "g(CU, V) = -g(U, CV)",
-        "g(FX, V) = -g(X, BV)",
-    ]
-    tr = {nm: Tracker() for nm in names}
+    res = Residuals(
+        "structure-identities",
+        {"samples": samples.count, "m": mg.emb.m, "n": mg.emb.n}, {
+            "xi-tangency": "ξ ∈ TM",
+            "t-squared": "T²X = -X + η(X)ξ - BFX",
+            "c-squared": "C²V = -V - FBV",
+            "ft-cf": "FTX = -CFX",
+            "tb-bc": "TBV = -BCV",
+            "t-skew": "g(TX, Y) = -g(X, TY)",
+            "c-skew": "g(CU, V) = -g(U, CV)",
+            "fb-adjoint": "g(FX, V) = -g(X, BV)",
+        })
 
     for ctx in mg.contexts(samples):
-        add = _adder(tr, _scale(ctx.phi.val, ctx.G.val), ctx.index)
+        add = res.adder(_scale(ctx.phi.val, ctx.G.val), ctx.index)
         xiv = ctx.xi.val
         xtan = ctx.tangential(xiv)
         add("xi-tangency", ctx.gnorm(xiv - xtan))
@@ -605,10 +582,7 @@ def check_structure_identities(mg, samples, tol=1e-8):
                 cw = ctx.normal_part(ctx.phi_val(nw))
                 add("c-skew", abs(ctx.ginner(cv, nw) + ctx.ginner(nv, cw)),
                     f"U=N{j+1} V=N{j2+1}")
-
-    for nm, ident in zip(names, idents):
-        rep.records.append(tr[nm].build(nm, ident, tol))
-    return rep
+    return res.report(tol)
 
 
 def check_transport_identities(mg, samples, tol=1e-8):
@@ -617,18 +591,26 @@ def check_transport_identities(mg, samples, tol=1e-8):
     ambient space, plus the reduction of the xi-transport to the
     submanifold.  Sign-convention twins are reported informationally."""
     m = mg.emb.m
-    rep = CheckReport(check="transport-identities",
-                      census={"samples": samples.count, "m": m, "n": mg.emb.n})
-
-    names = ["t-transport", "t-transport-alt-sign", "f-transport",
-             "b-transport", "c-transport", "xi-reduction",
-             "xi-reduction-alt-sign", "h-xi", "h-xi-alt-sign"]
-    tr = {nm: Tracker() for nm in names}
+    res = Residuals(
+        "transport-identities",
+        {"samples": samples.count, "m": m, "n": mg.emb.n}, {
+            "t-transport":
+                "∇_X TY - T∇*_X Y = A_{FY}X + Bh*(X,Y) + g(X,Y)ξ - η(Y)X",
+            "t-transport-alt-sign":
+                "∇_X TY - T∇*_X Y = A_{FY}X + Bh*(X,Y) + η(Y)X - g(X,Y)ξ",
+            "f-transport": "∇⊥_X FY - F∇*_X Y = Ch*(X,Y) - h(X, TY)",
+            "b-transport": "∇_X BV - B∇*⊥_X V = A_{CV}X - TA*_V X",
+            "c-transport": "∇⊥_X CV - C∇*⊥_X V = -h(X, BV) - FA*_V X",
+            "xi-reduction": "∇_X ξ - g(∇_X ξ, ξ)ξ = -TX",
+            "xi-reduction-alt-sign": "∇_X ξ - g(∇_X ξ, ξ)ξ = TX",
+            "h-xi": "h(X, ξ) = -FX",
+            "h-xi-alt-sign": "h(X, ξ) = FX",
+        })
     frame = [VectorField.coordinate(m, i) for i in range(m)]
 
     for ctx in mg.contexts(samples):
         J = ctx.J.val
-        add = _adder(tr, _scale(ctx.phi.val, ctx.G.val, ctx.gamma), ctx.index)
+        add = res.adder(_scale(ctx.phi.val, ctx.G.val, ctx.gamma), ctx.index)
         xiv = ctx.xi.val
         xi_jet = ctx.xi
         pushes = [ctx.push_jet(Y) for Y in frame]
@@ -686,25 +668,4 @@ def check_transport_identities(mg, samples, tol=1e-8):
                        + ctx.h(xdom, b_jet)
                        + ctx.f_val(a_star))
                 add("c-transport", ctx.gnorm(lhs), lab)
-
-    idents = {
-        "t-transport":
-            "∇_X TY - T∇*_X Y = A_{FY}X + Bh*(X,Y) + g(X,Y)ξ - η(Y)X",
-        "t-transport-alt-sign":
-            "∇_X TY - T∇*_X Y = A_{FY}X + Bh*(X,Y) + η(Y)X - g(X,Y)ξ",
-        "f-transport":
-            "∇⊥_X FY - F∇*_X Y = Ch*(X,Y) - h(X, TY)",
-        "b-transport":
-            "∇_X BV - B∇*⊥_X V = A_{CV}X - TA*_V X",
-        "c-transport":
-            "∇⊥_X CV - C∇*⊥_X V = -h(X, BV) - FA*_V X",
-        "xi-reduction":
-            "∇_X ξ - g(∇_X ξ, ξ)ξ = -TX",
-        "xi-reduction-alt-sign":
-            "∇_X ξ - g(∇_X ξ, ξ)ξ = TX",
-        "h-xi": "h(X, ξ) = -FX",
-        "h-xi-alt-sign": "h(X, ξ) = FX",
-    }
-    for nm in names:
-        rep.records.append(tr[nm].build(nm, idents[nm], tol))
-    return rep
+    return res.report(tol)

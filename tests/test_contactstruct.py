@@ -7,8 +7,8 @@ from contactstat.contactstruct import (
     lambda_family,
 )
 from contactstat.geometry import (
-    ConnField, MetricField, StatTriple, VectorField, check_statistical,
-    levi_civita, metric_samples,
+    ConnField, GeometryError, MetricField, StatTriple, VectorField,
+    check_statistical, levi_civita, metric_samples,
 )
 from contactstat.exprlang import Const
 from contactstat.sampling import sample_box
@@ -83,6 +83,11 @@ class TestAlmostContact:
         rep = check_almost_contact(acs, g2, metric_samples(g2))
         assert rep.record("phi-compatibility").status == "FAIL"
         assert rep.record("unit-xi").residual == pytest.approx(1.0)
+
+    def test_eta_needs_one_component_per_coordinate(self):
+        with pytest.raises(GeometryError, match="component count"):
+            AlmostContact(phi=[["0", "1", "0"], ["-1", "0", "0"], ["0"] * 3],
+                          xi=VectorField(["0", "0", "1"], 3), eta=["x1"])
 
     def test_phi_rank_is_corank_one(self):
         g, acs = sasaki_r3()

@@ -219,6 +219,23 @@ class TestMixedGeodesicConsequences:
             assert rec.informational
         assert rep.passed  # informational records never flip the verdict
 
+    def test_unmet_foliate_marks_only_the_anticommutation_records(self):
+        cr = e7_cr()
+        geo = classify_geodesic(cr, SAMPLES5)
+        geo.record("foliate").residual = 1.0
+        rep = check_mixed_geodesic_consequences(cr, SAMPLES5, geo=geo)
+        assert rep.census["foliate"] is False
+        assert [(r.name, r.status, r.note) for r in rep.records] == [
+            ("shape-transfer", "PASS", ""),
+            ("shape-transfer-dual", "PASS", ""),
+            ("perp-transfer", "PASS", ""),
+            ("perp-transfer-dual", "PASS", ""),
+            ("foliate-anticommute", "INFO",
+             "precondition failed; reported for information"),
+            ("foliate-anticommute-dual", "INFO",
+             "precondition failed; reported for information"),
+        ]
+
 
 class TestCRProduct:
     def test_e7_criterion_fails_at_reeb_witness(self):

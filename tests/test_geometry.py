@@ -1,11 +1,13 @@
+import gc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from contactstat.exprlang import Bin, Const, DomainError, Expr, Un, Var, parse
 from contactstat.geometry import (
-    ConnField, Grid, MetricField, OneFormField, SingularMetricError, StatTriple,
-    VectorField, check_statistical, levi_civita, lie_bracket, metric_samples,
+    ConnField, Grid, MetricField, SingularMetricError, StatTriple, VectorField,
+    check_statistical, levi_civita, lie_bracket, metric_samples,
 )
 from contactstat.sampling import Samples, sample_box
 from contactstat.specfile import load_spec
@@ -38,7 +40,7 @@ def e7_structure():
     zero = Const(0.0)
     one = Const(1.0)
     xi = VectorField([zero] * 6 + [one], 7)
-    eta = OneFormField([zero] * 6 + [one], 7)
+    eta = VectorField([zero] * 6 + [one], 7)
     coeffs = [[[eta.comps[i] * eta.comps[j] * xi.comps[k] for j in range(7)]
                for i in range(7)] for k in range(7)]
     return g, ConnField(7, coeffs), xi, eta
@@ -334,6 +336,22 @@ def test_each_distinct_entry_is_evaluated_once(monkeypatch):
     monkeypatch.setattr(Expr, "eval_many", counted)
     g.deriv_at(pts)
     assert sorted(calls) == sorted(distinct)
+
+
+def test_a_compiled_grid_leaves_no_reference_cycle():
+    # a cycle would keep the grid's expression list and trees alive until
+    # the cyclic collector ran
+    nested = ((parse("x1", 2), parse("1/2", 2)),
+              (Const(0.0), parse("x2*x1", 2)))
+    gc.collect()
+    gc.disable()
+    try:
+        grid = Grid(nested)
+        grid.at(np.ones((3, 2)))
+        del grid
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 class TestCheckedNamesFirstNonFinite:

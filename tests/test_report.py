@@ -1,6 +1,8 @@
 import math
 
-from contactstat.report import Record, Tracker
+import pytest
+
+from contactstat.report import Record, Residuals, Tracker
 
 
 class TestNonFiniteResiduals:
@@ -40,3 +42,54 @@ class TestWitness:
         rec = t.build("r", "x = 0", 1e-8)
         assert rec.residual == 2.0
         assert rec.witness == {"sample": 5, "labels": "b"}
+
+
+class TestResiduals:
+    def test_records_come_out_in_declaration_order(self):
+        res = Residuals("c", {"samples": 2}, {"b": "b = 0", "a": "a = 0",
+                                              "c": "c = 0"})
+        res.add("c", [1.0, 0.0])
+        res.add("a", [0.0, 2.0])
+        rep = res.report(1e-8)
+        assert rep.check == "c"
+        assert rep.census == {"samples": 2}
+        assert [(r.name, r.identity) for r in rep.records] == [
+            ("b", "b = 0"), ("a", "a = 0"), ("c", "c = 0")]
+        assert rep.record("a").residual == 2.0
+        assert rep.record("a").witness == {"sample": 1}
+
+    def test_an_undeclared_name_is_a_key_error(self):
+        res = Residuals("c", {}, {"a": "a = 0"})
+        with pytest.raises(KeyError):
+            res.add("b", [0.0])
+        with pytest.raises(KeyError):
+            res.adder(1.0)("b", [0.0])
+
+    def test_informational_and_notes_apply_to_the_named_records_only(self):
+        res = Residuals("c", {}, {"a": "a = 0", "b": "b = 0", "c": "c = 0"})
+        for name in "abc":
+            res.add(name, [1.0])
+        rep = res.report(1e-8, informational=("b",), notes={"c": "why"})
+        assert [r.status for r in rep.records] == ["FAIL", "INFO", "FAIL"]
+        assert [r.note for r in rep.records] == ["", "", "why"]
+
+    def test_an_alt_sign_name_is_informational(self):
+        res = Residuals("c", {}, {"a": "a = 0", "a-alt-sign": "a = 1"})
+        res.add("a-alt-sign", [1.0])
+        rep = res.report(1e-8)
+        rec = rep.record("a-alt-sign")
+        assert rec.informational
+        assert rec.note == "opposite sign convention"
+        assert not rep.record("a").informational
+        assert rep.passed
+
+    def test_adder_gives_the_witness_of_direct_tracker_calls(self):
+        calls = [([0.5, 3.0], "X=u1", [1.0, 2.0], [4, 9]),
+                 ([3.0, 0.1], "X=u2", 5.0, [2, 3]),
+                 ([1.0], None, 0.0, [0])]
+        t = Tracker()
+        res = Residuals("c", {}, {"a": "a = 0"})
+        for values, labels, scale, index in calls:
+            t.add(values, labels, scale, index)
+            res.adder(scale, index)("a", values, labels)
+        assert res.report(1e-8).records == [t.build("a", "a = 0", 1e-8)]
