@@ -15,7 +15,7 @@ from contactstat.geometry import (ConnField, MetricField, StatTriple,
                                   VectorField)
 from contactstat.sampling import sample_box
 from contactstat.specfile import from_doc
-from contactstat.submanifold import (Embedding, MapGeometry,
+from contactstat.submanifold import (Embedding, MapGeometry, along,
                                      check_gauss_weingarten,
                                      check_structure_identities,
                                      induced_metric, split, tfbc)
@@ -24,7 +24,11 @@ from contactstat.submanifold import (Embedding, MapGeometry,
 circle = Embedding(["cos(x1)", "sin(x1)"], 1)
 flat = StatTriple(MetricField.euclidean(2), ConnField.flat(2))
 ctx = MapGeometry(circle, flat).context(np.array([0.7]))
-_, h = ctx.gauss(np.array([1.0]), VectorField.coordinate(1, 0))
+# nabla-bar of the frame field d/dt along d/dt (one field, one direction);
+# its normal part is h(dt, dt)
+v = along(ctx.nabla([ctx.push_jet(VectorField.coordinate(1, 0))]),
+          ctx.coords)[:, 0, 0]
+h = v - ctx.tangential(v)
 print("circle: h(dt, dt) =", np.round(h[0], 6),
       " |h| =", round(float(ctx.gnorm(h)[0]), 12))
 

@@ -12,9 +12,9 @@ import numpy as np
 
 from .geometry import GeometryError, VectorField, lie_bracket
 from .jets import jmatvec
-from .report import Residuals
-from .submanifold import (GWData, _built_once, _by_pattern,
-                          _empty_nabla_memos, _scale, _tr, _uniform)
+from .report import Residuals, labels
+from .submanifold import (GWData, _built_once, _by_pattern, _over, _scale,
+                          _tr, _uniform, along)
 
 __all__ = [
     "Distribution", "CRStructure",
@@ -34,10 +34,6 @@ class Distribution:
         if len(dims) > 1:
             raise GeometryError("distribution generators of mixed dimension")
 
-    @property
-    def dim(self):
-        return self.generators[0].dim if self.generators else 0
-
 
 class CRStructure:
     """Submanifold plus the orthogonal splitting of its tangent bundle into
@@ -49,6 +45,12 @@ class CRStructure:
         self.mg = mg
         self.D = D if isinstance(D, Distribution) else Distribution(D)
         self.Dperp = Dperp if isinstance(Dperp, Distribution) else Distribution(Dperp)
+        m = mg.emb.m
+        for name, dist in (("D", self.D), ("Dperp", self.Dperp)):
+            if any(g.dim != m for g in dist.generators):
+                raise GeometryError(
+                    f"{name} generators need {m} components, one per "
+                    "submanifold coordinate")
         self._brackets = {}
         self._built = None
 
@@ -56,11 +58,8 @@ class CRStructure:
         """A sample set's contexts, one per drop pattern of the shared
         MapGeometry's contexts and of the frames built here, built once for
         the set; a failed build raises the same exception for every later
-        request.  Each call hands the contexts out with an empty nabla
-        memo."""
-        contexts = _built_once(self, samples, self._build)
-        _empty_nabla_memos(c.ctx for c in contexts)
-        return contexts
+        request."""
+        return _built_once(self, samples, self._build)
 
     def context(self, p):
         """The context at one domain point, on a batch of one."""
@@ -77,25 +76,27 @@ class CRStructure:
             contexts += _by_pattern(build, ctx.points, ctx.index)
         return contexts
 
-    def bracket(self, kind, i, j):
-        key = (kind, i, j)
-        if key not in self._brackets:
+    def brackets_amb(self, c, kind):
+        """The pushed values, at a context's points, of the brackets of the
+        generator pairs i < j of D ("D") or of D-perp ("Dperp"): one row
+        per pair, in the (i, j) order of np.triu_indices."""
+        if kind not in self._brackets:
             gens = (self.D if kind == "D" else self.Dperp).generators
-            self._brackets[key] = lie_bracket(gens[i], gens[j])
-        return self._brackets[key]
-
-    def bracket_amb(self, c, kind, i, j):
-        """The pushed values, at a context's points, of the bracket of
-        generators i and j of D ("D") or of D-perp ("Dperp")."""
-        return np.matvec(c.J, c.ctx.domain_jet(self.bracket(kind, i, j)).val)
+            pairs = zip(*np.triu_indices(len(gens), 1))
+            self._brackets[kind] = [lie_bracket(gens[i], gens[j])
+                                    for i, j in pairs]
+        vals = [c.ctx.domain_jet(b).val for b in self._brackets[kind]]
+        return np.matvec(c.J[:, None], _as_rows(vals, c.ctx.m, len(c.index)))
 
 
-def _span_projector(cols, G, name, points):
-    """g-orthogonal projector onto the column span at each sample (empty
-    span -> zero).  Dependent columns are a GeometryError that names the
-    distribution and the first domain point whose own solve fails."""
-    if cols.shape[-1] == 0:
+def _span_projector(rows, G, name, points):
+    """g-orthogonal projector onto the span of the (N, k, n) rows at each
+    sample (empty span -> zero).  Dependent rows are a GeometryError that
+    names the distribution and the first domain point whose own solve
+    fails."""
+    if rows.shape[1] == 0:
         return np.zeros(G.shape)
+    cols = np.ascontiguousarray(_tr(rows))
     rhs = _tr(cols) @ G
     gram = rhs @ cols
     try:
@@ -109,58 +110,62 @@ def _span_projector(cols, G, name, points):
             f"{points[singular.argmax()].tolist()}") from None
 
 
-def _as_columns(vectors, n, N):
-    """Per-sample vectors as the columns of an (N, n, k) stack."""
-    return np.stack(vectors, axis=-1) if vectors else np.zeros((N, n, 0))
+def _as_rows(vectors, n, N):
+    """Per-sample vectors as the rows of an (N, k, n) stack."""
+    return np.stack(vectors, axis=1) if vectors else np.zeros((N, 0, n))
 
 
 class _CRContext:
-    """Working data over a Gauss-Weingarten context's points: the pushed
-    generators, span projectors, and the normal-bundle splitting into the
-    image of the anti-invariant distribution and its invariant complement.
-    Generator and bracket values come from their batched evaluation.  It
-    keeps no reference to the CRStructure that keeps it: that cycle would
-    hold every array of the set's contexts until the cyclic garbage
-    collector ran, long after the run that built them."""
+    """Working data over a Gauss-Weingarten context's points: the
+    generators as (N, rank, m) rows in the domain and (N, rank, n) rows
+    along the map, span projectors, and the normal-bundle splitting into
+    the image of the anti-invariant distribution and its invariant
+    complement.  Generator and bracket values come from their batched
+    evaluation.  It keeps no reference to the CRStructure that keeps it:
+    that cycle would hold every array of the set's contexts until the
+    cyclic garbage collector ran, long after the run that built them."""
 
     def __init__(self, cr, ctx):
         self.ctx = ctx
         self.index = ctx.index
         self.G = ctx.G.val
         self.J = ctx.J.val
-        N, n = len(ctx.index), ctx.n
-        self.d_dom = [ctx.domain_jet(g).val for g in cr.D.generators]
-        self.dp_dom = [ctx.domain_jet(g).val for g in cr.Dperp.generators]
-        self.d_amb = [np.matvec(self.J, x) for x in self.d_dom]
-        self.dp_amb = [np.matvec(self.J, x) for x in self.dp_dom]
-        self.P_D = _span_projector(_as_columns(self.d_amb, n, N), self.G, "D",
-                                   ctx.points)
-        self.P_Dp = _span_projector(_as_columns(self.dp_amb, n, N), self.G,
-                                    "Dperp", ctx.points)
+        N, n, m = len(ctx.index), ctx.n, ctx.m
+        self.d_dom = _as_rows([ctx.domain_jet(g).val for g in cr.D.generators],
+                              m, N)
+        self.dp_dom = _as_rows(
+            [ctx.domain_jet(g).val for g in cr.Dperp.generators], m, N)
+        self.d_amb = np.matvec(self.J[:, None], self.d_dom)
+        self.dp_amb = np.matvec(self.J[:, None], self.dp_dom)
+        self.P_D = _span_projector(self.d_amb, self.G, "D", ctx.points)
+        self.P_Dp = _span_projector(self.dp_amb, self.G, "Dperp", ctx.points)
         self.xi = ctx.xi.val
         self.xi_dom = ctx.tangent_coeffs(self.xi)
+        # phi X for the D generators X, in domain coefficients
+        self.phid_dom = ctx.tangent_coeffs(_as_rows(
+            [ctx.t_jet(X).val for X in cr.D.generators], n, N))
         # D with the Reeb direction removed, for the frame projections
         xi_unit = self.xi / np.maximum(ctx.gnorm(self.xi), 1e-300)[:, None]
         reduced = []
-        for v in self.d_amb:
+        for v in np.moveaxis(self.d_amb, 1, 0):
             w = v - ctx.ginner(v, xi_unit)[:, None] * xi_unit
             for u in reduced:
                 w = w - ctx.ginner(w, u)[:, None] * u
             norm = ctx.gnorm(w)
             if _uniform(norm > 1e-10):
                 reduced.append(w / norm[:, None])
-        self.P_1 = _span_projector(_as_columns(reduced, n, N), self.G,
+        self.P_1 = _span_projector(_as_rows(reduced, n, N), self.G,
                                    "reduced D", ctx.points)
         # normal splitting: the image of phi on Dperp, then its complement
         self.phiZ_jets = [ctx.f_jet(Z) for Z in cr.Dperp.generators]
         self.fframe = ctx._gs(self.phiZ_jets, [])
         self.nu_jets = ctx._gs(ctx.normal_jets, self.fframe)
-        self.P_nu = _span_projector(
-            _as_columns([f.val for f in self.nu_jets], n, N), self.G, "nu",
-            ctx.points)
+        self.nu = _as_rows([f.val for f in self.nu_jets], n, N)
+        self.P_nu = _span_projector(self.nu, self.G, "nu", ctx.points)
 
     def off(self, v, projector):
-        return self.ctx.gnorm(v - np.matvec(projector, v))
+        """The g-norm of the part of v, (N, labels..., n), off the span."""
+        return self.ctx.gnorm(v - np.matvec(_over(projector, v), v))
 
 
 def check_contact_cr(cr, samples, tol=1e-8):
@@ -186,45 +191,43 @@ def check_contact_cr(cr, samples, tol=1e-8):
             "t-is-tp1": "T = TP₁",
         })
     m = cr.mg.emb.m
+    rD, rP = cr.D.rank, cr.Dperp.rank
+    ds, ps, xs = labels("X=D{}", rD), labels("Z=P{}", rP), labels("X=u{}", m)
 
     for c in cr.contexts(samples):
         ctx = c.ctx
+        N, n = len(c.index), ctx.n
         add = res.adder(_scale(c.G, ctx.phi.val), c.index)
-        allgens = np.stack(c.d_dom + c.dp_dom, axis=-1)
-        gram = _tr(allgens) @ ctx.gram @ allgens
+        allgens = np.concatenate([c.d_dom, c.dp_dom], axis=1)
+        gram = allgens @ ctx.gram @ _tr(allgens)
         rank = np.linalg.matrix_rank(gram, tol=1e-10)
         add("generator-rank", (cr.D.rank + cr.Dperp.rank - rank).astype(float))
         add("span-completeness", (m - rank).astype(float))
-        for i, x in enumerate(c.d_amb):
-            for j, z in enumerate(c.dp_amb):
-                add("d-dperp-orthogonal", abs(ctx.ginner(x, z)),
-                    f"X=D{i+1} Z=P{j+1}")
-        for i, x in enumerate(c.d_amb):
-            add("d-invariance", c.off(ctx.phi_val(x), c.P_D), f"X=D{i+1}")
-        for j, z in enumerate(c.dp_amb):
-            add("dperp-anti-invariance",
-                ctx.gnorm(ctx.tangential(ctx.phi_val(z))), f"Z=P{j+1}")
+        add("d-dperp-orthogonal",
+            abs(ctx.ginner(c.d_amb[:, :, None], c.dp_amb[:, None])),
+            labels("X=D{} Z=P{}", rD, rP))
+        add("d-invariance", c.off(ctx.phi_val(c.d_amb), c.P_D), ds)
+        add("dperp-anti-invariance",
+            ctx.gnorm(ctx.tangential(ctx.phi_val(c.dp_amb))), ps)
         add("xi-in-d", c.off(c.xi, c.P_D))
-        for k, lam in enumerate(c.nu_jets):
-            philam = ctx.phi_val(lam.val)
-            add("nu-invariance", c.off(philam, c.P_nu), f"ν{k+1}")
+        add("nu-invariance", c.off(ctx.phi_val(c.nu), c.P_nu),
+            labels("ν{}", len(c.nu_jets)))
         # the normal bundle splits as (phi Dperp) + nu, orthogonally
         missing = ctx.normal.shape[-1] - len(c.fframe) - len(c.nu_jets)
-        add("nu-decomposition", np.full(len(c.index), float(missing)))
-        for f in c.fframe:
-            for nu in c.nu_jets:
-                add("nu-decomposition", abs(ctx.ginner(f.val, nu.val)))
-        for i in range(m):
-            v = c.J[:, :, i]
-            p1v = np.matvec(c.P_1, v)
-            p2v = np.matvec(c.P_Dp, v)
-            lab = f"X=u{i+1}"
-            add("projection-decomposition",
-                ctx.gnorm(v - p1v - p2v - ctx.eta_of(v)[:, None] * c.xi), lab)
-            add("fp1-zero", ctx.gnorm(ctx.f_val(p1v)), lab)
-            add("tp2-zero", ctx.gnorm(ctx.t_val(p2v)), lab)
-            add("f-is-fp2", ctx.gnorm(ctx.f_val(v) - ctx.f_val(p2v)), lab)
-            add("t-is-tp1", ctx.gnorm(ctx.t_val(v) - ctx.t_val(p1v)), lab)
+        ff = _as_rows([f.val for f in c.fframe], n, N)
+        add("nu-decomposition", np.concatenate(
+            [np.full((N, 1), float(missing)),
+             abs(ctx.ginner(ff[:, :, None], c.nu[:, None])).reshape(N, -1)],
+            axis=1))
+        X = ctx.tangents
+        p1v = np.matvec(_over(c.P_1, X), X)
+        p2v = np.matvec(_over(c.P_Dp, X), X)
+        add("projection-decomposition", ctx.gnorm(
+            X - p1v - p2v - ctx.eta_of(X)[..., None] * c.xi[:, None]), xs)
+        add("fp1-zero", ctx.gnorm(ctx.f_val(p1v)), xs)
+        add("tp2-zero", ctx.gnorm(ctx.t_val(p2v)), xs)
+        add("f-is-fp2", ctx.gnorm(ctx.f_val(X) - ctx.f_val(p2v)), xs)
+        add("t-is-tp1", ctx.gnorm(ctx.t_val(X) - ctx.t_val(p1v)), xs)
 
     return res.report(tol)
 
@@ -240,27 +243,25 @@ def check_integrability_D(cr, samples, tol=1e-8):
             "d-integrability-criterion": "g(h(X,φY), φZ) = g(h(Y,φX), φZ)",
             "d-integrability-bridge": "F[X,Y] = h(X,φY) - h(Y,φX)",
         })
-    rD = cr.D.rank
+    ii, jj = np.triu_indices(cr.D.rank, 1)
+    xy = [f"X=D{i+1} Y=D{j+1}" for i, j in zip(ii, jj)]
+    xyz = labels("{} Z=P{}", xy, cr.Dperp.rank)
 
     for c in cr.contexts(samples):
+        if not xy:  # one generator makes no pair
+            continue
         ctx = c.ctx
         add = res.adder(_scale(c.G, ctx.phi.val), c.index)
-        t_jets = [ctx.t_jet(X) for X in cr.D.generators]
-        for i in range(rD):
-            for j in range(i + 1, rD):
-                br_amb = cr.bracket_amb(c, "D", i, j)
-                lab = f"X=D{i+1} Y=D{j+1}"
-                add("d-bracket-closure", c.off(br_amb, c.P_D), lab)
-                hxphiy = ctx.h(c.d_dom[i], t_jets[j])
-                hyphix = ctx.h(c.d_dom[j], t_jets[i])
-                for k, z in enumerate(c.dp_amb):
-                    phz = ctx.f_val(z)
-                    add("d-integrability-criterion",
-                        abs(ctx.ginner(hxphiy - hyphix, phz)),
-                        f"{lab} Z=P{k+1}")
-                fbr = ctx.f_val(br_amb)
-                add("d-integrability-bridge",
-                    ctx.gnorm(fbr - (hxphiy - hyphix)), lab)
+        br_amb = cr.brackets_amb(c, "D")
+        add("d-bracket-closure", c.off(br_amb, c.P_D), xy)
+        # [:, i, j] is h(X_i, phi X_j)
+        h = ctx.normal_part(along(
+            ctx.nabla([ctx.t_jet(X) for X in cr.D.generators]), c.d_dom))
+        hdiff = h[:, ii, jj] - h[:, jj, ii]
+        phz = ctx.f_val(c.dp_amb)
+        add("d-integrability-criterion",
+            abs(ctx.ginner(hdiff[:, :, None], phz[:, None])), xyz)
+        add("d-integrability-bridge", ctx.gnorm(ctx.f_val(br_amb) - hdiff), xy)
 
     return res.report(tol)
 
@@ -280,28 +281,28 @@ def check_integrability_Dperp(cr, samples, tol=1e-8):
             "dperp-integrability-bridge-alt-sign":
                 "A_{φY}X - A_{φX}Y = T[X,Y] + g(Y,ξ)X - g(X,ξ)Y",
         })
-    rP = cr.Dperp.rank
+    ii, jj = np.triu_indices(cr.Dperp.rank, 1)
+    xy = [f"X=P{i+1} Y=P{j+1}" for i, j in zip(ii, jj)]
 
     for c in cr.contexts(samples):
+        if not xy:  # one generator makes no pair
+            continue
         ctx = c.ctx
         add = res.adder(_scale(c.G, ctx.phi.val), c.index)
-        for i in range(rP):
-            for j in range(i + 1, rP):
-                br_amb = cr.bracket_amb(c, "Dperp", i, j)
-                lab = f"X=P{i+1} Y=P{j+1}"
-                add("dperp-bracket-closure", c.off(br_amb, c.P_Dp), lab)
-                ax = ctx.shape_op(c.dp_dom[i], c.phiZ_jets[j])
-                ay = ctx.shape_op(c.dp_dom[j], c.phiZ_jets[i])
-                x_amb, y_amb = c.dp_amb[i], c.dp_amb[j]
-                rhs = (ctx.ginner(y_amb, c.xi)[:, None] * x_amb
-                       - ctx.ginner(x_amb, c.xi)[:, None] * y_amb)
-                add("dperp-integrability-criterion",
-                    ctx.gnorm(ax - ay - rhs), lab)
-                tbr = ctx.t_val(br_amb)
-                add("dperp-integrability-bridge",
-                    ctx.gnorm(ax - ay + tbr - rhs), lab)
-                add("dperp-integrability-bridge-alt-sign",
-                    ctx.gnorm(ax - ay - tbr - rhs), lab)
+        br_amb = cr.brackets_amb(c, "Dperp")
+        add("dperp-bracket-closure", c.off(br_amb, c.P_Dp), xy)
+        # [:, i, j] is A_{phi Z_j} Z_i
+        a = -ctx.tangential(along(ctx.nabla(c.phiZ_jets), c.dp_dom))
+        ax, ay = a[:, ii, jj], a[:, jj, ii]
+        x_amb, y_amb = c.dp_amb[:, ii], c.dp_amb[:, jj]
+        xi = c.xi[:, None]
+        rhs = (ctx.ginner(y_amb, xi)[..., None] * x_amb
+               - ctx.ginner(x_amb, xi)[..., None] * y_amb)
+        add("dperp-integrability-criterion", ctx.gnorm(ax - ay - rhs), xy)
+        tbr = ctx.t_val(br_amb)
+        add("dperp-integrability-bridge", ctx.gnorm(ax - ay + tbr - rhs), xy)
+        add("dperp-integrability-bridge-alt-sign",
+            ctx.gnorm(ax - ay - tbr - rhs), xy)
 
     return res.report(tol)
 
@@ -319,51 +320,47 @@ def check_dual_shape_identities(cr, samples, tol=1e-8):
         "b-perp-parallel": "∇_X BV = B∇*⊥_X V",
     })
     m = cr.mg.emb.m
-    rP = cr.Dperp.rank
     frame_fields = [VectorField.coordinate(m, j) for j in range(m)]
+    # the ordered pairs i != j of D-perp generators
+    ii, jj = np.nonzero(~np.eye(cr.Dperp.rank, dtype=bool))
+    yz = [f"Y=P{i+1} Z=P{j+1}" for i, j in zip(ii, jj)]
 
     for c in cr.contexts(samples):
         ctx = c.ctx
         add = res.adder(_scale(c.G, ctx.phi.val), c.index)
-        # A_{FY} Z symmetric in the two anti-invariant slots
-        for i in range(rP):
-            for j in range(rP):
-                if i == j:
-                    continue
-                lab = f"Y=P{i+1} Z=P{j+1}"
-                a1 = ctx.shape_op(c.dp_dom[j], c.phiZ_jets[i])
-                a2 = ctx.shape_op(c.dp_dom[i], c.phiZ_jets[j])
-                add("a-f-symmetric", ctx.gnorm(a1 - a2), lab)
-                a1 = ctx.shape_op(c.dp_dom[j], c.phiZ_jets[i], star=True)
-                a2 = ctx.shape_op(c.dp_dom[i], c.phiZ_jets[j], star=True)
-                add("a-f-symmetric-dual", ctx.gnorm(a1 - a2), lab)
-        # A*_U BV = A*_V BU over the normal frame
-        bvals = [ctx.b_jet(V) for V in ctx.normal_jets]
-        for iu, U in enumerate(ctx.normal_jets):
-            for iv, V in enumerate(ctx.normal_jets):
-                if iu >= iv:
-                    continue
-                bu = ctx.tangent_coeffs(bvals[iu].val)
-                bv = ctx.tangent_coeffs(bvals[iv].val)
-                a1 = ctx.shape_op(bv, U, star=True)
-                a2 = ctx.shape_op(bu, V, star=True)
-                add("b-shape-symmetric", ctx.gnorm(a1 - a2),
-                    f"U=N{iu+1} V=N{iv+1}")
-        for i in range(m):
-            xdom = np.eye(m)[i]
-            for kidx, V in enumerate(ctx.normal_jets):
-                lab = f"X=u{i+1} V=N{kidx+1}"
-                perp_star = ctx.perp(xdom, V, star=True)
-                lhs = (ctx.perp(xdom, ctx.c_jet(V))
-                       - ctx.normal_part(ctx.phi_val(perp_star)))
-                add("c-perp-parallel", ctx.gnorm(lhs), lab)
-                lhs = (ctx.nabla_tan(xdom, ctx.b_jet(V))
-                       - ctx.tangential(ctx.phi_val(perp_star)))
-                add("b-perp-parallel", ctx.gnorm(lhs), lab)
-            for j, Y in enumerate(frame_fields):
-                nab_star = ctx.nabla_tan(xdom, ctx.push_jet(Y), star=True)
-                lhs = (ctx.perp(xdom, ctx.f_jet(Y)) - ctx.f_val(nab_star))
-                add("f-perp-parallel", ctx.gnorm(lhs), f"X=u{i+1} Y=u{j+1}")
+        U = ctx.coords
+        nk = len(ctx.normal_jets)
+        # A_{FY} Z symmetric in the two anti-invariant slots; [:, j, i] is
+        # A_{phi Z_i} Z_j (one generator makes no pair)
+        for star, sfx in ((False, ""), (True, "-dual")) if yz else ():
+            a = -ctx.tangential(along(ctx.nabla(c.phiZ_jets, star), c.dp_dom))
+            add(f"a-f-symmetric{sfx}", ctx.gnorm(a[:, jj, ii] - a[:, ii, jj]),
+                yz)
+        # A*_U BV = A*_V BU over the normal frame; [:, v, u] is A*_{N_u} BN_v
+        b_jets = [ctx.b_jet(V) for V in ctx.normal_jets]
+        nstar = ctx.nabla(ctx.normal_jets, star=True)
+        bdom = ctx.tangent_coeffs(_as_rows([b.val for b in b_jets], ctx.n,
+                                           len(c.index)))
+        a = -ctx.tangential(along(nstar, bdom))
+        iu, iv = np.triu_indices(nk, 1)
+        add("b-shape-symmetric", ctx.gnorm(a[:, iv, iu] - a[:, iu, iv]),
+            [f"U=N{u+1} V=N{v+1}" for u, v in zip(iu, iv)])
+        xv = labels("X=u{} V=N{}", m, nk)
+        perp_star = ctx.normal_part(along(nstar, U))
+        lhs = (ctx.normal_part(along(
+            ctx.nabla([ctx.c_jet(V) for V in ctx.normal_jets]), U))
+               - ctx.normal_part(ctx.phi_val(perp_star)))
+        add("c-perp-parallel", ctx.gnorm(lhs), xv)
+        lhs = (ctx.tangential(along(ctx.nabla(b_jets), U))
+               - ctx.tangential(ctx.phi_val(perp_star)))
+        add("b-perp-parallel", ctx.gnorm(lhs), xv)
+        nab_star = ctx.tangential(along(
+            ctx.nabla([ctx.push_jet(Y) for Y in frame_fields], star=True), U))
+        lhs = (ctx.normal_part(along(
+            ctx.nabla([ctx.f_jet(Y) for Y in frame_fields]), U))
+               - ctx.f_val(nab_star))
+        add("f-perp-parallel", ctx.gnorm(lhs),
+            labels("X=u{} Y=u{}", m, m))
 
     return res.report(tol)
 
@@ -393,6 +390,9 @@ def classify_geodesic(cr, samples, tol=1e-8):
         "d-umbilic-factor-dual": "|L| recovered by least squares (dual)",
     })
     rD, rP = cr.D.rank, cr.Dperp.rank
+    dd = labels("X=D{} Y=D{}", rD, rD)
+    ii, jj = np.triu_indices(cr.D.rank, 1)
+    pairs = [f"X=D{i+1} Y=D{j+1}" for i, j in zip(ii, jj)]
 
     for c in cr.contexts(samples):
         ctx = c.ctx
@@ -400,36 +400,27 @@ def classify_geodesic(cr, samples, tol=1e-8):
         add = res.adder(scale, c.index)
         d_push = [ctx.push_jet(X) for X in cr.D.generators]
         dp_push = [ctx.push_jet(Z) for Z in cr.Dperp.generators]
+        t_jets = [ctx.t_jet(X) for X in cr.D.generators]
+        nk = len(ctx.normal_jets)
         for star in (False, True):
             sfx = "-dual" if star else ""
-            h_dd = {}
-            for i in range(rD):
-                for j in range(rD):
-                    h_dd[(i, j)] = ctx.h(c.d_dom[i], d_push[j], star)
-                    add(f"d-geodesic{sfx}", ctx.gnorm(h_dd[(i, j)]),
-                        f"X=D{i+1} Y=D{j+1}")
-            for i in range(rP):
-                for j in range(rP):
-                    add(f"dperp-geodesic{sfx}",
-                        ctx.gnorm(ctx.h(c.dp_dom[i], dp_push[j], star)),
-                        f"X=P{i+1} Y=P{j+1}")
-            for i in range(rD):
-                for j in range(rP):
-                    add(f"mixed-geodesic{sfx}",
-                        ctx.gnorm(ctx.h(c.d_dom[i], dp_push[j], star)),
-                        f"X=D{i+1} Y=P{j+1}")
+            # [:, i, j] is h(X_i, Y_j)
+            h_dd = ctx.normal_part(along(ctx.nabla(d_push, star), c.d_dom))
+            add(f"d-geodesic{sfx}", ctx.gnorm(h_dd), dd)
+            ndp = ctx.nabla(dp_push, star)
+            add(f"dperp-geodesic{sfx}",
+                ctx.gnorm(ctx.normal_part(along(ndp, c.dp_dom))),
+                labels("X=P{} Y=P{}", rP, rP))
+            add(f"mixed-geodesic{sfx}",
+                ctx.gnorm(ctx.normal_part(along(ndp, c.d_dom))),
+                labels("X=D{} Y=P{}", rD, rP))
             # umbilicity: least-squares normal factor over the D-pairs
-            gij = np.stack([np.stack([ctx.ginner(c.d_amb[i], c.d_amb[j])
-                                      for j in range(rD)], axis=-1)
-                            for i in range(rD)], axis=-2)
-            hstack = np.stack([np.stack([h_dd[(i, j)] for j in range(rD)],
-                                        axis=1) for i in range(rD)], axis=1)
+            gij = ctx.ginner(c.d_amb[:, :, None], c.d_amb[:, None])
             denom = (gij ** 2).reshape(len(gij), -1).sum(axis=1)
-            L = (np.einsum("...ij,...ijk->...k", gij, hstack)
+            L = (np.einsum("...ij,...ijk->...k", gij, h_dd)
                  / np.maximum(denom, 1e-300)[:, None])
-            fit = hstack - np.einsum("...ij,...k->...ijk", gij, L)
-            fit_resid = np.max([ctx.gnorm(fit[:, i, j]) for i in range(rD)
-                                for j in range(rD)], axis=0)
+            fit = h_dd - np.einsum("...ij,...k->...ijk", gij, L)
+            fit_resid = np.max(ctx.gnorm(fit), axis=(1, 2))
             add(f"d-umbilic{sfx}", fit_resid)
             add(f"d-umbilic-factor{sfx}", ctx.gnorm(L))
             # the umbilic test decides per sample, at that sample's scale
@@ -437,29 +428,21 @@ def classify_geodesic(cr, samples, tol=1e-8):
             add(f"umbilic-implies-geodesic{sfx}",
                 np.where(umbilic, ctx.gnorm(L), 0.0))
             # foliate consequence: h(phiX, phiY) = -h(X, Y) on D
-            t_jets = [ctx.t_jet(X) for X in cr.D.generators]
-            for i in range(rD):
-                ti_dom = ctx.tangent_coeffs(t_jets[i].val)
-                for j in range(rD):
-                    hpp = ctx.h(ti_dom, t_jets[j], star)
-                    add(f"foliate-remark{sfx}", ctx.gnorm(hpp + h_dd[(i, j)]),
-                        f"X=D{i+1} Y=D{j+1}")
-            # shape-operator companions
-            for kidx, V in enumerate(ctx.normal_jets):
-                for i in range(rD):
-                    av = ctx.shape_op(c.d_dom[i], V, star)
-                    lab = f"V=N{kidx+1} X=D{i+1}"
-                    add(f"d-geodesic-shape{sfx}", c.off(av, c.P_Dp), lab)
-                    add(f"mixed-geodesic-shape{sfx}", c.off(av, c.P_D), lab)
-                for i in range(rP):
-                    av = ctx.shape_op(c.dp_dom[i], V, star)
-                    lab = f"V=N{kidx+1} X=P{i+1}"
-                    add(f"dperp-geodesic-shape{sfx}", c.off(av, c.P_D), lab)
-                    add(f"mixed-geodesic-shape{sfx}", c.off(av, c.P_Dp), lab)
-        for i in range(rD):
-            for j in range(i + 1, rD):
-                br_amb = cr.bracket_amb(c, "D", i, j)
-                add("foliate", c.off(br_amb, c.P_D), f"X=D{i+1} Y=D{j+1}")
+            hpp = ctx.normal_part(along(ctx.nabla(t_jets, star), c.phid_dom))
+            add(f"foliate-remark{sfx}", ctx.gnorm(hpp + h_dd), dd)
+            # shape-operator companions; [:, k, i] is A_{V_k} X_i
+            nv = ctx.nabla(ctx.normal_jets, star)
+            ad = -ctx.tangential(np.swapaxes(along(nv, c.d_dom), 1, 2))
+            ap = -ctx.tangential(np.swapaxes(along(nv, c.dp_dom), 1, 2))
+            add(f"d-geodesic-shape{sfx}", c.off(ad, c.P_Dp),
+                labels("V=N{} X=D{}", nk, rD))
+            add(f"dperp-geodesic-shape{sfx}", c.off(ap, c.P_D),
+                labels("V=N{} X=P{}", nk, rP))
+            add(f"mixed-geodesic-shape{sfx}",
+                np.concatenate([c.off(ad, c.P_D), c.off(ap, c.P_Dp)], axis=2),
+                labels("V=N{} X={}", nk,
+                       labels("D{}", rD) + labels("P{}", rP)))
+        add("foliate", c.off(cr.brackets_amb(c, "D"), c.P_D), pairs)
 
     return res.report(tol, informational=("d-umbilic-factor",
                                           "d-umbilic-factor-dual"))
@@ -488,39 +471,26 @@ def check_mixed_geodesic_consequences(cr, samples, tol=1e-8, geo=None):
             "foliate-anticommute": "A*_V φX + φA*_V X = 0 on D",
             "foliate-anticommute-dual": "A_V φX + φA_V X = 0 on D",
         })
-    rD = cr.D.rank
 
     for c in cr.contexts(samples):
         ctx = c.ctx
         add = res.adder(_scale(c.G, ctx.phi.val), c.index)
-        t_jets = [ctx.t_jet(X) for X in cr.D.generators]
-        for i in range(rD):
-            xdom = c.d_dom[i]
-            phix_dom = ctx.tangent_coeffs(t_jets[i].val)
-            for kidx, V in enumerate(ctx.normal_jets):
-                lab = f"X=D{i+1} V=N{kidx+1}"
-                cv = ctx.c_jet(V)
-                a_cv = ctx.shape_op(xdom, cv)
-                a_star = ctx.shape_op(xdom, V, star=True)
-                add("shape-transfer",
-                    ctx.gnorm(a_cv - ctx.tangential(ctx.phi_val(a_star))), lab)
-                a_cv_d = ctx.shape_op(xdom, cv, star=True)
-                a_plain = ctx.shape_op(xdom, V)
-                add("shape-transfer-dual",
-                    ctx.gnorm(a_cv_d - ctx.tangential(ctx.phi_val(a_plain))),
-                    lab)
-                lhs = (ctx.perp(xdom, cv)
-                       - ctx.phi_val(ctx.perp(xdom, V, star=True)))
-                add("perp-transfer", ctx.gnorm(lhs), lab)
-                lhs = (ctx.perp(xdom, cv, star=True)
-                       - ctx.phi_val(ctx.perp(xdom, V)))
-                add("perp-transfer-dual", ctx.gnorm(lhs), lab)
-                a_phix_star = ctx.shape_op(phix_dom, V, star=True)
-                lhs = a_phix_star + ctx.tangential(ctx.phi_val(a_star))
-                add("foliate-anticommute", ctx.gnorm(lhs), lab)
-                a_phix = ctx.shape_op(phix_dom, V)
-                lhs = a_phix + ctx.tangential(ctx.phi_val(a_plain))
-                add("foliate-anticommute-dual", ctx.gnorm(lhs), lab)
+        xv = labels("X=D{} V=N{}", cr.D.rank, len(ctx.normal_jets))
+        c_jets = [ctx.c_jet(V) for V in ctx.normal_jets]
+        # each identity pairs one connection's derivative of (phi V)-perp
+        # with the opposite connection's of V; [:, i, k] is along X_i of
+        # the field of V_k
+        for star, sfx in ((False, ""), (True, "-dual")):
+            dcv = along(ctx.nabla(c_jets, star), c.d_dom)
+            nv = ctx.nabla(ctx.normal_jets, not star)
+            dv = along(nv, c.d_dom)
+            phia = ctx.tangential(ctx.phi_val(-ctx.tangential(dv)))
+            add(f"shape-transfer{sfx}",
+                ctx.gnorm(-ctx.tangential(dcv) - phia), xv)
+            lhs = ctx.normal_part(dcv) - ctx.phi_val(ctx.normal_part(dv))
+            add(f"perp-transfer{sfx}", ctx.gnorm(lhs), xv)
+            lhs = -ctx.tangential(along(nv, c.phid_dom)) + phia
+            add(f"foliate-anticommute{sfx}", ctx.gnorm(lhs), xv)
 
     # every record needs both mixed-geodesic verdicts; the anticommutation
     # records also need D foliate
@@ -558,81 +528,71 @@ def check_cr_product(cr, samples, tol=1e-8):
     })
     m = cr.mg.emb.m
     rD, rP = cr.D.rank, cr.Dperp.rank
+    # X ranges over the D generators plus the Reeb field explicitly
+    xl = labels("X=D{}", rD) + ["X=ξ"]
+    ii, jj = np.triu_indices(rP, 1)
 
     for c in cr.contexts(samples):
         ctx = c.ctx
+        N = len(c.index)
         add = res.adder(_scale(c.G, ctx.phi.val), c.index)
-        # X ranges over the D generators plus the Reeb field explicitly
-        xs = [(f"D{i+1}", c.d_dom[i], c.d_amb[i]) for i in range(rD)]
-        xs.append(("ξ", c.xi_dom, c.xi))
+        x_dom = np.concatenate([c.d_dom, c.xi_dom[:, None]], axis=1)
+        x_amb = np.concatenate([c.d_amb, c.xi[:, None]], axis=1)
+        eta_x = ctx.eta_of(x_amb)
         d_pushes = [ctx.push_jet(Z) for Z in cr.Dperp.generators]
-        for j in range(rP):
-            u_amb = c.dp_amb[j]
-            for xlab, xdom, xamb in xs:
-                lab = f"X={xlab} U=P{j+1}"
-                a = ctx.shape_op(xdom, c.phiZ_jets[j])
-                eta_u = ctx.eta_of(xamb)[:, None] * u_amb
-                add("product-criterion", ctx.gnorm(a + eta_u), lab)
-                add("product-criterion-alt-sign", ctx.gnorm(a - eta_u), lab)
-        # leaf pairing: g(h*(X,U), phi Z) = -eta(X) g(phi Z, phi U)
-        for xlab, xdom, xamb in xs:
-            eta_x = ctx.eta_of(xamb)
-            for ju in range(rP):
-                hstar = ctx.h(xdom, d_pushes[ju], star=True)
-                for jz in range(rP):
-                    phz = c.phiZ_jets[jz].val
-                    phu = c.phiZ_jets[ju].val
-                    lab = f"X={xlab} U=P{ju+1} Z=P{jz+1}"
-                    lhs = ctx.ginner(hstar, phz)
-                    rhs = eta_x * ctx.ginner(phz, phu)
-                    add("leaf-pairing", abs(lhs + rhs), lab)
-                    add("leaf-pairing-alt-sign", abs(lhs - rhs), lab)
-        # shape/transport pairing over the full tangent frame
-        for iu in range(m):
-            udom = np.eye(m)[iu]
-            uamb = c.J[:, :, iu]
-            for jz in range(rP):
-                a = ctx.shape_op(udom, c.phiZ_jets[jz])
-                nst = ctx.nabla_tan(udom, d_pushes[jz], star=True)
-                z_amb = c.dp_amb[jz]
-                for xlab, xdom, xamb in xs:
-                    lab = f"U=u{iu+1} Z=P{jz+1} X={xlab}"
-                    lhs = ctx.ginner(a, xamb)
-                    mid = ctx.ginner(nst, ctx.phi_val(xamb))
-                    gzu = ctx.ginner(z_amb, uamb)
-                    eta_x = ctx.eta_of(xamb)
-                    add("shape-transport-pairing",
-                        abs(lhs - mid + eta_x * gzu), lab)
-                    add("shape-transport-pairing-alt-sign",
-                        abs(lhs - mid - eta_x * gzu), lab)
-        # normal-derivative antisymmetry stays inside phi(Dperp)
-        for i in range(rP):
-            for j in range(i + 1, rP):
-                lhs = (ctx.perp(c.dp_dom[i], c.phiZ_jets[j])
-                       - ctx.perp(c.dp_dom[j], c.phiZ_jets[i]))
-                add("phidperp-perp-antisymmetry",
-                    ctx.gnorm(np.matvec(c.P_nu, lhs)), f"Z=P{i+1} W=P{j+1}")
-        # shape antisymmetry against the invariant normal complement
-        t_jets = [ctx.t_jet(X) for X in cr.D.generators]
+        nphi = ctx.nabla(c.phiZ_jets)
+        nz = {star: ctx.nabla(d_pushes, star) for star in (False, True)}
+        # [:, j, x] is A_{phi U_j} X
+        a = -ctx.tangential(np.swapaxes(along(nphi, x_dom), 1, 2))
+        eta_u = eta_x[:, None, :, None] * c.dp_amb[:, :, None]
+        ux = labels("{1} U=P{0}", rP, xl)
+        add("product-criterion", ctx.gnorm(a + eta_u), ux)
+        add("product-criterion-alt-sign", ctx.gnorm(a - eta_u), ux)
+        # leaf pairing: g(h*(X,U), phi Z) = -eta(X) g(phi Z, phi U), over
+        # (X, U, Z)
+        hstar = ctx.normal_part(along(nz[True], x_dom))
+        phz = _as_rows([f.val for f in c.phiZ_jets], ctx.n, N)
+        lhs = ctx.ginner(hstar[:, :, :, None], phz[:, None, None])
+        rhs = eta_x[:, :, None, None] * ctx.ginner(phz[:, None, None],
+                                                  phz[:, None, :, None])
+        xuz = labels("{} U=P{} Z=P{}", xl, rP, rP)
+        add("leaf-pairing", abs(lhs + rhs), xuz)
+        add("leaf-pairing-alt-sign", abs(lhs - rhs), xuz)
+        # shape/transport pairing over the full tangent frame, over (U, Z, X)
+        a = -ctx.tangential(along(nphi, ctx.coords))[:, :, :, None]
+        nst = ctx.tangential(along(nz[True], ctx.coords))[:, :, :, None]
+        lhs = ctx.ginner(a, x_amb[:, None, None])
+        mid = ctx.ginner(nst, ctx.phi_val(x_amb)[:, None, None])
+        gzu = ctx.ginner(c.dp_amb[:, None],
+                         ctx.tangents[:, :, None])[..., None]
+        uzx = labels("U=u{} Z=P{} {}", m, rP, xl)
+        add("shape-transport-pairing",
+            abs(lhs - mid + eta_x[:, None, None] * gzu), uzx)
+        add("shape-transport-pairing-alt-sign",
+            abs(lhs - mid - eta_x[:, None, None] * gzu), uzx)
+        # normal-derivative antisymmetry stays inside phi(Dperp); [:, i, j]
+        # is the normal derivative along Z_i of phi Z_j
+        perp = ctx.normal_part(along(nphi, c.dp_dom))
+        lhs = perp[:, ii, jj] - perp[:, jj, ii]
+        add("phidperp-perp-antisymmetry",
+            ctx.gnorm(np.matvec(_over(c.P_nu, lhs), lhs)),
+            [f"Z=P{i+1} W=P{j+1}" for i, j in zip(ii, jj)])
+        # shape antisymmetry against the invariant normal complement, over
+        # (Y, lambda)
         philams = [jmatvec(ctx.phi, lam) for lam in c.nu_jets]
-        for i in range(rD):
-            phix_dom = ctx.tangent_coeffs(t_jets[i].val)
-            for k, (lam, philam) in enumerate(zip(c.nu_jets, philams)):
-                a1 = ctx.shape_op(phix_dom, lam, star=True)
-                a2 = ctx.shape_op(c.d_dom[i], philam)
-                add("nu-shape-antisymmetry", ctx.gnorm(a1 + a2),
-                    f"Y=D{i+1} λ=ν{k+1}")
+        a1 = -ctx.tangential(along(ctx.nabla(c.nu_jets, star=True),
+                                   c.phid_dom))
+        a2 = -ctx.tangential(along(ctx.nabla(philams), c.d_dom))
+        add("nu-shape-antisymmetry", ctx.gnorm(a1 + a2),
+            labels("Y=D{} λ=ν{}", rD, len(c.nu_jets)))
         # leaf surrogates
+        d_push = [ctx.push_jet(X) for X in cr.D.generators]
         for star, d_nm, p_nm in ((False, "d-leaf", "dperp-leaf"),
                                  (True, "d-leaf-dual", "dperp-leaf-dual")):
-            for i in range(rP):
-                for j in range(rP):
-                    nzw = ctx.nabla_tan(c.dp_dom[i], d_pushes[j], star)
-                    add(p_nm, c.off(nzw, c.P_Dp), f"Z=P{i+1} W=P{j+1}")
-            d_push = [ctx.push_jet(X) for X in cr.D.generators]
-            for i in range(rD):
-                for j in range(rD):
-                    nxy = ctx.nabla_tan(c.d_dom[i], d_push[j], star)
-                    add(d_nm, c.off(nxy, c.P_D), f"X=D{i+1} Y=D{j+1}")
+            nzw = ctx.tangential(along(nz[star], c.dp_dom))
+            add(p_nm, c.off(nzw, c.P_Dp),
+                labels("Z=P{} W=P{}", rP, rP))
+            nxy = ctx.tangential(along(ctx.nabla(d_push, star), c.d_dom))
+            add(d_nm, c.off(nxy, c.P_D), labels("X=D{} Y=D{}", rD, rD))
 
     return res.report(tol)

@@ -13,9 +13,11 @@ each sample's arithmetic is the one-point arithmetic, bit for bit.
 The products contract with `@`, `np.matvec` and `np.vecmat` (no einsum):
 the derivative axis rides along as an extra matrix column or batch axis,
 and leading axes broadcast, so an operand whose sample axis has stride 0
-(a constant grid's) takes no special case.  The ambient covariant derivative of a jet field along the
-map, nabla-bar W = W.d + Gamma(J., W), is built from these jets by
-submanifold.GWData.nabla, one (N, n, m) array per field and connection.
+(a constant grid's) takes no special case.  Each jet is one field; the
+ambient covariant derivative along the map,
+nabla-bar W = W.d + Gamma(J., W), is built by submanifold.GWData.nabla for
+a list of K jets at once, one (N, K, n, m) array per connection, with the
+field axis as a label axis between the sample axis and the vector axes.
 """
 
 import numpy as np

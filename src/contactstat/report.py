@@ -1,11 +1,12 @@
 """Residual records and check reports, the engine's universal output."""
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Record", "CheckReport", "Tracker", "Residuals"]
+__all__ = ["Record", "CheckReport", "Tracker", "Residuals", "labels"]
 
 
 @dataclass
@@ -110,9 +111,9 @@ def _worse(value, residual):
 
 class Tracker:
     """Keeps the worst of a stream of per-sample values and its witness:
-    the first maximum in (sample, call) order, so ties resolve to the lowest
-    sample index, then to the first call that reached it.  A NaN value
-    counts as the worst."""
+    the first maximum in (sample, label) order, so ties resolve to the
+    lowest sample index, then to the first label (or call) that reached it.
+    A NaN value counts as the worst."""
 
     def __init__(self):
         self.residual = 0.0
@@ -123,12 +124,26 @@ class Tracker:
         """`values` has the sample axis first; `index` holds the sample
         numbers of its rows (default 0, 1, ...).  `scale` is the largest
         magnitude the values are measured against, for all samples at once
-        or one per sample."""
+        or one per sample.
+
+        `labels` is one label for all values, or a list of L labels: then
+        axis 1 of `values` is the label axis, one entry per label (several
+        label axes in a row count as one, in C order), and the call acts as
+        L successive calls, one per label.  An empty list changes nothing."""
+        if not isinstance(labels, list):
+            labels = [labels]
+        elif not labels:
+            return
         arr = np.abs(np.asarray(values, dtype=float))
-        flat = arr.reshape(arr.shape[0], -1).max(axis=1) if arr.ndim > 1 else arr
-        k = int(np.argmax(flat))
-        value = float(flat[k])
-        sample = k if index is None else int(index[k])
+        flat = arr.reshape(arr.shape[0], len(labels), -1).max(axis=2)
+        # each label's first maximum over the rows, then the worst of those
+        # at the lowest sample number, first label first
+        rows = np.argmax(flat, axis=0)
+        worst = flat[rows, np.arange(len(labels))]
+        samples = rows if index is None else np.asarray(index)[rows]
+        top = np.isnan(worst) if np.isnan(worst).any() else worst == worst.max()
+        k = int(np.argmax(top & (samples == samples[top].min())))
+        value, sample, labels = float(worst[k]), int(samples[k]), labels[k]
         self.scale = max(self.scale, float(np.max(scale)))
         if (self.witness is None or _worse(value, self.residual)
                 or (not _worse(self.residual, value)
@@ -148,6 +163,14 @@ class Tracker:
                       scale=self.scale, tolerance=tolerance,
                       witness=self.witness, informational=informational,
                       note=note)
+
+
+def labels(fmt, *axes):
+    """The labels of a residual family, one per entry of its label axes in
+    C order: `fmt` formatted with one value per axis, where an axis is a
+    count n (the values 1 .. n) or a list of values."""
+    axes = [range(1, a + 1) if isinstance(a, int) else a for a in axes]
+    return [fmt.format(*vals) for vals in itertools.product(*axes)]
 
 
 class Residuals:

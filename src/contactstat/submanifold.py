@@ -13,9 +13,11 @@ independent of any choice of ambient extension.  Gram-Schmidt may keep a
 candidate at some samples and drop it at others (the circle
 (cos x1, sin x1) builds its normal from e1 at x1 = 0 and from e2 at
 x1 = pi/2), so a sample set gets one context per drop pattern, each with
-the sample numbers (`index`) of its points; the checks add one value per
-sample and context to their trackers.  A non-finite value in the batch is a
-DomainError that names its expression and the first failing domain point.
+the sample numbers (`index`) of its points.  A check builds each residual
+family as one array per context, with the sample axis first and its label
+axes (frame directions, generators, normal vectors) after it, and adds it
+in one call.  A non-finite value in the batch is a DomainError that names
+its expression and the first failing domain point.
 """
 
 import numpy as np
@@ -25,11 +27,11 @@ from .geometry import (INPUT_ERRORS, GeometryError, Grid, MetricField,
                        VectorField, _coerce_expr)
 from .jets import (Jet, _tr, jconst, jinv, jmatmat, jmatvec, jscale, jT,
                    jvecdot)
-from .report import Residuals
+from .report import Residuals, labels
 
 __all__ = [
     "RankDropError", "Embedding", "GWData", "TFBCSplit",
-    "MapGeometry", "induced_metric", "split", "tfbc",
+    "MapGeometry", "along", "induced_metric", "split", "tfbc",
     "check_gauss_weingarten",
     "check_structure_identities", "check_transport_identities",
 ]
@@ -145,13 +147,6 @@ def _by_pattern(build, points, index):
                 for ctx in _by_pattern(build, points[part], index[part])]
 
 
-def _empty_nabla_memos(contexts):
-    """Empty the nabla memo of each GWData: the memo lives for one check,
-    so that no check holds the (N, n, m) arrays of another."""
-    for ctx in contexts:
-        ctx.nabla_memo.clear()
-
-
 def _scale(*arrays):
     """Per-sample scale of a residual family: the largest magnitude in the
     arrays, and at least 1."""
@@ -187,10 +182,8 @@ class MapGeometry:
 
     def contexts(self, samples):
         """A sample set's contexts, one per drop pattern, built once for
-        the set and handed out with an empty nabla memo."""
-        ctxs = _built_once(self, samples, lambda s: self._build(s.points))
-        _empty_nabla_memos(ctxs)
-        return ctxs
+        the set."""
+        return _built_once(self, samples, lambda s: self._build(s.points))
 
     def context(self, p):
         """The context at one domain point: the same build, on a batch of one."""
@@ -203,16 +196,17 @@ class MapGeometry:
 
 
 class GWData:
-    """Evaluators over a batch of frame points that share one drop pattern:
-    the tangent frame (the Jacobian columns) and a deterministic
-    g-orthonormal normal frame, ambient derivative along the map for both
-    connections, fundamental forms, shape operators, normal connections,
-    and the tangential/normal parts of the contact tensor.  Every array has
-    the sample axis first; `index` holds the sample numbers of the points.
+    """Data over a batch of frame points that share one drop pattern: the
+    tangent frame (the Jacobian columns), a deterministic g-orthonormal
+    normal frame, the ambient covariant derivative along the map for both
+    connections, and the tangential/normal parts of the contact tensor.
+    Every array has the sample axis first; `index` holds the sample numbers
+    of the points.  The value helpers take vectors of shape
+    (N, labels..., n): label axes sit between the sample axis and the
+    vector axis, and the per-sample matrices broadcast over them.
 
-    Two memos: derived jet fields (push, t, f, b, c) live as long as the
-    context; the (N, n, m) covariant derivatives nabla-bar W of `nabla`
-    live for one check, because every contexts() call empties them."""
+    Derived jet fields (push, t, f, b, c) are memoised for the life of the
+    context; the covariant derivatives that `nabla` returns are not kept."""
 
     def __init__(self, mg, points, index):
         self.points = points
@@ -223,7 +217,6 @@ class GWData:
         _, self.gamma, self.gamma_star = mg.st.gammas(self.y)
         self.phi, self.xi, self.eta = contact or (None, None, None)
         self._jets = {}
-        self.nabla_memo = {}
 
         N, n, m = self.J.val.shape
         self.n, self.m = n, m
@@ -244,6 +237,11 @@ class GWData:
                        if self.normal_jets else np.zeros((N, n, 0)))
         self.gram = _tr(J) @ G @ J
         self.gram_inv = np.linalg.inv(self.gram)
+        # the coordinate directions d/du^i, one row each, and the frame
+        # vectors as rows: the tangents J e_i and the normals
+        self.coords = np.broadcast_to(np.eye(m), (N, m, m))
+        self.tangents = _tr(J)
+        self.normals = _tr(self.normal)
         if self.normal.size:
             defect = np.abs(_tr(J) @ G @ self.normal).reshape(N, -1).max(axis=1)
             bad = defect > 1e-10
@@ -279,33 +277,35 @@ class GWData:
         basis = [jconst(eye[:, :, a], m) for a in range(n)]
         return self._gs(basis, tan_on)
 
-    # -- value-level helpers, on one ambient vector per sample
+    # -- value-level helpers, broadcast over the label axes of v
 
     def tangent_coeffs(self, v):
         """Coefficients of the tangential part of v in the Jacobian columns."""
-        return np.matvec(self.gram_inv,
-                         np.vecmat(np.matvec(self.G.val, v), self.J.val))
+        return np.matvec(_over(self.gram_inv, v), np.vecmat(
+            np.matvec(_over(self.G.val, v), v), _over(self.J.val, v)))
 
     def normal_coeffs(self, v):
-        return np.vecmat(np.matvec(self.G.val, v), self.normal)
+        return np.vecmat(np.matvec(_over(self.G.val, v), v),
+                         _over(self.normal, v))
 
     def tangential(self, v):
-        return np.matvec(self.Pi_tan.val, v)
+        return np.matvec(_over(self.Pi_tan.val, v), v)
 
     def normal_part(self, v):
-        return np.matvec(self.Pi_nor.val, v)
+        return np.matvec(_over(self.Pi_nor.val, v), v)
 
     def gnorm(self, v):
         return np.sqrt(np.maximum(0.0, self.ginner(v, v)))
 
     def ginner(self, u, v):
-        return np.vecdot(np.vecmat(u, self.G.val), v)
+        """g(u, v); v has u's label axes, or unit axes in their place."""
+        return np.vecdot(np.vecmat(u, _over(self.G.val, u)), v)
 
     def eta_of(self, v):
-        return np.vecdot(self.eta.val, v)
+        return np.vecdot(_over(self.eta.val, v), v)
 
     def phi_val(self, v):
-        return np.matvec(self.phi.val, v)
+        return np.matvec(_over(self.phi.val, v), v)
 
     def t_val(self, v):
         return self.tangential(self.phi_val(v))
@@ -347,46 +347,33 @@ class GWData:
 
     # -- the covariant derivative along the map
 
-    def nabla(self, W, star=False):
-        """The ambient covariant derivative of a jet field W along the map,
-        for the connection (star=False) or its dual (star=True), in every
-        domain direction at once: the (N, n, m) array
-        nabla-bar W = W.d + Gamma(J., W), whose column i is
-        nabla-bar_{d/du^i} W.  It is memoised per (field, connection) in
-        `nabla_memo` for one check: every contexts() call of MapGeometry
-        and CRStructure hands its contexts out with that memo empty."""
-        key = (W, star)
-        if key not in self.nabla_memo:
-            gam = self.gamma_star if star else self.gamma
-            self.nabla_memo[key] = (
-                W.d + np.matvec(gam, W.val[:, None, :]) @ self.J.val)
-        return self.nabla_memo[key]
+    def nabla(self, fields, star=False):
+        """The ambient covariant derivative along the map of a list of K
+        jet fields, for the connection (star=False) or its dual
+        (star=True), in every domain direction at once: the (N, K, n, m)
+        array nabla-bar W = W.d + Gamma(J., W), whose [:, k, :, i] is
+        nabla-bar_{d/du^i} of field k."""
+        N, n, m = self.J.val.shape
+        val = (np.stack([W.val for W in fields], axis=1) if fields
+               else np.zeros((N, 0, n)))
+        d = (np.stack([W.d for W in fields], axis=1) if fields
+             else np.zeros((N, 0, n, m)))
+        gam = self.gamma_star if star else self.gamma
+        return (d + np.matvec(gam[:, None], val[:, :, None, :])
+                @ self.J.val[:, None])
 
-    def dbar(self, xdom, W, star=False):
-        """ambient nabla_X W at each point for a domain direction X (given
-        by coefficient values, per sample or one for all) and a field W
-        given as a jet: nabla(W, star) applied to X."""
-        return np.matvec(self.nabla(W, star), np.asarray(xdom, dtype=float))
 
-    def gauss(self, xdom, Y, star=False):
-        """(tangential part, normal part) of nabla-bar_X (push Y)."""
-        v = self.dbar(xdom, self.push_jet(Y), star)
-        vt = self.tangential(v)
-        return vt, v - vt
+def along(nab, dirs):
+    """nabla-bar W of K fields (`nab`, from GWData.nabla) in L domain
+    directions (`dirs`, (N, L, m) coefficients): the (N, L, K, n) array,
+    direction axis first."""
+    return np.matvec(nab[:, None], dirs[:, :, None])
 
-    def h(self, xdom, W, star=False):
-        """normal part of nabla-bar_X W for a tangent-valued jet field W."""
-        return self.normal_part(self.dbar(xdom, W, star))
 
-    def nabla_tan(self, xdom, W, star=False):
-        return self.tangential(self.dbar(xdom, W, star))
-
-    def shape_op(self, xdom, V, star=False):
-        """A_V X = - tangential part of nabla-bar_X V."""
-        return -self.tangential(self.dbar(xdom, V, star))
-
-    def perp(self, xdom, V, star=False):
-        return self.normal_part(self.dbar(xdom, V, star))
+def _over(a, v):
+    """The per-sample array `a` with a unit axis for each label axis of the
+    vectors `v`, (N, labels..., k), so that it broadcasts over them."""
+    return np.expand_dims(a, tuple(range(1, v.ndim - 1)))
 
 
 def _jrecip_sqrt(s):
@@ -396,16 +383,23 @@ def _jrecip_sqrt(s):
 
 
 def split(ctx, v):
-    """Decompose ambient vectors, one per sample of a context, into
+    """Decompose ambient vectors, shape (N, labels..., n), into
     tangent-basis and normal-basis coefficients; every reconstruction must
     close to 1e-10."""
     v = np.asarray(v, dtype=float)
     a = ctx.tangent_coeffs(v)
     b = ctx.normal_coeffs(v)
-    recon = np.matvec(ctx.J.val, a) + np.matvec(ctx.normal, b)
-    if (ctx.gnorm(v - recon) > 1e-10 * (1.0 + ctx.gnorm(v))).any():
+    defect = ctx.gnorm(v - _recon(ctx, a, b))
+    if (defect > 1e-10 * (1.0 + ctx.gnorm(v))).any():
         raise GeometryError("degenerate frame: split reconstruction failed")
     return a, b
+
+
+def _recon(ctx, a, b):
+    """The ambient vectors with tangent-basis coefficients a and
+    normal-basis coefficients b."""
+    return (np.matvec(_over(ctx.J.val, a), a)
+            + np.matvec(_over(ctx.normal, b), b))
 
 
 class TFBCSplit:
@@ -420,20 +414,13 @@ class TFBCSplit:
         self.C = C
 
 
-def _per_column(coeffs, cols):
-    """coeffs applied to each column of an (N, n, k) stack."""
-    return np.moveaxis(coeffs(np.moveaxis(cols, -1, 0)), 0, -1)
-
-
 def tfbc(acs, ctx):
     """Decompose phi at a context's points."""
     phi_y = acs.phi_at(ctx.y)
-    phiJ = phi_y @ ctx.J.val
-    phiN = phi_y @ ctx.normal
-    return TFBCSplit(_per_column(ctx.tangent_coeffs, phiJ),
-                     _per_column(ctx.normal_coeffs, phiJ),
-                     _per_column(ctx.tangent_coeffs, phiN),
-                     _per_column(ctx.normal_coeffs, phiN))
+    # the images of the frame vectors, one row each
+    cols = (_tr(phi_y @ ctx.J.val), _tr(phi_y @ ctx.normal))
+    return TFBCSplit(*(_tr(coeffs(v)) for v in cols
+                       for coeffs in (ctx.tangent_coeffs, ctx.normal_coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -467,64 +454,54 @@ def check_gauss_weingarten(mg, samples, tol=1e-7):
         })
 
     frame = [VectorField.coordinate(m, i) for i in range(m)]
+    xy = labels("X=u{} Y=u{}", m, m)
+    xyz = labels("X=u{} Y=u{} Z=u{}", m, m, m)
     for ctx in ctxs:
         J = ctx.J.val
         scale = _scale(J, ctx.G.val)
         add = res.adder(scale, ctx.index)
         full = np.linalg.matrix_rank(J, tol=GS_THRESHOLD) == m
         res.add("jacobian-rank", np.where(full, 0.0, 1.0), index=ctx.index)
-        shape = (len(J), m, m, emb.n)
-        hvals, hvals_d, nab, nab_d = (np.zeros(shape) for _ in range(4))
-        for i in range(m):
-            xdom = np.eye(m)[i]
-            for j in range(m):
-                for star, sink_t, sink_h in ((False, nab, hvals),
-                                             (True, nab_d, hvals_d)):
-                    vt, vn = ctx.gauss(xdom, frame[j], star)
-                    sink_t[:, i, j] = vt
-                    sink_h[:, i, j] = vn
-                    v = vt + vn
-                    a, b = split(ctx, v)
-                    recon = np.matvec(J, a) + np.matvec(ctx.normal, b)
-                    add("gauss-reconstruction-dual" if star
-                        else "gauss-reconstruction",
-                        ctx.gnorm(v - recon), f"X=u{i+1} Y=u{j+1}")
-        for i in range(m):
-            xdom = np.eye(m)[i]
-            for kidx, Vjet in enumerate(ctx.normal_jets):
-                for nm, star in (("weingarten-reconstruction", False),
-                                 ("weingarten-reconstruction-dual", True)):
-                    v = ctx.dbar(xdom, Vjet, star)
-                    a, b = split(ctx, v)
-                    recon = np.matvec(J, a) + np.matvec(ctx.normal, b)
-                    add(nm, ctx.gnorm(v - recon), f"X=u{i+1} V=N{kidx+1}")
-                # pairing: g(A_V X, Y) = g(h*(X,Y), V) and the starred twin
-                A = ctx.shape_op(xdom, Vjet, star=False)
-                A_d = ctx.shape_op(xdom, Vjet, star=True)
-                for j in range(m):
-                    yamb = J[:, :, j]
-                    lab = f"X=u{i+1} Y=u{j+1} V=N{kidx+1}"
-                    add("shape-pairing",
-                        abs(ctx.ginner(A, yamb)
-                            - ctx.ginner(hvals_d[:, i, j], Vjet.val)), lab)
-                    add("shape-pairing-dual",
-                        abs(ctx.ginner(A_d, yamb)
-                            - ctx.ginner(hvals[:, i, j], Vjet.val)), lab)
-        add("h-symmetry", hvals - np.transpose(hvals, (0, 2, 1, 3)))
-        add("hstar-symmetry", hvals_d - np.transpose(hvals_d, (0, 2, 1, 3)))
-        # induced duality: d_i gind_jk = gind(nab_i j, k) + gind(j, nab*_i k)
+        nk = len(ctx.normal_jets)
+        xv = labels("X=u{} V=N{}", m, nk)
+        # per connection, [:, i, j] is the tangential (nab) and the normal
+        # (h) part of nabla-bar_{u_i} u_j, and [:, i, k] is the shape
+        # operator of normal k along u_i
+        nab, h, A = {}, {}, {}
+        pushes = [ctx.push_jet(Y) for Y in frame]
+        for star, sfx in ((False, ""), (True, "-dual")):
+            v = along(ctx.nabla(pushes, star), ctx.coords)
+            nab[star] = ctx.tangential(v)
+            h[star] = v - nab[star]
+            v = nab[star] + h[star]
+            add(f"gauss-reconstruction{sfx}",
+                ctx.gnorm(v - _recon(ctx, *split(ctx, v))), xy)
+            v = along(ctx.nabla(ctx.normal_jets, star), ctx.coords)
+            add(f"weingarten-reconstruction{sfx}",
+                ctx.gnorm(v - _recon(ctx, *split(ctx, v))), xv)
+            A[star] = -ctx.tangential(v)
+        # pairing: g(A_V X, Y) = g(h*(X,Y), V) and the starred twin, over
+        # (X, V, Y)
+        Y = ctx.tangents[:, None, None]
+        V = ctx.normals[:, None, :, None]
+        xvy = labels("X=u{0} Y=u{2} V=N{1}", m, nk, m)
+        add("shape-pairing", abs(ctx.ginner(A[False][:, :, :, None], Y)
+                                 - ctx.ginner(h[True][:, :, None], V)), xvy)
+        add("shape-pairing-dual", abs(ctx.ginner(A[True][:, :, :, None], Y)
+                                      - ctx.ginner(h[False][:, :, None], V)),
+            xvy)
+        add("h-symmetry", h[False] - np.transpose(h[False], (0, 2, 1, 3)))
+        add("hstar-symmetry", h[True] - np.transpose(h[True], (0, 2, 1, 3)))
+        # induced duality: d_i gind_jk = gind(nab_i j, k) + gind(j, nab*_i k),
+        # over (i, j, k)
         gram = ctx.gram
-        for i in range(m):
-            for j in range(m):
-                cj = ctx.tangent_coeffs(nab[:, i, j])
-                for kq in range(m):
-                    ck = ctx.tangent_coeffs(nab_d[:, i, kq])
-                    lhs = dgind[ctx.index, j, kq, i]
-                    rhs = (np.vecdot(cj, gram[:, :, kq])
-                           + np.vecdot(gram[:, j, :], ck))
-                    res.add("induced-duality", abs(lhs - rhs),
-                            f"X=u{i+1} Y=u{j+1} Z=u{kq+1}",
-                            np.maximum(scale, abs(lhs)), ctx.index)
+        cj = ctx.tangent_coeffs(nab[False])[:, :, :, None]
+        ck = ctx.tangent_coeffs(nab[True])[:, :, None]
+        lhs = np.moveaxis(dgind[ctx.index], -1, 1)
+        rhs = (np.vecdot(cj, _tr(gram)[:, None, None])
+               + np.vecdot(gram[:, None, :, None], ck))
+        res.add("induced-duality", abs(lhs - rhs), xyz,
+                np.maximum(scale[:, None, None, None], abs(lhs)), ctx.index)
     return res.report(tol)
 
 
@@ -547,41 +524,35 @@ def check_structure_identities(mg, samples, tol=1e-8):
 
     for ctx in mg.contexts(samples):
         add = res.adder(_scale(ctx.phi.val, ctx.G.val), ctx.index)
+        m, nk = ctx.m, ctx.normal.shape[-1]
+        xs, vs = labels("X=u{}", m), labels("V=N{}", nk)
         xiv = ctx.xi.val
         xtan = ctx.tangential(xiv)
         add("xi-tangency", ctx.gnorm(xiv - xtan))
 
-        tangents = [ctx.J.val[:, :, i] for i in range(ctx.m)]
-        normals = [ctx.normal[:, :, j] for j in range(ctx.normal.shape[-1])]
-        for i, v in enumerate(tangents):
-            tv = ctx.t_val(v)
-            fv = ctx.f_val(v)
-            lhs = (ctx.t_val(tv) + v - ctx.eta_of(v)[:, None] * xtan
-                   + ctx.tangential(ctx.phi_val(fv)))
-            add("t-squared", ctx.gnorm(lhs), f"X=u{i+1}")
-            ftx = ctx.f_val(tv)
-            cfx = ctx.normal_part(ctx.phi_val(fv))
-            add("ft-cf", ctx.gnorm(ftx + cfx), f"X=u{i+1}")
-            for j, w in enumerate(tangents):
-                add("t-skew",
-                    abs(ctx.ginner(tv, w) + ctx.ginner(v, ctx.t_val(w))),
-                    f"X=u{i+1} Y=u{j+1}")
-            for j, nv in enumerate(normals):
-                bv = ctx.tangential(ctx.phi_val(nv))
-                add("fb-adjoint", abs(ctx.ginner(fv, nv) + ctx.ginner(v, bv)),
-                    f"X=u{i+1} V=N{j+1}")
-        for j, nv in enumerate(normals):
-            bv = ctx.tangential(ctx.phi_val(nv))
-            cv = ctx.normal_part(ctx.phi_val(nv))
-            lhs = ctx.normal_part(ctx.phi_val(cv)) + nv + ctx.f_val(bv)
-            add("c-squared", ctx.gnorm(lhs), f"V=N{j+1}")
-            tbv = ctx.t_val(bv)
-            bcv = ctx.tangential(ctx.phi_val(cv))
-            add("tb-bc", ctx.gnorm(tbv + bcv), f"V=N{j+1}")
-            for j2, nw in enumerate(normals):
-                cw = ctx.normal_part(ctx.phi_val(nw))
-                add("c-skew", abs(ctx.ginner(cv, nw) + ctx.ginner(nv, cw)),
-                    f"U=N{j+1} V=N{j2+1}")
+        X, V = ctx.tangents, ctx.normals
+        tx = ctx.t_val(X)
+        fx = ctx.f_val(X)
+        lhs = (ctx.t_val(tx) + X - ctx.eta_of(X)[..., None] * xtan[:, None]
+               + ctx.tangential(ctx.phi_val(fx)))
+        add("t-squared", ctx.gnorm(lhs), xs)
+        add("ft-cf",
+            ctx.gnorm(ctx.f_val(tx) + ctx.normal_part(ctx.phi_val(fx))), xs)
+        add("t-skew", abs(ctx.ginner(tx[:, :, None], X[:, None])
+                          + ctx.ginner(X[:, :, None], tx[:, None])),
+            labels("X=u{} Y=u{}", m, m))
+        bv = ctx.tangential(ctx.phi_val(V))
+        add("fb-adjoint", abs(ctx.ginner(fx[:, :, None], V[:, None])
+                              + ctx.ginner(X[:, :, None], bv[:, None])),
+            labels("X=u{} V=N{}", m, nk))
+        cv = ctx.normal_part(ctx.phi_val(V))
+        lhs = ctx.normal_part(ctx.phi_val(cv)) + V + ctx.f_val(bv)
+        add("c-squared", ctx.gnorm(lhs), vs)
+        add("tb-bc", ctx.gnorm(ctx.t_val(bv)
+                               + ctx.tangential(ctx.phi_val(cv))), vs)
+        add("c-skew", abs(ctx.ginner(cv[:, :, None], V[:, None])
+                          + ctx.ginner(V[:, :, None], cv[:, None])),
+            labels("U=N{} V=N{}", nk, nk))
     return res.report(tol)
 
 
@@ -607,65 +578,53 @@ def check_transport_identities(mg, samples, tol=1e-8):
             "h-xi-alt-sign": "h(X, ξ) = FX",
         })
     frame = [VectorField.coordinate(m, i) for i in range(m)]
+    xs, xy = labels("X=u{}", m), labels("X=u{} Y=u{}", m, m)
 
     for ctx in mg.contexts(samples):
-        J = ctx.J.val
         add = res.adder(_scale(ctx.phi.val, ctx.G.val, ctx.gamma), ctx.index)
+        X, U = ctx.tangents, ctx.coords
         xiv = ctx.xi.val
-        xi_jet = ctx.xi
-        pushes = [ctx.push_jet(Y) for Y in frame]
-        t_jets = [ctx.t_jet(Y) for Y in frame]
-        f_jets = [ctx.f_jet(Y) for Y in frame]
-        for i in range(m):
-            xdom = np.eye(m)[i]
-            xamb = J[:, :, i]
-            for j in range(m):
-                yamb = J[:, :, j]
-                nab_star = ctx.nabla_tan(xdom, pushes[j], star=True)
-                hstar = ctx.h(xdom, pushes[j], star=True)
-                lab = f"X=u{i+1} Y=u{j+1}"
-                # tangential transport
-                lhs = (ctx.nabla_tan(xdom, t_jets[j])
-                       - ctx.t_val(nab_star)
-                       - ctx.shape_op(xdom, f_jets[j])
-                       - ctx.tangential(ctx.phi_val(hstar)))
-                rhs = (ctx.ginner(xamb, yamb)[:, None] * xiv
-                       - ctx.eta_of(yamb)[:, None] * xamb)
-                add("t-transport", ctx.gnorm(lhs - rhs), lab)
-                add("t-transport-alt-sign", ctx.gnorm(lhs + rhs), lab)
-                # normal transport
-                lhsn = (ctx.perp(xdom, f_jets[j])
-                        - ctx.f_val(nab_star)
-                        - ctx.normal_part(ctx.phi_val(hstar))
-                        + ctx.h(xdom, t_jets[j]))
-                add("f-transport", ctx.gnorm(lhsn), lab)
-            # xi reduction and h(X, xi)
-            nxi = ctx.nabla_tan(xdom, xi_jet)
-            comp = ctx.ginner(nxi, xiv)
-            red = nxi - comp[:, None] * ctx.tangential(xiv)
-            tx = ctx.t_val(xamb)
-            lab = f"X=u{i+1}"
-            add("xi-reduction", ctx.gnorm(red + tx), lab)
-            add("xi-reduction-alt-sign", ctx.gnorm(red - tx), lab)
-            hxi = ctx.h(xdom, xi_jet)
-            fx = ctx.f_val(xamb)
-            add("h-xi", ctx.gnorm(hxi + fx), lab)
-            add("h-xi-alt-sign", ctx.gnorm(hxi - fx), lab)
-            # normal-argument transports
-            for kidx, Vjet in enumerate(ctx.normal_jets):
-                lab = f"X=u{i+1} V=N{kidx+1}"
-                b_jet = ctx.b_jet(Vjet)
-                c_jet = ctx.c_jet(Vjet)
-                perp_star = ctx.perp(xdom, Vjet, star=True)
-                a_star = ctx.shape_op(xdom, Vjet, star=True)
-                lhs = (ctx.nabla_tan(xdom, b_jet)
-                       - ctx.tangential(ctx.phi_val(perp_star))
-                       - ctx.shape_op(xdom, c_jet)
-                       + ctx.t_val(a_star))
-                add("b-transport", ctx.gnorm(lhs), lab)
-                lhs = (ctx.perp(xdom, c_jet)
-                       - ctx.normal_part(ctx.phi_val(perp_star))
-                       + ctx.h(xdom, b_jet)
-                       + ctx.f_val(a_star))
-                add("c-transport", ctx.gnorm(lhs), lab)
+        # [:, i, j] along u_i of the frame field u_j, of its T and F parts
+        v = along(ctx.nabla([ctx.push_jet(Y) for Y in frame], star=True), U)
+        nab_star = ctx.tangential(v)
+        hstar = ctx.normal_part(v)
+        dt = along(ctx.nabla([ctx.t_jet(Y) for Y in frame]), U)
+        df = along(ctx.nabla([ctx.f_jet(Y) for Y in frame]), U)
+        # tangential transport
+        lhs = (ctx.tangential(dt) - ctx.t_val(nab_star) + ctx.tangential(df)
+               - ctx.tangential(ctx.phi_val(hstar)))
+        rhs = (ctx.ginner(X[:, :, None], X[:, None])[..., None]
+               * xiv[:, None, None]
+               - ctx.eta_of(X)[:, None, :, None] * X[:, :, None])
+        add("t-transport", ctx.gnorm(lhs - rhs), xy)
+        add("t-transport-alt-sign", ctx.gnorm(lhs + rhs), xy)
+        # normal transport
+        lhsn = (ctx.normal_part(df) - ctx.f_val(nab_star)
+                - ctx.normal_part(ctx.phi_val(hstar)) + ctx.normal_part(dt))
+        add("f-transport", ctx.gnorm(lhsn), xy)
+        # xi reduction and h(X, xi)
+        v = along(ctx.nabla([ctx.xi]), U)[:, :, 0]
+        nxi = ctx.tangential(v)
+        comp = ctx.ginner(nxi, xiv[:, None])
+        red = nxi - comp[..., None] * ctx.tangential(xiv)[:, None]
+        tx = ctx.t_val(X)
+        add("xi-reduction", ctx.gnorm(red + tx), xs)
+        add("xi-reduction-alt-sign", ctx.gnorm(red - tx), xs)
+        hxi = ctx.normal_part(v)
+        fx = ctx.f_val(X)
+        add("h-xi", ctx.gnorm(hxi + fx), xs)
+        add("h-xi-alt-sign", ctx.gnorm(hxi - fx), xs)
+        # normal-argument transports, [:, i, k] along u_i of normal k
+        xv = labels("X=u{} V=N{}", m, len(ctx.normal_jets))
+        v = along(ctx.nabla(ctx.normal_jets, star=True), U)
+        perp_star = ctx.normal_part(v)
+        a_star = -ctx.tangential(v)
+        db = along(ctx.nabla([ctx.b_jet(V) for V in ctx.normal_jets]), U)
+        dc = along(ctx.nabla([ctx.c_jet(V) for V in ctx.normal_jets]), U)
+        lhs = (ctx.tangential(db) - ctx.tangential(ctx.phi_val(perp_star))
+               + ctx.tangential(dc) + ctx.t_val(a_star))
+        add("b-transport", ctx.gnorm(lhs), xv)
+        lhs = (ctx.normal_part(dc) - ctx.normal_part(ctx.phi_val(perp_star))
+               + ctx.normal_part(db) + ctx.f_val(a_star))
+        add("c-transport", ctx.gnorm(lhs), xv)
     return res.report(tol)

@@ -32,7 +32,7 @@ from contactstat.geometry import (ConnField, MetricField, StatTriple,
                                   metric_samples)
 from contactstat.sampling import sample_box, samples_from_points
 from contactstat.specfile import from_doc
-from contactstat.submanifold import (Embedding, MapGeometry,
+from contactstat.submanifold import (Embedding, MapGeometry, along,
                                      check_gauss_weingarten,
                                      check_transport_identities,
                                      check_structure_identities)
@@ -209,10 +209,13 @@ def test_08_circle_control():
     mg = MapGeometry(emb, st)
     for t in np.linspace(-3.0, 3.0, 13):
         ctx = mg.context(np.array([t]))
-        _, h = ctx.gauss(np.array([1.0]), VectorField.coordinate(1, 0))
+        # nabla-bar_{d/dt} d/dt, and its normal part h(dt, dt)
+        v = along(ctx.nabla([ctx.push_jet(VectorField.coordinate(1, 0))]),
+                  ctx.coords)[:, 0, 0]
+        h = v - ctx.tangential(v)
         assert abs(ctx.gnorm(h)[0] - 1.0) < 1e-8
         N = ctx.normal_jets[0]
-        A = ctx.shape_op(np.array([1.0]), N)
+        A = -ctx.tangential(along(ctx.nabla([N]), ctx.coords)[:, 0, 0])
         lhs = ctx.ginner(A, ctx.J.val[:, :, 0])[0]
         rhs = ctx.ginner(h, N.val)[0]
         assert abs(lhs - rhs) < 1e-8

@@ -331,14 +331,30 @@ class TestStructuralProperties:
         assert str(err.value) == ("D generators are linearly dependent at "
                                   "domain point [0.0, 0.4, 0.5, 0.6]")
 
+    @pytest.mark.parametrize("kind", ["D", "Dperp"])
+    def test_a_generator_of_the_wrong_dimension_is_a_geometry_error(self,
+                                                                     kind):
+        # a 5-component generator on the 4-dim fix-cr5 submanifold
+        emb, d_gens, dp_gens = cr5_submanifold()
+        wide = VectorField(["0", "0", "0", "1", "0"])
+        if kind == "D":
+            d_gens = [wide]
+        else:
+            dp_gens = [wide]
+        with pytest.raises(GeometryError) as err:
+            CRStructure(map_geometry(emb, cr5_structure()), d_gens, dp_gens)
+        assert str(err.value) == (f"{kind} generators need 4 components, "
+                                  "one per submanifold coordinate")
+
     def test_phi_rank_on_d_drops_by_one(self):
         # phi kills exactly the Reeb direction inside D
         for cr, m in ((e7_cr(), 5), (cr5(), 4)):
             for p in sample_box(m, count=6).points:
                 c = cr.context(p)
-                cols = np.stack([c.ctx.phi_val(v)[0] for v in c.d_amb], axis=1)
+                cols = np.stack([c.ctx.phi_val(v)[0]
+                                 for v in np.moveaxis(c.d_amb, 1, 0)], axis=1)
                 assert np.linalg.matrix_rank(cols, tol=1e-8) == cr.D.rank - 1
                 # and the anti-invariant image meets the tangent space only at 0
-                for z in c.dp_amb:
+                for z in np.moveaxis(c.dp_amb, 1, 0):
                     tang = c.ctx.tangential(c.ctx.phi_val(z))
                     assert c.ctx.gnorm(tang)[0] < 1e-10

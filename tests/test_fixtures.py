@@ -6,9 +6,11 @@ from contactstat.contactstruct import (check_almost_contact, check_sasakian,
                                        check_sasakian_statistical)
 from contactstat.crchecks import check_contact_cr
 from contactstat.fixtures import fixture_doc, fixture_names
-from contactstat.geometry import check_statistical, metric_samples
+from contactstat.geometry import (VectorField, check_statistical,
+                                  metric_samples)
 from contactstat.sampling import sample_box
 from contactstat.specfile import SpecError, from_doc
+from contactstat.submanifold import Embedding
 
 
 def test_registry_contents():
@@ -77,11 +79,18 @@ class TestDocsMatchHandBuiltStructures:
                       ).max() < 1e-15
 
     def test_embeddings_match(self):
+        # fix-cr5 is the y2 = 0 slice (u1, u2, u3, u4) ->
+        # (x1, y1, x2, y2, z) = (u1, u2, u4, 0, u3), with D spanned by
+        # d/du1, d/du2 and the Reeb field 2 d/du3, and D-perp by d/du4
         spec = from_doc(fixture_doc("fix-cr5"))
-        emb, d_gens, dp_gens = conftest.cr5_submanifold()
+        emb = Embedding(["x1", "x2", "x4", "0", "x3"], 4)
+        d_gens = [VectorField.coordinate(4, 0), VectorField.coordinate(4, 1),
+                  VectorField(["0", "0", "2", "0"], 4)]
+        dp_gens = [VectorField.coordinate(4, 3)]
         pts = sample_box(4, count=8).points
         assert np.abs(spec.embedding.at(pts) - emb.at(pts)).max() < 1e-15
-        for a, b in zip(spec.d_gens, d_gens):
+        assert (len(spec.d_gens), len(spec.dperp_gens)) == (3, 1)
+        for a, b in zip(spec.d_gens + spec.dperp_gens, d_gens + dp_gens):
             assert np.abs(a.at(pts) - b.at(pts)).max() < 1e-15
 
 

@@ -1,15 +1,19 @@
 """Golden reports: the structured and the text report of every built-in
-fixture are pinned by their sha256, so a change to the engine that moves
-any byte of a residual, witness, status or census shows here.  The
-structured digests were written from the engine before the submanifold and
-CR checks were batched over the sample axis, the text digests before every
-check took one calling convention; a change that moves a report on purpose
-says so in CHANGES.md and rewrites the digest it moved."""
+fixture, and of the edge specs in conftest, are pinned by their sha256, so
+a change to the engine that moves any byte of a residual, witness, status
+or census shows here.  The structured digests were written from the engine
+before the submanifold and CR checks were batched over the sample axis, the
+text digests before every check took one calling convention, the edge-spec
+digests before the residual families took a label axis; a change that
+moves a report on purpose says so in CHANGES.md and rewrites the digest it
+moved."""
 
 import hashlib
+import json
 
 import pytest
 
+from conftest import EDGE_SPECS
 from contactstat.cli import main
 
 # (fixture, seed) -> (sha256 of the structured stdout, exit code), at 64
@@ -38,6 +42,15 @@ GOLDEN = {
         "7c415e1ce7379aee3fd02136c01a857c277877be12d39975ea83f60914934f6c", 1),
     ("sasaki-r7-cr", 7): (
         "904100fbcb2c50f2f917f3e4ff3207c79caad9bc1a6e06f58c3ed658f01d97d0", 1),
+    # the specs of conftest.EDGE_SPECS, whose normal frame or D-perp is empty
+    ("cr5-identity", 42): (
+        "de5338cc232ad636e1e500e354a24a30f86e120f1ee2557626107f8e8daa3684", 1),
+    ("cr5-identity", 7): (
+        "0ad20d4862f1070fd512385f6aacdf1fe6618d4efeea334d01cd42d813da23a5", 1),
+    ("cr5-reeb-curve", 42): (
+        "fb8a3ca834862fbe1ea5472db3edca1cf9043cfdfb9b50e9433f8bb643a45e33", 1),
+    ("cr5-reeb-curve", 7): (
+        "558f95d426d3d8887f4889ed81a6a2f6b270a6ee88381461edeba3f50cb95a9e", 1),
 }
 
 
@@ -64,12 +77,29 @@ GOLDEN_TEXT = {
         "38594262bd2bac9aa772f0cd743687216bb0e74de2de97adb6f2f5ce8dfcedce",
     ("sasaki-r7-cr", 42):
         "bdb175858bb31bd3a433b2c9fd664ac2732453a595c34a4ab266bf696f5c47c3",
+    ("cr5-identity", 7):
+        "8ffcc1632093cac9a2fcfd268444917355307e3d798ae36881bda1a47fd736d1",
+    ("cr5-identity", 42):
+        "2d6f1b8bf45f8ce22da13b1d1720406c3652dce6bd6d2bc1d0873bedd688ee80",
+    ("cr5-reeb-curve", 7):
+        "c0f6238e167d43a3309acc0167f6c05d8515269eb0a7a6e4075c511191010ca0",
+    ("cr5-reeb-curve", 42):
+        "e75b742e20ac66b55665340ac35018256846e58f7c8ed7ec90cbc0293a20b15d",
 }
 
 
+def _spec(name, tmp_path):
+    """A fixture name, or the path of an edge spec written out as JSON."""
+    if name not in EDGE_SPECS:
+        return name
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(EDGE_SPECS[name]))
+    return str(path)
+
+
 @pytest.mark.parametrize("name,seed", sorted(GOLDEN))
-def test_structured_report_is_golden(capsys, name, seed):
-    code = main(["check", "--spec", name, "--samples", "64",
+def test_structured_report_is_golden(capsys, tmp_path, name, seed):
+    code = main(["check", "--spec", _spec(name, tmp_path), "--samples", "64",
                  "--seed", str(seed), "--format", "structured"])
     out = capsys.readouterr()
     digest = hashlib.sha256(out.out.encode()).hexdigest()
@@ -78,8 +108,8 @@ def test_structured_report_is_golden(capsys, name, seed):
 
 
 @pytest.mark.parametrize("name,seed", sorted(GOLDEN_TEXT))
-def test_text_report_is_golden(capsys, name, seed):
-    code = main(["check", "--spec", name, "--samples", "64",
+def test_text_report_is_golden(capsys, tmp_path, name, seed):
+    code = main(["check", "--spec", _spec(name, tmp_path), "--samples", "64",
                  "--seed", str(seed), "--format", "text"])
     out = capsys.readouterr()
     digest = hashlib.sha256(out.out.encode()).hexdigest()

@@ -1,8 +1,11 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from contactstat.report import Record, Residuals, Tracker
+from contactstat.report import Record, Residuals, Tracker, labels
 
 
 class TestNonFiniteResiduals:
@@ -42,6 +45,72 @@ class TestWitness:
         rec = t.build("r", "x = 0", 1e-8)
         assert rec.residual == 2.0
         assert rec.witness == {"sample": 5, "labels": "b"}
+
+
+# few distinct magnitudes, so that exact ties are common, and NaN
+_ENTRIES = st.sampled_from([0.0, -0.0, 0.5, 2.0, -2.0, math.inf, math.nan])
+
+
+@st.composite
+def _label_axis_calls(draw):
+    """Earlier single-label calls, then one (N, L, ...) batch with its
+    labels, per-sample or overall scale and sample numbers."""
+    n = draw(st.integers(1, 5))
+    count = draw(st.integers(0, 4))
+    trailing = draw(st.sampled_from([(), (2,), (2, 3)]))
+    values = draw(hnp.arrays(float, (n, count) + trailing, elements=_ENTRIES))
+    scale = draw(st.one_of(
+        st.floats(0.0, 10.0),
+        hnp.arrays(float, (n,), elements=st.floats(0.0, 10.0))))
+    index = draw(st.one_of(st.none(), st.lists(
+        st.integers(0, 9), min_size=n, max_size=n)))
+    earlier = draw(st.lists(st.tuples(
+        hnp.arrays(float, (2,), elements=_ENTRIES),
+        st.sampled_from([None, "e1", "e2"]),
+        st.lists(st.integers(0, 9), min_size=2, max_size=2)), max_size=2))
+    names = [f"L{k}" for k in range(count)]
+    return earlier, values, names, scale, index
+
+
+def _state(t):
+    return (repr(t.residual), t.scale, t.witness)
+
+
+class TestLabelAxis:
+    @settings(max_examples=300, deadline=None)
+    @given(_label_axis_calls())
+    def test_one_call_is_the_calls_one_label_at_a_time(self, calls):
+        earlier, values, names, scale, index = calls
+        batched, one_by_one = Tracker(), Tracker()
+        for t in (batched, one_by_one):
+            for v, lab, idx in earlier:
+                t.add(v, lab, 1.0, idx)
+        batched.add(values, names, scale, index)
+        for k, name in enumerate(names):
+            one_by_one.add(values[:, k], name, scale, index)
+        assert _state(batched) == _state(one_by_one)
+
+    def test_an_empty_label_list_changes_nothing(self):
+        t = Tracker()
+        t.add([1.0, 3.0], "a", 2.0, [4, 5])
+        before = _state(t)
+        t.add(np.zeros((2, 0)), [], 99.0)
+        assert _state(t) == before
+
+    def test_ties_go_to_the_lowest_sample_then_the_first_label(self):
+        t = Tracker()
+        t.add([[0.0, 2.0, 2.0], [2.0, 2.0, 0.0]], ["a", "b", "c"],
+              index=[7, 3])
+        assert (t.residual, t.witness) == (2.0, {"sample": 3, "labels": "a"})
+
+    def test_labels_list_the_product_of_the_axes_in_c_order(self):
+        assert labels("X=u{} V=N{}", 2, 1) == ["X=u1 V=N1", "X=u2 V=N1"]
+        assert labels("X=u{0} Y=u{2} V=N{1}", 1, 2, 2) == [
+            "X=u1 Y=u1 V=N1", "X=u1 Y=u2 V=N1",
+            "X=u1 Y=u1 V=N2", "X=u1 Y=u2 V=N2"]
+        assert labels("{} U=P{}", ["X=D1", "X=ξ"], 1) == [
+            "X=D1 U=P1", "X=ξ U=P1"]
+        assert labels("X=D{}", 0) == []
 
 
 class TestResiduals:

@@ -4,8 +4,8 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import (cr5_structure, cr5_submanifold, e7_structure,
-                      e7_submanifold, map_geometry, sasaki_r3)
+from conftest import (EDGE_SPECS, cr5_structure, cr5_submanifold,
+                      e7_structure, e7_submanifold, map_geometry, sasaki_r3)
 from contactstat.contactstruct import lambda_family
 from contactstat.crchecks import (CRStructure, check_contact_cr,
                                   check_cr_product,
@@ -22,8 +22,9 @@ from contactstat.geometry import (ConnField, MetricField, StatTriple,
 from contactstat.sampling import sample_box, samples_from_points
 from contactstat.specfile import from_doc
 from contactstat.submanifold import (Embedding, MapGeometry, RankDropError,
-                                     check_gauss_weingarten, check_transport_identities,
+                                     along, check_gauss_weingarten,
                                      check_structure_identities,
+                                     check_transport_identities,
                                      induced_metric, split, tfbc)
 
 
@@ -219,8 +220,11 @@ def _submanifold_runs(emb, st):
 
 
 def _fixture_runs(name):
-    spec = from_doc(fixture_doc(name))
-    return _cr_runs(spec.cr_structure())
+    return _spec_runs(fixture_doc(name))
+
+
+def _spec_runs(doc):
+    return _cr_runs(from_doc(doc).cr_structure())
 
 
 def _cr_runs(cr):
@@ -249,6 +253,10 @@ SET_CASES = {
     "sasaki-r7-cr": (lambda: _fixture_runs("sasaki-r7-cr"),
                      sample_box(4, count=4, seed=12).points),
     "reeb-mixed": (lambda: _cr_runs(reeb_mixed_cr()), REEB_MIXED_POINTS),
+    "cr5-identity": (lambda: _spec_runs(EDGE_SPECS["cr5-identity"]),
+                     sample_box(5, count=4, seed=13).points),
+    "cr5-reeb-curve": (lambda: _spec_runs(EDGE_SPECS["cr5-reeb-curve"]),
+                       sample_box(1, count=4, seed=14).points),
 }
 
 
@@ -293,8 +301,10 @@ def dbar_reference(ctx, x, W, star):
 
 
 class TestCovariantDerivativeAlongTheMap:
-    """GWData.dbar reads one memoised (N, n, m) array per field and
-    connection; it must agree with the direction-at-a-time formula."""
+    """GWData.nabla gives one (N, K, n, m) array for K fields and a
+    connection, and `along` applies it to L directions at once; each
+    (field, direction) entry must agree with the direction-at-a-time
+    formula."""
 
     @pytest.mark.parametrize("name", ["sasaki-r7-cr", "paper-r7-euclidean"])
     def test_dbar_agrees_with_the_direction_formula(self, name):
@@ -316,13 +326,19 @@ class TestCovariantDerivativeAlongTheMap:
                   + [ctx.c_jet(V) for V in ctx.normal_jets])
         # coordinate directions, one for all samples, and generator
         # directions with their own coefficients at each sample
-        directions = ([np.eye(m)[i] for i in range(m)] + c.d_dom + c.dp_dom
+        generators = list(np.moveaxis(c.d_dom, 1, 0)) + list(
+            np.moveaxis(c.dp_dom, 1, 0))
+        directions = ([np.eye(m)[i] for i in range(m)] + generators
                       + [c.xi_dom])
-        assert all(x.shape == (9, m) for x in c.d_dom + c.dp_dom)
+        assert all(x.shape == (9, m) for x in generators)
+        dirs = np.stack([np.broadcast_to(x, (9, m)) for x in directions],
+                        axis=1)
         for star in (False, True):
-            for W in fields:
-                for x in directions:
-                    got = ctx.dbar(x, W, star)
+            nab = along(ctx.nabla(fields, star), dirs)
+            assert nab.shape == (9, len(directions), len(fields), ctx.n)
+            for k, W in enumerate(fields):
+                for l, x in enumerate(directions):
+                    got = nab[:, l, k]
                     want = dbar_reference(ctx, x, W, star)
                     assert got.shape == want.shape == (9, ctx.n)
                     assert np.all(np.abs(got - want)
@@ -334,19 +350,15 @@ class TestCovariantDerivativeAlongTheMap:
         mg = cr.mg
         samples = sample_box(spec.embedding.m, count=6, seed=2)
         check_gauss_weingarten(mg, samples)
-        # the contexts the check used, read without handing them out again
+        # the contexts the check used, read without handing them out again;
+        # no covariant derivative is kept on them past the check
         [ctx] = mg._built[1]
-        assert ctx.nabla_memo
         again = mg.contexts(samples)
         assert again == [ctx]
-        assert ctx.nabla_memo == {}
-        # the CR checks share that context, and their contexts() call
-        # empties its memo the same way
+        # the CR checks share that context
         check_cr_product(cr, samples)
-        assert ctx.nabla_memo
         [c] = cr.contexts(samples)
         assert c.ctx is ctx
-        assert ctx.nabla_memo == {}
 
     def test_contexts_die_with_their_structures(self):
         # no reference cycle holds a sample set's contexts, with their
@@ -374,7 +386,9 @@ class TestGaussWeingarten:
         assert rep.passed
         # h of a linear embedding in a flat ambient vanishes identically
         ctx = mg.context(np.array([0.1, 0.2]))
-        _, h = ctx.gauss(np.array([1.0, 0.0]), VectorField.coordinate(2, 1))
+        v = along(ctx.nabla([ctx.push_jet(VectorField.coordinate(2, 1))]),
+                  ctx.coords)[:, 0, 0]
+        h = v - ctx.tangential(v)
         assert np.abs(h).max() == 0.0
 
     def test_unit_circle_curvature(self):
@@ -382,12 +396,14 @@ class TestGaussWeingarten:
         mg = MapGeometry(circle(), flat_statistical(2))
         for t in (0.0, 0.7, 2.1, -1.3):
             ctx = mg.context(np.array([t]))
-            _, h = ctx.gauss(np.array([1.0]), VectorField.coordinate(1, 0))
+            v = along(ctx.nabla([ctx.push_jet(VectorField.coordinate(1, 0))]),
+                      ctx.coords)[:, 0, 0]
+            h = v - ctx.tangential(v)
             assert np.allclose(h[0], [-np.cos(t), -np.sin(t)], atol=1e-12)
             assert ctx.gnorm(h)[0] == pytest.approx(1.0, abs=1e-12)
             # pairing: g(A_N dt, dt) = g(h*(dt,dt), N) for the frame normal
             N = ctx.normal_jets[0]
-            A = ctx.shape_op(np.array([1.0]), N)
+            A = -ctx.tangential(along(ctx.nabla([N]), ctx.coords)[:, 0, 0])
             lhs = ctx.ginner(A, ctx.J.val[:, :, 0])[0]
             rhs = ctx.ginner(h, N.val)[0]
             assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -399,10 +415,14 @@ class TestGaussWeingarten:
         frame = [VectorField.coordinate(5, i) for i in range(5)]
         for p in sample_box(5, count=8).points:
             ctx = mg.context(p)
+            pushes = [ctx.push_jet(Y) for Y in frame]
             for i in range(5):
                 for j in range(5):
-                    _, h = ctx.gauss(np.eye(5)[i], frame[j])
-                    _, hs = ctx.gauss(np.eye(5)[i], frame[j], star=True)
+                    v = along(ctx.nabla([pushes[j]]), ctx.coords)[:, i, 0]
+                    h = v - ctx.tangential(v)
+                    v = along(ctx.nabla([pushes[j]], star=True),
+                              ctx.coords)[:, i, 0]
+                    hs = v - ctx.tangential(v)
                     assert np.abs(h).max() < 1e-10
                     assert np.abs(hs).max() < 1e-10
 
