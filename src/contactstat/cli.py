@@ -17,6 +17,8 @@ import json
 import math
 import sys
 
+import numpy as np
+
 from . import __version__
 from .contactstruct import (check_almost_contact, check_contact_metric,
                             check_sasakian, check_sasakian_statistical)
@@ -73,6 +75,15 @@ def _guarded(fn, check_name):
         return rep
 
 
+def _holds(test):
+    """Whether test() holds; a field that cannot be evaluated makes it
+    fail, and is left for the checks to report."""
+    try:
+        return test()
+    except INPUT_ERRORS:
+        return False
+
+
 def run(spec, suites, seed=None, count=None, tol=None):
     """Execute the requested suites in dependency order and collect one
     report document.  Engine precondition failures become failed records;
@@ -103,13 +114,22 @@ def run(spec, suites, seed=None, count=None, tol=None):
 
     # what the requested suites share, each built once before any check
     # runs: the ambient samples, the domain samples with their
-    # MapGeometry, and the CR structure over that MapGeometry
+    # MapGeometry, and the CR structure over that MapGeometry.  A set whose
+    # checks read only constant fields is checked at its first point
+    # (Samples.collapsed); a domain set also needs a finite image at every
+    # point, or an overflow past the first would go unreported.
     wanted = set(suites)
     if wanted & {"ambient", "contact"}:
         ambient = _spec_samples(spec, "ambient", eff_seed, eff_count)
+        if _holds(lambda: spec.sss.st.is_constant and spec.acs.is_constant):
+            ambient = ambient.collapsed()
     if wanted & {"submanifold", "cr", "product"}:
         domain = _spec_samples(spec, "domain", eff_seed, eff_count)
         mg = MapGeometry(spec.embedding, spec.sss.st, acs=spec.acs)
+        if _holds(lambda: mg.is_constant and all(
+                X.is_constant for X in spec.d_gens + spec.dperp_gens)
+                and np.isfinite(spec.embedding.at(domain.points)).all()):
+            domain = domain.collapsed()
     if wanted & {"cr", "product"}:
         cr = CRStructure(mg, spec.d_gens, spec.dperp_gens)
 

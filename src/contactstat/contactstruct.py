@@ -51,6 +51,11 @@ class AlmostContact:
         self._phi = Grid(self.phi)
         self._dphi = None
 
+    @property
+    def is_constant(self):
+        return (self._phi.is_constant and self.xi.is_constant
+                and self.eta.is_constant)
+
     def phi_at(self, points):
         return self._phi.at(points)
 

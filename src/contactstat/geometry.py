@@ -98,23 +98,25 @@ class Grid:
     def _compile(self):
         exprs = []
         self.shape = _flatten(self.nested, exprs)
-        self.exprs = exprs
         self.const = None
         vals = [e.const_value() for e in exprs]
         if all(e.max_var < 0 for e in exprs):
             self.const = np.array([e.eval(()) if v is None else v
                                    for e, v in zip(exprs, vals)]).reshape(self.shape)
-            return
-        self.template = np.zeros(len(exprs))
-        groups = {}
-        for col, (e, v) in enumerate(zip(exprs, vals)):
-            if v is not None:
-                self.template[col] = v
-            elif e.max_var < 0:
-                self.template[col] = e.eval_many(np.zeros((1, 0)))[0]
-            else:
-                groups.setdefault(str(e), (e, []))[1].append(col)
-        self.scatter = [(e, np.array(cols)) for e, cols in groups.values()]
+        else:
+            self.template = np.zeros(len(exprs))
+            groups = {}
+            for col, (e, v) in enumerate(zip(exprs, vals)):
+                if v is not None:
+                    self.template[col] = v
+                elif e.max_var < 0:
+                    self.template[col] = e.eval_many(np.zeros((1, 0)))[0]
+                else:
+                    groups.setdefault(str(e), (e, []))[1].append(col)
+            self.scatter = [(e, np.array(cols)) for e, cols in groups.values()]
+        # set last: a constant entry that raises DomainError leaves the grid
+        # uncompiled, so each later use raises it again
+        self.exprs = exprs
 
     @property
     def is_constant(self):
@@ -220,6 +222,10 @@ class VectorField:
         self.grid = Grid(self.comps)
         self._jac = None
 
+    @property
+    def is_constant(self):
+        return self.grid.is_constant
+
     @classmethod
     def coordinate(cls, dim, index):
         return cls([Const(1.0 if k == index else 0.0) for k in range(dim)], dim)
@@ -258,6 +264,10 @@ class ConnField:
     def flat(cls, dim):
         zero = Const(0.0)
         return cls(dim, [[[zero] * dim for _ in range(dim)] for _ in range(dim)])
+
+    @property
+    def is_constant(self):
+        return self._grid.is_constant
 
     def coeff(self, k, i, j):
         return self.coeffs[k][i][j]
@@ -315,6 +325,12 @@ class StatTriple:
     @property
     def dim(self):
         return self.g.dim
+
+    @property
+    def is_constant(self):
+        """Whether g and K, and so both connections, are the same at every
+        point."""
+        return self.g.is_constant and self.K.is_constant
 
     def _dual_K(self):
         if self._minus_K is None:
@@ -381,16 +397,13 @@ def check_statistical(st, samples, tol=1e-8):
     add("torsion", gam - np.transpose(gam, (0, 1, 3, 2)))
     add("torsion-dual", gam_star - np.transpose(gam_star, (0, 1, 3, 2)))
 
-    # (nabla_i g)(j, k) = d_i g_jk - gamma^l_ij g_lk - gamma^l_ik g_jl
-    nabla_g = (dgv
-               - np.einsum("nlij,nlk->nijk", gam, gv)
-               - np.einsum("nlik,njl->nijk", gam, gv))
+    # d_i g_jk - gamma^l_ij g_lk, the part that the duality residual and
+    # (nabla_i g)(j, k) = d_i g_jk - gamma^l_ij g_lk - gamma^l_ik g_jl share
+    nabla_g = dgv - np.einsum("nlij,nlk->nijk", gam, gv)
+    add("duality", nabla_g - np.einsum("nlik,njl->nijk", gam_star, gv))
+    nabla_g -= np.einsum("nlik,njl->nijk", gam, gv)
     add("codazzi", nabla_g - np.transpose(nabla_g, (0, 2, 1, 3)))
-
     del nabla_g  # the batches below are as large; keep one alive at a time
-    add("duality", dgv
-        - np.einsum("nlij,nlk->nijk", gam, gv)
-        - np.einsum("nlik,njl->nijk", gam_star, gv))
 
     kt = gam - lc
     add("difference-tensor-symmetry", kt - np.transpose(kt, (0, 1, 3, 2)))

@@ -1,6 +1,6 @@
 """Deterministic sample-point generation for residual checks."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -21,12 +21,18 @@ class SamplingError(ValueError):
 class Samples:
     """A batch of chart points used by every check.
 
-    points has shape (count, dim).  Reports are deterministic given the
-    points, so construction is the only place randomness enters.
+    points has shape (N, dim).  `count` is the number of samples the set
+    stands for, N unless the set is collapsed: where every field a check
+    reads is the same at every point, the checks see the same arithmetic
+    at each one, so `collapsed()` keeps the first point only and the
+    reports, which give `count`, stay those of all N.  Reports are
+    deterministic given the points, so construction is the only place
+    randomness enters.
     """
 
     points: np.ndarray
     resampled: int = 0
+    count: int | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -35,10 +41,12 @@ class Samples:
         if not np.all(np.isfinite(pts)):
             raise ValueError("sample points must be finite")
         object.__setattr__(self, "points", pts)
+        if self.count is None:
+            object.__setattr__(self, "count", pts.shape[0])
 
-    @property
-    def count(self):
-        return self.points.shape[0]
+    def collapsed(self):
+        """The set at its first point, with `count` and `resampled` kept."""
+        return replace(self, points=self.points[:1])
 
     @property
     def dim(self):

@@ -180,6 +180,15 @@ class MapGeometry:
             self.grids += [Grid(f), Grid(_partials(f, emb.m))]
         self._built = None
 
+    @property
+    def is_constant(self):
+        """Whether every field along the map but the image points is the
+        same at every domain point: the embedding is affine and the ambient
+        fields are constant."""
+        return (self.st.is_constant
+                and (self.acs is None or self.acs.is_constant)
+                and all(grid.is_constant for grid in self.grids[1:]))
+
     def contexts(self, samples):
         """A sample set's contexts, one per drop pattern, built once for
         the set."""
@@ -223,31 +232,36 @@ class GWData:
         low = np.linalg.matrix_rank(self.J.val, tol=GS_THRESHOLD) < m
         if low.any():
             raise RankDropError(points[low.argmax()])
-        self.Gram = jmatmat(jT(self.J), jmatmat(self.G, self.J))
-        self.Gram_inv = jinv(self.Gram)
-        self.Pi_tan = jmatmat(self.J, jmatmat(self.Gram_inv,
-                                              jmatmat(jT(self.J), self.G)))
-        self.Pi_nor = jconst(np.eye(n), m) - self.Pi_tan
+        # a tangent frame too long for floating point overflows in the
+        # products below, and the defect test then fails at its point
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.Gram = jmatmat(jT(self.J), jmatmat(self.G, self.J))
+            self.Gram_inv = jinv(self.Gram)
+            self.Pi_tan = jmatmat(self.J, jmatmat(self.Gram_inv,
+                                                  jmatmat(jT(self.J), self.G)))
+            self.Pi_nor = jconst(np.eye(n), m) - self.Pi_tan
 
-        self.normal_jets = self._normal_frame()
-        # the value-level frame: gram matrix of the tangent basis, and the
-        # normal basis as columns, g-orthonormal
-        J, G = self.J.val, self.G.val
-        self.normal = (np.stack([f.val for f in self.normal_jets], axis=-1)
-                       if self.normal_jets else np.zeros((N, n, 0)))
-        self.gram = _tr(J) @ G @ J
-        self.gram_inv = np.linalg.inv(self.gram)
+            self.normal_jets = self._normal_frame()
+            # the value-level frame: gram matrix of the tangent basis, and
+            # the normal basis as columns, g-orthonormal
+            J, G = self.J.val, self.G.val
+            self.normal = (np.stack([f.val for f in self.normal_jets], axis=-1)
+                           if self.normal_jets else np.zeros((N, n, 0)))
+            self.gram = _tr(J) @ G @ J
+            self.gram_inv = np.linalg.inv(self.gram)
+            defect = (np.abs(_tr(J) @ G @ self.normal).reshape(N, -1)
+                      .max(axis=1) if self.normal.size else np.zeros(N))
         # the coordinate directions d/du^i, one row each, and the frame
         # vectors as rows: the tangents J e_i and the normals
         self.coords = np.broadcast_to(np.eye(m), (N, m, m))
         self.tangents = _tr(J)
         self.normals = _tr(self.normal)
-        if self.normal.size:
-            defect = np.abs(_tr(J) @ G @ self.normal).reshape(N, -1).max(axis=1)
-            bad = defect > 1e-10
-            if bad.any():
-                raise GeometryError("tangent/normal orthogonality defect "
-                                    f"{defect[bad.argmax()]:.2e}")
+        bad = ~(defect <= 1e-10)
+        if bad.any():
+            s = bad.argmax()
+            raise GeometryError(
+                f"tangent/normal orthogonality defect {defect[s]:.2e} at "
+                f"domain point {points[s].tolist()}")
 
     # -- construction helpers
 

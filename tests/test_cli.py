@@ -1,6 +1,7 @@
 import json
 import sys
 
+import numpy as np
 import pytest
 
 from contactstat.cli import main, run
@@ -210,6 +211,75 @@ class TestEnginePreconditions:
                                        f"{first.tolist()}")
         # the ten checks share one failed build of the sample set
         assert builds == [8]
+
+    def test_image_overflow_past_the_first_sample_is_reported(
+            self, tmp_path, capsys):
+        # an affine embedding whose image overflows at some domain points
+        # but not at the first one: every point must still be evaluated
+        doc = fixture_doc("paper-r7-euclidean")
+        doc["submanifold"]["embedding"][6] = "10*x5"
+        doc["sampling"]["box"] = [-1.0, 1e308]
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "check", "--spec", str(path),
+                                "--seed", "42", "--samples", "64",
+                                "--format", "structured")
+        assert code == 1
+        assert err == ""
+        pts = sample_box(5, count=64, seed=42, box=(-1.0, 1e308)).points
+        overflows = pts[:, 4] > np.finfo(float).max / 10.0
+        assert not overflows[0]
+        first = pts[overflows][0]
+        rep = json.loads(out)
+        assert rep["suites"]["ambient"]["passed"]
+        notes = [rec["note"] for suite in rep["suites"].values()
+                 for check in suite["checks"] for rec in check["records"]
+                 if rec["name"] == "engine-precondition"]
+        assert notes == [("DomainError: non-finite result: 10.0*x5 at domain "
+                          f"point {first.tolist()}")] * 10
+
+    def test_frame_overflow_names_the_domain_point(self, tmp_path, capsys):
+        # a tangent vector of length 1e300 overflows the frame's Gram
+        # matrix; the failure names a point and no warning reaches stderr
+        doc = fixture_doc("paper-r7-euclidean")
+        doc["submanifold"]["embedding"][2] = "x3+x4*1e300"
+        path = tmp_path / "long-frame.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "check", "--spec", str(path),
+                                "--format", "structured")
+        assert code == 1
+        assert err == ""
+        first = sample_box(5, count=64, seed=42).points[0]
+        rep = json.loads(out)
+        notes = [rec["note"] for suite in rep["suites"].values()
+                 for check in suite["checks"] for rec in check["records"]
+                 if rec["name"] == "engine-precondition"]
+        assert notes == [("GeometryError: tangent/normal orthogonality "
+                          "defect 7.07e+299 at domain point "
+                          f"{first.tolist()}")] * 10
+
+    def test_constant_entry_outside_its_domain_fails_every_reader(
+            self, tmp_path, capsys):
+        # the constant xi grid fails to compile in every check that reads
+        # it, or K = lambda eta (x) eta (x) xi, not only in the first one
+        doc = fixture_doc("paper-r7-euclidean")
+        doc["ambient"]["xi"][6] = "sqrt(-1)+1"
+        path = tmp_path / "xi.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "check", "--spec", str(path),
+                                "--samples", "8", "--format", "structured")
+        assert code == 1
+        assert err == ""
+        rep = json.loads(out)
+        first = {check["check"]: check["records"][0]
+                 for suite in rep["suites"].values()
+                 for check in suite["checks"]}
+        assert len(first) == 15
+        assert [name for name, rec in first.items()
+                if rec["name"] != "engine-precondition"] == ["contact-metric"]
+        assert {rec["note"] for name, rec in first.items()
+                if name != "contact-metric"} == {
+                    "DomainError: non-finite result: sqrt(-1.0)+1.0"}
 
     def test_dependent_generators_name_the_distribution_and_point(
             self, tmp_path, capsys):
