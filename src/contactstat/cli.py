@@ -63,9 +63,12 @@ def _spec_samples(spec, chart, seed, count):
 def _guarded(fn, check_name):
     """Run one check; an input the check cannot be evaluated on becomes its
     failed engine-precondition record, naming the exception (whose message
-    names the failing domain point where the engine knows it)."""
+    names the failing domain point where the engine knows it).  A
+    non-finite value is left to the records, which keep it as the worst
+    value, so numpy's floating-point warnings are not shown."""
     try:
-        return fn()
+        with np.errstate(all="ignore"):
+            return fn()
     except INPUT_ERRORS as e:
         rep = CheckReport(check=check_name, census={})
         rep.records.append(Record(

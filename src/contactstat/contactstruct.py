@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exprlang import Const, Expr
+from .exprlang import Const
 from .geometry import (ConnField, GeometryError, Grid, StatTriple,
                        VectorField, _coerce_expr, levi_civita)
 from .report import Residuals
@@ -45,28 +45,17 @@ class AlmostContact:
                     else VectorField(eta, dim))
         if self.eta.dim != dim:
             raise GeometryError("eta dimension mismatch")
-        self.phi = tuple(
+        self.phi = Grid(tuple(
             tuple(_coerce_expr(phi[a][b], dim) for b in range(dim))
-            for a in range(dim))
-        self._phi = Grid(self.phi)
-        self._dphi = None
+            for a in range(dim)), dim)
 
     @property
     def is_constant(self):
-        return (self._phi.is_constant and self.xi.is_constant
+        return (self.phi.is_constant and self.xi.is_constant
                 and self.eta.is_constant)
 
     def phi_at(self, points):
-        return self._phi.at(points)
-
-    def dphi_at(self, points):
-        """d[n, i, a, b] = partial_i phi^a_b."""
-        if self._dphi is None:
-            self._dphi = Grid(tuple(
-                tuple(tuple(self.phi[a][b].diff(i) for b in range(self.dim))
-                      for a in range(self.dim))
-                for i in range(self.dim)))
-        return self._dphi.at(points)
+        return self.phi.at(points)
 
 
 @dataclass
@@ -150,7 +139,7 @@ def check_contact_metric(acs, g, samples, tol=1e-8):
 
     gv = g.at(pts)
     phi = acs.phi_at(pts)
-    deta_j = acs.eta.jac_at(pts)                       # [n, a, i] = d_i eta_a
+    deta_j = acs.eta.partials.at(pts)                  # [n, a, i] = d_i eta_a
     deta = np.transpose(deta_j, (0, 2, 1)) - deta_j    # [n, i, j] = d_i eta_j - d_j eta_i
     pair = np.einsum("nik,nkj->nij", gv, phi)          # g(e_i, phi e_j)
     add = res.adder(float(max(np.abs(deta).max(), np.abs(pair).max(), 1.0)))
@@ -175,9 +164,9 @@ def check_sasakian(acs, g, samples, tol=1e-8):
     gv = g.at(pts)
     gam = levi_civita(g, pts)
     phi = acs.phi_at(pts)
-    dphi = acs.dphi_at(pts)
+    dphi = acs.phi.partials.at(pts)  # [n, a, b, i] = d_i phi^a_b
     xiv = acs.xi.at(pts)
-    dxi = acs.xi.jac_at(pts)      # [n, k, i]
+    dxi = acs.xi.partials.at(pts)    # [n, k, i]
     etav = acs.eta.at(pts)
     eye = np.eye(d)
     add = res.adder(float(max(np.abs(gv).max(), np.abs(phi).max(),
@@ -189,7 +178,7 @@ def check_sasakian(acs, g, samples, tol=1e-8):
     add("xi-derivative", _gnorm(gv, defect))
 
     # (nabla-hat_i phi) e_j - g_ij xi + eta_j e_i
-    nphi = (np.transpose(dphi, (0, 2, 1, 3))
+    nphi = (np.moveaxis(dphi, -1, 2)
             + np.einsum("nkil,nlj->nkij", gam, phi)
             - np.einsum("nkl,nlij->nkij", phi, gam))   # [n, k, i, j]
     defect = (nphi - np.einsum("nij,nk->nkij", gv, xiv)
@@ -205,7 +194,7 @@ def _transport_records(add, prefix, gam_a, gam_b, gv, phi, dphi, xiv, dxi,
     n, d = gv.shape[:2]
     eye = np.eye(d)
     # nabla^a_i (phi e_j) - phi nabla^b_i e_j
-    lhs = (np.transpose(dphi, (0, 2, 1, 3))
+    lhs = (np.moveaxis(dphi, -1, 2)
            + np.einsum("nkil,nlj->nkij", gam_a, phi)
            - np.einsum("nkl,nlij->nkij", phi, gam_b))
     rhs = (np.einsum("nij,nk->nkij", gv, xiv)
@@ -249,9 +238,9 @@ def check_sasakian_statistical(sss, samples, tol=1e-8):
 
     gv = g.at(pts)
     phi = acs.phi_at(pts)
-    dphi = acs.dphi_at(pts)
+    dphi = acs.phi.partials.at(pts)
     xiv = acs.xi.at(pts)
-    dxi = acs.xi.jac_at(pts)
+    dxi = acs.xi.partials.at(pts)
     etav = acs.eta.at(pts)
     lc, gam, gam_star = st.gammas(pts)
     kt = gam - lc

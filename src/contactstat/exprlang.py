@@ -439,7 +439,9 @@ def _mul(a, b):
 def _div(a, b):
     ca, cb = a.const_value(), b.const_value()
     if cb == 0.0:
-        raise ExprError("division by constant zero")
+        # left unfolded: the quotient's value is non-finite, and the domain
+        # policy reports it like any other
+        return Bin("/", a, b)
     if ca is not None and cb is not None:
         return Const(ca / cb)
     if ca == 0.0:

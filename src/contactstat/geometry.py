@@ -1,7 +1,9 @@
 """Chart-level Riemannian and affine-connection machinery.
 
-Metrics, vector fields and tensor fields are grids of expressions over one
-chart, and every field is evaluated through `Grid`.  A grid is compiled once
+Every field is a `Grid`: a nested tuple of expressions over one chart.
+Metrics, vector fields, connection coefficients and embeddings are its
+subclasses, and a field and its partials are read one way, `field.at` and
+`field.partials.at`, with the derivative axis last.  A grid is compiled once
 into an evaluation plan: most entries of these tensors are literal zeros, so
 the constant entries fill a template row at compile time, and a batch of
 points costs one evaluation per distinct non-constant entry.  Connection
@@ -74,6 +76,14 @@ def _flatten(node, out):
     return (len(node),) + sub
 
 
+def _map(fn, node):
+    """The nested tuple grid `node` with each expression e replaced by
+    fn(e)."""
+    if isinstance(node, Expr):
+        return fn(node)
+    return tuple(_map(fn, child) for child in node)
+
+
 class Grid:
     """A nested tuple grid of expressions, compiled on first use into an
     evaluation plan for batches of points.
@@ -89,11 +99,14 @@ class Grid:
       text tells ``0.0`` from ``-0.0`` and keeps every parenthesis, so
       entries with the same text give the same value bit for bit.
     `at` fills a fresh batch from the template and evaluates each distinct
-    entry once."""
+    entry once.  `partials` is the grid of partial derivatives in the `dim`
+    chart coordinates, with the derivative axis last."""
 
-    def __init__(self, nested):
+    def __init__(self, nested, dim):
         self.nested = nested
+        self.dim = dim
         self.exprs = None
+        self._partials = None
 
     def _compile(self):
         exprs = []
@@ -124,6 +137,15 @@ class Grid:
             self._compile()
         return self.const is not None
 
+    @property
+    def partials(self):
+        """The grid [..., k] = d_k of each entry, built on first use."""
+        if self._partials is None:
+            self._partials = Grid(_map(
+                lambda e: tuple(e.diff(k) for k in range(self.dim)),
+                self.nested), self.dim)
+        return self._partials
+
     def at(self, points):
         """Values at an (N, dim) batch; the sample axis comes first."""
         pts = np.asarray(points, dtype=float)
@@ -136,13 +158,12 @@ class Grid:
         return vals.reshape((pts.shape[0],) + self.shape)
 
 
-class MetricField:
+class MetricField(Grid):
     """Symmetric positive-definite metric as expressions g_ij."""
 
     def __init__(self, dim, upper):
         """`upper` maps (i, j) with 0 <= i <= j < dim to an entry; missing
         entries are zero.  Symmetry holds by construction."""
-        self.dim = dim
         grid = [[Const(0.0)] * dim for _ in range(dim)]
         for (i, j), e in upper.items():
             if not (0 <= i <= j < dim):
@@ -151,8 +172,7 @@ class MetricField:
             grid[i][j] = expr
             grid[j][i] = expr
         self.entries = tuple(tuple(row) for row in grid)
-        self._grid = Grid(self.entries)
-        self._deriv = None
+        super().__init__(self.entries, dim)
 
     @classmethod
     def from_matrix(cls, rows):
@@ -172,24 +192,8 @@ class MetricField:
         mat = np.asarray(matrix, dtype=float)
         return cls.from_matrix([[Const(v) for v in row] for row in mat])
 
-    @property
-    def is_constant(self):
-        return self._grid.is_constant
-
     def entry(self, i, j):
         return self.entries[i][j]
-
-    def at(self, points):
-        return self._grid.at(points)
-
-    def deriv_at(self, points):
-        """d[n, k, i, j] = partial_k g_ij."""
-        if self._deriv is None:
-            self._deriv = Grid(tuple(
-                tuple(tuple(self.entries[i][j].diff(k) for j in range(self.dim))
-                      for i in range(self.dim))
-                for k in range(self.dim)))
-        return self._deriv.at(points)
 
     def inverse_at(self, points):
         g = self.at(points)
@@ -200,7 +204,13 @@ class MetricField:
         return np.linalg.inv(g)
 
     def min_eigenvalue_at(self, points):
-        return np.linalg.eigvalsh(self.at(points))[:, 0]
+        """The smallest eigenvalue at each point; NaN where an entry is not
+        finite, so that no sampler accepts the point."""
+        g = self.at(points)
+        finite = np.isfinite(g).all(axis=(1, 2))
+        out = np.full(len(g), np.nan)
+        out[finite] = np.linalg.eigvalsh(g[finite])[:, 0]
+        return out
 
     def substitute(self, gamma):
         """Pull the entries back through a coordinate map (composition)."""
@@ -209,72 +219,45 @@ class MetricField:
             for i in range(self.dim) for j in range(i, self.dim)})
 
 
-class VectorField:
+class VectorField(Grid):
     """A vector field, or a one-form: one expression per component."""
 
     def __init__(self, comps, dim=None):
         comps = list(comps)
         dim = dim or len(comps)
-        self.dim = dim
         self.comps = tuple(_coerce_expr(c, dim) for c in comps)
         if len(self.comps) != dim:
             raise GeometryError("component count must equal the chart dimension")
-        self.grid = Grid(self.comps)
-        self._jac = None
-
-    @property
-    def is_constant(self):
-        return self.grid.is_constant
+        super().__init__(self.comps, dim)
 
     @classmethod
     def coordinate(cls, dim, index):
         return cls([Const(1.0 if k == index else 0.0) for k in range(dim)], dim)
 
-    @property
-    def jac_grid(self):
-        """The partials [k][i] = partial_i X^k, compiled on first use."""
-        if self._jac is None:
-            self._jac = Grid(tuple(
-                tuple(self.comps[k].diff(i) for i in range(self.dim))
-                for k in range(self.dim)))
-        return self._jac
 
-    def at(self, points):
-        return self.grid.at(points)
-
-    def jac_at(self, points):
-        """j[n, k, i] = partial_i X^k."""
-        return self.jac_grid.at(points)
-
-
-class ConnField:
+class ConnField(Grid):
     """Symbolic coefficient grid of a connection, or of a (1,2)-tensor such
     as the difference tensor K, indexed [k][i][j]."""
 
     def __init__(self, dim, coeffs):
-        self.dim = dim
         self.coeffs = tuple(
             tuple(tuple(_coerce_expr(coeffs[k][i][j], dim)
                         for j in range(dim))
                   for i in range(dim))
             for k in range(dim))
-        self._grid = Grid(self.coeffs)
+        super().__init__(self.coeffs, dim)
 
     @classmethod
     def flat(cls, dim):
         zero = Const(0.0)
         return cls(dim, [[[zero] * dim for _ in range(dim)] for _ in range(dim)])
 
-    @property
-    def is_constant(self):
-        return self._grid.is_constant
-
     def coeff(self, k, i, j):
         return self.coeffs[k][i][j]
 
     def gamma_at(self, points):
         """gamma[n, k, i, j] at each sample."""
-        return self._grid.at(np.atleast_2d(np.asarray(points, dtype=float)))
+        return self.at(np.atleast_2d(np.asarray(points, dtype=float)))
 
 
 def levi_civita(g, points):
@@ -287,7 +270,7 @@ def levi_civita(g, points):
     if g.is_constant:
         return np.broadcast_to(0.0, (pts.shape[0], d, d, d))
     ginv = g.inverse_at(pts)
-    dg = g.deriv_at(pts)                      # [n, k, i, j] = d_k g_ij
+    dg = np.moveaxis(g.partials.at(pts), -1, 1)  # [n, k, i, j] = d_k g_ij
     d_j_gil = np.transpose(dg, (0, 2, 1, 3))  # indexed [n, i, j, l]
     d_l_gij = np.transpose(dg, (0, 2, 3, 1))
     lower = 0.5 * (dg + d_j_gil - d_l_gij)
@@ -385,7 +368,7 @@ def check_statistical(st, samples, tol=1e-8):
     })
 
     gv = g.at(pts)
-    dgv = g.deriv_at(pts)          # [n, k, i, j]
+    dgv = np.moveaxis(g.partials.at(pts), -1, 1)  # [n, k, i, j] = d_k g_ij
     min_eig = np.linalg.eigvalsh(gv)[:, 0]
     res.add("metric-positive-definite", np.maximum(0.0, -min_eig),
             scale=float(np.abs(gv).max()))

@@ -15,7 +15,7 @@ import numpy as np
 
 from .contactstruct import AlmostContact, SasakiStatStructure, lambda_family
 from .crchecks import CRStructure
-from .exprlang import Const, ParseError, parse
+from .exprlang import Const, DomainError, ParseError, parse
 from .geometry import (ConnField, MetricField, SingularMetricError,
                        StatTriple, VectorField)
 from .submanifold import Embedding, MapGeometry
@@ -302,7 +302,7 @@ def from_doc(doc, origin="<doc>"):
                                   for j in range(dim)] for i in range(dim)]
                                 for k in range(dim)])
             sss = SasakiStatStructure(st=StatTriple(g, K), acs=acs)
-    except SingularMetricError as e:
+    except (SingularMetricError, DomainError) as e:
         raise SpecError([f"{origin}.ambient.metric: {e}"]) from None
 
     return SpecFile(doc=doc, name=doc.get("name", origin), g=g, acs=acs,

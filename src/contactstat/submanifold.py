@@ -22,9 +22,9 @@ its expression and the first failing domain point.
 
 import numpy as np
 
-from .exprlang import Const, DomainError, Expr
+from .exprlang import Const, DomainError
 from .geometry import (INPUT_ERRORS, GeometryError, Grid, MetricField,
-                       VectorField, _coerce_expr)
+                       VectorField, _coerce_expr, _map)
 from .jets import (Jet, _tr, jconst, jinv, jmatmat, jmatvec, jscale, jT,
                    jvecdot)
 from .report import Residuals, labels
@@ -46,8 +46,9 @@ class RankDropError(GeometryError):
         self.point = np.asarray(point)
 
 
-class Embedding:
-    """Map from an m-chart into an n-chart, one expression per component."""
+class Embedding(Grid):
+    """Map from an m-chart into an n-chart, one expression per component;
+    `partials` is its Jacobian, [a][i] = d_i y^a."""
 
     def __init__(self, comps, m):
         comps = list(comps)
@@ -56,18 +57,13 @@ class Embedding:
         if self.n < m:
             raise GeometryError("ambient dimension below domain dimension")
         self.comps = tuple(_coerce_expr(c, m) for c in comps)
-        self.jac_exprs = tuple(
-            tuple(self.comps[a].diff(i) for i in range(m))
-            for a in range(self.n))
-        self._grid = Grid(self.comps)
-
-    def at(self, points):
-        return self._grid.at(points)
+        super().__init__(self.comps, m)
 
 
 def induced_metric(emb, g_ambient):
     """Pullback metric as expressions over the domain chart."""
     gsub = g_ambient.substitute(emb.comps)
+    jac = emb.partials.nested
     m, n = emb.m, emb.n
     upper = {}
     for i in range(m):
@@ -75,18 +71,9 @@ def induced_metric(emb, g_ambient):
             acc = Const(0.0)
             for a in range(n):
                 for b in range(n):
-                    acc = acc + emb.jac_exprs[a][i] * gsub.entries[a][b] \
-                        * emb.jac_exprs[b][j]
+                    acc = acc + jac[a][i] * gsub.entries[a][b] * jac[b][j]
             upper[(i, j)] = acc
     return MetricField(m, upper)
-
-
-def _partials(nested, m):
-    """The grid of partials of a nested expression grid, with the
-    derivative index innermost."""
-    if isinstance(nested, Expr):
-        return tuple(nested.diff(k) for k in range(m))
-    return tuple(_partials(child, m) for child in nested)
 
 
 def _checked(grids, points):
@@ -166,18 +153,16 @@ class MapGeometry:
         self.emb = emb
         self.st = st
         self.acs = acs
-        fields = [emb.jac_exprs, st.g.substitute(emb.comps).entries]
+        fields = [st.g.substitute(emb.comps).entries]
         if acs is not None:
-            fields.append(tuple(
-                tuple(acs.phi[a][b].substitute(emb.comps) for b in range(emb.n))
-                for a in range(emb.n)))
-            fields.append(tuple(c.substitute(emb.comps) for c in acs.xi.comps))
-            fields.append(tuple(c.substitute(emb.comps) for c in acs.eta.comps))
+            fields += [_map(lambda e: e.substitute(emb.comps), f.nested)
+                       for f in (acs.phi, acs.xi, acs.eta)]
         # the image points, then the values and partials of J, G and, with
         # a contact structure, phi, xi and eta along the map
-        self.grids = [emb._grid]
+        self.grids = [emb, emb.partials, emb.partials.partials]
         for f in fields:
-            self.grids += [Grid(f), Grid(_partials(f, emb.m))]
+            grid = Grid(f, emb.m)
+            self.grids += [grid, grid.partials]
         self._built = None
 
     @property
@@ -337,7 +322,7 @@ class GWData:
     def domain_jet(self, X):
         """A domain vector field with its partials, evaluated on first use."""
         return self._memo(("dom", X), lambda: Jet(
-            *_checked([X.grid, X.jac_grid], self.points)))
+            *_checked([X, X.partials], self.points)))
 
     def push_jet(self, X):
         return self._memo(("push", X),
@@ -448,9 +433,6 @@ def check_gauss_weingarten(mg, samples, tol=1e-7):
     emb = mg.emb
     m = emb.m
     ctxs = mg.contexts(samples)
-    # d_i gind_jk at every sample, indexed [s, j, k, i]
-    gind = induced_metric(emb, mg.st.g)
-    [dgind] = _checked([Grid(_partials(gind.entries, m))], samples.points)
 
     res = Residuals(
         "gauss-weingarten", {"samples": samples.count, "m": m, "n": emb.n}, {
@@ -507,11 +489,11 @@ def check_gauss_weingarten(mg, samples, tol=1e-7):
         add("h-symmetry", h[False] - np.transpose(h[False], (0, 2, 1, 3)))
         add("hstar-symmetry", h[True] - np.transpose(h[True], (0, 2, 1, 3)))
         # induced duality: d_i gind_jk = gind(nab_i j, k) + gind(j, nab*_i k),
-        # over (i, j, k)
+        # over (i, j, k), with d_i gind_jk read from the Gram jet
         gram = ctx.gram
         cj = ctx.tangent_coeffs(nab[False])[:, :, :, None]
         ck = ctx.tangent_coeffs(nab[True])[:, :, None]
-        lhs = np.moveaxis(dgind[ctx.index], -1, 1)
+        lhs = np.moveaxis(ctx.Gram.d, -1, 1)
         rhs = (np.vecdot(cj, _tr(gram)[:, None, None])
                + np.vecdot(gram[:, None, :, None], ck))
         res.add("induced-duality", abs(lhs - rhs), xyz,

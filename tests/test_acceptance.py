@@ -138,7 +138,7 @@ def test_05_paper_fixture_audit_records():
     e1 = VectorField.coordinate(7, 0)
     # nabla-hat_{e1} xi = d_1 xi + Gamma-hat(e1, xi)
     lc = spec.sss.st.gammas(pts)[0]
-    nxi = (spec.acs.xi.jac_at(pts)[:, :, 0]
+    nxi = (spec.acs.xi.partials.at(pts)[:, :, 0]
            + np.einsum("nkj,nj->nk", lc[:, :, 0, :], spec.acs.xi.at(pts)))
     defect = nxi + np.einsum("nab,nb->na", spec.acs.phi_at(pts),
                              e1.at(pts))

@@ -123,6 +123,26 @@ class TestExitCodes:
         assert err.startswith("error: sampling.box: ")
         assert "stuck at point" in err
 
+    @pytest.mark.parametrize("name", ["paper-r7-euclidean", "fix-s3"])
+    def test_non_finite_metric_entry_exit_two(self, tmp_path, capsys, name):
+        # a constant metric is inverted while the spec loads, a varying one
+        # is first evaluated by the sampler; both stop at one located line
+        doc = fixture_doc(name)
+        doc["ambient"]["metric"]["1 1"] = "sqrt(-1)"
+        path = tmp_path / "metric.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "check", "--spec", str(path),
+                                "--samples", "8", "--format", "structured")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        if name == "fix-s3":
+            assert err.startswith("error: sampling.box: ")
+            assert "stuck at point [" in err
+        else:
+            assert err == (f"error: {path}.ambient.metric: non-finite "
+                           "result: sqrt(-1.0)\n")
+
 
 class TestBadValues:
     @pytest.mark.parametrize("flag,value", [
@@ -280,6 +300,49 @@ class TestEnginePreconditions:
         assert {rec["note"] for name, rec in first.items()
                 if name != "contact-metric"} == {
                     "DomainError: non-finite result: sqrt(-1.0)+1.0"}
+
+    @pytest.mark.parametrize("name,block,key,index,text", [
+        ("paper-r7-euclidean", "ambient", "xi", 6, "1/0"),
+        ("fix-cr5", "submanifold", "embedding", 0, "x1+1/0*0")])
+    def test_division_by_a_literal_zero_is_a_domain_error(
+            self, tmp_path, capsys, name, block, key, index, text):
+        # substituting the embedding leaves the quotient unfolded, so it
+        # reaches the domain policy instead of raising while the shared
+        # geometry is built
+        doc = fixture_doc(name)
+        doc[block][key][index] = text
+        path = tmp_path / "div0.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "check", "--spec", str(path),
+                                "--samples", "8", "--format", "structured")
+        assert code == 1
+        assert err == ""
+        rep = json.loads(out)
+        notes = {rec["note"] for suite in rep["suites"].values()
+                 for check in suite["checks"] for rec in check["records"]
+                 if rec["name"] == "engine-precondition"}
+        if key == "xi":
+            # a constant entry is named without a point
+            assert notes == {"DomainError: non-finite result: 1.0/0.0"}
+        else:
+            first = sample_box(4, count=8, seed=42).points[0]
+            assert notes == {("DomainError: non-finite result: "
+                              "x1+1.0/0.0*0.0 at domain point "
+                              f"{first.tolist()}")}
+
+    def test_floating_point_warnings_stay_off_stderr(self, tmp_path, capsys):
+        # the ambient K = eta (x) eta (x) xi carries 1/0 into the
+        # statistical residuals, which keep the NaN as their worst value
+        doc = fixture_doc("fix-s3")
+        doc["ambient"]["xi"][2] = "1/0"
+        path = tmp_path / "xi.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "check", "--spec", str(path),
+                                "--samples", "8", "--format", "structured")
+        assert code == 1
+        assert err == ""
+        [stat] = json.loads(out)["suites"]["ambient"]["checks"]
+        assert not stat["passed"]
 
     def test_dependent_generators_name_the_distribution_and_point(
             self, tmp_path, capsys):

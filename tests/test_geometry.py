@@ -82,7 +82,7 @@ class TestLeviCivita:
         pts = sample_box(3, count=32).points
         gam = levi_civita(g, pts)
         gv = g.at(pts)
-        dgv = g.deriv_at(pts)
+        dgv = np.moveaxis(g.partials.at(pts), -1, 1)
         compat = (dgv
                   - np.einsum("nlki,nlj->nkij", gam, gv)
                   - np.einsum("nlkj,nil->nkij", gam, gv))
@@ -124,7 +124,7 @@ class TestDualConnection:
         g, K, _, _ = e7_structure()
         pts = sample_box(7, count=64).points
         gv = g.at(pts)
-        dgv = g.deriv_at(pts)
+        dgv = np.moveaxis(g.partials.at(pts), -1, 1)
         _, gam, gams = StatTriple(g, K).gammas(pts)
         lhs = dgv
         rhs = (np.einsum("nlij,nlk->nijk", gam, gv)
@@ -136,7 +136,7 @@ def nabla_at(gam, X, Y, pts):
     """(∇_X Y)^k = X^i ∂_i Y^k + X^i Y^j Γ^k_ij at each point, from
     connection coefficients [n, k, i, j] evaluated at the same points."""
     xv, yv = X.at(pts), Y.at(pts)
-    return (np.einsum("ni,nki->nk", xv, Y.jac_at(pts))
+    return (np.einsum("ni,nki->nk", xv, Y.partials.at(pts))
             + np.einsum("ni,nj,nkij->nk", xv, yv, gam))
 
 
@@ -222,7 +222,7 @@ class TestCheckStatistical:
         # frame gives exactly -2 on the (z,z,z) slot and 0 elsewhere
         g, K, xi, eta = e7_structure()
         pts = sample_box(7, count=8).points
-        gv, dgv = g.at(pts), g.deriv_at(pts)
+        gv, dgv = g.at(pts), np.moveaxis(g.partials.at(pts), -1, 1)
         gam = StatTriple(g, K).gammas(pts)[1]
         nabla_g = (dgv
                    - np.einsum("nlij,nlk->nijk", gam, gv)
@@ -301,9 +301,10 @@ def test_grid_plan_equals_entrywise_evaluation(data):
     # the same entry object at several positions
     flat = [flat[data.draw(st.integers(0, i))] if data.draw(st.booleans())
             else e for i, e in enumerate(flat)]
-    # a non-constant entry somewhere, so the grid takes the plan path
-    flat[data.draw(st.integers(0, size - 1))] = parse("x1+x2", 3)
-    grid = Grid(_nest(flat, shape))
+    # an entry with non-constant partials somewhere, so the grid and its
+    # partials both take the plan path
+    flat[data.draw(st.integers(0, size - 1))] = parse("x1*x2", 3)
+    grid = Grid(_nest(flat, shape), 3)
     coord = st.sampled_from([0.0, -0.0, 1.0, -1.0]) | st.floats(-50, 50)
     n = data.draw(st.integers(1, 5))
     pts = np.array(data.draw(st.lists(
@@ -313,17 +314,24 @@ def test_grid_plan_equals_entrywise_evaluation(data):
     assert grid.exprs == flat
     want = np.stack([e.eval_many(pts) for e in grid.exprs], -1).reshape(
         (n,) + shape)
-    assert got.shape == want.shape
-    assert np.array_equal(np.isnan(got), np.isnan(want))
-    assert np.array_equal(np.signbit(got), np.signbit(want))
-    assert np.array_equal(got, want, equal_nan=True)
+    # the partials, derivative axis last, against each entry's own
+    # derivatives evaluated one by one
+    partials = grid.partials.at(pts)
+    want_partials = np.stack([e.diff(k).eval_many(pts) for e in flat
+                              for k in range(3)], -1).reshape(
+        (n,) + shape + (3,))
+    for a, b in ((got, want), (partials, want_partials)):
+        assert a.shape == b.shape
+        assert np.array_equal(np.isnan(a), np.isnan(b))
+        assert np.array_equal(np.signbit(a), np.signbit(b))
+        assert np.array_equal(a, b, equal_nan=True)
 
 
 def test_each_distinct_entry_is_evaluated_once(monkeypatch):
     g = load_spec("sasaki-r7-cr").g
     pts = sample_box(g.dim, count=4).points
-    g.deriv_at(pts)  # compiles the grid
-    entries = [e for plane in g._deriv.nested for row in plane for e in row]
+    g.partials.at(pts)  # compiles the grid
+    entries = [e for plane in g.partials.nested for row in plane for e in row]
     distinct = {str(e) for e in entries if e.max_var >= 0}
     assert 0 < len(distinct) < sum(e.max_var >= 0 for e in entries)
     calls = []
@@ -334,7 +342,7 @@ def test_each_distinct_entry_is_evaluated_once(monkeypatch):
         return eval_many(self, points)
 
     monkeypatch.setattr(Expr, "eval_many", counted)
-    g.deriv_at(pts)
+    g.partials.at(pts)
     assert sorted(calls) == sorted(distinct)
 
 
@@ -346,8 +354,9 @@ def test_a_compiled_grid_leaves_no_reference_cycle():
     gc.collect()
     gc.disable()
     try:
-        grid = Grid(nested)
+        grid = Grid(nested, 2)
         grid.at(np.ones((3, 2)))
+        grid.partials.at(np.ones((3, 2)))
         del grid
         assert gc.collect() == 0
     finally:
@@ -357,7 +366,7 @@ def test_a_compiled_grid_leaves_no_reference_cycle():
 class TestCheckedNamesFirstNonFinite:
     def test_first_failing_point_then_first_entry_in_grid_order(self):
         half, root, inv = parse("1/2", 2), parse("sqrt(x1)", 2), parse("1/x2", 2)
-        grid = Grid((half, root, inv, root))
+        grid = Grid((half, root, inv, root), 2)
         pts = np.array([[1.0, 1.0], [1.0, 0.0], [-1.0, 0.0]])
         with pytest.raises(DomainError) as err:
             _checked([grid], pts)
@@ -369,7 +378,7 @@ class TestCheckedNamesFirstNonFinite:
 
     def test_non_finite_constant_entry_is_named(self):
         grid = Grid(((parse("x1", 1), parse("sqrt(x1)", 1)),
-                     (parse("1/0", 1), parse("x1", 1))))
+                     (parse("1/0", 1), parse("x1", 1))), 1)
         with pytest.raises(DomainError, match=(r"non-finite result: 1\.0/0\.0 "
                                                r"at domain point \[1\.0\]")):
             _checked([grid], np.array([[1.0], [2.0]]))

@@ -476,6 +476,42 @@ def random_gw_case(rng, m, n):
     return emb, StatTriple(g, ConnField(n, coeffs))
 
 
+# fix-cr5 and sasaki-r7-cr bent off their coordinate slices
+BENT_EMBEDDINGS = [
+    ("fix-cr5", ["x1", "x2", "x4", "x1*x2/4", "x3"]),
+    ("fix-cr5", ["x1", "x2+x1^2/3", "x4", "sin(x2)/5", "x3+x4*x1/7"]),
+    ("fix-cr5", ["x1*1.3", "x2", "x4", "exp(x1)/9", "x3-x2^2"]),
+    ("sasaki-r7-cr", ["x1", "x2", "x4", "x1*x3/5", "x2^2/7", "0", "x3"]),
+]
+
+
+def _gram_jet_cases():
+    yield "circle", circle(), flat_statistical(2)
+    rng = np.random.default_rng(7)
+    for k in range(6):
+        m = int(rng.integers(1, 4))
+        emb, st = random_gw_case(rng, m, int(rng.integers(m + 1, 6)))
+        yield f"random-{k}", emb, st
+    for name, comps in BENT_EMBEDDINGS:
+        doc = fixture_doc(name)
+        doc["submanifold"]["embedding"] = comps
+        spec = from_doc(doc)
+        yield f"{name}-bent", spec.embedding, spec.sss.st
+
+
+@pytest.mark.parametrize("name,emb,st", list(_gram_jet_cases()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_gram_jet_matches_the_induced_metric_partials(name, emb, st):
+    # the contexts carry d_i g_jk as the Gram jet's derivative; the oracle
+    # differentiates the symbolic pull-back
+    mg = MapGeometry(emb, st)
+    dgind = induced_metric(emb, st.g).partials
+    for ctx in mg.contexts(sample_box(emb.m, count=32, seed=11)):
+        want = dgind.at(ctx.points)
+        assert ctx.Gram.d.shape == want.shape
+        assert (np.abs(ctx.Gram.d - want) <= 1e-14 * (1 + np.abs(want))).all()
+
+
 class TestRandomCorpus:
     def test_reconstruction_and_pairing(self):
         rng = np.random.default_rng(2024)
