@@ -12,10 +12,13 @@ same inputs and seed.
 """
 
 import argparse
+import contextvars
 import hashlib
 import json
 import math
+import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -28,7 +31,7 @@ from .crchecks import (CRStructure, check_contact_cr, check_cr_product,
                        check_mixed_geodesic_consequences, classify_geodesic)
 from .fixtures import fixture_doc, fixture_names
 from .geometry import INPUT_ERRORS, check_statistical, metric_samples
-from .report import CheckReport, Record
+from .report import CheckReport, Record, merge_blocks
 from .sampling import SamplingError, sample_box, samples_from_points
 from .specfile import SpecError, load_spec
 from .submanifold import (MapGeometry, check_gauss_weingarten,
@@ -36,6 +39,10 @@ from .submanifold import (MapGeometry, check_gauss_weingarten,
                           check_transport_identities)
 
 SUITE_ORDER = ("ambient", "contact", "submanifold", "cr", "product")
+
+# samples per block of an ambient or contact check; the blocks of a set
+# depend on its size alone, so no report depends on the machine
+BLOCK = 1024
 
 __all__ = ["main", "run"]
 
@@ -76,6 +83,56 @@ def _guarded(fn, check_name):
             residual=1.0, scale=0.0, tolerance=0.0,
             note=f"{type(e).__name__}: {e}"))
         return rep
+
+
+def _cpus():
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _map_on_cpus(fn, items):
+    """[fn(x) for x in items], on a thread pool with one worker per CPU
+    (numpy releases the GIL in its loops), each call in a copy of the
+    caller's context so that the caller's np.errstate holds in it.  The
+    pool is shut down, and its threads joined, before the call returns."""
+    workers = min(_cpus(), len(items))
+    if workers == 1:
+        return [fn(x) for x in items]
+    # imported here, not with the module: on a 2-vCPU host it takes
+    # 7-10 ms, about 5 % of importing the CLI, and only sets of more than
+    # one block use it
+    from concurrent.futures import ThreadPoolExecutor
+    contexts = [contextvars.copy_context() for _ in items]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(lambda ctx, x: ctx.run(fn, x), contexts, items))
+
+
+def _in_blocks(check, samples):
+    """check(samples) for an ambient or contact check, which reads each
+    sample on its own: a set of more than BLOCK samples is checked in
+    blocks of BLOCK samples on every CPU, so that at most a few blocks'
+    batches are alive at once, and the block reports merge into the whole
+    set's report (report.merge_blocks).  A block that raises an input
+    error, or a record that reads NaN, has the whole set checked again on
+    the calling thread: which stage fails first depends on the whole set,
+    and so does the scale beside a NaN, which the checks take with
+    Python's max."""
+    n = len(samples.points)
+    if n <= BLOCK:
+        return check(samples)
+    starts = range(0, n, BLOCK)
+    blocks = [replace(samples, points=samples.points[a:a + BLOCK])
+              for a in starts]
+    try:
+        reports = _map_on_cpus(check, blocks)
+    except INPUT_ERRORS:
+        return check(samples)
+    if any(math.isnan(r.residual) for rep in reports for r in rep.records):
+        return check(samples)
+    return merge_blocks(reports, starts)
 
 
 def _holds(test):
@@ -140,34 +197,42 @@ def run(spec, suites, seed=None, count=None, tol=None):
     overall = True
     for suite in suites:
         t = tol if tol is not None else spec.tol_for(suite)
-        # each check is looked up as a module attribute when it runs, so a
-        # rebinding of its name (bench/tracer.py times checks so) holds
+        # each run checks a sample set; its check is looked up as a module
+        # attribute when it runs, so a rebinding of its name
+        # (bench/tracer.py times checks so) holds
         if suite == "ambient":
             runs = [("statistical",
-                     lambda: check_statistical(spec.sss.st, ambient, t))]
+                     lambda s: check_statistical(spec.sss.st, s, t))]
         elif suite == "contact":
-            runs = [(name, lambda fn=fn: fn(spec.acs, spec.g, ambient, t))
+            runs = [(name, lambda s, fn=fn: fn(spec.acs, spec.g, s, t))
                     for name, fn in (("almost-contact", check_almost_contact),
                                      ("contact-metric", check_contact_metric),
                                      ("sasakian", check_sasakian))]
             runs.append(("sasakian-statistical",
-                         lambda: check_sasakian_statistical(spec.sss, ambient,
-                                                            t)))
+                         lambda s: check_sasakian_statistical(spec.sss, s,
+                                                              t)))
         elif suite == "submanifold":
-            runs = [(name, lambda fn=fn: fn(mg, domain, t)) for name, fn in (
+            runs = [(name, lambda s, fn=fn: fn(mg, s, t)) for name, fn in (
                 ("gauss-weingarten", check_gauss_weingarten),
                 ("structure-identities", check_structure_identities),
                 ("transport-identities", check_transport_identities))]
         elif suite == "cr":
-            runs = [(name, lambda fn=fn: fn(cr, domain, t)) for name, fn in (
+            runs = [(name, lambda s, fn=fn: fn(cr, s, t)) for name, fn in (
                 ("contact-cr", check_contact_cr),
                 ("integrability-d", check_integrability_D),
                 ("integrability-dperp", check_integrability_Dperp),
                 ("dual-shape-identities", check_dual_shape_identities),
                 ("geodesic-classifiers", classify_geodesic))]
         else:
-            runs = [("cr-product", lambda: check_cr_product(cr, domain, t))]
-        checks = [_guarded(fn, name) for name, fn in runs]
+            runs = [("cr-product", lambda s: check_cr_product(cr, s, t))]
+        if suite in ("ambient", "contact"):
+            checks = [_guarded(lambda fn=fn: _in_blocks(fn, ambient), name)
+                      for name, fn in runs]
+        else:
+            # not in blocks: MapGeometry and CRStructure keep the contexts
+            # of one sample set at a time, and are not thread-safe
+            checks = [_guarded(lambda fn=fn: fn(domain), name)
+                      for name, fn in runs]
         if suite == "cr":
             # after an engine-precondition record the consequences classify
             # again, and so report the same failure

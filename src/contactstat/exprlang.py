@@ -61,6 +61,7 @@ class DomainError(ExprError):
         where = ("" if point is None
                  else f" at domain point {np.asarray(point).tolist()}")
         super().__init__(f"{message}: {expr}{where}")
+        self.message = message
         self.expr = expr
         self.point = point
 
@@ -419,11 +420,20 @@ def _sub(a, b):
     return Bin("-", a, b)
 
 
+def _absorbable(e):
+    """Whether a literal zero factor may absorb `e`: a non-constant tree,
+    or a constant one whose value is finite.  A non-finite constant such
+    as 1/0 is kept, so that a derivative or a pull-back is not finite where
+    the expression it comes from is not."""
+    return (e.max_var >= 0
+            or math.isfinite(e.eval_many(np.zeros((1, 0)))[0]))
+
+
 def _mul(a, b):
     ca, cb = a.const_value(), b.const_value()
     if ca is not None and cb is not None:
         return Const(ca * cb)
-    if ca == 0.0 or cb == 0.0:
+    if (ca == 0.0 and _absorbable(b)) or (cb == 0.0 and _absorbable(a)):
         return Const(0.0)
     if ca == 1.0:
         return b

@@ -109,24 +109,29 @@ class Grid:
         self._partials = None
 
     def _compile(self):
+        # the plan is built in locals and published with `exprs` last, so
+        # a thread that finds `exprs` set reads a whole plan; a second
+        # thread compiling at the same time publishes an equal one
         exprs = []
-        self.shape = _flatten(self.nested, exprs)
-        self.const = None
+        shape = _flatten(self.nested, exprs)
         vals = [e.const_value() for e in exprs]
+        const = template = scatter = None
         if all(e.max_var < 0 for e in exprs):
-            self.const = np.array([e.eval(()) if v is None else v
-                                   for e, v in zip(exprs, vals)]).reshape(self.shape)
+            const = np.array([e.eval(()) if v is None else v
+                              for e, v in zip(exprs, vals)]).reshape(shape)
         else:
-            self.template = np.zeros(len(exprs))
+            template = np.zeros(len(exprs))
             groups = {}
             for col, (e, v) in enumerate(zip(exprs, vals)):
                 if v is not None:
-                    self.template[col] = v
+                    template[col] = v
                 elif e.max_var < 0:
-                    self.template[col] = e.eval_many(np.zeros((1, 0)))[0]
+                    template[col] = e.eval_many(np.zeros((1, 0)))[0]
                 else:
                     groups.setdefault(str(e), (e, []))[1].append(col)
-            self.scatter = [(e, np.array(cols)) for e, cols in groups.values()]
+            scatter = [(e, np.array(cols)) for e, cols in groups.values()]
+        self.shape, self.const = shape, const
+        self.template, self.scatter = template, scatter
         # set last: a constant entry that raises DomainError leaves the grid
         # uncompiled, so each later use raises it again
         self.exprs = exprs
@@ -140,6 +145,8 @@ class Grid:
     @property
     def partials(self):
         """The grid [..., k] = d_k of each entry, built on first use."""
+        # threads that race here may each build a grid; every copy is
+        # correct, and the last one assigned is kept
         if self._partials is None:
             self._partials = Grid(_map(
                 lambda e: tuple(e.diff(k) for k in range(self.dim)),
@@ -149,7 +156,13 @@ class Grid:
     def at(self, points):
         """Values at an (N, dim) batch; the sample axis comes first."""
         pts = np.asarray(points, dtype=float)
-        if self.is_constant:
+        try:
+            constant = self.is_constant
+        except DomainError as e:
+            # only a constant entry fails to compile, and it fails at every
+            # point, so the batch's first point is where it fails
+            raise DomainError(e.message, e.expr, pts[0]) from None
+        if constant:
             return np.broadcast_to(self.const, (pts.shape[0],) + self.shape)
         vals = np.empty((pts.shape[0], len(self.exprs)))
         vals[:] = self.template
@@ -316,6 +329,7 @@ class StatTriple:
         return self.g.is_constant and self.K.is_constant
 
     def _dual_K(self):
+        # threads that race here may each build -K; every copy is correct
         if self._minus_K is None:
             self._minus_K = ConnField(self.dim, [[[-e for e in row]
                                                   for row in plane]

@@ -2,11 +2,12 @@
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-__all__ = ["Record", "CheckReport", "Tracker", "Residuals", "labels"]
+__all__ = ["Record", "CheckReport", "Tracker", "Residuals", "labels",
+           "merge_blocks"]
 
 
 @dataclass
@@ -163,6 +164,31 @@ class Tracker:
                       scale=self.scale, tolerance=tolerance,
                       witness=self.witness, informational=informational,
                       note=note)
+
+
+def merge_blocks(reports, starts):
+    """The report of a whole sample set from the reports of one check on
+    its blocks, in block order, where block k holds the samples numbered
+    from starts[k] on.  Each record is merged by the Tracker rule, as if
+    one Tracker had seen every block: it takes the worst residual, NaN the
+    worst of all; a tie goes to the lowest sample, so the earlier block
+    wins; the witness sample is shifted by its block's start and its labels
+    are kept; the scale is the largest over the blocks.  Every block of a
+    set counts the whole set, so the census is the first block's."""
+    first = reports[0]
+    records = []
+    for k, rec in enumerate(first.records):
+        t = Tracker()
+        for rep, start in zip(reports, starts):
+            r = rep.records[k]
+            t.scale = max(t.scale, r.scale)
+            if r.witness is not None:
+                t.add([r.residual], r.witness.get("labels"),
+                      index=[r.witness["sample"] + start])
+        records.append(replace(rec, residual=t.residual, scale=t.scale,
+                               witness=t.witness))
+    return CheckReport(check=first.check, records=records,
+                       census=first.census)
 
 
 def labels(fmt, *axes):

@@ -1,9 +1,11 @@
 import json
 import sys
+import threading
 
 import numpy as np
 import pytest
 
+from contactstat import cli
 from contactstat.cli import main, run
 from contactstat.fixtures import fixture_doc
 from contactstat.sampling import sample_box
@@ -281,7 +283,9 @@ class TestEnginePreconditions:
     def test_constant_entry_outside_its_domain_fails_every_reader(
             self, tmp_path, capsys):
         # the constant xi grid fails to compile in every check that reads
-        # it, or K = lambda eta (x) eta (x) xi, not only in the first one
+        # it, or K = lambda eta (x) eta (x) xi, not only in the first one;
+        # a constant entry fails at every point, so the note names the
+        # first sample of the set the check reads
         doc = fixture_doc("paper-r7-euclidean")
         doc["ambient"]["xi"][6] = "sqrt(-1)+1"
         path = tmp_path / "xi.json"
@@ -297,9 +301,42 @@ class TestEnginePreconditions:
         assert len(first) == 15
         assert [name for name, rec in first.items()
                 if rec["name"] != "engine-precondition"] == ["contact-metric"]
+        ambient = sample_box(7, count=8, seed=42).points[0].tolist()
+        domain = sample_box(5, count=8, seed=42).points[0].tolist()
+        # K's entries eta_i eta_j xi_7 keep their zero factors, since xi_7
+        # is not finite
+        assert first["statistical"]["note"] == (
+            "DomainError: non-finite result: 0.0*(sqrt(-1.0)+1.0) "
+            f"at domain point {ambient}")
         assert {rec["note"] for name, rec in first.items()
-                if name != "contact-metric"} == {
-                    "DomainError: non-finite result: sqrt(-1.0)+1.0"}
+                if name in ("almost-contact", "sasakian",
+                            "sasakian-statistical")} == {
+            f"DomainError: non-finite result: sqrt(-1.0)+1.0 at domain point "
+            f"{ambient}"}
+        assert {rec["note"] for name, rec in first.items()
+                if name not in ("statistical", "almost-contact",
+                                "contact-metric", "sasakian",
+                                "sasakian-statistical")} == {
+            f"DomainError: non-finite result: sqrt(-1.0)+1.0 at domain point "
+            f"{domain}"}
+
+    def test_constant_generator_outside_its_domain_names_the_point(
+            self, tmp_path, capsys):
+        doc = fixture_doc("paper-r7-euclidean")
+        doc["submanifold"]["D"][2][4] = "sqrt(-1)+1"
+        path = tmp_path / "d3.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "check", "--spec", str(path),
+                                "--samples", "8", "--format", "structured")
+        assert code == 1
+        assert err == ""
+        rep = json.loads(out)
+        notes = [check["records"][0]["note"] for suite in ("cr", "product")
+                 for check in rep["suites"][suite]["checks"]]
+        first = sample_box(5, count=8, seed=42).points[0]
+        assert notes == 7 * [("DomainError: non-finite result: "
+                              "sqrt(-1.0)+1.0 at domain point "
+                              f"{first.tolist()}")]
 
     @pytest.mark.parametrize("name,block,key,index,text", [
         ("paper-r7-euclidean", "ambient", "xi", 6, "1/0"),
@@ -322,12 +359,22 @@ class TestEnginePreconditions:
                  for check in suite["checks"] for rec in check["records"]
                  if rec["name"] == "engine-precondition"}
         if key == "xi":
-            # a constant entry is named without a point
-            assert notes == {"DomainError: non-finite result: 1.0/0.0"}
+            # a constant entry is named at the first sample of the set
+            # that the check reads, ambient or domain
+            ambient, domain = (sample_box(d, count=8, seed=42).points[0]
+                               for d in (7, 5))
+            assert notes == {
+                f"DomainError: non-finite result: {expr} at domain point "
+                f"{point.tolist()}"
+                for expr, point in (("0.0*(1.0/0.0)", ambient),
+                                    ("1.0/0.0", ambient),
+                                    ("1.0/0.0", domain))}
         else:
+            # the Jacobian of x1+1/0*0 is the constant 1+(0/0*0+1/0*0),
+            # whose grid fails before the batch is looked at
             first = sample_box(4, count=8, seed=42).points[0]
             assert notes == {("DomainError: non-finite result: "
-                              "x1+1.0/0.0*0.0 at domain point "
+                              "1.0+(0.0/0.0*0.0+1.0/0.0*0.0) at domain point "
                               f"{first.tolist()}")}
 
     def test_floating_point_warnings_stay_off_stderr(self, tmp_path, capsys):
@@ -339,6 +386,24 @@ class TestEnginePreconditions:
         path.write_text(json.dumps(doc))
         code, out, err = invoke(capsys, "check", "--spec", str(path),
                                 "--samples", "8", "--format", "structured")
+        assert code == 1
+        assert err == ""
+        [stat] = json.loads(out)["suites"]["ambient"]["checks"]
+        assert not stat["passed"]
+
+    def test_floating_point_warnings_stay_off_stderr_in_blocks(
+            self, tmp_path, capsys, monkeypatch):
+        # the same spec above one block: the blocks run on pool threads,
+        # where the caller's np.errstate must hold too, or the NaN would
+        # warn (and the warning, an error under this suite, escape)
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        doc = fixture_doc("fix-s3")
+        doc["ambient"]["xi"][2] = "1/0"
+        path = tmp_path / "xi.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "check", "--spec", str(path),
+                                "--samples", str(cli.BLOCK + 76),
+                                "--format", "structured")
         assert code == 1
         assert err == ""
         [stat] = json.loads(out)["suites"]["ambient"]["checks"]
@@ -387,6 +452,30 @@ class TestEnginePreconditions:
         [mixed] = [c for c in json.loads(out)["suites"]["cr"]["checks"]
                    if c["check"] == "mixed-geodesic-consequences"]
         assert mixed["census"]["mixed-geodesic"] is False
+
+
+class TestBlocks:
+    def test_no_pool_thread_outlives_the_call(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        before = threading.active_count()
+        code, out, err = invoke(capsys, "check", "--spec", "fix-s3",
+                                "--suites", "ambient,contact", "--samples",
+                                str(2 * cli.BLOCK + 1))
+        # fix-s3 fails the no-half d-eta convention by design
+        assert (code, err) == (1, "")
+        assert threading.active_count() == before
+
+    def test_reports_do_not_depend_on_the_cpu_count(self, capsys,
+                                                    monkeypatch):
+        argv = ["check", "--spec", "sasaki-r7-cr", "--suites",
+                "ambient,contact", "--samples", str(cli.BLOCK + 100),
+                "--format", "structured"]
+        outputs = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(cli, "_cpus", lambda: cpus)
+            outputs.append(invoke(capsys, *argv))
+        assert outputs[0][0] == 1
+        assert outputs[1:] == outputs[:1] * 2
 
 
 class TestCheckLookup:

@@ -137,6 +137,20 @@ class TestDiff:
         d = e.diff(0)
         assert isinstance(d, Const) and d.value == 0.0
 
+    def test_zero_factor_keeps_a_non_finite_constant(self):
+        # (1/0)*0 is NaN, so neither the derivative nor the pull-back of
+        # an expression that contains it may come out finite
+        e = parse("x1+1/0*0", 1)
+        pts = np.array([[0.5], [-2.0]])
+        assert not np.isfinite(e.eval_many(pts)).any()
+        for derived in (e.diff(0), e.substitute([Var(0)]),
+                        e.substitute([parse("2*x1", 1)])):
+            assert not np.isfinite(derived.eval_many(pts)).any()
+        # finite and non-constant factors are still absorbed
+        assert parse("x1", 1) * 0 == Const(0.0)
+        assert sin(const(2.0)) * 0 == Const(0.0)
+        assert parse("x1*0+1/0*0", 1).diff(0) != Const(0.0)
+
     def test_chain_rule_sqrt(self):
         e = sqrt(Var(0) * Var(0) + 1.0)
         d = e.diff(0)

@@ -1,4 +1,6 @@
 import gc
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -361,6 +363,56 @@ def test_a_compiled_grid_leaves_no_reference_cycle():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_grids_compiled_by_several_threads_at_once():
+    # eight threads meet each fresh grid uncompiled; every one must read a
+    # whole plan, whichever thread's compile it sees.  A short switch
+    # interval lets a thread stop in the middle of a compile.
+    pts = sample_box(3, count=5, seed=3).points
+    constant = ((("1/2", "0", "-3"), ("1", "2", "0")),) * 20
+    varying = ((("x1*x2", "1/2", "0"), ("sin(x3)", "x1", "2")),) * 20
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for nested in (constant, varying):
+            want = Grid(_map_parse(nested), 3)
+            want = (want.at(pts), want.partials.at(pts))
+            for _ in range(20):
+                _read_on_eight_threads(Grid(_map_parse(nested), 3), pts,
+                                       want)
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def _read_on_eight_threads(grid, pts, want):
+    start = threading.Barrier(8)
+    got, errors = [], []
+
+    def read():
+        try:
+            start.wait(timeout=30)
+            got.append((grid.at(pts), grid.partials.at(pts)))
+        except Exception as e:  # any error fails the test below
+            errors.append(e)
+
+    threads = [threading.Thread(target=read) for _ in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=30)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(got) == 8
+    for values, partials in got:
+        np.testing.assert_array_equal(values, want[0])
+        np.testing.assert_array_equal(partials, want[1])
+
+
+def _map_parse(nested):
+    if isinstance(nested, str):
+        return parse(nested, 3)
+    return tuple(_map_parse(child) for child in nested)
 
 
 class TestCheckedNamesFirstNonFinite:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from contactstat.report import Record, Residuals, Tracker, labels
+from contactstat.report import (CheckReport, Record, Residuals, Tracker,
+                                labels, merge_blocks)
 
 
 class TestNonFiniteResiduals:
@@ -162,3 +163,52 @@ class TestResiduals:
             t.add(values, labels, scale, index)
             res.adder(scale, index)("a", values, labels)
         assert res.report(1e-8).records == [t.build("a", "a = 0", 1e-8)]
+
+
+@st.composite
+def _blocked_families(draw):
+    """Per-sample arrays of one family over N samples, as one check adds
+    them in a few calls (each with its labels and per-sample scale), with
+    planted ties and NaN, and the starts of the blocks that split the
+    samples."""
+    n = draw(st.integers(1, 12))
+    calls = []
+    for c in range(draw(st.integers(1, 3))):
+        count = draw(st.integers(0, 3))
+        values = draw(hnp.arrays(float, (n, count, 2), elements=_ENTRIES))
+        scale = draw(hnp.arrays(float, (n,), elements=st.floats(0.0, 10.0)))
+        calls.append((values, labels(f"c{c} X=u{{}}", count), scale))
+    cuts = draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=n - 1))
+    return n, calls, [0, *sorted(cuts)]
+
+
+class TestMergeBlocks:
+    @settings(max_examples=200, deadline=None)
+    @given(_blocked_families())
+    def test_merged_blocks_are_one_tracker_over_the_whole_set(self, family):
+        n, calls, starts = family
+        whole = Tracker()
+        for values, names, scale in calls:
+            whole.add(values, names, scale)
+        reports = []
+        for start, stop in zip(starts, [*starts[1:], n]):
+            t = Tracker()
+            for values, names, scale in calls:
+                t.add(values[start:stop], names, scale[start:stop])
+            reports.append(CheckReport("c", [t.build("r", "r = 0", 1e-8)],
+                                       {"samples": n}))
+        merged = merge_blocks(reports, starts)
+        assert (merged.check, merged.census) == ("c", {"samples": n})
+        [rec] = merged.records
+        assert (repr(rec.residual), rec.scale, rec.witness) == _state(whole)
+        assert rec.status == whole.build("r", "r = 0", 1e-8).status
+
+    def test_a_tie_goes_to_the_earlier_block(self):
+        first, second = Tracker(), Tracker()
+        first.add([1.0, 2.0], "a")
+        second.add([2.0, 0.5], "b", scale=3.0)
+        reports = [CheckReport("c", [t.build("r", "r = 0", 1e-8)])
+                   for t in (first, second)]
+        [rec] = merge_blocks(reports, [0, 2]).records
+        assert (rec.residual, rec.scale, rec.witness) == (
+            2.0, 3.0, {"sample": 1, "labels": "a"})

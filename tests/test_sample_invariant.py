@@ -1,10 +1,14 @@
-"""Sample sets over sample-invariant geometry.
+"""Sample sets checked in part: at their first point, or in blocks.
 
 When every field a group of suites reads is the same at every point,
 `cli.run` checks the group's sample set at its first point only
 (`Samples.collapsed`).  The reports must be those of the whole set: the
 properties below run the CLI with `collapsed` replaced by the identity and
 require the same stdout, stderr and exit code.
+
+A set of more than `cli.BLOCK` samples is checked by the ambient and
+contact checks in blocks, whose reports merge into the whole set's.  The
+properties below shrink the block and require the reports of one block.
 """
 
 import contextlib
@@ -18,9 +22,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import EDGE_SPECS
-from contactstat.cli import main
-from contactstat.fixtures import fixture_doc
+from contactstat import cli
+from contactstat.cli import main, run
+from contactstat.fixtures import fixture_doc, fixture_names
+from contactstat.report import merge_blocks
 from contactstat.sampling import Samples, sample_box
+from contactstat.specfile import load_spec
 
 PAPER_R7 = ("paper-r7-euclidean", "paper-r7-frame-orthonormal")
 
@@ -113,6 +120,68 @@ def test_collapsed_sets_report_as_the_whole_set(data):
     # the ambient and the domain set were both collapsed
     assert len(calls) == 2
     assert folded == whole
+
+
+def _checks(doc):
+    return [check for suite in doc["suites"].values()
+            for check in suite["checks"]]
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(fixture_names()), count=st.integers(1, 300),
+       seed=st.integers(0, 2**16), block=st.integers(1, 64))
+def test_blocked_sets_report_as_the_whole_set(name, count, seed, block):
+    # a fresh spec each time, so that its grids are first compiled by the
+    # block workers
+    merged = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "BLOCK", block)
+        mp.setattr(cli, "merge_blocks",
+                   lambda reports, starts: merged.append(len(reports))
+                   or merge_blocks(reports, starts))
+        blocked = run(load_spec(name), ["ambient", "contact"], seed, count)
+        mp.setattr(cli, "BLOCK", count)
+        whole = run(load_spec(name), ["ambient", "contact"], seed, count)
+    assert _checks(blocked[0]) == _checks(whole[0])
+    assert blocked[2] == whole[2]
+    # the five checks were merged from blocks, unless the set is one block
+    # or was collapsed to its first point
+    blocks = -(-count // block)
+    one_block = blocks == 1 or name in PAPER_R7
+    assert merged == ([] if one_block else 5 * [blocks])
+
+
+def test_input_errors_in_later_blocks_report_as_the_whole_set(tmp_path):
+    # fix-s3 with g_22 = x1^2/4, singular where x1 = 0, and g_33 =
+    # (x3^2/x3^2)/4, NaN where x3 = 0: of three blocks of four listed
+    # points, the second has a singular metric and the third a NaN one.
+    # Where a check reads the NaN before it inverts, the whole set fails
+    # at a later block than the first block that raises.
+    doc = fixture_doc("fix-s3")
+    doc["ambient"]["metric"].update({"2 2": "x1^2/4", "3 3": "x3^2/x3^2/4"})
+    pts = sample_box(3, count=12, seed=5, box=(0.5, 1.0)).points
+    pts[5, 0] = 0.0
+    pts[9, 2] = 0.0
+    doc["sampling"] = {"mode": "points", "ambient": pts.tolist()}
+    path = tmp_path / "later.json"
+    path.write_text(json.dumps(doc))
+    argv = ["check", "--spec", str(path), "--suites", "ambient,contact",
+            "--format", "structured"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "BLOCK", 4)
+        blocked = _cli(argv)
+        mp.setattr(cli, "BLOCK", 12)
+        whole = _cli(argv)
+    assert blocked == whole
+    code, out, err = whole
+    assert (code, err) == (1, "")
+    notes = {check["check"]: check["records"][0]["note"]
+             for check in _checks(json.loads(out))
+             if check["records"][0]["name"] == "engine-precondition"}
+    singular = ("SingularMetricError: metric is singular near point "
+                f"{pts[5].tolist()}")
+    assert notes["sasakian"] == notes["sasakian-statistical"] == singular
+    assert "statistical" in notes
 
 
 def _collapses(monkeypatch, spec, *args):
