@@ -27,8 +27,8 @@ from .contactstruct import (check_almost_contact, check_contact_metric,
                             check_sasakian, check_sasakian_statistical)
 from .crchecks import (CRStructure, check_contact_cr, check_cr_product,
                        check_dual_shape_identities, check_integrability_D,
-                       check_integrability_Dperp,
-                       check_mixed_geodesic_consequences, classify_geodesic)
+                       check_integrability_Dperp, classify_geodesic,
+                       mixed_geodesic_residuals, mixed_geodesic_verdict)
 from .fixtures import fixture_doc, fixture_names
 from .geometry import INPUT_ERRORS, check_statistical, metric_samples
 from .report import CheckReport, Record, merge_blocks
@@ -40,8 +40,8 @@ from .submanifold import (MapGeometry, check_gauss_weingarten,
 
 SUITE_ORDER = ("ambient", "contact", "submanifold", "cr", "product")
 
-# samples per block of an ambient or contact check; the blocks of a set
-# depend on its size alone, so no report depends on the machine
+# samples per block of a sample set; the blocks of a set depend on its
+# size alone, so no report depends on the machine
 BLOCK = 1024
 
 __all__ = ["main", "run"]
@@ -110,29 +110,41 @@ def _map_on_cpus(fn, items):
         return list(pool.map(lambda ctx, x: ctx.run(fn, x), contexts, items))
 
 
-def _in_blocks(check, samples):
-    """check(samples) for an ambient or contact check, which reads each
-    sample on its own: a set of more than BLOCK samples is checked in
-    blocks of BLOCK samples on every CPU, so that at most a few blocks'
-    batches are alive at once, and the block reports merge into the whole
-    set's report (report.merge_blocks).  A block that raises an input
-    error, or a record that reads NaN, has the whole set checked again on
-    the calling thread: which stage fails first depends on the whole set,
-    and so does the scale beside a NaN, which the checks take with
-    Python's max."""
+def _check_set(runs, samples):
+    """The reports of `runs`, (check name, check) pairs, on one sample set.
+    A set of more than BLOCK samples is checked block by block on every
+    CPU, every check on one block before the next block starts, so that at
+    most a few blocks' batches are alive at once, and each check's block
+    reports merge into its report on the whole set (report.merge_blocks).
+    A check that raises an input error on a block, or has a record that
+    reads NaN, is checked again on the whole set on the calling thread:
+    which stage fails first depends on the whole set, and so does the scale
+    beside a NaN, which the checks take with Python's max."""
     n = len(samples.points)
     if n <= BLOCK:
-        return check(samples)
+        return [_guarded(lambda: check(samples), name) for name, check in runs]
     starts = range(0, n, BLOCK)
-    blocks = [replace(samples, points=samples.points[a:a + BLOCK])
-              for a in starts]
-    try:
-        reports = _map_on_cpus(check, blocks)
-    except INPUT_ERRORS:
-        return check(samples)
-    if any(math.isnan(r.residual) for rep in reports for r in rep.records):
-        return check(samples)
-    return merge_blocks(reports, starts)
+
+    def on_block(a):
+        block = replace(samples, points=samples.points[a:a + BLOCK])
+        reports = []
+        for _, check in runs:
+            try:
+                reports.append(check(block))
+            except INPUT_ERRORS:
+                reports.append(None)
+        return reports
+
+    with np.errstate(all="ignore"):
+        blocks = _map_on_cpus(on_block, starts)
+    out = []
+    for (name, check), reports in zip(runs, zip(*blocks)):
+        if any(rep is None or any(math.isnan(r.residual) for r in rep.records)
+               for rep in reports):
+            out.append(_guarded(lambda: check(samples), name))
+        else:
+            out.append(merge_blocks(reports, starts))
+    return out
 
 
 def _holds(test):
@@ -142,6 +154,36 @@ def _holds(test):
         return test()
     except INPUT_ERRORS:
         return False
+
+
+def _suite_runs(suite, spec, mg, cr, t):
+    """The (check name, check of a sample set) pairs of one suite at
+    tolerance t.  Each check is looked up as a module attribute here, so a
+    rebinding of its name (bench/tracer.py times checks so) holds."""
+    if suite == "ambient":
+        return [("statistical",
+                 lambda s: check_statistical(spec.sss.st, s, t))]
+    if suite == "contact":
+        return [(name, lambda s, fn=fn: fn(spec.acs, spec.g, s, t))
+                for name, fn in (("almost-contact", check_almost_contact),
+                                 ("contact-metric", check_contact_metric),
+                                 ("sasakian", check_sasakian))] + [
+            ("sasakian-statistical",
+             lambda s: check_sasakian_statistical(spec.sss, s, t))]
+    if suite == "submanifold":
+        return [(name, lambda s, fn=fn: fn(mg, s, t)) for name, fn in (
+            ("gauss-weingarten", check_gauss_weingarten),
+            ("structure-identities", check_structure_identities),
+            ("transport-identities", check_transport_identities))]
+    if suite == "cr":
+        return [(name, lambda s, fn=fn: fn(cr, s, t)) for name, fn in (
+            ("contact-cr", check_contact_cr),
+            ("integrability-d", check_integrability_D),
+            ("integrability-dperp", check_integrability_Dperp),
+            ("dual-shape-identities", check_dual_shape_identities),
+            ("geodesic-classifiers", classify_geodesic),
+            ("mixed-geodesic-consequences", mixed_geodesic_residuals))]
+    return [("cr-product", lambda s: check_cr_product(cr, s, t))]
 
 
 def run(spec, suites, seed=None, count=None, tol=None):
@@ -179,6 +221,7 @@ def run(spec, suites, seed=None, count=None, tol=None):
     # (Samples.collapsed); a domain set also needs a finite image at every
     # point, or an overflow past the first would go unreported.
     wanted = set(suites)
+    ambient = domain = mg = cr = None
     if wanted & {"ambient", "contact"}:
         ambient = _spec_samples(spec, "ambient", eff_seed, eff_count)
         if _holds(lambda: spec.sss.st.is_constant and spec.acs.is_constant):
@@ -193,55 +236,34 @@ def run(spec, suites, seed=None, count=None, tol=None):
     if wanted & {"cr", "product"}:
         cr = CRStructure(mg, spec.d_gens, spec.dperp_gens)
 
+    suite_runs = {}
+    for suite in suites:
+        t = tol if tol is not None else spec.tol_for(suite)
+        suite_runs[suite] = _suite_runs(suite, spec, mg, cr, t)
+
+    # every check that reads a sample set runs in one pass over the set
+    reports = {}
+    for group, samples in ((("ambient", "contact"), ambient),
+                           (("submanifold", "cr", "product"), domain)):
+        runs = [pair for s in suites if s in group
+                for pair in suite_runs[s]]
+        if runs:
+            reports.update(zip([name for name, _ in runs],
+                               _check_set(runs, samples)))
+    if "cr" in wanted:
+        # the consequences take the classifier's verdict on the whole set
+        geo = reports["geodesic-classifiers"]
+        rep = reports["mixed-geodesic-consequences"]
+        if geo.records[0].name == "engine-precondition":
+            rep = replace(geo, check=rep.check)
+        elif rep.records[0].name != "engine-precondition":
+            rep = mixed_geodesic_verdict(rep, geo)
+        reports[rep.check] = rep
+
     suite_reports = {}
     overall = True
     for suite in suites:
-        t = tol if tol is not None else spec.tol_for(suite)
-        # each run checks a sample set; its check is looked up as a module
-        # attribute when it runs, so a rebinding of its name
-        # (bench/tracer.py times checks so) holds
-        if suite == "ambient":
-            runs = [("statistical",
-                     lambda s: check_statistical(spec.sss.st, s, t))]
-        elif suite == "contact":
-            runs = [(name, lambda s, fn=fn: fn(spec.acs, spec.g, s, t))
-                    for name, fn in (("almost-contact", check_almost_contact),
-                                     ("contact-metric", check_contact_metric),
-                                     ("sasakian", check_sasakian))]
-            runs.append(("sasakian-statistical",
-                         lambda s: check_sasakian_statistical(spec.sss, s,
-                                                              t)))
-        elif suite == "submanifold":
-            runs = [(name, lambda s, fn=fn: fn(mg, s, t)) for name, fn in (
-                ("gauss-weingarten", check_gauss_weingarten),
-                ("structure-identities", check_structure_identities),
-                ("transport-identities", check_transport_identities))]
-        elif suite == "cr":
-            runs = [(name, lambda s, fn=fn: fn(cr, s, t)) for name, fn in (
-                ("contact-cr", check_contact_cr),
-                ("integrability-d", check_integrability_D),
-                ("integrability-dperp", check_integrability_Dperp),
-                ("dual-shape-identities", check_dual_shape_identities),
-                ("geodesic-classifiers", classify_geodesic))]
-        else:
-            runs = [("cr-product", lambda s: check_cr_product(cr, s, t))]
-        if suite in ("ambient", "contact"):
-            checks = [_guarded(lambda fn=fn: _in_blocks(fn, ambient), name)
-                      for name, fn in runs]
-        else:
-            # not in blocks: MapGeometry and CRStructure keep the contexts
-            # of one sample set at a time, and are not thread-safe
-            checks = [_guarded(lambda fn=fn: fn(domain), name)
-                      for name, fn in runs]
-        if suite == "cr":
-            # after an engine-precondition record the consequences classify
-            # again, and so report the same failure
-            geo = checks[-1]
-            classified = geo.records[0].name != "engine-precondition"
-            checks.append(_guarded(
-                lambda: check_mixed_geodesic_consequences(
-                    cr, domain, t, geo=geo if classified else None),
-                "mixed-geodesic-consequences"))
+        checks = [reports[name] for name, _ in suite_runs[suite]]
         passed = all(rep.passed for rep in checks)
         overall = overall and passed
         suite_reports[suite] = {"passed": passed,

@@ -8,6 +8,9 @@ derives one from the other.  Membership statements "v lies in S" are
 scored as the metric norm of v's component orthogonal to S.
 """
 
+import threading
+from dataclasses import replace
+
 import numpy as np
 
 from .geometry import GeometryError, VectorField, lie_bracket
@@ -20,7 +23,8 @@ __all__ = [
     "Distribution", "CRStructure",
     "check_contact_cr", "check_integrability_D", "check_integrability_Dperp",
     "check_dual_shape_identities", "classify_geodesic",
-    "check_mixed_geodesic_consequences", "check_cr_product",
+    "check_mixed_geodesic_consequences", "mixed_geodesic_residuals",
+    "mixed_geodesic_verdict", "check_cr_product",
 ]
 
 
@@ -51,8 +55,10 @@ class CRStructure:
                 raise GeometryError(
                     f"{name} generators need {m} components, one per "
                     "submanifold coordinate")
+        # block workers that race to fill _brackets each build the same
+        # correct list, and the last one assigned is kept
         self._brackets = {}
-        self._built = None
+        self._built = threading.local()
 
     def contexts(self, samples):
         """A sample set's contexts, one per drop pattern of the shared
@@ -456,14 +462,15 @@ def check_mixed_geodesic_consequences(cr, samples, tol=1e-8, geo=None):
     computed here when not given."""
     if geo is None:
         geo = classify_geodesic(cr, samples, tol)
-    mixed_ok = {False: geo.record("mixed-geodesic").passed,
-                True: geo.record("mixed-geodesic-dual").passed}
-    foliate_ok = geo.record("foliate").passed
+    return mixed_geodesic_verdict(
+        mixed_geodesic_residuals(cr, samples, tol), geo)
+
+
+def mixed_geodesic_residuals(cr, samples, tol=1e-8):
+    """The records of check_mixed_geodesic_consequences before its verdict:
+    every record counts, and the census gives the sample count alone."""
     res = Residuals(
-        "mixed-geodesic-consequences",
-        {"samples": samples.count, "mixed-geodesic": bool(mixed_ok[False]),
-         "mixed-geodesic-dual": bool(mixed_ok[True]),
-         "foliate": bool(foliate_ok)}, {
+        "mixed-geodesic-consequences", {"samples": samples.count}, {
             "shape-transfer": "A_{(φV)⊥}X = φA*_V X on D",
             "shape-transfer-dual": "A*_{(φV)⊥}X = φA_V X on D",
             "perp-transfer": "∇⊥_X (φV)⊥ = φ∇*⊥_X V on D",
@@ -492,15 +499,32 @@ def check_mixed_geodesic_consequences(cr, samples, tol=1e-8, geo=None):
             lhs = -ctx.tangential(along(nv, c.phid_dom)) + phia
             add(f"foliate-anticommute{sfx}", ctx.gnorm(lhs), xv)
 
+    return res.report(tol)
+
+
+def mixed_geodesic_verdict(rep, geo):
+    """The mixed_geodesic_residuals report `rep` with the verdict of `geo`,
+    the classify_geodesic report on the same samples: its mixed-geodesic
+    and foliate verdicts go into the census, and the records whose
+    precondition fails become informational with a note."""
+    mixed = (geo.record("mixed-geodesic").passed,
+             geo.record("mixed-geodesic-dual").passed)
+    foliate = geo.record("foliate").passed
     # every record needs both mixed-geodesic verdicts; the anticommutation
     # records also need D foliate
-    unmet = []
-    if not (mixed_ok[False] and mixed_ok[True]):
-        unmet = list(res.identities)
-    elif not foliate_ok:
+    unmet = ()
+    if not all(mixed):
+        unmet = [r.name for r in rep.records]
+    elif not foliate:
         unmet = ["foliate-anticommute", "foliate-anticommute-dual"]
-    return res.report(tol, informational=unmet, notes=dict.fromkeys(
-        unmet, "precondition failed; reported for information"))
+    note = "precondition failed; reported for information"
+    return replace(
+        rep, census={**rep.census, "mixed-geodesic": bool(mixed[0]),
+                     "mixed-geodesic-dual": bool(mixed[1]),
+                     "foliate": bool(foliate)},
+        records=[replace(r, informational=r.name in unmet,
+                         note=note if r.name in unmet else "")
+                 for r in rep.records])
 
 
 def check_cr_product(cr, samples, tol=1e-8):

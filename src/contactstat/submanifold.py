@@ -20,6 +20,8 @@ in one call.  A non-finite value in the batch is a DomainError that names
 its expression and the first failing domain point.
 """
 
+import threading
+
 import numpy as np
 
 from .exprlang import Const, DomainError
@@ -76,33 +78,48 @@ def induced_metric(emb, g_ambient):
     return MetricField(m, upper)
 
 
+def _values(grid, points):
+    """grid.at(points) and the grid's entries.  A constant grid whose entry
+    fails to compile is non-finite at every point, at that entry alone."""
+    try:
+        return grid.at(points), grid.exprs
+    except DomainError as e:
+        return np.full((len(points), 1), np.nan), [e.expr]
+
+
 def _checked(grids, points):
     """Each grid's values at `points`, under the domain policy of
     Expr.eval: a non-finite value raises DomainError naming the first
     failing point and the first non-finite expression there."""
-    vals = [grid.at(points) for grid in grids]
-    bad = [~np.isfinite(v).reshape(len(points), -1) for v in vals]
+    got = [_values(grid, points) for grid in grids]
+    bad = [~np.isfinite(v).reshape(len(points), -1) for v, _ in got]
     rows = np.any([b.any(axis=1) for b in bad], axis=0)
     if rows.any():
         s = int(rows.argmax())
-        grid, row = next((g, b[s]) for g, b in zip(grids, bad) if b[s].any())
-        raise DomainError("non-finite result", grid.exprs[int(row.argmax())],
+        exprs, row = next((x, b[s]) for (_, x), b in zip(got, bad)
+                          if b[s].any())
+        raise DomainError("non-finite result", exprs[int(row.argmax())],
                           points[s])
-    return vals
+    return [v for v, _ in got]
 
 
 def _built_once(owner, samples, build):
     """build(samples), attempted once per sample set: the result, or the
-    input error that stopped it, is kept for the set `owner` saw last."""
-    if owner._built is None or owner._built[0] is not samples:
+    input error that stopped it, is kept for the set `owner` saw last on
+    the calling thread (`owner._built` is a threading.local), so threads
+    checking blocks of one set never read each other's contexts.  The old
+    set's contexts are dropped before the new set's are built."""
+    memo = owner._built
+    if getattr(memo, "samples", None) is not samples:
+        memo.samples = memo.result = None
         try:
-            result = build(samples)
+            memo.result = build(samples)
         except INPUT_ERRORS as e:
-            result = e
-        owner._built = (samples, result)
-    if isinstance(owner._built[1], Exception):
-        raise owner._built[1]
-    return owner._built[1]
+            memo.result = e
+        memo.samples = samples
+    if isinstance(memo.result, Exception):
+        raise memo.result
+    return memo.result
 
 
 class _Split(Exception):
@@ -147,7 +164,8 @@ class MapGeometry:
     structure) pair, with the ambient almost-contact structure `acs` that
     the structure, transport and CR checks read.  Every submanifold check
     takes one.  Builds the Gauss-Weingarten contexts of a sample set and
-    remembers them, or the exception that stopped the build, for that set."""
+    remembers them, or the exception that stopped the build, for that set
+    on the calling thread."""
 
     def __init__(self, emb, st, acs=None):
         self.emb = emb
@@ -163,7 +181,7 @@ class MapGeometry:
         for f in fields:
             grid = Grid(f, emb.m)
             self.grids += [grid, grid.partials]
-        self._built = None
+        self._built = threading.local()
 
     @property
     def is_constant(self):

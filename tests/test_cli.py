@@ -370,11 +370,12 @@ class TestEnginePreconditions:
                                     ("1.0/0.0", ambient),
                                     ("1.0/0.0", domain))}
         else:
-            # the Jacobian of x1+1/0*0 is the constant 1+(0/0*0+1/0*0),
-            # whose grid fails before the batch is looked at
+            # the image x1+1/0*0 is NaN at every point, and its grid comes
+            # before the Jacobian's, the constant 1+(0/0*0+1/0*0) that fails
+            # to compile
             first = sample_box(4, count=8, seed=42).points[0]
             assert notes == {("DomainError: non-finite result: "
-                              "1.0+(0.0/0.0*0.0+1.0/0.0*0.0) at domain point "
+                              "x1+1.0/0.0*0.0 at domain point "
                               f"{first.tolist()}")}
 
     def test_floating_point_warnings_stay_off_stderr(self, tmp_path, capsys):

@@ -6,9 +6,11 @@ When every field a group of suites reads is the same at every point,
 properties below run the CLI with `collapsed` replaced by the identity and
 require the same stdout, stderr and exit code.
 
-A set of more than `cli.BLOCK` samples is checked by the ambient and
-contact checks in blocks, whose reports merge into the whole set's.  The
-properties below shrink the block and require the reports of one block.
+A set of more than `cli.BLOCK` samples is checked block by block, the
+ambient set by the ambient and contact checks and the domain set by the
+submanifold, CR and product checks, and each check's block reports merge
+into its report on the whole set.  The properties below shrink the block
+and require the reports of one block.
 """
 
 import contextlib
@@ -24,10 +26,11 @@ from hypothesis import given, settings, strategies as st
 from conftest import EDGE_SPECS
 from contactstat import cli
 from contactstat.cli import main, run
+from contactstat.crchecks import classify_geodesic
 from contactstat.fixtures import fixture_doc, fixture_names
 from contactstat.report import merge_blocks
 from contactstat.sampling import Samples, sample_box
-from contactstat.specfile import load_spec
+from contactstat.specfile import from_doc
 
 PAPER_R7 = ("paper-r7-euclidean", "paper-r7-frame-orthonormal")
 
@@ -127,21 +130,29 @@ def _checks(doc):
             for check in suite["checks"]]
 
 
-@settings(max_examples=20, deadline=None)
-@given(name=st.sampled_from(fixture_names()), count=st.integers(1, 300),
-       seed=st.integers(0, 2**16), block=st.integers(1, 64))
-def test_blocked_sets_report_as_the_whole_set(name, count, seed, block):
-    # a fresh spec each time, so that its grids are first compiled by the
-    # block workers
+def _blocked_and_whole(doc, suites, seed, count, block):
+    """run() on a fresh spec of `doc` in blocks of `block` samples and in
+    one block, and the number of block reports of each merged check."""
     merged = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "BLOCK", block)
         mp.setattr(cli, "merge_blocks",
                    lambda reports, starts: merged.append(len(reports))
                    or merge_blocks(reports, starts))
-        blocked = run(load_spec(name), ["ambient", "contact"], seed, count)
+        blocked = run(from_doc(doc), suites, seed, count)
         mp.setattr(cli, "BLOCK", count)
-        whole = run(load_spec(name), ["ambient", "contact"], seed, count)
+        whole = run(from_doc(doc), suites, seed, count)
+    return blocked, whole, merged
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(fixture_names()), count=st.integers(1, 300),
+       seed=st.integers(0, 2**16), block=st.integers(1, 64))
+def test_blocked_sets_report_as_the_whole_set(name, count, seed, block):
+    # a fresh spec each time, so that its grids are first compiled by the
+    # block workers
+    blocked, whole, merged = _blocked_and_whole(
+        fixture_doc(name), ["ambient", "contact"], seed, count, block)
     assert _checks(blocked[0]) == _checks(whole[0])
     assert blocked[2] == whole[2]
     # the five checks were merged from blocks, unless the set is one block
@@ -149,6 +160,27 @@ def test_blocked_sets_report_as_the_whole_set(name, count, seed, block):
     blocks = -(-count // block)
     one_block = blocks == 1 or name in PAPER_R7
     assert merged == ([] if one_block else 5 * [blocks])
+
+
+@pytest.mark.parametrize("name", ["fix-cr5", "sasaki-r7-cr", *EDGE_SPECS])
+@settings(max_examples=6, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**16))
+def test_every_suite_reports_in_blocks_as_the_whole_set(name, data, seed):
+    # auto runs every suite the spec has: the ambient set's five checks,
+    # then the domain set's submanifold, CR and product checks, on sets
+    # that are never collapsed.  A domain block costs tens of milliseconds,
+    # so a set has at most 24 blocks.
+    count = data.draw(st.integers(1, 300), label="count")
+    block = data.draw(st.integers(-(-count // 24), 64), label="block")
+    doc = EDGE_SPECS[name] if name in EDGE_SPECS else fixture_doc(name)
+    blocked, whole, merged = _blocked_and_whole(doc, "auto", seed, count,
+                                                block)
+    assert blocked[0] == whole[0]
+    assert blocked[2] == whole[2]
+    checks = len(_checks(whole[0]))
+    assert checks == 15
+    blocks = -(-count // block)
+    assert merged == ([] if blocks == 1 else checks * [blocks])
 
 
 def test_input_errors_in_later_blocks_report_as_the_whole_set(tmp_path):
@@ -182,6 +214,70 @@ def test_input_errors_in_later_blocks_report_as_the_whole_set(tmp_path):
                 f"{pts[5].tolist()}")
     assert notes["sasakian"] == notes["sasakian-statistical"] == singular
     assert "statistical" in notes
+
+
+def _domain_run(tmp_path, doc, pts, block):
+    """The CLI on the listed domain points, in blocks of `block` samples
+    and in one block."""
+    doc["sampling"] = {"mode": "points", "domain": pts.tolist()}
+    path = tmp_path / "domain.json"
+    path.write_text(json.dumps(doc))
+    argv = ["check", "--spec", str(path), "--suites",
+            "submanifold,cr,product", "--format", "structured"]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "BLOCK", block)
+        blocked = _cli(argv)
+        mp.setattr(cli, "BLOCK", len(pts))
+        whole = _cli(argv)
+    return blocked, whole
+
+
+def test_input_errors_in_later_domain_blocks_report_as_the_whole_set(
+        tmp_path):
+    # fix-cr5 with the image x1^3 (a Jacobian rank drop where x1 = 0) and
+    # sqrt(x2) (non-finite where x2 < 0): of three blocks of four listed
+    # points, the second drops rank and the third leaves the domain.  The
+    # whole set's contexts read every value before they test the rank, so
+    # every domain check fails at the third block, not the second.
+    doc = fixture_doc("fix-cr5")
+    doc["submanifold"]["embedding"][0] = "x1^3"
+    doc["submanifold"]["embedding"][3] = "sqrt(x2)"
+    pts = sample_box(4, count=12, seed=5, box=(0.5, 1.0)).points
+    pts[5, 0] = 0.0
+    pts[9, 1] = -0.5
+    blocked, whole = _domain_run(tmp_path, doc, pts, 4)
+    assert blocked == whole
+    code, out, err = whole
+    assert (code, err) == (1, "")
+    checks = _checks(json.loads(out))
+    assert len(checks) == 10
+    assert {check["records"][0]["note"] for check in checks} == {
+        "DomainError: non-finite result: sqrt(x2) at domain point "
+        f"{pts[9].tolist()}"}
+
+
+def test_consequences_take_the_whole_sets_verdict(tmp_path):
+    # paper-r7-euclidean bent by x1*x3*x4, whose D/D-perp second
+    # derivatives x4 and x3 vanish where x3 = x4 = 0: there the submanifold
+    # is mixed geodesic, and elsewhere it is not.  In blocks of four the
+    # first block is mixed geodesic and the second is not, and the
+    # consequences report the whole set's verdict.
+    doc = fixture_doc("paper-r7-euclidean")
+    doc["submanifold"]["embedding"][3] = "x1*x3*x4"
+    pts = sample_box(5, count=8, seed=4).points
+    pts[:4, 2:4] = 0.0
+    cr = from_doc(doc).cr_structure()
+    verdicts = [classify_geodesic(cr, Samples(points=part)).record(
+        "mixed-geodesic").passed for part in (pts[:4], pts[4:])]
+    assert verdicts == [True, False]
+    blocked, whole = _domain_run(tmp_path, doc, pts, 4)
+    assert blocked == whole
+    [cons] = [check for check in _checks(json.loads(whole[1]))
+              if check["check"] == "mixed-geodesic-consequences"]
+    assert cons["census"] == {"samples": 8, "mixed-geodesic": False,
+                              "mixed-geodesic-dual": False, "foliate": True}
+    assert {(r["status"], r["note"]) for r in cons["records"]} == {
+        ("INFO", "precondition failed; reported for information")}
 
 
 def _collapses(monkeypatch, spec, *args):

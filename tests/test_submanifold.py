@@ -1,4 +1,6 @@
 import gc
+import sys
+import threading
 import weakref
 
 import numpy as np
@@ -352,13 +354,51 @@ class TestCovariantDerivativeAlongTheMap:
         check_gauss_weingarten(mg, samples)
         # the contexts the check used, read without handing them out again;
         # no covariant derivative is kept on them past the check
-        [ctx] = mg._built[1]
+        [ctx] = mg._built.result
         again = mg.contexts(samples)
         assert again == [ctx]
         # the CR checks share that context
         check_cr_product(cr, samples)
         [c] = cr.contexts(samples)
         assert c.ctx is ctx
+
+    def test_each_thread_keeps_its_own_contexts(self):
+        # four threads, more than a small host's CPUs, ask one MapGeometry
+        # and CRStructure for the contexts of their own sets, round after
+        # round at the same time; each must get its own set's contexts,
+        # built once.  A short switch interval lets a thread stop in the
+        # middle of a build.
+        spec = from_doc(fixture_doc("sasaki-r7-cr"))
+        cr = spec.cr_structure()
+        mg = cr.mg
+        own = [sample_box(4, count=3, seed=s) for s in range(4)]
+        start = threading.Barrier(len(own))
+        got = [[] for _ in own]
+
+        def read(k):
+            for _ in range(20):
+                start.wait(timeout=30)
+                [ctx], [c] = mg.contexts(own[k]), cr.contexts(own[k])
+                got[k].append((ctx, c))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=read, args=(k,))
+                       for k in range(len(own))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for samples, pairs in zip(own, got):
+            assert len(pairs) == 20
+            ctx, c = pairs[0]
+            assert np.array_equal(ctx.points, samples.points)
+            assert c.ctx is ctx
+            assert all(p[0] is ctx and p[1] is c for p in pairs)
 
     def test_contexts_die_with_their_structures(self):
         # no reference cycle holds a sample set's contexts, with their
