@@ -45,7 +45,5 @@ dd = dual.dual()
 _, gam, gam_star = st.gammas(np.zeros((1, 3)))
 print()
 print("Gamma^3_33 and Gamma*^3_33:", gam[0, 2, 2, 2], gam_star[0, 2, 2, 2])
-print("dual difference tensor K*^3_33:", dual.K.coeff(2, 2, 2))
-print("double dual equals the original:",
-      all(dd.K.coeff(k, i, j) == K.coeff(k, i, j)
-          for k in range(3) for i in range(3) for j in range(3)))
+print("dual difference tensor K*^3_33:", dual.K.coeffs[2][2][2])
+print("double dual equals the original:", dd.K.coeffs == K.coeffs)

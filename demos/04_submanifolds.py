@@ -33,7 +33,7 @@ print("circle: h(dt, dt) =", np.round(h[0], 6),
       " |h| =", round(float(ctx.gnorm(h)[0]), 12))
 
 gind = induced_metric(circle, MetricField.euclidean(2))
-print("circle induced metric entry:", gind.entry(0, 0))
+print("circle induced metric entry:", gind.entries[0][0])
 
 # The 5-chart inside the flat 7-chart used by the paper-r7 fixtures.  Its
 # frame directions have euclidean lengths (1, 1, sqrt 2, sqrt 2, 1).
@@ -47,7 +47,7 @@ print(gind.at(np.zeros((1, 5)))[0])
 # Splitting an ambient vector into tangent and normal coefficients.
 mg = MapGeometry(emb, spec.sss.st, acs=spec.acs)
 fp = mg.context(np.zeros(5))
-phi0 = spec.acs.phi_at(np.zeros((1, 7)))[0]
+phi0 = spec.acs.phi.at(np.zeros((1, 7)))[0]
 v = phi0 @ fp.J.val[0, :, 2]  # phi of the third frame direction: wholly normal
 a, b = split(fp, v[None])
 print()

@@ -32,13 +32,12 @@ from .crchecks import (CRStructure, check_contact_cr, check_cr_product,
 from .fixtures import fixture_doc, fixture_names
 from .geometry import INPUT_ERRORS, check_statistical, metric_samples
 from .report import CheckReport, Record, merge_blocks
-from .sampling import SamplingError, sample_box, samples_from_points
-from .specfile import SpecError, load_spec
+from .sampling import (DEFAULT_BOX, DEFAULT_COUNT, DEFAULT_SEED,
+                       SamplingError, sample_box, samples_from_points)
+from .specfile import SUITE_ORDER, SpecError, load_spec
 from .submanifold import (MapGeometry, check_gauss_weingarten,
                           check_structure_identities,
                           check_transport_identities)
-
-SUITE_ORDER = ("ambient", "contact", "submanifold", "cr", "product")
 
 # samples per block of a sample set; the blocks of a set depend on its
 # size alone, so no report depends on the machine
@@ -57,7 +56,7 @@ def _spec_samples(spec, chart, seed, count):
             raise SpecError([f"sampling.{chart}: explicit points required "
                              f"for {suites} suites in points mode"])
         return samples_from_points(pts)
-    box = tuple(spec.sampling.get("box", (-1.0, 1.0)))
+    box = tuple(spec.sampling.get("box", DEFAULT_BOX))
     if chart == "domain":
         return sample_box(spec.embedding.m, count=count, seed=seed, box=box)
     try:
@@ -211,8 +210,8 @@ def run(spec, suites, seed=None, count=None, tol=None):
         sampling["seed"] = seed
     if count is not None:
         sampling["count"] = count
-    eff_seed = sampling.get("seed", 42)
-    eff_count = sampling.get("count", 64)
+    eff_seed = sampling.get("seed", DEFAULT_SEED)
+    eff_count = sampling.get("count", DEFAULT_COUNT)
 
     # what the requested suites share, each built once before any check
     # runs: the ambient samples, the domain samples with their

@@ -54,9 +54,6 @@ class AlmostContact:
         return (self.phi.is_constant and self.xi.is_constant
                 and self.eta.is_constant)
 
-    def phi_at(self, points):
-        return self.phi.at(points)
-
 
 @dataclass
 class SasakiStatStructure:
@@ -64,14 +61,6 @@ class SasakiStatStructure:
 
     st: StatTriple
     acs: AlmostContact
-
-    @property
-    def g(self):
-        return self.st.g
-
-    @property
-    def dim(self):
-        return self.st.dim
 
 
 def _gnorm(gv, vecs):
@@ -99,7 +88,7 @@ def check_almost_contact(acs, g, samples, tol=1e-8):
     })
 
     gv = g.at(pts)
-    phi = acs.phi_at(pts)
+    phi = acs.phi.at(pts)
     xiv = acs.xi.at(pts)
     etav = acs.eta.at(pts)
     eye = np.eye(d)
@@ -138,7 +127,7 @@ def check_contact_metric(acs, g, samples, tol=1e-8):
         })
 
     gv = g.at(pts)
-    phi = acs.phi_at(pts)
+    phi = acs.phi.at(pts)
     deta_j = acs.eta.partials.at(pts)                  # [n, a, i] = d_i eta_a
     deta = np.transpose(deta_j, (0, 2, 1)) - deta_j    # [n, i, j] = d_i eta_j - d_j eta_i
     pair = np.einsum("nik,nkj->nij", gv, phi)          # g(e_i, phi e_j)
@@ -163,7 +152,7 @@ def check_sasakian(acs, g, samples, tol=1e-8):
 
     gv = g.at(pts)
     gam = levi_civita(g, pts)
-    phi = acs.phi_at(pts)
+    phi = acs.phi.at(pts)
     dphi = acs.phi.partials.at(pts)  # [n, a, b, i] = d_i phi^a_b
     xiv = acs.xi.at(pts)
     dxi = acs.xi.partials.at(pts)    # [n, k, i]
@@ -237,7 +226,7 @@ def check_sasakian_statistical(sss, samples, tol=1e-8):
         })
 
     gv = g.at(pts)
-    phi = acs.phi_at(pts)
+    phi = acs.phi.at(pts)
     dphi = acs.phi.partials.at(pts)
     xiv = acs.xi.at(pts)
     dxi = acs.xi.partials.at(pts)

@@ -16,11 +16,11 @@ import numpy as np
 from .geometry import GeometryError, VectorField, lie_bracket
 from .jets import jmatvec
 from .report import Residuals, labels
-from .submanifold import (GWData, _built_once, _by_pattern, _over, _scale,
-                          _tr, _uniform, along)
+from .submanifold import (GWData, _built_once, _by_pattern, _needs_acs,
+                          _over, _scale, _tr, _uniform, along)
 
 __all__ = [
-    "Distribution", "CRStructure",
+    "CRStructure",
     "check_contact_cr", "check_integrability_D", "check_integrability_Dperp",
     "check_dual_shape_identities", "classify_geodesic",
     "check_mixed_geodesic_consequences", "mixed_geodesic_residuals",
@@ -28,30 +28,20 @@ __all__ = [
 ]
 
 
-class Distribution:
-    """A distribution on the domain chart, given by generator fields."""
-
-    def __init__(self, generators):
-        self.generators = list(generators)
-        self.rank = len(self.generators)
-        dims = {g.dim for g in self.generators}
-        if len(dims) > 1:
-            raise GeometryError("distribution generators of mixed dimension")
-
-
 class CRStructure:
     """Submanifold plus the orthogonal splitting of its tangent bundle into
     an invariant distribution (containing the ambient Reeb field) and an
-    anti-invariant complement.  `mg` is the submanifold's MapGeometry, with
-    the ambient almost-contact structure."""
+    anti-invariant complement, each kept as a tuple of generator
+    VectorFields (`D`, `Dperp`).  `mg` is the submanifold's MapGeometry,
+    with the ambient almost-contact structure."""
 
     def __init__(self, mg, D, Dperp):
+        _needs_acs(mg, "a CR structure")
         self.mg = mg
-        self.D = D if isinstance(D, Distribution) else Distribution(D)
-        self.Dperp = Dperp if isinstance(Dperp, Distribution) else Distribution(Dperp)
+        self.D, self.Dperp = tuple(D), tuple(Dperp)
         m = mg.emb.m
-        for name, dist in (("D", self.D), ("Dperp", self.Dperp)):
-            if any(g.dim != m for g in dist.generators):
+        for name, gens in (("D", self.D), ("Dperp", self.Dperp)):
+            if any(g.dim != m for g in gens):
                 raise GeometryError(
                     f"{name} generators need {m} components, one per "
                     "submanifold coordinate")
@@ -87,7 +77,7 @@ class CRStructure:
         generator pairs i < j of D ("D") or of D-perp ("Dperp"): one row
         per pair, in the (i, j) order of np.triu_indices."""
         if kind not in self._brackets:
-            gens = (self.D if kind == "D" else self.Dperp).generators
+            gens = self.D if kind == "D" else self.Dperp
             pairs = zip(*np.triu_indices(len(gens), 1))
             self._brackets[kind] = [lie_bracket(gens[i], gens[j])
                                     for i, j in pairs]
@@ -137,10 +127,8 @@ class _CRContext:
         self.G = ctx.G.val
         self.J = ctx.J.val
         N, n, m = len(ctx.index), ctx.n, ctx.m
-        self.d_dom = _as_rows([ctx.domain_jet(g).val for g in cr.D.generators],
-                              m, N)
-        self.dp_dom = _as_rows(
-            [ctx.domain_jet(g).val for g in cr.Dperp.generators], m, N)
+        self.d_dom = _as_rows([ctx.domain_jet(g).val for g in cr.D], m, N)
+        self.dp_dom = _as_rows([ctx.domain_jet(g).val for g in cr.Dperp], m, N)
         self.d_amb = np.matvec(self.J[:, None], self.d_dom)
         self.dp_amb = np.matvec(self.J[:, None], self.dp_dom)
         self.P_D = _span_projector(self.d_amb, self.G, "D", ctx.points)
@@ -149,7 +137,7 @@ class _CRContext:
         self.xi_dom = ctx.tangent_coeffs(self.xi)
         # phi X for the D generators X, in domain coefficients
         self.phid_dom = ctx.tangent_coeffs(_as_rows(
-            [ctx.t_jet(X).val for X in cr.D.generators], n, N))
+            [ctx.t_jet(X).val for X in cr.D], n, N))
         # D with the Reeb direction removed, for the frame projections
         xi_unit = self.xi / np.maximum(ctx.gnorm(self.xi), 1e-300)[:, None]
         reduced = []
@@ -163,7 +151,7 @@ class _CRContext:
         self.P_1 = _span_projector(_as_rows(reduced, n, N), self.G,
                                    "reduced D", ctx.points)
         # normal splitting: the image of phi on Dperp, then its complement
-        self.phiZ_jets = [ctx.f_jet(Z) for Z in cr.Dperp.generators]
+        self.phiZ_jets = [ctx.f_jet(Z) for Z in cr.Dperp]
         self.fframe = ctx._gs(self.phiZ_jets, [])
         self.nu_jets = ctx._gs(ctx.normal_jets, self.fframe)
         self.nu = _as_rows([f.val for f in self.nu_jets], n, N)
@@ -180,8 +168,8 @@ def check_contact_cr(cr, samples, tol=1e-8):
     membership, invariance of the nu-subbundle, and the four projection
     identities of the tangential/normal decomposition."""
     res = Residuals(
-        "contact-cr", {"samples": samples.count, "rank-D": cr.D.rank,
-                       "rank-Dperp": cr.Dperp.rank}, {
+        "contact-cr", {"samples": samples.count, "rank-D": len(cr.D),
+                       "rank-Dperp": len(cr.Dperp)}, {
             "generator-rank": "generators linearly independent",
             "span-completeness": "TM = D ⊕ D⊥",
             "d-dperp-orthogonal": "g(D, D⊥) = 0",
@@ -197,7 +185,7 @@ def check_contact_cr(cr, samples, tol=1e-8):
             "t-is-tp1": "T = TP₁",
         })
     m = cr.mg.emb.m
-    rD, rP = cr.D.rank, cr.Dperp.rank
+    rD, rP = len(cr.D), len(cr.Dperp)
     ds, ps, xs = labels("X=D{}", rD), labels("Z=P{}", rP), labels("X=u{}", m)
 
     for c in cr.contexts(samples):
@@ -207,7 +195,7 @@ def check_contact_cr(cr, samples, tol=1e-8):
         allgens = np.concatenate([c.d_dom, c.dp_dom], axis=1)
         gram = allgens @ ctx.gram @ _tr(allgens)
         rank = np.linalg.matrix_rank(gram, tol=1e-10)
-        add("generator-rank", (cr.D.rank + cr.Dperp.rank - rank).astype(float))
+        add("generator-rank", (rD + rP - rank).astype(float))
         add("span-completeness", (m - rank).astype(float))
         add("d-dperp-orthogonal",
             abs(ctx.ginner(c.d_amb[:, :, None], c.dp_amb[:, None])),
@@ -244,14 +232,14 @@ def check_integrability_D(cr, samples, tol=1e-8):
     two together."""
     res = Residuals(
         "integrability-d", {"samples": samples.count,
-                            "pairs": cr.D.rank * (cr.D.rank - 1) // 2}, {
+                            "pairs": len(cr.D) * (len(cr.D) - 1) // 2}, {
             "d-bracket-closure": "[X, Y] ∈ D for X, Y ∈ D",
             "d-integrability-criterion": "g(h(X,φY), φZ) = g(h(Y,φX), φZ)",
             "d-integrability-bridge": "F[X,Y] = h(X,φY) - h(Y,φX)",
         })
-    ii, jj = np.triu_indices(cr.D.rank, 1)
+    ii, jj = np.triu_indices(len(cr.D), 1)
     xy = [f"X=D{i+1} Y=D{j+1}" for i, j in zip(ii, jj)]
-    xyz = labels("{} Z=P{}", xy, cr.Dperp.rank)
+    xyz = labels("{} Z=P{}", xy, len(cr.Dperp))
 
     for c in cr.contexts(samples):
         if not xy:  # one generator makes no pair
@@ -262,7 +250,7 @@ def check_integrability_D(cr, samples, tol=1e-8):
         add("d-bracket-closure", c.off(br_amb, c.P_D), xy)
         # [:, i, j] is h(X_i, phi X_j)
         h = ctx.normal_part(along(
-            ctx.nabla([ctx.t_jet(X) for X in cr.D.generators]), c.d_dom))
+            ctx.nabla([ctx.t_jet(X) for X in cr.D]), c.d_dom))
         hdiff = h[:, ii, jj] - h[:, jj, ii]
         phz = ctx.f_val(c.dp_amb)
         add("d-integrability-criterion",
@@ -278,7 +266,7 @@ def check_integrability_Dperp(cr, samples, tol=1e-8):
     part of the bracket (sign-convention twin reported informationally)."""
     res = Residuals(
         "integrability-dperp", {"samples": samples.count, "pairs":
-                                cr.Dperp.rank * (cr.Dperp.rank - 1) // 2}, {
+                                len(cr.Dperp) * (len(cr.Dperp) - 1) // 2}, {
             "dperp-bracket-closure": "[X, Y] ∈ D⊥ for X, Y ∈ D⊥",
             "dperp-integrability-criterion":
                 "A_{φY}X - A_{φX}Y = g(Y,ξ)X - g(X,ξ)Y",
@@ -287,7 +275,7 @@ def check_integrability_Dperp(cr, samples, tol=1e-8):
             "dperp-integrability-bridge-alt-sign":
                 "A_{φY}X - A_{φX}Y = T[X,Y] + g(Y,ξ)X - g(X,ξ)Y",
         })
-    ii, jj = np.triu_indices(cr.Dperp.rank, 1)
+    ii, jj = np.triu_indices(len(cr.Dperp), 1)
     xy = [f"X=P{i+1} Y=P{j+1}" for i, j in zip(ii, jj)]
 
     for c in cr.contexts(samples):
@@ -328,7 +316,7 @@ def check_dual_shape_identities(cr, samples, tol=1e-8):
     m = cr.mg.emb.m
     frame_fields = [VectorField.coordinate(m, j) for j in range(m)]
     # the ordered pairs i != j of D-perp generators
-    ii, jj = np.nonzero(~np.eye(cr.Dperp.rank, dtype=bool))
+    ii, jj = np.nonzero(~np.eye(len(cr.Dperp), dtype=bool))
     yz = [f"Y=P{i+1} Z=P{j+1}" for i, j in zip(ii, jj)]
 
     for c in cr.contexts(samples):
@@ -395,18 +383,18 @@ def classify_geodesic(cr, samples, tol=1e-8):
         "d-umbilic-factor": "|L| recovered by least squares",
         "d-umbilic-factor-dual": "|L| recovered by least squares (dual)",
     })
-    rD, rP = cr.D.rank, cr.Dperp.rank
+    rD, rP = len(cr.D), len(cr.Dperp)
     dd = labels("X=D{} Y=D{}", rD, rD)
-    ii, jj = np.triu_indices(cr.D.rank, 1)
+    ii, jj = np.triu_indices(rD, 1)
     pairs = [f"X=D{i+1} Y=D{j+1}" for i, j in zip(ii, jj)]
 
     for c in cr.contexts(samples):
         ctx = c.ctx
         scale = _scale(c.G, ctx.phi.val)
         add = res.adder(scale, c.index)
-        d_push = [ctx.push_jet(X) for X in cr.D.generators]
-        dp_push = [ctx.push_jet(Z) for Z in cr.Dperp.generators]
-        t_jets = [ctx.t_jet(X) for X in cr.D.generators]
+        d_push = [ctx.push_jet(X) for X in cr.D]
+        dp_push = [ctx.push_jet(Z) for Z in cr.Dperp]
+        t_jets = [ctx.t_jet(X) for X in cr.D]
         nk = len(ctx.normal_jets)
         for star in (False, True):
             sfx = "-dual" if star else ""
@@ -482,7 +470,7 @@ def mixed_geodesic_residuals(cr, samples, tol=1e-8):
     for c in cr.contexts(samples):
         ctx = c.ctx
         add = res.adder(_scale(c.G, ctx.phi.val), c.index)
-        xv = labels("X=D{} V=N{}", cr.D.rank, len(ctx.normal_jets))
+        xv = labels("X=D{} V=N{}", len(cr.D), len(ctx.normal_jets))
         c_jets = [ctx.c_jet(V) for V in ctx.normal_jets]
         # each identity pairs one connection's derivative of (phi V)-perp
         # with the opposite connection's of V; [:, i, k] is along X_i of
@@ -551,7 +539,7 @@ def check_cr_product(cr, samples, tol=1e-8):
         "d-leaf-dual": "∇*_X Y ∈ D for X, Y ∈ D",
     })
     m = cr.mg.emb.m
-    rD, rP = cr.D.rank, cr.Dperp.rank
+    rD, rP = len(cr.D), len(cr.Dperp)
     # X ranges over the D generators plus the Reeb field explicitly
     xl = labels("X=D{}", rD) + ["X=ξ"]
     ii, jj = np.triu_indices(rP, 1)
@@ -563,7 +551,7 @@ def check_cr_product(cr, samples, tol=1e-8):
         x_dom = np.concatenate([c.d_dom, c.xi_dom[:, None]], axis=1)
         x_amb = np.concatenate([c.d_amb, c.xi[:, None]], axis=1)
         eta_x = ctx.eta_of(x_amb)
-        d_pushes = [ctx.push_jet(Z) for Z in cr.Dperp.generators]
+        d_pushes = [ctx.push_jet(Z) for Z in cr.Dperp]
         nphi = ctx.nabla(c.phiZ_jets)
         nz = {star: ctx.nabla(d_pushes, star) for star in (False, True)}
         # [:, j, x] is A_{phi U_j} X
@@ -610,7 +598,7 @@ def check_cr_product(cr, samples, tol=1e-8):
         add("nu-shape-antisymmetry", ctx.gnorm(a1 + a2),
             labels("Y=D{} λ=ν{}", rD, len(c.nu_jets)))
         # leaf surrogates
-        d_push = [ctx.push_jet(X) for X in cr.D.generators]
+        d_push = [ctx.push_jet(X) for X in cr.D]
         for star, d_nm, p_nm in ((False, "d-leaf", "dperp-leaf"),
                                  (True, "d-leaf-dual", "dperp-leaf-dual")):
             nzw = ctx.tangential(along(nz[star], c.dp_dom))

@@ -141,6 +141,12 @@ class Expr:
         """Replace variable i by replacements[i]; composition of charts."""
         raise NotImplementedError
 
+    def __setattr__(self, *a):
+        raise AttributeError("Expr nodes are immutable")
+
+    def __str__(self):
+        return self._fmt()[0]
+
     def __repr__(self):
         return f"<expr {self}>"
 
@@ -154,9 +160,6 @@ class Const(Expr):
 
     def __init__(self, value):
         object.__setattr__(self, "value", float(value))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
 
     @property
     def max_var(self):
@@ -179,9 +182,6 @@ class Const(Expr):
             return f"-{repr(-self.value)}", 3
         return repr(self.value), 4
 
-    def __str__(self):
-        return self._fmt()[0]
-
     def __eq__(self, other):
         return isinstance(other, Const) and self.value == other.value
 
@@ -196,9 +196,6 @@ class Var(Expr):
         if index < 0:
             raise ExprError("variable index must be non-negative")
         object.__setattr__(self, "index", int(index))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
 
     @property
     def max_var(self):
@@ -216,9 +213,6 @@ class Var(Expr):
     def _fmt(self):
         return f"x{self.index + 1}", 4
 
-    def __str__(self):
-        return self._fmt()[0]
-
     def __eq__(self, other):
         return isinstance(other, Var) and self.index == other.index
 
@@ -233,9 +227,6 @@ class Bin(Expr):
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "lhs", lhs)
         object.__setattr__(self, "rhs", rhs)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
 
     @property
     def max_var(self):
@@ -296,9 +287,6 @@ class Bin(Expr):
             rs = str(int(self.rhs.value))
         return f"{ls}{self.op}{rs}", level
 
-    def __str__(self):
-        return self._fmt()[0]
-
     def __eq__(self, other):
         return (isinstance(other, Bin) and self.op == other.op
                 and self.lhs == other.lhs and self.rhs == other.rhs)
@@ -313,9 +301,6 @@ class Un(Expr):
     def __init__(self, op, arg):
         object.__setattr__(self, "op", op)
         object.__setattr__(self, "arg", arg)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Expr nodes are immutable")
 
     @property
     def max_var(self):
@@ -349,7 +334,7 @@ class Un(Expr):
         inner = self.arg.substitute(replacements)
         if self.op == "neg":
             return _neg(inner)
-        return _mk_un(self.op, inner)
+        return Un(self.op, inner)
 
     def _fmt(self):
         s, level = self.arg._fmt()
@@ -360,9 +345,6 @@ class Un(Expr):
                 s = f"({s})"
             return f"-{s}", 3
         return f"{self.op}({s})", 4
-
-    def __str__(self):
-        return self._fmt()[0]
 
     def __eq__(self, other):
         return isinstance(other, Un) and self.op == other.op and self.arg == other.arg
@@ -391,11 +373,6 @@ def _mk_bin(op, a, b):
     if op == "*":
         return _mul(a, b)
     return _div(a, b)
-
-
-def _mk_un(op, a):
-    ctors = {"sin": sin, "cos": cos, "exp": exp, "sqrt": sqrt}
-    return ctors[op](a)
 
 
 def _add(a, b):

@@ -188,25 +188,15 @@ class MetricField(Grid):
         super().__init__(self.entries, dim)
 
     @classmethod
-    def from_matrix(cls, rows):
-        dim = len(rows)
-        upper = {}
-        for i in range(dim):
-            for j in range(i, dim):
-                upper[(i, j)] = rows[i][j]
-        return cls(dim, upper)
-
-    @classmethod
     def euclidean(cls, dim):
         return cls(dim, {(i, i): Const(1.0) for i in range(dim)})
 
     @classmethod
     def constant(cls, matrix):
         mat = np.asarray(matrix, dtype=float)
-        return cls.from_matrix([[Const(v) for v in row] for row in mat])
-
-    def entry(self, i, j):
-        return self.entries[i][j]
+        dim = len(mat)
+        return cls(dim, {(i, j): Const(mat[i, j])
+                         for i in range(dim) for j in range(i, dim)})
 
     def inverse_at(self, points):
         g = self.at(points)
@@ -224,12 +214,6 @@ class MetricField(Grid):
         out = np.full(len(g), np.nan)
         out[finite] = np.linalg.eigvalsh(g[finite])[:, 0]
         return out
-
-    def substitute(self, gamma):
-        """Pull the entries back through a coordinate map (composition)."""
-        return MetricField(self.dim, {
-            (i, j): self.entries[i][j].substitute(gamma)
-            for i in range(self.dim) for j in range(i, self.dim)})
 
 
 class VectorField(Grid):
@@ -264,9 +248,6 @@ class ConnField(Grid):
     def flat(cls, dim):
         zero = Const(0.0)
         return cls(dim, [[[zero] * dim for _ in range(dim)] for _ in range(dim)])
-
-    def coeff(self, k, i, j):
-        return self.coeffs[k][i][j]
 
     def gamma_at(self, points):
         """gamma[n, k, i, j] at each sample."""

@@ -18,15 +18,16 @@ from .crchecks import CRStructure
 from .exprlang import Const, DomainError, ParseError, parse
 from .geometry import (ConnField, MetricField, SingularMetricError,
                        StatTriple, VectorField)
+from .sampling import DEFAULT_BOX, DEFAULT_COUNT, DEFAULT_SEED
 from .submanifold import Embedding, MapGeometry
 
-__all__ = ["SpecError", "SpecFile", "load_spec", "from_doc"]
+__all__ = ["SpecError", "SpecFile", "load_spec", "from_doc", "SUITE_ORDER"]
 
 _TOP_KEYS = {"name", "ambient", "submanifold", "sampling", "tolerance"}
 _AMBIENT_KEYS = {"dim", "metric", "phi", "xi", "eta", "K"}
 _SUB_KEYS = {"dim", "embedding", "D", "Dperp"}
 _SAMPLING_KEYS = {"mode", "seed", "count", "box", "ambient", "domain"}
-_SUITES = ("ambient", "contact", "submanifold", "cr", "product")
+SUITE_ORDER = ("ambient", "contact", "submanifold", "cr", "product")
 
 
 class SpecError(Exception):
@@ -229,8 +230,8 @@ def from_doc(doc, origin="<doc>"):
                           "at least one generator required: a contact CR "
                           "structure has xi in D")
 
-    sampling = doc.get("sampling", {"mode": "seeded-random", "seed": 42,
-                                    "count": 64, "box": [-1.0, 1.0]})
+    # a key the document leaves out takes the sampling module's default
+    sampling = doc.get("sampling", {})
     if not isinstance(sampling, dict):
         col.error(f"{origin}.sampling", "expected a mapping")
         sampling = {}
@@ -239,13 +240,13 @@ def from_doc(doc, origin="<doc>"):
             col.error(f"{origin}.sampling.{key}", "unknown key")
     mode = sampling.get("mode", "seeded-random")
     if mode == "seeded-random":
-        if not _integer(sampling.get("seed", 42)) \
-                or sampling.get("seed", 42) < 0:
+        seed = sampling.get("seed", DEFAULT_SEED)
+        if not _integer(seed) or seed < 0:
             col.error(f"{origin}.sampling.seed", "non-negative integer required")
-        if not _integer(sampling.get("count", 64)) \
-                or sampling.get("count", 64) < 1:
+        count = sampling.get("count", DEFAULT_COUNT)
+        if not _integer(count) or count < 1:
             col.error(f"{origin}.sampling.count", "positive integer required")
-        box = sampling.get("box", [-1.0, 1.0])
+        box = sampling.get("box", DEFAULT_BOX)
         if (not isinstance(box, (list, tuple)) or len(box) != 2
                 or not _finite(*box) or not box[0] < box[1]
                 or not _finite(box[1] - box[0])):
@@ -281,7 +282,7 @@ def from_doc(doc, origin="<doc>"):
         col.error(f"{origin}.tolerance", "expected a mapping")
         tolerance = {}
     for key, val in tolerance.items():
-        if key != "default" and key not in _SUITES:
+        if key != "default" and key not in SUITE_ORDER:
             col.error(f"{origin}.tolerance.{key}", "unknown key")
         elif not _finite(val) or val <= 0:
             col.error(f"{origin}.tolerance.{key}",

@@ -62,9 +62,23 @@ class Embedding(Grid):
         super().__init__(self.comps, m)
 
 
+def _pull_back(emb, field):
+    """An ambient field's entries composed with the embedding, as a grid."""
+    return _map(lambda e: e.substitute(emb.comps), field.nested)
+
+
+def _needs_acs(mg, what):
+    """Refuse `what`, which reads phi, xi or eta, on a MapGeometry without
+    them."""
+    if mg.acs is None:
+        raise GeometryError(f"{what} needs the ambient almost-contact "
+                            "structure (phi, xi, eta), and the MapGeometry "
+                            "has none")
+
+
 def induced_metric(emb, g_ambient):
     """Pullback metric as expressions over the domain chart."""
-    gsub = g_ambient.substitute(emb.comps)
+    gsub = _pull_back(emb, g_ambient)
     jac = emb.partials.nested
     m, n = emb.m, emb.n
     upper = {}
@@ -73,7 +87,7 @@ def induced_metric(emb, g_ambient):
             acc = Const(0.0)
             for a in range(n):
                 for b in range(n):
-                    acc = acc + jac[a][i] * gsub.entries[a][b] * jac[b][j]
+                    acc = acc + jac[a][i] * gsub[a][b] * jac[b][j]
             upper[(i, j)] = acc
     return MetricField(m, upper)
 
@@ -171,15 +185,12 @@ class MapGeometry:
         self.emb = emb
         self.st = st
         self.acs = acs
-        fields = [st.g.substitute(emb.comps).entries]
-        if acs is not None:
-            fields += [_map(lambda e: e.substitute(emb.comps), f.nested)
-                       for f in (acs.phi, acs.xi, acs.eta)]
+        fields = [st.g] + ([] if acs is None else [acs.phi, acs.xi, acs.eta])
         # the image points, then the values and partials of J, G and, with
         # a contact structure, phi, xi and eta along the map
         self.grids = [emb, emb.partials, emb.partials.partials]
         for f in fields:
-            grid = Grid(f, emb.m)
+            grid = Grid(_pull_back(emb, f), emb.m)
             self.grids += [grid, grid.partials]
         self._built = threading.local()
 
@@ -433,7 +444,7 @@ class TFBCSplit:
 
 def tfbc(acs, ctx):
     """Decompose phi at a context's points."""
-    phi_y = acs.phi_at(ctx.y)
+    phi_y = acs.phi.at(ctx.y)
     # the images of the frame vectors, one row each
     cols = (_tr(phi_y @ ctx.J.val), _tr(phi_y @ ctx.normal))
     return TFBCSplit(*(_tr(coeffs(v)) for v in cols
@@ -523,6 +534,7 @@ def check_structure_identities(mg, samples, tol=1e-8):
     """The algebraic consequences of the tangential/normal splitting of the
     contact tensor: the squared-part identities, the transfer relations,
     skewness and the cross pairing."""
+    _needs_acs(mg, "structure-identities")
     res = Residuals(
         "structure-identities",
         {"samples": samples.count, "m": mg.emb.m, "n": mg.emb.n}, {
@@ -575,6 +587,7 @@ def check_transport_identities(mg, samples, tol=1e-8):
     the contact tensor along a submanifold of a compatible statistical
     ambient space, plus the reduction of the xi-transport to the
     submanifold.  Sign-convention twins are reported informationally."""
+    _needs_acs(mg, "transport-identities")
     m = mg.emb.m
     res = Residuals(
         "transport-identities",

@@ -1,10 +1,12 @@
-"""Shared structure builders for the test suite.
+"""Shared structure builders and oracles for the test suite.
 
 Each builder returns plain engine objects.  The ambient charts and the
-submanifold blocks are read from the built-in fixture documents, and are
-validated in test_contactstruct / test_geometry / test_fixtures before
-anything else depends on them.
+submanifold blocks are read from the built-in fixture documents, which
+test_fixtures checks against the charts' definitions, computed there in
+numpy; no test builds a fixture chart of its own.
 """
+
+import numpy as np
 
 from contactstat import fixtures
 from contactstat.contactstruct import lambda_family
@@ -120,3 +122,20 @@ def map_geometry(emb, sss):
     """The MapGeometry of an embedding into a Sasakian statistical
     structure, as every submanifold and CR check takes it."""
     return MapGeometry(emb, sss.st, acs=sss.acs)
+
+
+def koszul_fd(g, pts, h=1e-6):
+    """Independent Christoffel oracle: the Koszul formula with the metric's
+    partials taken by central finite differences, [n, k, i, j]."""
+    pts = np.asarray(pts, dtype=float)
+    n, d = pts.shape
+    dg = np.empty((n, d, d, d))
+    for k in range(d):
+        hi, lo = pts.copy(), pts.copy()
+        hi[:, k] += h
+        lo[:, k] -= h
+        dg[:, k] = (g.at(hi) - g.at(lo)) / (2 * h)
+    ginv = np.linalg.inv(g.at(pts))
+    lower = 0.5 * (dg + np.transpose(dg, (0, 2, 1, 3))
+                   - np.transpose(dg, (0, 2, 3, 1)))
+    return np.einsum("nkl,nijl->nkij", ginv, lower)

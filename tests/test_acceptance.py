@@ -140,7 +140,7 @@ def test_05_paper_fixture_audit_records():
     lc = spec.sss.st.gammas(pts)[0]
     nxi = (spec.acs.xi.partials.at(pts)[:, :, 0]
            + np.einsum("nkj,nj->nk", lc[:, :, 0, :], spec.acs.xi.at(pts)))
-    defect = nxi + np.einsum("nab,nb->na", spec.acs.phi_at(pts),
+    defect = nxi + np.einsum("nab,nb->na", spec.acs.phi.at(pts),
                              e1.at(pts))
     gv = spec.g.at(pts)
     norms = np.sqrt(np.einsum("na,nab,nb->n", defect, gv, defect))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import euclid_r7, koszul_fd, sasaki_r3
 from contactstat.contactstruct import (
     AlmostContact, SasakiStatStructure, check_almost_contact,
     check_contact_metric, check_sasakian, check_sasakian_statistical,
@@ -12,47 +13,6 @@ from contactstat.geometry import (
 )
 from contactstat.exprlang import Const
 from contactstat.sampling import sample_box
-
-
-def sasaki_r3():
-    """The unit-contact-form chart on 3-space: eta = (dz - y dx)/2,
-    xi = 2 d/dz, g = eta (x) eta + (dx^2 + dy^2)/4, phi the compatible
-    rotation.  Known-good Sasakian control, validated below before any
-    other test relies on it."""
-    g = MetricField(3, {(0, 0): "(1+x2^2)/4", (0, 2): "-x2/4",
-                        (1, 1): "1/4", (2, 2): "1/4"})
-    acs = AlmostContact(
-        phi=[["0", "1", "0"], ["-1", "0", "0"], ["0", "x2", "0"]],
-        xi=VectorField(["0", "0", "2"], 3),
-        eta=["-x2/2", "0", "1/2"])
-    return g, acs
-
-
-def euclid_r7():
-    """Flat 7-chart with the standard rotation pairs and eta = dz."""
-    g = MetricField.euclidean(7)
-    phi = [["0"] * 7 for _ in range(7)]
-    for x, y in ((0, 1), (2, 3), (4, 5)):
-        phi[y][x] = "1"
-        phi[x][y] = "-1"
-    acs = AlmostContact(phi=phi, xi=VectorField(["0"] * 6 + ["1"], 7),
-                        eta=["0"] * 6 + ["1"])
-    return g, acs
-
-
-def koszul_fd(g, pts, h=1e-6):
-    pts = np.asarray(pts, dtype=float)
-    n, d = pts.shape
-    dg = np.empty((n, d, d, d))
-    for k in range(d):
-        hi, lo = pts.copy(), pts.copy()
-        hi[:, k] += h
-        lo[:, k] -= h
-        dg[:, k] = (g.at(hi) - g.at(lo)) / (2 * h)
-    ginv = np.linalg.inv(g.at(pts))
-    lower = 0.5 * (dg + np.transpose(dg, (0, 2, 1, 3))
-                   - np.transpose(dg, (0, 2, 3, 1)))
-    return np.einsum("nkl,nijl->nkij", ginv, lower)
 
 
 class TestAlmostContact:
@@ -140,7 +100,7 @@ class TestSasakian:
         pts = sample_box(3, count=32).points
         gam = koszul_fd(g, pts)
         gv = g.at(pts)
-        phi = acs.phi_at(pts)
+        phi = acs.phi.at(pts)
         xiv = acs.xi.at(pts)
         nxi = np.einsum("nkil,nl->nik", gam, xiv)  # xi is constant
         defect = nxi + np.transpose(phi, (0, 2, 1))
@@ -212,7 +172,7 @@ class TestSasakianStatistical:
         # K(X,Y) = g(X,Y) xi violates the anticommutation identity
         g, acs = sasaki_r3()
         d = 3
-        coeffs = [[[g.entry(i, j) * acs.xi.comps[k] for j in range(d)]
+        coeffs = [[[g.entries[i][j] * acs.xi.comps[k] for j in range(d)]
                    for i in range(d)] for k in range(d)]
         sss = SasakiStatStructure(st=StatTriple(g, ConnField(d, coeffs)),
                                   acs=acs)

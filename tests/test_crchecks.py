@@ -5,7 +5,7 @@ from conftest import (cr5_structure, cr5_submanifold, e7_structure,
                       e7_submanifold, euclid_r7, map_geometry, r7nu_structure,
                       r7nu_submanifold)
 from contactstat.crchecks import (
-    CRStructure, Distribution, check_contact_cr, check_cr_product,
+    CRStructure, check_contact_cr, check_cr_product,
     check_dual_shape_identities, check_integrability_D,
     check_integrability_Dperp, check_mixed_geodesic_consequences,
     classify_geodesic,
@@ -353,7 +353,7 @@ class TestStructuralProperties:
                 c = cr.context(p)
                 cols = np.stack([c.ctx.phi_val(v)[0]
                                  for v in np.moveaxis(c.d_amb, 1, 0)], axis=1)
-                assert np.linalg.matrix_rank(cols, tol=1e-8) == cr.D.rank - 1
+                assert np.linalg.matrix_rank(cols, tol=1e-8) == len(cr.D) - 1
                 # and the anti-invariant image meets the tangent space only at 0
                 for z in np.moveaxis(c.dp_amb, 1, 0):
                     tang = c.ctx.tangential(c.ctx.phi_val(z))

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the current API."""
+"""Every demo script runs to completion against the current API, with no
+warning."""
 
 import os
 import subprocess
@@ -16,6 +17,9 @@ def test_demo_exits_zero(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
-                          capture_output=True, text=True, timeout=120)
+    # the suite's warning filters reach only this process; -W error makes
+    # a warning inside a demo fail it too
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import conftest
 from contactstat.contactstruct import (check_almost_contact, check_sasakian,
                                        check_sasakian_statistical)
 from contactstat.crchecks import check_contact_cr
@@ -45,38 +44,77 @@ def test_paper_r7_shape():
     assert len(spec.d_gens) == 3 and len(spec.dperp_gens) == 2
 
 
-class TestDocsMatchHandBuiltStructures:
-    """The fixture documents must reproduce the independently hand-built
-    structures used throughout the unit tests, value for value."""
+def _sasaki_chart(npairs, pts):
+    """g, phi, xi and eta at `pts` of the standard Sasakian chart on
+    R^(2n+1), from its definition: coordinates (x1, y1, ..., xn, yn, z),
+    eta = (dz - sum yi dxi)/2, xi = 2 d/dz,
+    g = eta (x) eta + (1/4) sum (dxi^2 + dyi^2),
+    phi d/dxi = -d/dyi and phi d/dyi = d/dxi + yi d/dz."""
+    n, d = len(pts), 2 * npairs + 1
+    x, y, z = list(range(0, d - 1, 2)), list(range(1, d - 1, 2)), d - 1
+    eta = np.zeros((n, d))
+    eta[:, x] = -pts[:, y] / 2
+    eta[:, z] = 0.5
+    xi = np.zeros((n, d))
+    xi[:, z] = 2.0
+    g = eta[:, :, None] * eta[:, None, :] + np.diag([0.25] * (d - 1) + [0.0])
+    phi = np.zeros((n, d, d))  # phi[:, a, b] is component a of phi(e_b)
+    phi[:, y, x] = -1.0
+    phi[:, x, y] = 1.0
+    phi[:, z, y] = pts[:, y]
+    return g, phi, xi, eta
 
-    @pytest.mark.parametrize("name,builder", [
-        ("fix-s3", conftest.sasaki_r3),
-        ("fix-cr5", conftest.sasaki_r5),
-        ("sasaki-r7-cr", conftest.sasaki_r7),
-    ])
-    def test_sasaki_ambients(self, name, builder):
-        spec = from_doc(fixture_doc(name))
-        g, acs = builder()
-        pts = sample_box(g.dim, count=16).points
-        assert np.abs(spec.g.at(pts) - g.at(pts)).max() < 1e-15
-        assert np.abs(spec.acs.phi_at(pts) - acs.phi_at(pts)).max() < 1e-15
-        assert np.abs(spec.acs.xi.at(pts) - acs.xi.at(pts)).max() < 1e-15
-        assert np.abs(spec.acs.eta.at(pts) - acs.eta.at(pts)).max() < 1e-15
+
+def _flat7_chart(frame_orthonormal, pts):
+    """g, phi, xi and eta at `pts` of the flat 7-chart, from its definition:
+    rotation pairs phi d/dx1 = d/dx2, phi d/dx2 = -d/dx1 (and so for
+    (x3, x4) and (x5, x6)), xi = d/dx7, eta = dx7, and
+    g = diag(1, 1, w, w, w, w, 1) with w = 1/2 for the frame-orthonormal
+    variant, else 1."""
+    n = len(pts)
+    w = 0.5 if frame_orthonormal else 1.0
+    phi = np.zeros((7, 7))
+    for a, b in ((0, 1), (2, 3), (4, 5)):
+        phi[b, a], phi[a, b] = 1.0, -1.0
+    e7 = np.broadcast_to(np.eye(7)[6], (n, 7))
+    return (np.broadcast_to(np.diag([1.0, 1.0, w, w, w, w, 1.0]), (n, 7, 7)),
+            np.broadcast_to(phi, (n, 7, 7)), e7, e7)
+
+
+def _assert_doc_matches_chart(name, chart):
+    """The fixture document's g, phi, xi, eta and K equal the chart's, value
+    for value, with K = lambda eta (x) eta (x) xi at lambda = 1, the value
+    every fixture takes."""
+    spec = from_doc(fixture_doc(name))
+    pts = sample_box(spec.g.dim, count=16).points
+    g, phi, xi, eta = chart(pts)
+    K = np.einsum("ni,nj,nk->nkij", eta, eta, xi)
+    for got, want in ((spec.g.at(pts), g), (spec.acs.phi.at(pts), phi),
+                      (spec.acs.xi.at(pts), xi), (spec.acs.eta.at(pts), eta),
+                      (spec.sss.st.K.gamma_at(pts), K)):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() < 1e-15
+
+
+class TestDocsMatchHandBuiltStructures:
+    """The fixture documents, which every other test reads its charts from,
+    must reproduce the structures computed here in numpy from the charts'
+    definitions, value for value."""
+
+    @pytest.mark.parametrize("name,npairs", [
+        pytest.param(name, npairs, id=name)
+        for name, npairs in (("fix-s3", 1), ("fix-cr5", 2),
+                             ("sasaki-r7-cr", 3))])
+    def test_sasaki_ambients(self, name, npairs):
+        _assert_doc_matches_chart(name,
+                                  lambda pts: _sasaki_chart(npairs, pts))
 
     @pytest.mark.parametrize("name,ortho", [
         ("paper-r7-euclidean", False),
         ("paper-r7-frame-orthonormal", True),
     ])
     def test_flat_ambients(self, name, ortho):
-        spec = from_doc(fixture_doc(name))
-        g, acs = conftest.euclid_r7(frame_orthonormal=ortho)
-        pts = sample_box(7, count=8).points
-        assert np.abs(spec.g.at(pts) - g.at(pts)).max() < 1e-15
-        assert np.abs(spec.acs.phi_at(pts) - acs.phi_at(pts)).max() < 1e-15
-        assert np.abs(spec.sss.st.gammas(pts)[1]
-                      - conftest.e7_structure(
-                          frame_orthonormal=ortho).st.gammas(pts)[1]
-                      ).max() < 1e-15
+        _assert_doc_matches_chart(name, lambda pts: _flat7_chart(ortho, pts))
 
     def test_embeddings_match(self):
         # fix-cr5 is the y2 = 0 slice (u1, u2, u3, u4) ->

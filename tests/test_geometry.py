@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import e7_structure, euclid_r7, koszul_fd
 from contactstat.exprlang import Bin, Const, DomainError, Expr, Un, Var, parse
 from contactstat.geometry import (
     ConnField, Grid, MetricField, SingularMetricError, StatTriple, VectorField,
@@ -14,38 +15,6 @@ from contactstat.geometry import (
 from contactstat.sampling import Samples, sample_box
 from contactstat.specfile import load_spec
 from contactstat.submanifold import _checked
-
-
-def koszul_fd(g, pts, h=1e-6):
-    """Independent Christoffel oracle: finite differences of the metric."""
-    pts = np.asarray(pts, dtype=float)
-    n, d = pts.shape
-    dg = np.empty((n, d, d, d))
-    for k in range(d):
-        hi = pts.copy()
-        lo = pts.copy()
-        hi[:, k] += h
-        lo[:, k] -= h
-        dg[:, k] = (g.at(hi) - g.at(lo)) / (2 * h)
-    ginv = np.linalg.inv(g.at(pts))
-    lower = 0.5 * (np.transpose(dg, (0, 1, 2, 3))
-                   + np.transpose(dg, (0, 2, 1, 3))
-                   - np.transpose(dg, (0, 2, 3, 1)))
-    return np.einsum("nkl,nijl->nkij", ginv, lower)
-
-
-def e7_structure():
-    """Flat 7-chart with the eta (x) eta (x) xi difference tensor; the
-    ambient structure of the built-in 7-dimensional fixtures.  The metric is
-    flat, so K is also the coefficient grid of the connection."""
-    g = MetricField.euclidean(7)
-    zero = Const(0.0)
-    one = Const(1.0)
-    xi = VectorField([zero] * 6 + [one], 7)
-    eta = VectorField([zero] * 6 + [one], 7)
-    coeffs = [[[eta.comps[i] * eta.comps[j] * xi.comps[k] for j in range(7)]
-               for i in range(7)] for k in range(7)]
-    return g, ConnField(7, coeffs), xi, eta
 
 
 class TestLeviCivita:
@@ -103,31 +72,26 @@ class TestDualConnection:
         for k in range(3):
             for i in range(3):
                 for j in range(3):
-                    assert dual.K.coeff(k, i, j) == Const(0.0)
+                    assert dual.K.coeffs[k][i][j] == Const(0.0)
 
     def test_dual_of_k_shift_flips_k(self):
-        g, K, xi, eta = e7_structure()
-        st = StatTriple(g, K)
+        st = e7_structure().st
         pts = sample_box(7, count=8).points
         lc, gam, gam_star = st.gammas(pts)
         assert np.abs(gam_star - (lc - (gam - lc))).max() == 0.0
         assert np.abs(st.dual().gammas(pts)[1] - gam_star).max() == 0.0
 
     def test_involution_structural(self):
-        g, K, _, _ = e7_structure()
-        dd = StatTriple(g, K).dual().dual()
-        for k in range(7):
-            for i in range(7):
-                for j in range(7):
-                    assert dd.K.coeff(k, i, j) == K.coeff(k, i, j)
+        st = e7_structure().st
+        assert st.dual().dual().K.coeffs == st.K.coeffs
 
     def test_duality_identity_brute_force(self):
         # both sides of the pairing evaluated independently over the frame
-        g, K, _, _ = e7_structure()
+        st = e7_structure().st
         pts = sample_box(7, count=64).points
-        gv = g.at(pts)
-        dgv = np.moveaxis(g.partials.at(pts), -1, 1)
-        _, gam, gams = StatTriple(g, K).gammas(pts)
+        gv = st.g.at(pts)
+        dgv = np.moveaxis(st.g.partials.at(pts), -1, 1)
+        _, gam, gams = st.gammas(pts)
         lhs = dgv
         rhs = (np.einsum("nlij,nlk->nijk", gam, gv)
                + np.einsum("nlik,njl->nijk", gams, gv))
@@ -162,9 +126,10 @@ class TestCovariantDerivative:
 
     def test_k_shift_on_xi(self):
         # with the eta (x) eta (x) xi correction, nabla_xi xi = xi
-        g, K, xi, _ = e7_structure()
+        sss = e7_structure()
+        xi = sss.acs.xi
         pts = sample_box(7, count=4).points
-        vals = nabla_at(K.gamma_at(pts), xi, xi, pts)
+        vals = nabla_at(sss.st.K.gamma_at(pts), xi, xi, pts)
         assert np.abs(vals - xi.at(pts)).max() < 1e-15
 
     def test_numeric_backend_agrees_with_symbolic(self):
@@ -212,9 +177,8 @@ class TestLieBracket:
 
 class TestCheckStatistical:
     def test_e7_structure_passes(self):
-        g, K, xi, eta = e7_structure()
-        st = StatTriple(g, K)
-        rep = check_statistical(st, metric_samples(g))
+        st = e7_structure().st
+        rep = check_statistical(st, metric_samples(st.g))
         assert rep.passed
         for rec in rep.records:
             assert rec.residual < 1e-9, rec.name
@@ -222,14 +186,15 @@ class TestCheckStatistical:
     def test_e7_codazzi_hand_value(self):
         # (nabla_X g)(Y,Z) = -2 eta(X) eta(Y) eta(Z): the expansion at the
         # frame gives exactly -2 on the (z,z,z) slot and 0 elsewhere
-        g, K, xi, eta = e7_structure()
+        sss = e7_structure()
+        g = sss.st.g
         pts = sample_box(7, count=8).points
         gv, dgv = g.at(pts), np.moveaxis(g.partials.at(pts), -1, 1)
-        gam = StatTriple(g, K).gammas(pts)[1]
+        gam = sss.st.gammas(pts)[1]
         nabla_g = (dgv
                    - np.einsum("nlij,nlk->nijk", gam, gv)
                    - np.einsum("nlik,njl->nijk", gam, gv))
-        ev = eta.at(pts)
+        ev = sss.acs.eta.at(pts)
         expect = -2.0 * np.einsum("ni,nj,nk->nijk", ev, ev, ev)
         assert np.abs(nabla_g - expect).max() < 1e-15
 
@@ -254,19 +219,19 @@ class TestCheckStatistical:
         assert rec.residual == pytest.approx(1.0)
 
     def test_lambda_scaling_statistical_family(self):
-        g, _, xi, eta = e7_structure()
+        g, acs = euclid_r7()
+        eta, xi = acs.eta.comps, acs.xi.comps
         for lam in (-2.0, -0.5, 0.0, 1.0, 2.0):
-            coeffs = [[[Const(lam) * eta.comps[i] * eta.comps[j] * xi.comps[k]
+            coeffs = [[[Const(lam) * eta[i] * eta[j] * xi[k]
                         for j in range(7)] for i in range(7)] for k in range(7)]
             rep = check_statistical(StatTriple(g, ConnField(7, coeffs)),
                                     metric_samples(g))
             assert rep.passed, lam
 
     def test_report_is_deterministic(self):
-        g, K, _, _ = e7_structure()
-        st = StatTriple(g, K)
-        a = check_statistical(st, metric_samples(g)).to_dict()
-        b = check_statistical(st, metric_samples(g)).to_dict()
+        st = e7_structure().st
+        a = check_statistical(st, metric_samples(st.g)).to_dict()
+        b = check_statistical(st, metric_samples(st.g)).to_dict()
         assert a == b
 
 

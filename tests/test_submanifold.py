@@ -18,8 +18,8 @@ from contactstat.crchecks import (CRStructure, check_contact_cr,
                                   classify_geodesic)
 from contactstat.exprlang import Const, DomainError
 from contactstat.fixtures import fixture_doc
-from contactstat.geometry import (ConnField, MetricField, StatTriple,
-                                  VectorField, check_statistical,
+from contactstat.geometry import (ConnField, GeometryError, MetricField,
+                                  StatTriple, VectorField, check_statistical,
                                   metric_samples)
 from contactstat.sampling import sample_box, samples_from_points
 from contactstat.specfile import from_doc
@@ -80,7 +80,7 @@ class TestFramePointAndSplit:
         g, acs = __import__("conftest").euclid_r7()
         fp = MapGeometry(emb, flat_over(g)).context(np.zeros(5))
         e3 = fp.J.val[0, :, 2]
-        phie3 = acs.phi_at(np.zeros((1, 7)))[0] @ e3
+        phie3 = acs.phi.at(np.zeros((1, 7)))[0] @ e3
         a, b = split(fp, phie3[None])
         assert np.abs(a[0]).max() < 1e-12
         assert np.abs(b[0]).max() > 0.5
@@ -590,7 +590,7 @@ class TestTFBC:
         fp = MapGeometry(emb, flat_over(g)).context(np.array([0.1, -0.4, 0.3]))
         parts = tfbc(acs, fp)
         assert parts.F.size == 0 and parts.B.size == 0 and parts.C.size == 0
-        phiv = acs.phi_at(np.array([[0.1, -0.4, 0.3]]))[0]
+        phiv = acs.phi.at(np.array([[0.1, -0.4, 0.3]]))[0]
         assert np.abs(parts.T[0] - phiv).max() < 1e-12
 
 
@@ -668,6 +668,21 @@ class TestTransportIdentities:
         assert rep.record("c-transport").residual < 1e-9
 
 
+def test_a_map_geometry_without_the_contact_structure_is_a_geometry_error():
+    # the Gauss-Weingarten check reads the metric alone; every check and
+    # structure that reads phi, xi or eta names what is missing
+    spec = from_doc(fixture_doc("fix-cr5"))
+    mg = MapGeometry(spec.embedding, spec.sss.st)
+    samples = sample_box(4, count=8)
+    assert check_gauss_weingarten(mg, samples).passed
+    missing = "needs the ambient almost-contact structure"
+    for check in (check_structure_identities, check_transport_identities):
+        with pytest.raises(GeometryError, match=missing):
+            check(mg, samples)
+    with pytest.raises(GeometryError, match=missing):
+        CRStructure(mg, spec.d_gens, spec.dperp_gens)
+
+
 class TestTFBCReconstruction:
     def test_phi_reconstructs_from_parts(self):
         # phi v = J (T a) + N (F a) for tangent v = J a, and likewise for
@@ -677,7 +692,7 @@ class TestTFBCReconstruction:
         mg = MapGeometry(emb, flat_over(g))
         for p in sample_box(4, count=8).points:
             fp = mg.context(p)
-            phiv = acs.phi_at(fp.y)[0]
+            phiv = acs.phi.at(fp.y)[0]
             parts = tfbc(acs, fp)
             J, normal = fp.J.val[0], fp.normal[0]
             T, F, B, C = parts.T[0], parts.F[0], parts.B[0], parts.C[0]
