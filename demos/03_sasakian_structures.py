@@ -14,7 +14,7 @@ from contactstat.geometry import check_statistical, metric_samples
 from contactstat.specfile import from_doc
 
 spec = from_doc(fixture_doc("fix-s3"))
-g, acs = spec.g, spec.acs
+g, acs = spec.sss.st.g, spec.sss.acs
 samples = metric_samples(g)
 
 print(check_almost_contact(acs, g, samples).table())

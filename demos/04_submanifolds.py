@@ -5,7 +5,8 @@
 # normal frame, and evaluators for the fundamental forms h, h*, the shape
 # operators A, A*, and the normal connections, for both connections of a
 # statistical ambient structure.  A MapGeometry holds that data for one
-# embedding: `context(p)` builds it at one domain point, and every
+# embedding: `contexts(samples)` builds it for a sample set, one context per
+# drop pattern of the normal frame (a set of one point has one), and every
 # submanifold check takes the MapGeometry and a sample set.
 
 import numpy as np
@@ -13,7 +14,7 @@ import numpy as np
 from contactstat.fixtures import fixture_doc
 from contactstat.geometry import (ConnField, MetricField, StatTriple,
                                   VectorField)
-from contactstat.sampling import sample_box
+from contactstat.sampling import Samples, sample_box
 from contactstat.specfile import from_doc
 from contactstat.submanifold import (Embedding, MapGeometry, along,
                                      check_gauss_weingarten,
@@ -23,7 +24,7 @@ from contactstat.submanifold import (Embedding, MapGeometry, along,
 # The classical control: the unit circle in the flat plane.
 circle = Embedding(["cos(x1)", "sin(x1)"], 1)
 flat = StatTriple(MetricField.euclidean(2), ConnField.flat(2))
-ctx = MapGeometry(circle, flat).context(np.array([0.7]))
+[ctx] = MapGeometry(circle, flat).contexts(Samples([[0.7]]))
 # nabla-bar of the frame field d/dt along d/dt (one field, one direction);
 # its normal part is h(dt, dt)
 v = along(ctx.nabla([ctx.push_jet(VectorField.coordinate(1, 0))]),
@@ -39,15 +40,15 @@ print("circle induced metric entry:", gind.entries[0][0])
 # frame directions have euclidean lengths (1, 1, sqrt 2, sqrt 2, 1).
 spec = from_doc(fixture_doc("paper-r7-euclidean"))
 emb = spec.embedding
-gind = induced_metric(emb, spec.g)
+gind = induced_metric(emb, spec.sss.st.g)
 print()
 print("induced metric of the 5-chart:")
 print(gind.at(np.zeros((1, 5)))[0])
 
 # Splitting an ambient vector into tangent and normal coefficients.
-mg = MapGeometry(emb, spec.sss.st, acs=spec.acs)
-fp = mg.context(np.zeros(5))
-phi0 = spec.acs.phi.at(np.zeros((1, 7)))[0]
+mg = MapGeometry(emb, spec.sss.st, acs=spec.sss.acs)
+[fp] = mg.contexts(Samples(np.zeros((1, 5))))
+phi0 = spec.sss.acs.phi.at(np.zeros((1, 7)))[0]
 v = phi0 @ fp.J.val[0, :, 2]  # phi of the third frame direction: wholly normal
 a, b = split(fp, v[None])
 print()
@@ -55,7 +56,7 @@ print("phi(e3) tangent coefficients:", np.round(a[0], 12))
 print("phi(e3) normal coefficients: ", np.round(b[0], 6))
 
 # The tangential/normal split of phi at a frame point.
-parts = tfbc(spec.acs, fp)
+parts = tfbc(spec.sss.acs, fp)
 print()
 print("T (tangent -> tangent):")
 print(np.round(parts.T[0], 6))

@@ -11,7 +11,7 @@ from contactstat.contactstruct import check_sasakian
 from contactstat.crchecks import (check_contact_cr, check_integrability_D,
                                   check_integrability_Dperp,
                                   check_mixed_geodesic_consequences,
-                                  classify_geodesic)
+                                  classify_geodesic, mixed_geodesic_verdict)
 from contactstat.fixtures import fixture_doc
 from contactstat.geometry import metric_samples
 from contactstat.sampling import sample_box
@@ -30,15 +30,19 @@ print()
 
 # Both fundamental forms vanish identically here, so every geodesicity
 # flag passes and the umbilic factor is zero.
-rep = classify_geodesic(cr, samples)
-print(rep.table())
+geo = classify_geodesic(cr, samples)
+print(geo.table())
 print()
-print(check_mixed_geodesic_consequences(cr, samples).table())
+# the mixed-geodesic consequences take the classifier's verdict: a record
+# whose precondition fails is reported for information
+print(mixed_geodesic_verdict(check_mixed_geodesic_consequences(cr, samples),
+                             geo).table())
 print()
 
 # The honest failure: the flat ambient is not Sasakian.  The residual of
 # the Reeb-transport axiom is exactly 1 at the first frame direction.
-srep = check_sasakian(spec.acs, spec.g, metric_samples(spec.g))
+g = spec.sss.st.g
+srep = check_sasakian(spec.sss.acs, g, metric_samples(g))
 rec = srep.record("xi-derivative")
 print(f"ambient Sasakian axiom: {rec.status}, residual = {rec.residual:.6f} "
       f"at witness {rec.witness}")

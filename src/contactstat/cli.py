@@ -27,13 +27,14 @@ from .contactstruct import (check_almost_contact, check_contact_metric,
                             check_sasakian, check_sasakian_statistical)
 from .crchecks import (CRStructure, check_contact_cr, check_cr_product,
                        check_dual_shape_identities, check_integrability_D,
-                       check_integrability_Dperp, classify_geodesic,
-                       mixed_geodesic_residuals, mixed_geodesic_verdict)
+                       check_integrability_Dperp,
+                       check_mixed_geodesic_consequences, classify_geodesic,
+                       mixed_geodesic_verdict)
 from .fixtures import fixture_doc, fixture_names
 from .geometry import INPUT_ERRORS, check_statistical, metric_samples
 from .report import CheckReport, Record, merge_blocks
 from .sampling import (DEFAULT_BOX, DEFAULT_COUNT, DEFAULT_SEED,
-                       SamplingError, sample_box, samples_from_points)
+                       Samples, SamplingError, sample_box)
 from .specfile import SUITE_ORDER, SpecError, load_spec
 from .submanifold import (MapGeometry, check_gauss_weingarten,
                           check_structure_identities,
@@ -55,12 +56,12 @@ def _spec_samples(spec, chart, seed, count):
             suites = "ambient" if chart == "ambient" else "submanifold"
             raise SpecError([f"sampling.{chart}: explicit points required "
                              f"for {suites} suites in points mode"])
-        return samples_from_points(pts)
+        return Samples(pts)
     box = tuple(spec.sampling.get("box", DEFAULT_BOX))
     if chart == "domain":
         return sample_box(spec.embedding.m, count=count, seed=seed, box=box)
     try:
-        return metric_samples(spec.g, count=count, seed=seed, box=box)
+        return metric_samples(spec.sss.st.g, count=count, seed=seed, box=box)
     except SamplingError as e:
         raise SpecError([f"sampling.box: metric not positive definite "
                          f"({e})"]) from None
@@ -163,7 +164,8 @@ def _suite_runs(suite, spec, mg, cr, t):
         return [("statistical",
                  lambda s: check_statistical(spec.sss.st, s, t))]
     if suite == "contact":
-        return [(name, lambda s, fn=fn: fn(spec.acs, spec.g, s, t))
+        acs, g = spec.sss.acs, spec.sss.st.g
+        return [(name, lambda s, fn=fn: fn(acs, g, s, t))
                 for name, fn in (("almost-contact", check_almost_contact),
                                  ("contact-metric", check_contact_metric),
                                  ("sasakian", check_sasakian))] + [
@@ -181,7 +183,8 @@ def _suite_runs(suite, spec, mg, cr, t):
             ("integrability-dperp", check_integrability_Dperp),
             ("dual-shape-identities", check_dual_shape_identities),
             ("geodesic-classifiers", classify_geodesic),
-            ("mixed-geodesic-consequences", mixed_geodesic_residuals))]
+            ("mixed-geodesic-consequences",
+             check_mixed_geodesic_consequences))]
     return [("cr-product", lambda s: check_cr_product(cr, s, t))]
 
 
@@ -223,11 +226,12 @@ def run(spec, suites, seed=None, count=None, tol=None):
     ambient = domain = mg = cr = None
     if wanted & {"ambient", "contact"}:
         ambient = _spec_samples(spec, "ambient", eff_seed, eff_count)
-        if _holds(lambda: spec.sss.st.is_constant and spec.acs.is_constant):
+        if _holds(lambda: spec.sss.st.is_constant
+                  and spec.sss.acs.is_constant):
             ambient = ambient.collapsed()
     if wanted & {"submanifold", "cr", "product"}:
         domain = _spec_samples(spec, "domain", eff_seed, eff_count)
-        mg = MapGeometry(spec.embedding, spec.sss.st, acs=spec.acs)
+        mg = MapGeometry(spec.embedding, spec.sss.st, acs=spec.sss.acs)
         if _holds(lambda: mg.is_constant and all(
                 X.is_constant for X in spec.d_gens + spec.dperp_gens)
                 and np.isfinite(spec.embedding.at(domain.points)).all()):
@@ -251,13 +255,9 @@ def run(spec, suites, seed=None, count=None, tol=None):
                                _check_set(runs, samples)))
     if "cr" in wanted:
         # the consequences take the classifier's verdict on the whole set
-        geo = reports["geodesic-classifiers"]
-        rep = reports["mixed-geodesic-consequences"]
-        if geo.records[0].name == "engine-precondition":
-            rep = replace(geo, check=rep.check)
-        elif rep.records[0].name != "engine-precondition":
-            rep = mixed_geodesic_verdict(rep, geo)
-        reports[rep.check] = rep
+        reports["mixed-geodesic-consequences"] = mixed_geodesic_verdict(
+            reports["mixed-geodesic-consequences"],
+            reports["geodesic-classifiers"])
 
     suite_reports = {}
     overall = True

@@ -40,7 +40,6 @@ class AlmostContact:
     def __init__(self, phi, xi, eta):
         self.xi = xi if isinstance(xi, VectorField) else VectorField(xi)
         dim = self.xi.dim
-        self.dim = dim
         self.eta = (eta if isinstance(eta, VectorField)
                     else VectorField(eta, dim))
         if self.eta.dim != dim:
@@ -75,7 +74,7 @@ def check_almost_contact(acs, g, samples, tol=1e-8):
     of the metric, unit xi, phi xi = 0, eta o phi = 0 and eta(xi) = 1; plus
     the corank-one property of phi."""
     pts = samples.points
-    n, d = pts.shape
+    d = pts.shape[1]
     res = Residuals("almost-contact", {"samples": samples.count, "dim": d}, {
         "phi-square": "φ²X = -X + η(X)ξ",
         "metric-xi-pairing": "g(X, ξ) = η(X)",
@@ -144,7 +143,7 @@ def check_sasakian(acs, g, samples, tol=1e-8):
     """Residuals of the two Sasakian axioms with the Levi-Civita connection
     of g, over coordinate-frame arguments."""
     pts = samples.points
-    n, d = pts.shape
+    d = pts.shape[1]
     res = Residuals("sasakian", {"samples": samples.count, "dim": d}, {
         "xi-derivative": "∇̂_X ξ = -φX",
         "phi-derivative": "(∇̂_X φ)Y = g(X,Y)ξ - η(Y)X",
@@ -180,8 +179,7 @@ def _transport_records(add, prefix, gam_a, gam_b, gv, phi, dphi, xiv, dxi,
                        etav):
     """phi- and xi-transport residuals for one (nabla_a, nabla_b) ordering,
     into the families named with `prefix`."""
-    n, d = gv.shape[:2]
-    eye = np.eye(d)
+    eye = np.eye(gv.shape[1])
     # nabla^a_i (phi e_j) - phi nabla^b_i e_j
     lhs = (np.moveaxis(dphi, -1, 2)
            + np.einsum("nkil,nlj->nkij", gam_a, phi)

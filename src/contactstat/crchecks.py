@@ -23,8 +23,8 @@ __all__ = [
     "CRStructure",
     "check_contact_cr", "check_integrability_D", "check_integrability_Dperp",
     "check_dual_shape_identities", "classify_geodesic",
-    "check_mixed_geodesic_consequences", "mixed_geodesic_residuals",
-    "mixed_geodesic_verdict", "check_cr_product",
+    "check_mixed_geodesic_consequences", "mixed_geodesic_verdict",
+    "check_cr_product",
 ]
 
 
@@ -56,10 +56,6 @@ class CRStructure:
         the set; a failed build raises the same exception for every later
         request."""
         return _built_once(self, samples, self._build)
-
-    def context(self, p):
-        """The context at one domain point, on a batch of one."""
-        return _CRContext(self, self.mg.context(p))
 
     def _build(self, samples):
         contexts = []
@@ -137,7 +133,7 @@ class _CRContext:
         self.xi_dom = ctx.tangent_coeffs(self.xi)
         # phi X for the D generators X, in domain coefficients
         self.phid_dom = ctx.tangent_coeffs(_as_rows(
-            [ctx.t_jet(X).val for X in cr.D], n, N))
+            [ctx.t_jet(ctx.push_jet(X)).val for X in cr.D], n, N))
         # D with the Reeb direction removed, for the frame projections
         xi_unit = self.xi / np.maximum(ctx.gnorm(self.xi), 1e-300)[:, None]
         reduced = []
@@ -151,7 +147,7 @@ class _CRContext:
         self.P_1 = _span_projector(_as_rows(reduced, n, N), self.G,
                                    "reduced D", ctx.points)
         # normal splitting: the image of phi on Dperp, then its complement
-        self.phiZ_jets = [ctx.f_jet(Z) for Z in cr.Dperp]
+        self.phiZ_jets = [ctx.f_jet(ctx.push_jet(Z)) for Z in cr.Dperp]
         self.fframe = ctx._gs(self.phiZ_jets, [])
         self.nu_jets = ctx._gs(ctx.normal_jets, self.fframe)
         self.nu = _as_rows([f.val for f in self.nu_jets], n, N)
@@ -250,7 +246,7 @@ def check_integrability_D(cr, samples, tol=1e-8):
         add("d-bracket-closure", c.off(br_amb, c.P_D), xy)
         # [:, i, j] is h(X_i, phi X_j)
         h = ctx.normal_part(along(
-            ctx.nabla([ctx.t_jet(X) for X in cr.D]), c.d_dom))
+            ctx.nabla([ctx.t_jet(ctx.push_jet(X)) for X in cr.D]), c.d_dom))
         hdiff = h[:, ii, jj] - h[:, jj, ii]
         phz = ctx.f_val(c.dp_amb)
         add("d-integrability-criterion",
@@ -331,9 +327,9 @@ def check_dual_shape_identities(cr, samples, tol=1e-8):
             add(f"a-f-symmetric{sfx}", ctx.gnorm(a[:, jj, ii] - a[:, ii, jj]),
                 yz)
         # A*_U BV = A*_V BU over the normal frame; [:, v, u] is A*_{N_u} BN_v
-        b_jets = [ctx.b_jet(V) for V in ctx.normal_jets]
+        bv_jets = [ctx.t_jet(V) for V in ctx.normal_jets]
         nstar = ctx.nabla(ctx.normal_jets, star=True)
-        bdom = ctx.tangent_coeffs(_as_rows([b.val for b in b_jets], ctx.n,
+        bdom = ctx.tangent_coeffs(_as_rows([b.val for b in bv_jets], ctx.n,
                                            len(c.index)))
         a = -ctx.tangential(along(nstar, bdom))
         iu, iv = np.triu_indices(nk, 1)
@@ -342,16 +338,16 @@ def check_dual_shape_identities(cr, samples, tol=1e-8):
         xv = labels("X=u{} V=N{}", m, nk)
         perp_star = ctx.normal_part(along(nstar, U))
         lhs = (ctx.normal_part(along(
-            ctx.nabla([ctx.c_jet(V) for V in ctx.normal_jets]), U))
+            ctx.nabla([ctx.f_jet(V) for V in ctx.normal_jets]), U))
                - ctx.normal_part(ctx.phi_val(perp_star)))
         add("c-perp-parallel", ctx.gnorm(lhs), xv)
-        lhs = (ctx.tangential(along(ctx.nabla(b_jets), U))
+        lhs = (ctx.tangential(along(ctx.nabla(bv_jets), U))
                - ctx.tangential(ctx.phi_val(perp_star)))
         add("b-perp-parallel", ctx.gnorm(lhs), xv)
-        nab_star = ctx.tangential(along(
-            ctx.nabla([ctx.push_jet(Y) for Y in frame_fields], star=True), U))
+        pushes = [ctx.push_jet(Y) for Y in frame_fields]
+        nab_star = ctx.tangential(along(ctx.nabla(pushes, star=True), U))
         lhs = (ctx.normal_part(along(
-            ctx.nabla([ctx.f_jet(Y) for Y in frame_fields]), U))
+            ctx.nabla([ctx.f_jet(Y) for Y in pushes]), U))
                - ctx.f_val(nab_star))
         add("f-perp-parallel", ctx.gnorm(lhs),
             labels("X=u{} Y=u{}", m, m))
@@ -394,7 +390,7 @@ def classify_geodesic(cr, samples, tol=1e-8):
         add = res.adder(scale, c.index)
         d_push = [ctx.push_jet(X) for X in cr.D]
         dp_push = [ctx.push_jet(Z) for Z in cr.Dperp]
-        t_jets = [ctx.t_jet(X) for X in cr.D]
+        t_jets = [ctx.t_jet(V) for V in d_push]
         nk = len(ctx.normal_jets)
         for star in (False, True):
             sfx = "-dual" if star else ""
@@ -442,21 +438,10 @@ def classify_geodesic(cr, samples, tol=1e-8):
                                           "d-umbilic-factor-dual"))
 
 
-def check_mixed_geodesic_consequences(cr, samples, tol=1e-8, geo=None):
+def check_mixed_geodesic_consequences(cr, samples, tol=1e-8):
     """Shape/normal-connection transfers that hold on mixed-geodesic
-    submanifolds; when the precondition fails the records are emitted as
-    informational with the precondition status attached.  `geo` is the
-    classify_geodesic report on the same samples and tolerance; it is
-    computed here when not given."""
-    if geo is None:
-        geo = classify_geodesic(cr, samples, tol)
-    return mixed_geodesic_verdict(
-        mixed_geodesic_residuals(cr, samples, tol), geo)
-
-
-def mixed_geodesic_residuals(cr, samples, tol=1e-8):
-    """The records of check_mixed_geodesic_consequences before its verdict:
-    every record counts, and the census gives the sample count alone."""
+    submanifolds, before their verdict (mixed_geodesic_verdict): every
+    record counts, and the census gives the sample count alone."""
     res = Residuals(
         "mixed-geodesic-consequences", {"samples": samples.count}, {
             "shape-transfer": "A_{(φV)⊥}X = φA*_V X on D",
@@ -471,12 +456,12 @@ def mixed_geodesic_residuals(cr, samples, tol=1e-8):
         ctx = c.ctx
         add = res.adder(_scale(c.G, ctx.phi.val), c.index)
         xv = labels("X=D{} V=N{}", len(cr.D), len(ctx.normal_jets))
-        c_jets = [ctx.c_jet(V) for V in ctx.normal_jets]
+        cv_jets = [ctx.f_jet(V) for V in ctx.normal_jets]
         # each identity pairs one connection's derivative of (phi V)-perp
         # with the opposite connection's of V; [:, i, k] is along X_i of
         # the field of V_k
         for star, sfx in ((False, ""), (True, "-dual")):
-            dcv = along(ctx.nabla(c_jets, star), c.d_dom)
+            dcv = along(ctx.nabla(cv_jets, star), c.d_dom)
             nv = ctx.nabla(ctx.normal_jets, not star)
             dv = along(nv, c.d_dom)
             phia = ctx.tangential(ctx.phi_val(-ctx.tangential(dv)))
@@ -491,10 +476,16 @@ def mixed_geodesic_residuals(cr, samples, tol=1e-8):
 
 
 def mixed_geodesic_verdict(rep, geo):
-    """The mixed_geodesic_residuals report `rep` with the verdict of `geo`,
-    the classify_geodesic report on the same samples: its mixed-geodesic
-    and foliate verdicts go into the census, and the records whose
-    precondition fails become informational with a note."""
+    """The check_mixed_geodesic_consequences report `rep` with the verdict
+    of `geo`, the classify_geodesic report on the same samples: its
+    mixed-geodesic and foliate verdicts go into the census, and the records
+    whose precondition fails become informational with a note.  A report
+    that is an engine-precondition record stays one: the classifier's,
+    under the consequences' name, before the consequences' own."""
+    if geo.records[0].name == "engine-precondition":
+        return replace(geo, check=rep.check)
+    if rep.records[0].name == "engine-precondition":
+        return rep
     mixed = (geo.record("mixed-geodesic").passed,
              geo.record("mixed-geodesic-dual").passed)
     foliate = geo.record("foliate").passed

@@ -35,10 +35,15 @@ import numpy as np
 __all__ = [
     "Expr", "Const", "Var", "Bin", "Un",
     "ExprError", "ParseError", "DomainError",
-    "parse", "const", "sin", "cos", "exp", "sqrt",
+    "parse", "sin", "cos", "exp", "sqrt",
 ]
 
 _FUNCS = ("sin", "cos", "exp", "sqrt")
+# the scanner reads ASCII alone: str.isdigit and str.isalpha take any
+# Unicode digit or letter, which int() and float() may then refuse
+_DIGITS = frozenset("0123456789")
+_NAME_START = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_NAME_CHARS = _NAME_START | _DIGITS | {"_"}
 
 
 class ExprError(Exception):
@@ -459,10 +464,6 @@ def _neg(a):
     return Un("neg", a)
 
 
-def const(value):
-    return Const(value)
-
-
 def sin(e):
     return Un("sin", _coerce(e))
 
@@ -504,28 +505,29 @@ def _tokenize(source):
             tokens.append(_Token(c, c, i))
             i += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and source[i + 1].isdigit()):
+        if c in _DIGITS or (c == "." and i + 1 < n
+                            and source[i + 1] in _DIGITS):
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j] in _DIGITS:
                 j += 1
             if j < n and source[j] == ".":
                 j += 1
-                while j < n and source[j].isdigit():
+                while j < n and source[j] in _DIGITS:
                     j += 1
             if j < n and source[j] in "eE":
                 k = j + 1
                 if k < n and source[k] in "+-":
                     k += 1
-                if k < n and source[k].isdigit():
+                if k < n and source[k] in _DIGITS:
                     j = k
-                    while j < n and source[j].isdigit():
+                    while j < n and source[j] in _DIGITS:
                         j += 1
             tokens.append(_Token("number", source[i:j], i))
             i = j
             continue
-        if c.isalpha():
+        if c in _NAME_START:
             j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
+            while j < n and source[j] in _NAME_CHARS:
                 j += 1
             tokens.append(_Token("name", source[i:j], i))
             i = j

@@ -11,8 +11,6 @@ e1, e2, e3, e4, e5 together with the fixed normal complement orthonormal
 choice is a user-selectable input, not an engine opinion.
 """
 
-import copy
-
 __all__ = ["fixture_names", "fixture_doc"]
 
 
@@ -68,7 +66,6 @@ def _flat7_ambient(frame_orthonormal):
 
 
 def _paper_r7(frame_orthonormal):
-    unit = ["1", "0", "0", "0", "0"]
     return {
         "name": ("paper-r7-frame-orthonormal" if frame_orthonormal
                  else "paper-r7-euclidean"),
@@ -148,7 +145,8 @@ def fixture_names():
 
 
 def fixture_doc(name):
+    """Fixture `name`'s document, built afresh on every call."""
     if name not in _BUILDERS:
         raise KeyError(f"unknown fixture {name!r}; available: "
                        f"{', '.join(fixture_names())}")
-    return copy.deepcopy(_BUILDERS[name]())
+    return _BUILDERS[name]()

@@ -9,7 +9,7 @@ DEFAULT_COUNT = 64
 DEFAULT_BOX = (-1.0, 1.0)
 MAX_ROUNDS = 10
 
-__all__ = ["Samples", "SamplingError", "sample_box", "samples_from_points",
+__all__ = ["Samples", "SamplingError", "sample_box",
            "DEFAULT_SEED", "DEFAULT_COUNT", "DEFAULT_BOX"]
 
 
@@ -81,7 +81,3 @@ def sample_box(dim, count=DEFAULT_COUNT, seed=DEFAULT_SEED, box=DEFAULT_BOX,
                     f"sampling could not satisfy the acceptance predicate; "
                     f"stuck at point {first.tolist()}")
     return Samples(points=pts, resampled=resampled)
-
-
-def samples_from_points(points):
-    return Samples(points=np.asarray(points, dtype=float))

@@ -60,14 +60,17 @@ class _Collector:
 
 
 def _parse_indexed(mapping, nidx, dim, where, col):
-    """Parse a sparse {"i j ...": "expr"} mapping with 1-based indices."""
+    """Parse a sparse {"i j ...": "expr"} mapping with 1-based indices;
+    two keys for one entry are an error."""
     out = {}
     if not isinstance(mapping, dict):
         col.error(where, "expected a mapping of index strings to expressions")
         return out
+    keys = {}
     for key, src in mapping.items():
         parts = str(key).split()
-        if len(parts) != nidx or not all(p.lstrip("-").isdigit() for p in parts):
+        if len(parts) != nidx or not all(
+                p.isascii() and p.lstrip("-").isdigit() for p in parts):
             col.error(f"{where}[{key!r}]",
                       f"key must be {nidx} 1-based indices separated by spaces")
             continue
@@ -75,6 +78,10 @@ def _parse_indexed(mapping, nidx, dim, where, col):
         if any(not (1 <= i <= dim) for i in idx):
             col.error(f"{where}[{key!r}]", f"index out of range 1..{dim}")
             continue
+        if idx in keys:
+            col.error(f"{where}[{key!r}]", f"same entry as key {keys[idx]!r}")
+            continue
+        keys[idx] = key
         e = col.parse(src, dim, f"{where}[{key!r}]")
         if e is not None:
             out[tuple(i - 1 for i in idx)] = e
@@ -114,8 +121,6 @@ class SpecFile:
 
     doc: dict
     name: str
-    g: MetricField
-    acs: AlmostContact
     sss: SasakiStatStructure
     embedding: Embedding | None = None
     d_gens: list = field(default_factory=list)
@@ -130,7 +135,7 @@ class SpecFile:
     def cr_structure(self):
         if not self.has_submanifold:
             raise SpecError(["submanifold: block required for CR checks"])
-        mg = MapGeometry(self.embedding, self.sss.st, acs=self.acs)
+        mg = MapGeometry(self.embedding, self.sss.st, acs=self.sss.acs)
         return CRStructure(mg, self.d_gens, self.dperp_gens)
 
     def tol_for(self, suite):
@@ -157,7 +162,7 @@ def from_doc(doc, origin="<doc>"):
         if key not in _AMBIENT_KEYS:
             col.error(f"{origin}.ambient.{key}", "unknown key")
     dim = amb.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not _integer(dim) or dim < 1:
         col.error(f"{origin}.ambient.dim", "positive integer required")
         col.raise_if_any()
 
@@ -181,10 +186,10 @@ def from_doc(doc, origin="<doc>"):
         col.error(f"{origin}.ambient.K",
                   'expected {"lambda": value} or {"coefficients": {...}}')
     elif "lambda" in kspec:
-        try:
+        if _finite(kspec["lambda"]):
             klam = float(kspec["lambda"])
-        except (TypeError, ValueError):
-            col.error(f"{origin}.ambient.K.lambda", "number required")
+        else:
+            col.error(f"{origin}.ambient.K.lambda", "finite number required")
     else:
         kcoeffs = _parse_indexed(kspec["coefficients"], 3, dim,
                                  f"{origin}.ambient.K.coefficients", col)
@@ -201,7 +206,7 @@ def from_doc(doc, origin="<doc>"):
             if key not in _SUB_KEYS:
                 col.error(f"{origin}.submanifold.{key}", "unknown key")
         m = sub.get("dim")
-        if not isinstance(m, int) or not (1 <= m <= dim):
+        if not _integer(m) or not (1 <= m <= dim):
             col.error(f"{origin}.submanifold.dim",
                       f"integer in 1..{dim} required")
         else:
@@ -306,8 +311,8 @@ def from_doc(doc, origin="<doc>"):
     except (SingularMetricError, DomainError) as e:
         raise SpecError([f"{origin}.ambient.metric: {e}"]) from None
 
-    return SpecFile(doc=doc, name=doc.get("name", origin), g=g, acs=acs,
-                    sss=sss, embedding=emb, d_gens=d_gens,
+    return SpecFile(doc=doc, name=doc.get("name", origin), sss=sss,
+                    embedding=emb, d_gens=d_gens,
                     dperp_gens=dperp_gens, sampling=sampling,
                     tolerance=tolerance)
 
@@ -322,9 +327,22 @@ def load_spec(path_or_name):
             raw = f.read()
     except OSError as e:
         raise SpecError([f"{path_or_name}: {e.strerror or e}"]) from None
+    repeated = []
+
+    def unique_keys(pairs):
+        # json.loads alone keeps the last value of a repeated key
+        doc = dict(pairs)
+        if len(doc) < len(pairs):
+            keys = [k for k, _ in pairs]
+            repeated.extend(k for k in doc if keys.count(k) > 1)
+        return doc
+
     try:
-        doc = json.loads(raw)
+        doc = json.loads(raw, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as e:
         raise SpecError(
             [f"{path_or_name}:{e.lineno}:{e.colno}: {e.msg}"]) from None
+    if repeated:
+        raise SpecError([f"{path_or_name}: key {k!r} repeated in one object"
+                         for k in repeated])
     return from_doc(doc, origin=str(path_or_name))

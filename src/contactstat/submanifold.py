@@ -208,11 +208,6 @@ class MapGeometry:
         the set."""
         return _built_once(self, samples, lambda s: self._build(s.points))
 
-    def context(self, p):
-        """The context at one domain point: the same build, on a batch of one."""
-        [ctx] = self._build(np.asarray(p, dtype=float)[None])
-        return ctx
-
     def _build(self, points):
         return _by_pattern(lambda pts, idx: GWData(self, pts, idx), points,
                            np.arange(len(points)))
@@ -228,7 +223,7 @@ class GWData:
     (N, labels..., n): label axes sit between the sample axis and the
     vector axis, and the per-sample matrices broadcast over them.
 
-    Derived jet fields (push, t, f, b, c) are memoised for the life of the
+    Derived jet fields (push, t, f) are memoised for the life of the
     context; the covariant derivatives that `nabla` returns are not kept."""
 
     def __init__(self, mg, points, index):
@@ -357,20 +352,14 @@ class GWData:
         return self._memo(("push", X),
                           lambda: jmatvec(self.J, self.domain_jet(X)))
 
-    def t_jet(self, X):
-        return self._memo(("t", X), lambda: jmatvec(
-            self.Pi_tan, jmatvec(self.phi, self.push_jet(X))))
-
-    def f_jet(self, X):
-        return self._memo(("f", X), lambda: jmatvec(
-            self.Pi_nor, jmatvec(self.phi, self.push_jet(X))))
-
-    def b_jet(self, V):
-        return self._memo(("b", V), lambda: jmatvec(
+    def t_jet(self, V):
+        """The tangential part of phi V, for a jet field V along the map."""
+        return self._memo(("t", V), lambda: jmatvec(
             self.Pi_tan, jmatvec(self.phi, V)))
 
-    def c_jet(self, V):
-        return self._memo(("c", V), lambda: jmatvec(
+    def f_jet(self, V):
+        """The normal part of phi V, for a jet field V along the map."""
+        return self._memo(("f", V), lambda: jmatvec(
             self.Pi_nor, jmatvec(self.phi, V)))
 
     # -- the covariant derivative along the map
@@ -612,11 +601,12 @@ def check_transport_identities(mg, samples, tol=1e-8):
         X, U = ctx.tangents, ctx.coords
         xiv = ctx.xi.val
         # [:, i, j] along u_i of the frame field u_j, of its T and F parts
-        v = along(ctx.nabla([ctx.push_jet(Y) for Y in frame], star=True), U)
+        pushes = [ctx.push_jet(Y) for Y in frame]
+        v = along(ctx.nabla(pushes, star=True), U)
         nab_star = ctx.tangential(v)
         hstar = ctx.normal_part(v)
-        dt = along(ctx.nabla([ctx.t_jet(Y) for Y in frame]), U)
-        df = along(ctx.nabla([ctx.f_jet(Y) for Y in frame]), U)
+        dt = along(ctx.nabla([ctx.t_jet(Y) for Y in pushes]), U)
+        df = along(ctx.nabla([ctx.f_jet(Y) for Y in pushes]), U)
         # tangential transport
         lhs = (ctx.tangential(dt) - ctx.t_val(nab_star) + ctx.tangential(df)
                - ctx.tangential(ctx.phi_val(hstar)))
@@ -646,8 +636,8 @@ def check_transport_identities(mg, samples, tol=1e-8):
         v = along(ctx.nabla(ctx.normal_jets, star=True), U)
         perp_star = ctx.normal_part(v)
         a_star = -ctx.tangential(v)
-        db = along(ctx.nabla([ctx.b_jet(V) for V in ctx.normal_jets]), U)
-        dc = along(ctx.nabla([ctx.c_jet(V) for V in ctx.normal_jets]), U)
+        db = along(ctx.nabla([ctx.t_jet(V) for V in ctx.normal_jets]), U)
+        dc = along(ctx.nabla([ctx.f_jet(V) for V in ctx.normal_jets]), U)
         lhs = (ctx.tangential(db) - ctx.tangential(ctx.phi_val(perp_star))
                + ctx.tangential(dc) + ctx.t_val(a_star))
         add("b-transport", ctx.gnorm(lhs), xv)

@@ -10,13 +10,14 @@ import numpy as np
 
 from contactstat import fixtures
 from contactstat.contactstruct import lambda_family
+from contactstat.sampling import Samples
 from contactstat.specfile import from_doc
 from contactstat.submanifold import MapGeometry
 
 
 def _ambient(doc):
-    spec = from_doc({"ambient": doc})
-    return spec.g, spec.acs
+    sss = from_doc({"ambient": doc}).sss
+    return sss.st.g, sss.acs
 
 
 def sasaki_chart(npairs):
@@ -122,6 +123,13 @@ def map_geometry(emb, sss):
     """The MapGeometry of an embedding into a Sasakian statistical
     structure, as every submanifold and CR check takes it."""
     return MapGeometry(emb, sss.st, acs=sss.acs)
+
+
+def one_point(geometry, p):
+    """The context of a MapGeometry or a CRStructure at the domain point p:
+    a set of one point cannot split, so it has one context."""
+    [ctx] = geometry.contexts(Samples(np.asarray(p, dtype=float)[None]))
+    return ctx
 
 
 def koszul_fd(g, pts, h=1e-6):

@@ -30,7 +30,7 @@ from contactstat.fixtures import fixture_doc
 from contactstat.geometry import (ConnField, MetricField, StatTriple,
                                   VectorField, check_statistical,
                                   metric_samples)
-from contactstat.sampling import sample_box, samples_from_points
+from contactstat.sampling import Samples, sample_box
 from contactstat.specfile import from_doc
 from contactstat.submanifold import (Embedding, MapGeometry, along,
                                      check_gauss_weingarten,
@@ -78,9 +78,9 @@ def _paper_spec(variant="paper-r7-euclidean"):
 
 
 def test_02_paper_fixture_almost_contact():
-    spec = _paper_spec()
-    samples = metric_samples(spec.g, count=100)
-    rep = check_almost_contact(spec.acs, spec.g, samples)
+    sss = _paper_spec().sss
+    samples = metric_samples(sss.st.g, count=100)
+    rep = check_almost_contact(sss.acs, sss.st.g, samples)
     assert samples.count == 100
     for name in ("phi-square", "metric-xi-pairing", "phi-compatibility",
                  "unit-xi", "phi-xi", "eta-phi", "eta-xi"):
@@ -90,7 +90,7 @@ def test_02_paper_fixture_almost_contact():
 
 def test_03_paper_fixture_statistical():
     spec = _paper_spec()
-    samples = metric_samples(spec.g, count=100)
+    samples = metric_samples(spec.sss.st.g, count=100)
     rep = check_statistical(spec.sss.st, samples)
     for name in ("torsion", "torsion-dual", "codazzi", "duality",
                  "difference-tensor-symmetry",
@@ -128,8 +128,9 @@ def test_04_paper_fixture_cr_suite():
 
 def test_05_paper_fixture_audit_records():
     spec = _paper_spec()
-    samples = metric_samples(spec.g, count=64)
-    rep = check_sasakian(spec.acs, spec.g, samples)
+    g, acs = spec.sss.st.g, spec.sss.acs
+    samples = metric_samples(g, count=64)
+    rep = check_sasakian(acs, g, samples)
     rec = rep.record("xi-derivative")
     assert rec.status == "FAIL"
     assert rec.residual == pytest.approx(1.0, abs=1e-9)
@@ -138,11 +139,10 @@ def test_05_paper_fixture_audit_records():
     e1 = VectorField.coordinate(7, 0)
     # nabla-hat_{e1} xi = d_1 xi + Gamma-hat(e1, xi)
     lc = spec.sss.st.gammas(pts)[0]
-    nxi = (spec.acs.xi.partials.at(pts)[:, :, 0]
-           + np.einsum("nkj,nj->nk", lc[:, :, 0, :], spec.acs.xi.at(pts)))
-    defect = nxi + np.einsum("nab,nb->na", spec.acs.phi.at(pts),
-                             e1.at(pts))
-    gv = spec.g.at(pts)
+    nxi = (acs.xi.partials.at(pts)[:, :, 0]
+           + np.einsum("nkj,nj->nk", lc[:, :, 0, :], acs.xi.at(pts)))
+    defect = nxi + np.einsum("nab,nb->na", acs.phi.at(pts), e1.at(pts))
+    gv = g.at(pts)
     norms = np.sqrt(np.einsum("na,nab,nb->n", defect, gv, defect))
     assert np.abs(norms - 1.0).max() < 1e-9
 
@@ -152,7 +152,7 @@ def test_05_paper_fixture_audit_records():
     assert crec.status == "FAIL"
     # oracle: with A = 0 the residual at (X = xi, U = e3) is |e3|_g
     e3 = np.array([0.0, 0.0, 1.0, 0.0, 0.0, -1.0, 0.0])
-    g0 = spec.g.at(np.zeros((1, 7)))[0]
+    g0 = g.at(np.zeros((1, 7)))[0]
     oracle = float(np.sqrt(e3 @ g0 @ e3))
     assert oracle == pytest.approx(np.sqrt(2.0))
     assert crec.residual == pytest.approx(oracle, abs=1e-9)
@@ -166,14 +166,15 @@ def test_05_paper_fixture_audit_records():
 
 def test_06_sasaki_control_lambda_family():
     spec = from_doc(fixture_doc("fix-s3"))
-    samples = metric_samples(spec.g, count=64)
-    srep = check_sasakian(spec.acs, spec.g, samples)
+    g, acs = spec.sss.st.g, spec.sss.acs
+    samples = metric_samples(g, count=64)
+    srep = check_sasakian(acs, g, samples)
     assert srep.passed
     for rec in srep.records:
         assert rec.residual < 1e-7, rec.name
-    assert check_almost_contact(spec.acs, spec.g, samples).passed
+    assert check_almost_contact(acs, g, samples).passed
     for lam in (0.0, 1.0, 2.5):
-        sss = lambda_family(spec.g, spec.acs, lam)
+        sss = lambda_family(g, acs, lam)
         assert check_statistical(sss.st, samples).passed, lam
         rep = check_sasakian_statistical(sss, samples)
         assert rep.passed, lam
@@ -208,7 +209,7 @@ def test_08_circle_control():
     st = StatTriple(MetricField.euclidean(2), ConnField.flat(2))
     mg = MapGeometry(emb, st)
     for t in np.linspace(-3.0, 3.0, 13):
-        ctx = mg.context(np.array([t]))
+        ctx = conftest.one_point(mg, np.array([t]))
         # nabla-bar_{d/dt} d/dt, and its normal part h(dt, dt)
         v = along(ctx.nabla([ctx.push_jet(VectorField.coordinate(1, 0))]),
                   ctx.coords)[:, 0, 0]
@@ -245,7 +246,7 @@ def test_09_cr5_product_fixture():
 
     # equivalence pairs co-occur at every sample
     for p in sample_box(4, count=24, seed=5).points:
-        one = samples_from_points(p[None])
+        one = Samples(p[None])
         d_rep = check_integrability_D(cr, one)
         assert (d_rep.record("d-bracket-closure").passed
                 == d_rep.record("d-integrability-criterion").passed)
@@ -266,7 +267,7 @@ def test_10_tfbc_identities_all_fixtures():
              ("fix-cr5", 4)]
     for name, m in cases:
         spec = from_doc(fixture_doc(name))
-        mg = MapGeometry(spec.embedding, spec.sss.st, acs=spec.acs)
+        mg = MapGeometry(spec.embedding, spec.sss.st, acs=spec.sss.acs)
         rep = check_structure_identities(mg, sample_box(m, count=32))
         for rec in rep.records:
             assert rec.residual < 1e-9, (name, rec.name)

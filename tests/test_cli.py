@@ -57,6 +57,40 @@ class TestExitCodes:
         assert code == 2
         assert "ambient.eta[0]" in err
 
+    def test_non_ascii_digit_in_an_expression_exit_two(self, tmp_path,
+                                                       capsys):
+        doc = fixture_doc("fix-s3")
+        doc["ambient"]["metric"]["1 1"] = "1 + x2\u00b2"
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "check", "--spec", str(path))
+        assert code == 2
+        assert err == (f"error: {path}.ambient.metric['1 1']: unexpected "
+                       "character '\u00b2' (offset 6)\n")
+
+    def test_repeated_key_exit_two(self, tmp_path, capsys):
+        # json.loads alone would keep the second "3 3" and pass the suite
+        text = json.dumps(fixture_doc("fix-s3"))
+        assert text.count('"3 3": "1/4"') == 1
+        path = tmp_path / "spec.json"
+        path.write_text(text.replace('"3 3": "1/4"',
+                                     '"3 3": "1/4", "3 3": "5"'))
+        code, out, err = invoke(capsys, "check", "--spec", str(path),
+                                "--suites", "ambient")
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}: key '3 3' repeated in one object\n"
+
+    def test_two_keys_for_one_entry_exit_two(self, tmp_path, capsys):
+        doc = fixture_doc("fix-s3")
+        doc["ambient"]["metric"]["1  1"] = "5"
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "check", "--spec", str(path),
+                                "--suites", "ambient")
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}.ambient.metric['1  1']: same entry "
+                       "as key '1 1'\n")
+
     def test_unknown_suite_exit_two(self, capsys):
         code, out, err = invoke(capsys, "check", "--spec", "fix-s3",
                                 "--suites", "bogus")
@@ -195,6 +229,33 @@ class TestBadValues:
         assert code == 2
         assert err == (f"error: {path}.tolerance.ambient: finite positive "
                        "number required\n")
+
+
+    @pytest.mark.parametrize("value", ["nan", "inf", 1e999, True, "1.5"])
+    def test_spec_lambda_not_a_finite_number_exit_two(self, tmp_path, capsys,
+                                                      value):
+        doc = fixture_doc("fix-s3")
+        doc["ambient"]["K"] = {"lambda": value}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "check", "--spec", str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}.ambient.K.lambda: finite number "
+                       "required\n")
+
+    @pytest.mark.parametrize("block,message", [
+        ("ambient", "positive integer required"),
+        ("submanifold", "integer in 1..5 required")])
+    def test_spec_dimension_true_exit_two(self, tmp_path, capsys, block,
+                                          message):
+        # JSON's true is a Python int, and was read as dimension 1
+        doc = fixture_doc("fix-cr5")
+        doc[block]["dim"] = True
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "check", "--spec", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}.{block}.dim: {message}\n"
 
 
 class TestEnginePreconditions:
@@ -493,11 +554,13 @@ class TestCheckLookup:
                 return check(*args, **kwargs)
             return counted
 
-        for name in ("check_cr_product", "check_gauss_weingarten"):
+        names = ("check_gauss_weingarten",
+                 "check_mixed_geodesic_consequences", "check_cr_product")
+        for name in names:
             monkeypatch.setattr(cli, name, counting(name, getattr(cli, name)))
         spec = from_doc(fixture_doc("fix-cr5"))
         run(spec, "auto", count=4)
-        assert calls == ["check_gauss_weingarten", "check_cr_product"]
+        assert calls == list(names)
 
 
 class TestDeterminism:

@@ -1,17 +1,20 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from conftest import (cr5_structure, cr5_submanifold, e7_structure,
-                      e7_submanifold, euclid_r7, map_geometry, r7nu_structure,
-                      r7nu_submanifold)
+                      e7_submanifold, euclid_r7, map_geometry, one_point,
+                      r7nu_structure, r7nu_submanifold)
+from contactstat.cli import _guarded
 from contactstat.crchecks import (
     CRStructure, check_contact_cr, check_cr_product,
     check_dual_shape_identities, check_integrability_D,
     check_integrability_Dperp, check_mixed_geodesic_consequences,
-    classify_geodesic,
+    classify_geodesic, mixed_geodesic_verdict,
 )
 from contactstat.geometry import GeometryError, VectorField
-from contactstat.sampling import sample_box, samples_from_points
+from contactstat.sampling import Samples, sample_box
 from contactstat.submanifold import Embedding
 
 
@@ -33,6 +36,21 @@ def r7nu():
 
 SAMPLES5 = sample_box(5, count=24)
 SAMPLES4 = sample_box(4, count=24)
+
+
+def mixed_geodesic(cr, samples):
+    """The mixed-geodesic consequences with the classifier's verdict on the
+    same samples, as `verify check` reports them."""
+    return mixed_geodesic_verdict(check_mixed_geodesic_consequences(
+        cr, samples), classify_geodesic(cr, samples))
+
+
+def precondition_failure(check, error):
+    """The report of `check` when its inputs do not admit it, as the CLI
+    makes it."""
+    def fail():
+        raise error
+    return _guarded(fail, check)
 
 
 class TestContactCR:
@@ -120,7 +138,7 @@ class TestIntegrability:
         for cr, pts in ((e7_cr(), sample_box(5, count=12).points),
                         (cr5(), sample_box(4, count=12).points)):
             for p in pts:
-                one = samples_from_points(p[None])
+                one = Samples(p[None])
                 d_rep = check_integrability_D(cr, one)
                 assert (d_rep.record("d-bracket-closure").passed
                         == d_rep.record("d-integrability-criterion").passed)
@@ -142,7 +160,7 @@ class TestDualShapeIdentities:
 
     def test_equivalence_sides_co_occur_per_sample(self):
         for p in sample_box(4, count=8).points:
-            one = samples_from_points(p[None])
+            one = Samples(p[None])
             rep = check_dual_shape_identities(cr5(), one)
             assert (rep.record("b-shape-symmetric").passed
                     == rep.record("c-perp-parallel").passed)
@@ -182,7 +200,7 @@ class TestClassifyGeodesic:
     def test_cr5_thm_pairs_co_occur_per_sample(self):
         cr = cr5()
         for p in sample_box(4, count=12).points:
-            rep = classify_geodesic(cr, samples_from_points(p[None]))
+            rep = classify_geodesic(cr, Samples(p[None]))
             for flag, shape in (("d-geodesic", "d-geodesic-shape"),
                                 ("d-geodesic-dual", "d-geodesic-shape-dual"),
                                 ("mixed-geodesic", "mixed-geodesic-shape"),
@@ -206,14 +224,14 @@ class TestClassifyGeodesic:
 
 class TestMixedGeodesicConsequences:
     def test_e7_transfers_pass(self):
-        rep = check_mixed_geodesic_consequences(e7_cr(), SAMPLES5)
+        rep = mixed_geodesic(e7_cr(), SAMPLES5)
         assert rep.census["mixed-geodesic"] is True
         assert rep.passed
         for rec in rep.records:
             assert rec.residual < 1e-10, rec.name
 
     def test_cr5_reported_informationally(self):
-        rep = check_mixed_geodesic_consequences(cr5(), SAMPLES4)
+        rep = mixed_geodesic(cr5(), SAMPLES4)
         assert rep.census["mixed-geodesic"] is False
         for rec in rep.records:
             assert rec.informational
@@ -223,7 +241,8 @@ class TestMixedGeodesicConsequences:
         cr = e7_cr()
         geo = classify_geodesic(cr, SAMPLES5)
         geo.record("foliate").residual = 1.0
-        rep = check_mixed_geodesic_consequences(cr, SAMPLES5, geo=geo)
+        rep = mixed_geodesic_verdict(
+            check_mixed_geodesic_consequences(cr, SAMPLES5), geo)
         assert rep.census["foliate"] is False
         assert [(r.name, r.status, r.note) for r in rep.records] == [
             ("shape-transfer", "PASS", ""),
@@ -235,6 +254,23 @@ class TestMixedGeodesicConsequences:
             ("foliate-anticommute-dual", "INFO",
              "precondition failed; reported for information"),
         ]
+
+    def test_an_engine_precondition_report_is_the_verdict(self):
+        cr = e7_cr()
+        rep = check_mixed_geodesic_consequences(cr, SAMPLES5)
+        geo = classify_geodesic(cr, SAMPLES5)
+        geo_failed = precondition_failure("geodesic-classifiers",
+                                          GeometryError("in the classifier"))
+        own_failed = precondition_failure("mixed-geodesic-consequences",
+                                          GeometryError("in the check"))
+        # the classifier's failure is reported under the consequences'
+        # name, before the consequences' own
+        for consequences in (rep, own_failed):
+            got = mixed_geodesic_verdict(consequences, geo_failed)
+            assert got == replace(geo_failed,
+                                  check="mixed-geodesic-consequences")
+        # the consequences' own failure stays as it is
+        assert mixed_geodesic_verdict(own_failed, geo) == own_failed
 
 
 class TestCRProduct:
@@ -267,7 +303,7 @@ class TestCRProduct:
     def test_cr5_criterion_and_leaves_co_occur_per_sample(self):
         cr = cr5()
         for p in sample_box(4, count=12).points:
-            rep = check_cr_product(cr, samples_from_points(p[None]))
+            rep = check_cr_product(cr, Samples(p[None]))
             names = ["product-criterion", "leaf-pairing",
                      "shape-transport-pairing", "dperp-leaf", "d-leaf",
                      "dperp-leaf-dual", "d-leaf-dual"]
@@ -324,8 +360,8 @@ class TestStructuralProperties:
         emb, d_gens, dp_gens = cr5_submanifold()
         d_gens[2] = VectorField(["0", "0", "x1", "0"], 4)
         cr = CRStructure(map_geometry(emb, cr5_structure()), d_gens, dp_gens)
-        pts = samples_from_points([[0.5, 0.1, 0.2, 0.3], [0.0, 0.4, 0.5, 0.6],
-                                   [0.0, 0.7, 0.8, 0.9]])
+        pts = Samples([[0.5, 0.1, 0.2, 0.3], [0.0, 0.4, 0.5, 0.6],
+                       [0.0, 0.7, 0.8, 0.9]])
         with pytest.raises(GeometryError) as err:
             cr.contexts(pts)
         assert str(err.value) == ("D generators are linearly dependent at "
@@ -350,7 +386,7 @@ class TestStructuralProperties:
         # phi kills exactly the Reeb direction inside D
         for cr, m in ((e7_cr(), 5), (cr5(), 4)):
             for p in sample_box(m, count=6).points:
-                c = cr.context(p)
+                c = one_point(cr, p)
                 cols = np.stack([c.ctx.phi_val(v)[0]
                                  for v in np.moveaxis(c.d_amb, 1, 0)], axis=1)
                 assert np.linalg.matrix_rank(cols, tol=1e-8) == len(cr.D) - 1

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from contactstat.exprlang import (
     Bin, Const, DomainError, ParseError, Un, Var,
-    const, cos, exp, parse, sin, sqrt,
+    cos, exp, parse, sin, sqrt,
 )
 
 
@@ -70,6 +70,17 @@ class TestParse:
             parse("x8", 7)
         with pytest.raises(ParseError, match="x1"):
             parse("x0", 3)
+
+    @pytest.mark.parametrize("source,dim,offset", [
+        ("1 + x2\u00b2", 3, 6), ("\u00b2", 1, 0), ("\u0663", 1, 0),
+        ("x1\u0663", 3, 2)])
+    def test_non_ascii_digit_is_a_parse_error(self, source, dim, offset):
+        # a superscript two and an Arabic-Indic three are Unicode digits,
+        # which the scanner reads as no part of a number or a name
+        with pytest.raises(ParseError, match="unexpected character") as err:
+            parse(source, dim)
+        assert err.value.offset == offset
+        assert len(source[:offset].encode()) == offset
 
     def test_fractional_exponent_rejected(self):
         with pytest.raises(ParseError, match="integer"):
@@ -133,7 +144,7 @@ class TestDiff:
         assert abs(d.eval((3, 2)) - (-3 / 4)) < 1e-15
 
     def test_constant_tree_derivative_folds_to_zero(self):
-        e = sin(const(2.0)) * exp(const(1.0)) + const(5.0) / const(2.0)
+        e = sin(Const(2.0)) * exp(Const(1.0)) + Const(5.0) / Const(2.0)
         d = e.diff(0)
         assert isinstance(d, Const) and d.value == 0.0
 
@@ -148,7 +159,7 @@ class TestDiff:
             assert not np.isfinite(derived.eval_many(pts)).any()
         # finite and non-constant factors are still absorbed
         assert parse("x1", 1) * 0 == Const(0.0)
-        assert sin(const(2.0)) * 0 == Const(0.0)
+        assert sin(Const(2.0)) * 0 == Const(0.0)
         assert parse("x1*0+1/0*0", 1).diff(0) != Const(0.0)
 
     def test_chain_rule_sqrt(self):

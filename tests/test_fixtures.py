@@ -34,12 +34,12 @@ def test_unknown_fixture():
 @pytest.mark.parametrize("name", fixture_names())
 def test_all_fixtures_load(name):
     spec = from_doc(fixture_doc(name), origin=name)
-    assert spec.g.dim == spec.acs.dim
+    assert spec.sss.st.g.dim == spec.sss.acs.xi.dim
 
 
 def test_paper_r7_shape():
     spec = from_doc(fixture_doc("paper-r7-euclidean"))
-    assert spec.g.dim == 7
+    assert spec.sss.st.g.dim == 7
     assert spec.embedding.m == 5
     assert len(spec.d_gens) == 3 and len(spec.dperp_gens) == 2
 
@@ -85,13 +85,14 @@ def _assert_doc_matches_chart(name, chart):
     """The fixture document's g, phi, xi, eta and K equal the chart's, value
     for value, with K = lambda eta (x) eta (x) xi at lambda = 1, the value
     every fixture takes."""
-    spec = from_doc(fixture_doc(name))
-    pts = sample_box(spec.g.dim, count=16).points
+    sss = from_doc(fixture_doc(name)).sss
+    st, acs = sss.st, sss.acs
+    pts = sample_box(st.g.dim, count=16).points
     g, phi, xi, eta = chart(pts)
     K = np.einsum("ni,nj,nk->nkij", eta, eta, xi)
-    for got, want in ((spec.g.at(pts), g), (spec.acs.phi.at(pts), phi),
-                      (spec.acs.xi.at(pts), xi), (spec.acs.eta.at(pts), eta),
-                      (spec.sss.st.K.gamma_at(pts), K)):
+    for got, want in ((st.g.at(pts), g), (acs.phi.at(pts), phi),
+                      (acs.xi.at(pts), xi), (acs.eta.at(pts), eta),
+                      (st.K.gamma_at(pts), K)):
         assert got.shape == want.shape
         assert np.abs(got - want).max() < 1e-15
 
@@ -137,24 +138,27 @@ class TestFixtureAdmission:
     suites at the stated tolerances."""
 
     def test_fix_s3_is_sasakian_statistical(self):
-        spec = from_doc(fixture_doc("fix-s3"))
-        samples = metric_samples(spec.g, count=64)
-        rep = check_sasakian(spec.acs, spec.g, samples)
+        sss = from_doc(fixture_doc("fix-s3")).sss
+        g, acs = sss.st.g, sss.acs
+        samples = metric_samples(g, count=64)
+        rep = check_sasakian(acs, g, samples)
         assert rep.passed
         for rec in rep.records:
             assert rec.residual < 1e-7
-        assert check_statistical(spec.sss.st, samples).passed
-        assert check_almost_contact(spec.acs, spec.g, samples).passed
-        rep = check_sasakian_statistical(spec.sss, samples)
+        assert check_statistical(sss.st, samples).passed
+        assert check_almost_contact(acs, g, samples).passed
+        rep = check_sasakian_statistical(sss, samples)
         assert rep.passed
 
     def test_fix_cr5_ambient_and_cr(self):
         spec = from_doc(fixture_doc("fix-cr5"))
-        samples = metric_samples(spec.g, count=32)
-        assert check_statistical(spec.sss.st, samples).passed
-        assert check_almost_contact(spec.acs, spec.g, samples).passed
-        assert check_sasakian(spec.acs, spec.g, samples).passed
-        rep = check_sasakian_statistical(spec.sss, samples)
+        sss = spec.sss
+        g, acs = sss.st.g, sss.acs
+        samples = metric_samples(g, count=32)
+        assert check_statistical(sss.st, samples).passed
+        assert check_almost_contact(acs, g, samples).passed
+        assert check_sasakian(acs, g, samples).passed
+        rep = check_sasakian_statistical(sss, samples)
         assert rep.passed
         cr = spec.cr_structure()
         crrep = check_contact_cr(cr, sample_box(4, count=32))
@@ -162,11 +166,13 @@ class TestFixtureAdmission:
 
     def test_sasaki_r7_cr_ambient_and_cr(self):
         spec = from_doc(fixture_doc("sasaki-r7-cr"))
-        samples = metric_samples(spec.g, count=16)
-        assert check_statistical(spec.sss.st, samples).passed
-        assert check_almost_contact(spec.acs, spec.g, samples).passed
-        assert check_sasakian(spec.acs, spec.g, samples).passed
-        assert check_sasakian_statistical(spec.sss, samples).passed
+        sss = spec.sss
+        g, acs = sss.st.g, sss.acs
+        samples = metric_samples(g, count=16)
+        assert check_statistical(sss.st, samples).passed
+        assert check_almost_contact(acs, g, samples).passed
+        assert check_sasakian(acs, g, samples).passed
+        assert check_sasakian_statistical(sss, samples).passed
         cr = spec.cr_structure()
         assert check_contact_cr(cr, sample_box(4, count=16)).passed
 

@@ -295,7 +295,7 @@ def test_grid_plan_equals_entrywise_evaluation(data):
 
 
 def test_each_distinct_entry_is_evaluated_once(monkeypatch):
-    g = load_spec("sasaki-r7-cr").g
+    g = load_spec("sasaki-r7-cr").sss.st.g
     pts = sample_box(g.dim, count=4).points
     g.partials.at(pts)  # compiles the grid
     entries = [e for plane in g.partials.nested for row in plane for e in row]

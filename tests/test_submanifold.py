@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import (EDGE_SPECS, cr5_structure, cr5_submanifold,
-                      e7_structure, e7_submanifold, map_geometry, sasaki_r3)
+                      e7_structure, e7_submanifold, map_geometry, one_point,
+                      sasaki_r3)
 from contactstat.contactstruct import lambda_family
 from contactstat.crchecks import (CRStructure, check_contact_cr,
                                   check_cr_product,
@@ -15,13 +16,13 @@ from contactstat.crchecks import (CRStructure, check_contact_cr,
                                   check_integrability_D,
                                   check_integrability_Dperp,
                                   check_mixed_geodesic_consequences,
-                                  classify_geodesic)
+                                  classify_geodesic, mixed_geodesic_verdict)
 from contactstat.exprlang import Const, DomainError
 from contactstat.fixtures import fixture_doc
 from contactstat.geometry import (ConnField, GeometryError, MetricField,
                                   StatTriple, VectorField, check_statistical,
                                   metric_samples)
-from contactstat.sampling import sample_box, samples_from_points
+from contactstat.sampling import Samples, sample_box
 from contactstat.specfile import from_doc
 from contactstat.submanifold import (Embedding, MapGeometry, RankDropError,
                                      along, check_gauss_weingarten,
@@ -69,7 +70,7 @@ class TestFramePointAndSplit:
     def test_tangent_vector_has_no_normal_coeffs(self):
         emb, _, _ = e7_submanifold()
         g = MetricField.euclidean(7)
-        fp = MapGeometry(emb, flat_over(g)).context(np.zeros(5))
+        fp = one_point(MapGeometry(emb, flat_over(g)), np.zeros(5))
         v = fp.J.val[0] @ np.array([1.0, -2.0, 0.5, 0.0, 3.0])
         a, b = split(fp, v[None])
         assert np.abs(b[0]).max() < 1e-12
@@ -78,7 +79,7 @@ class TestFramePointAndSplit:
     def test_phi_of_e3_is_wholly_normal(self):
         emb, _, _ = e7_submanifold()
         g, acs = __import__("conftest").euclid_r7()
-        fp = MapGeometry(emb, flat_over(g)).context(np.zeros(5))
+        fp = one_point(MapGeometry(emb, flat_over(g)), np.zeros(5))
         e3 = fp.J.val[0, :, 2]
         phie3 = acs.phi.at(np.zeros((1, 7)))[0] @ e3
         a, b = split(fp, phie3[None])
@@ -88,8 +89,8 @@ class TestFramePointAndSplit:
     def test_round_trip_of_mixed_vector(self):
         emb, _, _ = e7_submanifold()
         g = MetricField.euclidean(7)
-        fp = MapGeometry(emb, flat_over(g)).context(
-            np.array([0.2, -0.4, 0.1, 0.7, -0.3]))
+        fp = one_point(MapGeometry(emb, flat_over(g)),
+                       np.array([0.2, -0.4, 0.1, 0.7, -0.3]))
         rng = np.random.default_rng(5)
         a0 = rng.normal(size=5)
         b0 = rng.normal(size=2)
@@ -102,13 +103,13 @@ class TestFramePointAndSplit:
         emb = Embedding(["x1*x1", "x1*x1"], 1)
         g = MetricField.euclidean(2)
         with pytest.raises(RankDropError):
-            MapGeometry(emb, flat_over(g)).context(np.zeros(1))
+            one_point(MapGeometry(emb, flat_over(g)), np.zeros(1))
 
     def test_normal_frame_is_g_orthonormal(self):
         g, _ = __import__("conftest").sasaki_r5()
         emb, _, _ = cr5_submanifold()
-        fp = MapGeometry(emb, flat_over(g)).context(
-            np.array([0.3, -0.2, 0.5, 0.9]))
+        fp = one_point(MapGeometry(emb, flat_over(g)),
+                       np.array([0.3, -0.2, 0.5, 0.9]))
         normal = fp.normal[0]
         gram = normal.T @ fp.G.val[0] @ normal
         assert np.abs(gram - np.eye(normal.shape[1])).max() < 1e-12
@@ -165,39 +166,39 @@ class TestBatchedContexts:
         assert c.ctx is ctx
         assert ctx.index.tolist() == list(range(12))
         for s, p in enumerate(samples.points):
-            _same_sample(_gw_arrays(ctx), s, _gw_arrays(mg.context(p)))
-            _same_sample(_cr_arrays(c), s, _cr_arrays(cr.context(p)))
+            _same_sample(_gw_arrays(ctx), s, _gw_arrays(one_point(mg, p)))
+            _same_sample(_cr_arrays(c), s, _cr_arrays(one_point(cr, p)))
 
     def test_mixed_drop_patterns_equal_one_point_builds(self):
         # the circle's normal is e1 made orthogonal to the tangent, except
         # at x1 = pi/2 where that vanishes and e2 is kept instead
         mg = MapGeometry(circle(), flat_statistical(2))
-        samples = samples_from_points([[0.0], [np.pi / 2], [1.0]])
+        samples = Samples([[0.0], [np.pi / 2], [1.0]])
         ctxs = mg.contexts(samples)
         assert [ctx.index.tolist() for ctx in ctxs] == [[0, 2], [1]]
         for ctx in ctxs:
             for s, k in enumerate(ctx.index):
                 _same_sample(_gw_arrays(ctx), s,
-                             _gw_arrays(mg.context(samples.points[k])))
+                             _gw_arrays(one_point(mg, samples.points[k])))
 
     def test_mixed_cr_drop_patterns_equal_one_point_builds(self):
         # one Gauss-Weingarten pattern, but the first D generator is the
         # Reeb field where x1 = 0, so the reduced D frame drops it there
         cr = reeb_mixed_cr()
-        samples = samples_from_points(REEB_MIXED_POINTS)
+        samples = Samples(REEB_MIXED_POINTS)
         [ctx] = cr.mg.contexts(samples)
         crs = cr.contexts(samples)
         assert [c.index.tolist() for c in crs] == [[0, 2], [1]]
         for c in crs:
             for s, k in enumerate(c.index):
-                one = cr.context(samples.points[k])
+                one = one_point(cr, samples.points[k])
                 _same_sample(_gw_arrays(c.ctx), s, _gw_arrays(one.ctx))
                 _same_sample(_cr_arrays(c), s, _cr_arrays(one))
 
     def test_failed_build_is_remembered_and_names_the_point(self):
         emb = Embedding(["x1", "sqrt(x1)"], 1)
         mg = MapGeometry(emb, flat_statistical(2))
-        samples = samples_from_points([[0.5], [-0.25], [-0.75]])
+        samples = Samples([[0.5], [-0.25], [-0.75]])
         with pytest.raises(DomainError) as first:
             mg.contexts(samples)
         assert str(first.value) == ("non-finite result: sqrt(x1) "
@@ -240,7 +241,9 @@ def _cr_runs(cr):
         lambda s: check_integrability_Dperp(cr, s),
         lambda s: check_dual_shape_identities(cr, s),
         lambda s: classify_geodesic(cr, s),
-        lambda s: check_mixed_geodesic_consequences(cr, s),
+        lambda s: mixed_geodesic_verdict(
+            check_mixed_geodesic_consequences(cr, s),
+            classify_geodesic(cr, s)),
         lambda s: check_cr_product(cr, s),
     ]
 
@@ -270,8 +273,8 @@ class TestReportsOverSetsAgreeWithSinglePoints:
         make_runs, points = SET_CASES[case]
         points = np.asarray(points, dtype=float)
         for run in make_runs():
-            whole = run(samples_from_points(points))
-            singles = [run(samples_from_points(p[None])) for p in points]
+            whole = run(Samples(points))
+            singles = [run(Samples(p[None])) for p in points]
             for k, rec in enumerate(whole.records):
                 ones = [one.records[k] for one in singles]
                 assert {one.name for one in ones} == {rec.name}
@@ -285,7 +288,7 @@ class TestReportsOverSetsAgreeWithSinglePoints:
 
     def test_torsion_witness_is_the_worst_sample(self):
         emb, st = torsion_case()
-        rep = check_gauss_weingarten(MapGeometry(emb, st), samples_from_points(
+        rep = check_gauss_weingarten(MapGeometry(emb, st), Samples(
             [[0.1, 0.0], [2.0, 0.0], [0.5, 0.0]]))
         for name in ("h-symmetry", "hstar-symmetry"):
             assert rep.record(name).residual == 4.0
@@ -320,12 +323,13 @@ class TestCovariantDerivativeAlongTheMap:
         assert (ctx.gamma.strides[0] == 0) == (name == "paper-r7-euclidean")
         m = ctx.m
         frame = [VectorField.coordinate(m, i) for i in range(m)]
-        fields = ([ctx.push_jet(Y) for Y in frame]
-                  + [ctx.t_jet(Y) for Y in frame]
-                  + [ctx.f_jet(Y) for Y in frame]
+        pushes = [ctx.push_jet(Y) for Y in frame]
+        fields = (pushes
+                  + [ctx.t_jet(V) for V in pushes]
+                  + [ctx.f_jet(V) for V in pushes]
                   + [ctx.xi] + c.phiZ_jets + list(ctx.normal_jets)
-                  + [ctx.b_jet(V) for V in ctx.normal_jets]
-                  + [ctx.c_jet(V) for V in ctx.normal_jets])
+                  + [ctx.t_jet(V) for V in ctx.normal_jets]
+                  + [ctx.f_jet(V) for V in ctx.normal_jets])
         # coordinate directions, one for all samples, and generator
         # directions with their own coefficients at each sample
         generators = list(np.moveaxis(c.d_dom, 1, 0)) + list(
@@ -425,7 +429,7 @@ class TestGaussWeingarten:
         rep = check_gauss_weingarten(mg, sample_box(2))
         assert rep.passed
         # h of a linear embedding in a flat ambient vanishes identically
-        ctx = mg.context(np.array([0.1, 0.2]))
+        ctx = one_point(mg, np.array([0.1, 0.2]))
         v = along(ctx.nabla([ctx.push_jet(VectorField.coordinate(2, 1))]),
                   ctx.coords)[:, 0, 0]
         h = v - ctx.tangential(v)
@@ -435,7 +439,7 @@ class TestGaussWeingarten:
         # classical control: h(dt, dt) is the inward unit normal
         mg = MapGeometry(circle(), flat_statistical(2))
         for t in (0.0, 0.7, 2.1, -1.3):
-            ctx = mg.context(np.array([t]))
+            ctx = one_point(mg, np.array([t]))
             v = along(ctx.nabla([ctx.push_jet(VectorField.coordinate(1, 0))]),
                       ctx.coords)[:, 0, 0]
             h = v - ctx.tangential(v)
@@ -454,7 +458,7 @@ class TestGaussWeingarten:
         mg = MapGeometry(emb, sss.st)
         frame = [VectorField.coordinate(5, i) for i in range(5)]
         for p in sample_box(5, count=8).points:
-            ctx = mg.context(p)
+            ctx = one_point(mg, p)
             pushes = [ctx.push_jet(Y) for Y in frame]
             for i in range(5):
                 for j in range(5):
@@ -574,7 +578,7 @@ class TestTFBC:
     def test_e7_t_and_f_on_frame(self):
         emb, _, _ = e7_submanifold()
         g, acs = __import__("conftest").euclid_r7()
-        fp = MapGeometry(emb, flat_over(g)).context(np.zeros(5))
+        fp = one_point(MapGeometry(emb, flat_over(g)), np.zeros(5))
         parts = tfbc(acs, fp)
         T, F = parts.T[0], parts.F[0]
         # phi e1 = e2: purely tangent
@@ -587,7 +591,8 @@ class TestTFBC:
     def test_invariant_identity_embedding(self):
         g, acs = sasaki_r3()
         emb = Embedding(["x1", "x2", "x3"], 3)
-        fp = MapGeometry(emb, flat_over(g)).context(np.array([0.1, -0.4, 0.3]))
+        fp = one_point(MapGeometry(emb, flat_over(g)),
+                       np.array([0.1, -0.4, 0.3]))
         parts = tfbc(acs, fp)
         assert parts.F.size == 0 and parts.B.size == 0 and parts.C.size == 0
         phiv = acs.phi.at(np.array([[0.1, -0.4, 0.3]]))[0]
@@ -691,7 +696,7 @@ class TestTFBCReconstruction:
         emb, _, _ = cr5_submanifold()
         mg = MapGeometry(emb, flat_over(g))
         for p in sample_box(4, count=8).points:
-            fp = mg.context(p)
+            fp = one_point(mg, p)
             phiv = acs.phi.at(fp.y)[0]
             parts = tfbc(acs, fp)
             J, normal = fp.J.val[0], fp.normal[0]
@@ -713,7 +718,7 @@ class TestAntiInvariantToy:
         emb = Embedding(["0", "0", "x1", "0", "0", "0-x1", "0"], 1)
         sss = e7_structure()
         mg = map_geometry(emb, sss)
-        fp = mg.context(np.array([0.3]))
+        fp = one_point(mg, np.array([0.3]))
         parts = tfbc(sss.acs, fp)
         assert np.abs(parts.T[0]).max() < 1e-12
         bf = parts.B[0] @ parts.F[0]
