@@ -12,8 +12,7 @@
 import numpy as np
 
 from contactstat.fixtures import fixture_doc
-from contactstat.geometry import (ConnField, MetricField, StatTriple,
-                                  VectorField)
+from contactstat.geometry import ConnField, MetricField, StatTriple
 from contactstat.sampling import Samples, sample_box
 from contactstat.specfile import from_doc
 from contactstat.submanifold import (Embedding, MapGeometry, along,
@@ -25,10 +24,9 @@ from contactstat.submanifold import (Embedding, MapGeometry, along,
 circle = Embedding(["cos(x1)", "sin(x1)"], 1)
 flat = StatTriple(MetricField.euclidean(2), ConnField.flat(2))
 [ctx] = MapGeometry(circle, flat).contexts(Samples([[0.7]]))
-# nabla-bar of the frame field d/dt along d/dt (one field, one direction);
-# its normal part is h(dt, dt)
-v = along(ctx.nabla([ctx.push_jet(VectorField.coordinate(1, 0))]),
-          ctx.coords)[:, 0, 0]
+# nabla-bar of the frame field d/dt (ctx.frame[0], the Jacobian column as a
+# jet) along d/dt (one field, one direction); its normal part is h(dt, dt)
+v = along(ctx.nabla([ctx.frame[0]]), ctx.coords)[:, 0, 0]
 h = v - ctx.tangential(v)
 print("circle: h(dt, dt) =", np.round(h[0], 6),
       " |h| =", round(float(ctx.gnorm(h)[0]), 12))

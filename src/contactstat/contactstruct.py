@@ -68,6 +68,16 @@ def _gnorm(gv, vecs):
     return np.sqrt(np.maximum(q, 0.0))
 
 
+def _nabla_phi_xi(gam_a, gam_b, phi, dphi, xiv, dxi):
+    """nabla^a_i (phi e_j) - phi nabla^b_i e_j, [n, k, i, j], and
+    nabla^a_i xi, [n, i, k], for connection coefficients gam_a and gam_b."""
+    nphi = (np.moveaxis(dphi, -1, 2)
+            + np.einsum("nkil,nlj->nkij", gam_a, phi)
+            - np.einsum("nkl,nlij->nkij", phi, gam_b))
+    nxi = np.transpose(dxi, (0, 2, 1)) + np.einsum("nkil,nl->nik", gam_a, xiv)
+    return nphi, nxi
+
+
 def check_almost_contact(acs, g, samples, tol=1e-8):
     """Residuals of the almost-contact-metric axioms over the coordinate
     frame: phi^2 = -id + eta (x) xi, g(., xi) = eta, the phi-compatibility
@@ -160,15 +170,12 @@ def check_sasakian(acs, g, samples, tol=1e-8):
     add = res.adder(float(max(np.abs(gv).max(), np.abs(phi).max(),
                               np.abs(gam).max(), 1.0)))
 
+    nphi, nxi = _nabla_phi_xi(gam, gam, phi, dphi, xiv, dxi)
     # nabla-hat_i xi + phi e_i
-    nxi = np.transpose(dxi, (0, 2, 1)) + np.einsum("nkil,nl->nik", gam, xiv)
     defect = nxi + np.transpose(phi, (0, 2, 1))        # [n, i, k]
     add("xi-derivative", _gnorm(gv, defect))
 
     # (nabla-hat_i phi) e_j - g_ij xi + eta_j e_i
-    nphi = (np.moveaxis(dphi, -1, 2)
-            + np.einsum("nkil,nlj->nkij", gam, phi)
-            - np.einsum("nkl,nlij->nkij", phi, gam))   # [n, k, i, j]
     defect = (nphi - np.einsum("nij,nk->nkij", gv, xiv)
               + np.einsum("nj,ki->nkij", etav, eye))
     add("phi-derivative", _gnorm(gv, np.transpose(defect, (0, 2, 3, 1))))
@@ -180,24 +187,22 @@ def _transport_records(add, prefix, gam_a, gam_b, gv, phi, dphi, xiv, dxi,
     """phi- and xi-transport residuals for one (nabla_a, nabla_b) ordering,
     into the families named with `prefix`."""
     eye = np.eye(gv.shape[1])
-    # nabla^a_i (phi e_j) - phi nabla^b_i e_j
-    lhs = (np.moveaxis(dphi, -1, 2)
-           + np.einsum("nkil,nlj->nkij", gam_a, phi)
-           - np.einsum("nkl,nlij->nkij", phi, gam_b))
+    lhs, nxi = _nabla_phi_xi(gam_a, gam_b, phi, dphi, xiv, dxi)
+    # nabla^a_i xi, tangentially corrected by its xi-component; its arrays
+    # are freed before the larger phi-transport ones are built
+    comp = np.einsum("nik,nkl,nl->ni", nxi, gv, xiv)
+    corrected = nxi - np.einsum("ni,nk->nik", comp, xiv)
+    phicols = np.transpose(phi, (0, 2, 1))
+    add(f"{prefix}xi-transport", _gnorm(gv, corrected + phicols))
+    add(f"{prefix}xi-transport-alt-sign", _gnorm(gv, corrected - phicols))
+    del nxi, comp, corrected
+
     rhs = (np.einsum("nij,nk->nkij", gv, xiv)
            - np.einsum("nj,ki->nkij", etav, eye))
     add(f"{prefix}phi-transport",
         _gnorm(gv, np.transpose(lhs - rhs, (0, 2, 3, 1))))
     add(f"{prefix}phi-transport-alt-sign",
         _gnorm(gv, np.transpose(lhs + rhs, (0, 2, 3, 1))))
-
-    # nabla^a_i xi, tangentially corrected by its xi-component
-    nxi = np.transpose(dxi, (0, 2, 1)) + np.einsum("nkil,nl->nik", gam_a, xiv)
-    comp = np.einsum("nik,nkl,nl->ni", nxi, gv, xiv)
-    corrected = nxi - np.einsum("ni,nk->nik", comp, xiv)
-    phicols = np.transpose(phi, (0, 2, 1))
-    add(f"{prefix}xi-transport", _gnorm(gv, corrected + phicols))
-    add(f"{prefix}xi-transport-alt-sign", _gnorm(gv, corrected - phicols))
 
 
 def check_sasakian_statistical(sss, samples, tol=1e-8):

@@ -13,7 +13,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .geometry import GeometryError, VectorField, lie_bracket
+from .geometry import GeometryError, lie_bracket
 from .jets import jmatvec
 from .report import Residuals, labels
 from .submanifold import (GWData, _built_once, _by_pattern, _needs_acs,
@@ -45,9 +45,11 @@ class CRStructure:
                 raise GeometryError(
                     f"{name} generators need {m} components, one per "
                     "submanifold coordinate")
-        # block workers that race to fill _brackets each build the same
-        # correct list, and the last one assigned is kept
-        self._brackets = {}
+        # the brackets of each distribution's generator pairs i < j
+        self._brackets = {
+            kind: [lie_bracket(gens[i], gens[j])
+                   for i, j in zip(*np.triu_indices(len(gens), 1))]
+            for kind, gens in (("D", self.D), ("Dperp", self.Dperp))}
         self._built = threading.local()
 
     def contexts(self, samples):
@@ -72,11 +74,6 @@ class CRStructure:
         """The pushed values, at a context's points, of the brackets of the
         generator pairs i < j of D ("D") or of D-perp ("Dperp"): one row
         per pair, in the (i, j) order of np.triu_indices."""
-        if kind not in self._brackets:
-            gens = self.D if kind == "D" else self.Dperp
-            pairs = zip(*np.triu_indices(len(gens), 1))
-            self._brackets[kind] = [lie_bracket(gens[i], gens[j])
-                                    for i, j in pairs]
         vals = [c.ctx.domain_jet(b).val for b in self._brackets[kind]]
         return np.matvec(c.J[:, None], _as_rows(vals, c.ctx.m, len(c.index)))
 
@@ -110,18 +107,19 @@ def _as_rows(vectors, n, N):
 class _CRContext:
     """Working data over a Gauss-Weingarten context's points: the
     generators as (N, rank, m) rows in the domain and (N, rank, n) rows
-    along the map, span projectors, and the normal-bundle splitting into
-    the image of the anti-invariant distribution and its invariant
-    complement.  Generator and bracket values come from their batched
-    evaluation.  It keeps no reference to the CRStructure that keeps it:
-    that cycle would hold every array of the set's contexts until the
-    cyclic garbage collector ran, long after the run that built them."""
+    along the map, span projectors, the normal-bundle splitting into the
+    image of the anti-invariant distribution and its invariant complement,
+    and the residual scale.  Generator and bracket values come from their
+    batched evaluation.  It keeps no reference to the CRStructure that
+    keeps it: that cycle would hold every array of the set's contexts
+    until the cyclic garbage collector ran, long after the run ended."""
 
     def __init__(self, cr, ctx):
         self.ctx = ctx
         self.index = ctx.index
         self.G = ctx.G.val
         self.J = ctx.J.val
+        self.scale = _scale(self.G, ctx.phi.val)
         N, n, m = len(ctx.index), ctx.n, ctx.m
         self.d_dom = _as_rows([ctx.domain_jet(g).val for g in cr.D], m, N)
         self.dp_dom = _as_rows([ctx.domain_jet(g).val for g in cr.Dperp], m, N)
@@ -187,7 +185,7 @@ def check_contact_cr(cr, samples, tol=1e-8):
     for c in cr.contexts(samples):
         ctx = c.ctx
         N, n = len(c.index), ctx.n
-        add = res.adder(_scale(c.G, ctx.phi.val), c.index)
+        add = res.adder(c.scale, c.index)
         allgens = np.concatenate([c.d_dom, c.dp_dom], axis=1)
         gram = allgens @ ctx.gram @ _tr(allgens)
         rank = np.linalg.matrix_rank(gram, tol=1e-10)
@@ -241,7 +239,7 @@ def check_integrability_D(cr, samples, tol=1e-8):
         if not xy:  # one generator makes no pair
             continue
         ctx = c.ctx
-        add = res.adder(_scale(c.G, ctx.phi.val), c.index)
+        add = res.adder(c.scale, c.index)
         br_amb = cr.brackets_amb(c, "D")
         add("d-bracket-closure", c.off(br_amb, c.P_D), xy)
         # [:, i, j] is h(X_i, phi X_j)
@@ -278,7 +276,7 @@ def check_integrability_Dperp(cr, samples, tol=1e-8):
         if not xy:  # one generator makes no pair
             continue
         ctx = c.ctx
-        add = res.adder(_scale(c.G, ctx.phi.val), c.index)
+        add = res.adder(c.scale, c.index)
         br_amb = cr.brackets_amb(c, "Dperp")
         add("dperp-bracket-closure", c.off(br_amb, c.P_Dp), xy)
         # [:, i, j] is A_{phi Z_j} Z_i
@@ -310,14 +308,13 @@ def check_dual_shape_identities(cr, samples, tol=1e-8):
         "b-perp-parallel": "∇_X BV = B∇*⊥_X V",
     })
     m = cr.mg.emb.m
-    frame_fields = [VectorField.coordinate(m, j) for j in range(m)]
     # the ordered pairs i != j of D-perp generators
     ii, jj = np.nonzero(~np.eye(len(cr.Dperp), dtype=bool))
     yz = [f"Y=P{i+1} Z=P{j+1}" for i, j in zip(ii, jj)]
 
     for c in cr.contexts(samples):
         ctx = c.ctx
-        add = res.adder(_scale(c.G, ctx.phi.val), c.index)
+        add = res.adder(c.scale, c.index)
         U = ctx.coords
         nk = len(ctx.normal_jets)
         # A_{FY} Z symmetric in the two anti-invariant slots; [:, j, i] is
@@ -344,10 +341,9 @@ def check_dual_shape_identities(cr, samples, tol=1e-8):
         lhs = (ctx.tangential(along(ctx.nabla(bv_jets), U))
                - ctx.tangential(ctx.phi_val(perp_star)))
         add("b-perp-parallel", ctx.gnorm(lhs), xv)
-        pushes = [ctx.push_jet(Y) for Y in frame_fields]
-        nab_star = ctx.tangential(along(ctx.nabla(pushes, star=True), U))
+        nab_star = ctx.tangential(along(ctx.nabla(ctx.frame, star=True), U))
         lhs = (ctx.normal_part(along(
-            ctx.nabla([ctx.f_jet(Y) for Y in pushes]), U))
+            ctx.nabla([ctx.f_jet(Y) for Y in ctx.frame]), U))
                - ctx.f_val(nab_star))
         add("f-perp-parallel", ctx.gnorm(lhs),
             labels("X=u{} Y=u{}", m, m))
@@ -386,12 +382,14 @@ def classify_geodesic(cr, samples, tol=1e-8):
 
     for c in cr.contexts(samples):
         ctx = c.ctx
-        scale = _scale(c.G, ctx.phi.val)
-        add = res.adder(scale, c.index)
+        add = res.adder(c.scale, c.index)
         d_push = [ctx.push_jet(X) for X in cr.D]
         dp_push = [ctx.push_jet(Z) for Z in cr.Dperp]
         t_jets = [ctx.t_jet(V) for V in d_push]
         nk = len(ctx.normal_jets)
+        # the D-pair Gram matrix and its squared norm, for the umbilic fit
+        gij = ctx.ginner(c.d_amb[:, :, None], c.d_amb[:, None])
+        denom = (gij ** 2).reshape(len(gij), -1).sum(axis=1)
         for star in (False, True):
             sfx = "-dual" if star else ""
             # [:, i, j] is h(X_i, Y_j)
@@ -405,8 +403,6 @@ def classify_geodesic(cr, samples, tol=1e-8):
                 ctx.gnorm(ctx.normal_part(along(ndp, c.d_dom))),
                 labels("X=D{} Y=P{}", rD, rP))
             # umbilicity: least-squares normal factor over the D-pairs
-            gij = ctx.ginner(c.d_amb[:, :, None], c.d_amb[:, None])
-            denom = (gij ** 2).reshape(len(gij), -1).sum(axis=1)
             L = (np.einsum("...ij,...ijk->...k", gij, h_dd)
                  / np.maximum(denom, 1e-300)[:, None])
             fit = h_dd - np.einsum("...ij,...k->...ijk", gij, L)
@@ -414,7 +410,7 @@ def classify_geodesic(cr, samples, tol=1e-8):
             add(f"d-umbilic{sfx}", fit_resid)
             add(f"d-umbilic-factor{sfx}", ctx.gnorm(L))
             # the umbilic test decides per sample, at that sample's scale
-            umbilic = fit_resid <= tol * (1.0 + scale)
+            umbilic = fit_resid <= tol * (1.0 + c.scale)
             add(f"umbilic-implies-geodesic{sfx}",
                 np.where(umbilic, ctx.gnorm(L), 0.0))
             # foliate consequence: h(phiX, phiY) = -h(X, Y) on D
@@ -454,7 +450,7 @@ def check_mixed_geodesic_consequences(cr, samples, tol=1e-8):
 
     for c in cr.contexts(samples):
         ctx = c.ctx
-        add = res.adder(_scale(c.G, ctx.phi.val), c.index)
+        add = res.adder(c.scale, c.index)
         xv = labels("X=D{} V=N{}", len(cr.D), len(ctx.normal_jets))
         cv_jets = [ctx.f_jet(V) for V in ctx.normal_jets]
         # each identity pairs one connection's derivative of (phi V)-perp
@@ -538,7 +534,7 @@ def check_cr_product(cr, samples, tol=1e-8):
     for c in cr.contexts(samples):
         ctx = c.ctx
         N = len(c.index)
-        add = res.adder(_scale(c.G, ctx.phi.val), c.index)
+        add = res.adder(c.scale, c.index)
         x_dom = np.concatenate([c.d_dom, c.xi_dom[:, None]], axis=1)
         x_amb = np.concatenate([c.d_amb, c.xi[:, None]], axis=1)
         eta_x = ctx.eta_of(x_amb)

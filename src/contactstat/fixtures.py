@@ -65,12 +65,20 @@ def _flat7_ambient(frame_orthonormal):
             "K": {"lambda": 1.0}}
 
 
+def _doc(name, ambient, tolerance, submanifold=None):
+    """A fixture document, sampling 64 seeded points of the box [-1, 1]."""
+    sub = {} if submanifold is None else {"submanifold": submanifold}
+    return {"name": name, "ambient": ambient, **sub,
+            "sampling": {"mode": "seeded-random", "seed": 42, "count": 64,
+                         "box": [-1.0, 1.0]},
+            "tolerance": {"default": tolerance}}
+
+
 def _paper_r7(frame_orthonormal):
-    return {
-        "name": ("paper-r7-frame-orthonormal" if frame_orthonormal
-                 else "paper-r7-euclidean"),
-        "ambient": _flat7_ambient(frame_orthonormal),
-        "submanifold": {
+    return _doc(
+        "paper-r7-frame-orthonormal" if frame_orthonormal
+        else "paper-r7-euclidean",
+        _flat7_ambient(frame_orthonormal), 1e-8, {
             "dim": 5,
             "embedding": ["x1", "x2", "x3+x4", "0", "0", "x4-x3", "x5"],
             "D": [["1", "0", "0", "0", "0"],
@@ -78,65 +86,29 @@ def _paper_r7(frame_orthonormal):
                   ["0", "0", "0", "0", "1"]],
             "Dperp": [["0", "0", "1", "0", "0"],
                       ["0", "0", "0", "1", "0"]],
-        },
-        "sampling": {"mode": "seeded-random", "seed": 42, "count": 64,
-                     "box": [-1.0, 1.0]},
-        "tolerance": {"default": 1e-8},
-    }
+        })
 
 
-def _fix_s3():
-    return {
-        "name": "fix-s3",
-        "ambient": _sasaki_ambient(1, lam=1.0),
-        "sampling": {"mode": "seeded-random", "seed": 42, "count": 64,
-                     "box": [-1.0, 1.0]},
-        "tolerance": {"default": 1e-7},
-    }
-
-
-def _fix_cr5():
-    return {
-        "name": "fix-cr5",
-        "ambient": _sasaki_ambient(2, lam=1.0),
-        "submanifold": {
-            "dim": 4,
-            "embedding": ["x1", "x2", "x4", "0", "x3"],
-            "D": [["1", "0", "0", "0"],
-                  ["0", "1", "0", "0"],
-                  ["0", "0", "2", "0"]],
-            "Dperp": [["0", "0", "0", "1"]],
-        },
-        "sampling": {"mode": "seeded-random", "seed": 42, "count": 64,
-                     "box": [-1.0, 1.0]},
-        "tolerance": {"default": 1e-6},
-    }
-
-
-def _sasaki_r7_cr():
-    return {
-        "name": "sasaki-r7-cr",
-        "ambient": _sasaki_ambient(3, lam=1.0),
-        "submanifold": {
-            "dim": 4,
-            "embedding": ["x1", "x2", "x4", "0", "0", "0", "x3"],
-            "D": [["1", "0", "0", "0"],
-                  ["0", "1", "0", "0"],
-                  ["0", "0", "2", "0"]],
-            "Dperp": [["0", "0", "0", "1"]],
-        },
-        "sampling": {"mode": "seeded-random", "seed": 42, "count": 64,
-                     "box": [-1.0, 1.0]},
-        "tolerance": {"default": 1e-6},
-    }
+def _sasaki_cr(name, npairs, embedding):
+    """A 4-dimensional CR submanifold of the chart on R^(2 npairs + 1): D
+    spanned by e1, e2 and the Reeb direction 2 e3, D-perp by e4."""
+    return _doc(name, _sasaki_ambient(npairs, lam=1.0), 1e-6, {
+        "dim": 4,
+        "embedding": embedding,
+        "D": [["1", "0", "0", "0"],
+              ["0", "1", "0", "0"],
+              ["0", "0", "2", "0"]],
+        "Dperp": [["0", "0", "0", "1"]],
+    })
 
 
 _BUILDERS = {
     "paper-r7-euclidean": lambda: _paper_r7(False),
     "paper-r7-frame-orthonormal": lambda: _paper_r7(True),
-    "fix-s3": _fix_s3,
-    "fix-cr5": _fix_cr5,
-    "sasaki-r7-cr": _sasaki_r7_cr,
+    "fix-s3": lambda: _doc("fix-s3", _sasaki_ambient(1, lam=1.0), 1e-7),
+    "fix-cr5": lambda: _sasaki_cr("fix-cr5", 2, ["x1", "x2", "x4", "0", "x3"]),
+    "sasaki-r7-cr": lambda: _sasaki_cr(
+        "sasaki-r7-cr", 3, ["x1", "x2", "x4", "0", "0", "0", "x3"]),
 }
 
 

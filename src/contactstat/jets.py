@@ -35,18 +35,8 @@ class Jet:
         self.val = np.asarray(val, dtype=float)
         self.d = np.asarray(d, dtype=float)
 
-    @property
-    def m(self):
-        return self.d.shape[-1]
-
-    def __add__(self, other):
-        return Jet(self.val + other.val, self.d + other.d)
-
     def __sub__(self, other):
         return Jet(self.val - other.val, self.d - other.d)
-
-    def __neg__(self):
-        return Jet(-self.val, -self.d)
 
 
 def jconst(arr, m):

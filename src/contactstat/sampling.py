@@ -48,10 +48,6 @@ class Samples:
         """The set at its first point, with `count` and `resampled` kept."""
         return replace(self, points=self.points[:1])
 
-    @property
-    def dim(self):
-        return self.points.shape[1]
-
 
 def sample_box(dim, count=DEFAULT_COUNT, seed=DEFAULT_SEED, box=DEFAULT_BOX,
                accept=None):

@@ -93,11 +93,16 @@ def _integer(value):
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _number(value):
+    """Whether the value is an int or a float; JSON's true and false are
+    not, and neither is a numeric string."""
+    return _integer(value) or isinstance(value, float)
+
+
 def _finite(*values):
     """Whether every value is a number with a finite float value."""
     try:
-        return all((_integer(v) or isinstance(v, float)) and math.isfinite(v)
-                   for v in values)
+        return all(_number(v) and math.isfinite(v) for v in values)
     except OverflowError:
         return False
 
@@ -154,6 +159,8 @@ def from_doc(doc, origin="<doc>"):
     for key in doc:
         if key not in _TOP_KEYS:
             col.error(f"{origin}.{key}", "unknown key")
+    if not isinstance(doc.get("name", ""), str):
+        col.error(f"{origin}.name", "expected a string")
     amb = doc.get("ambient")
     if not isinstance(amb, dict):
         col.error(f"{origin}.ambient", "required mapping missing")
@@ -267,11 +274,15 @@ def from_doc(doc, origin="<doc>"):
                 col.error(f"{origin}.sampling.{key}",
                           "no block of this kind to sample")
                 continue
+            numbers = isinstance(pts, (list, tuple)) and all(
+                isinstance(row, (list, tuple)) and all(map(_number, row))
+                for row in pts)
             try:
-                arr = np.asarray(pts, dtype=float)
-            except (TypeError, ValueError, OverflowError):
-                arr = np.zeros((0, want))
-            if arr.ndim != 2 or arr.shape[1] != want or arr.shape[0] < 1:
+                arr = np.asarray(pts, dtype=float) if numbers else None
+            except (ValueError, OverflowError):
+                arr = None
+            if (arr is None or arr.ndim != 2 or arr.shape[1] != want
+                    or arr.shape[0] < 1):
                 col.error(f"{origin}.sampling.{key}",
                           f"expected a non-empty list of {want}-vectors "
                           "of numbers")

@@ -26,7 +26,7 @@ import numpy as np
 
 from .exprlang import Const, DomainError
 from .geometry import (INPUT_ERRORS, GeometryError, Grid, MetricField,
-                       VectorField, _coerce_expr, _map)
+                       _coerce_expr, _map)
 from .jets import (Jet, _tr, jconst, jinv, jmatmat, jmatvec, jscale, jT,
                    jvecdot)
 from .report import Residuals, labels
@@ -223,8 +223,10 @@ class GWData:
     (N, labels..., n): label axes sit between the sample axis and the
     vector axis, and the per-sample matrices broadcast over them.
 
-    Derived jet fields (push, t, f) are memoised for the life of the
-    context; the covariant derivatives that `nabla` returns are not kept."""
+    `frame` is the coordinate frame d/du^i along the map, the Jacobian
+    columns as jets.  Derived jet fields (push, t, f) are memoised for the
+    life of the context; the covariant derivatives that `nabla` returns
+    are not kept."""
 
     def __init__(self, mg, points, index):
         self.points = points
@@ -250,6 +252,8 @@ class GWData:
                                                   jmatmat(jT(self.J), self.G)))
             self.Pi_nor = jconst(np.eye(n), m) - self.Pi_tan
 
+            self.frame = [Jet(self.J.val[:, :, i], self.J.d[:, :, i, :])
+                          for i in range(m)]
             self.normal_jets = self._normal_frame()
             # the value-level frame: gram matrix of the tangent basis, and
             # the normal basis as columns, g-orthonormal
@@ -291,9 +295,7 @@ class GWData:
 
     def _normal_frame(self):
         m, n = self.m, self.n
-        tangent_cols = [Jet(self.J.val[:, :, i], self.J.d[:, :, i, :])
-                        for i in range(m)]
-        tan_on = self._gs(tangent_cols, [])
+        tan_on = self._gs(self.frame, [])
         if len(tan_on) < m:
             raise RankDropError(self.points[0])
         eye = np.broadcast_to(np.eye(n), (len(self.points), n, n))
@@ -467,7 +469,6 @@ def check_gauss_weingarten(mg, samples, tol=1e-7):
                 "X g(Y,Z) = g(∇_X Y, Z) + g(Y, ∇*_X Z) on the submanifold",
         })
 
-    frame = [VectorField.coordinate(m, i) for i in range(m)]
     xy = labels("X=u{} Y=u{}", m, m)
     xyz = labels("X=u{} Y=u{} Z=u{}", m, m, m)
     for ctx in ctxs:
@@ -482,9 +483,8 @@ def check_gauss_weingarten(mg, samples, tol=1e-7):
         # (h) part of nabla-bar_{u_i} u_j, and [:, i, k] is the shape
         # operator of normal k along u_i
         nab, h, A = {}, {}, {}
-        pushes = [ctx.push_jet(Y) for Y in frame]
         for star, sfx in ((False, ""), (True, "-dual")):
-            v = along(ctx.nabla(pushes, star), ctx.coords)
+            v = along(ctx.nabla(ctx.frame, star), ctx.coords)
             nab[star] = ctx.tangential(v)
             h[star] = v - nab[star]
             v = nab[star] + h[star]
@@ -593,7 +593,6 @@ def check_transport_identities(mg, samples, tol=1e-8):
             "h-xi": "h(X, ξ) = -FX",
             "h-xi-alt-sign": "h(X, ξ) = FX",
         })
-    frame = [VectorField.coordinate(m, i) for i in range(m)]
     xs, xy = labels("X=u{}", m), labels("X=u{} Y=u{}", m, m)
 
     for ctx in mg.contexts(samples):
@@ -601,12 +600,11 @@ def check_transport_identities(mg, samples, tol=1e-8):
         X, U = ctx.tangents, ctx.coords
         xiv = ctx.xi.val
         # [:, i, j] along u_i of the frame field u_j, of its T and F parts
-        pushes = [ctx.push_jet(Y) for Y in frame]
-        v = along(ctx.nabla(pushes, star=True), U)
+        v = along(ctx.nabla(ctx.frame, star=True), U)
         nab_star = ctx.tangential(v)
         hstar = ctx.normal_part(v)
-        dt = along(ctx.nabla([ctx.t_jet(Y) for Y in pushes]), U)
-        df = along(ctx.nabla([ctx.f_jet(Y) for Y in pushes]), U)
+        dt = along(ctx.nabla([ctx.t_jet(Y) for Y in ctx.frame]), U)
+        df = along(ctx.nabla([ctx.f_jet(Y) for Y in ctx.frame]), U)
         # tangential transport
         lhs = (ctx.tangential(dt) - ctx.t_val(nab_star) + ctx.tangential(df)
                - ctx.tangential(ctx.phi_val(hstar)))

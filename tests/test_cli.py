@@ -204,6 +204,8 @@ class TestBadValues:
         ({"mode": "points", "ambient": [[0, 0], [0, 0, 0]]},
          "sampling.ambient"),
         ({"mode": "points", "ambient": [[0, 0, float("nan")]]},
+         "sampling.ambient"),
+        ({"mode": "points", "ambient": [[True, "0.5", 1e-1]]},
          "sampling.ambient")])
     def test_spec_sampling_out_of_range_exit_two(self, tmp_path, capsys,
                                                  sampling, key):
@@ -216,6 +218,30 @@ class TestBadValues:
         assert out == ""
         assert err.startswith(f"error: {path}.{key}: ")
         assert "Traceback" not in err
+
+    def test_spec_domain_point_not_a_number_exit_two(self, tmp_path,
+                                                     capsys):
+        # a numeric string and JSON's false were read as 0.1 and 0.0
+        doc = fixture_doc("fix-cr5")
+        doc["sampling"] = {"mode": "points",
+                           "domain": [["0.1", 0.2, False, 0.3]]}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "check", "--spec", str(path),
+                                "--suites", "submanifold")
+        assert (code, out) == (2, "")
+        assert err == (f"error: {path}.sampling.domain: expected a non-empty "
+                       "list of 4-vectors of numbers\n")
+
+    @pytest.mark.parametrize("name", [["a list"], 7, None])
+    def test_spec_name_not_a_string_exit_two(self, tmp_path, capsys, name):
+        doc = fixture_doc("fix-s3")
+        doc["name"] = name
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "check", "--spec", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}.name: expected a string\n"
 
     @pytest.mark.parametrize("value", [-1, 0, float("nan"), float("inf"),
                                        True])

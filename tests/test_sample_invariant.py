@@ -306,6 +306,6 @@ def test_collapsed_keeps_the_count_and_the_first_point():
     s = sample_box(3, count=5, seed=1)
     s = Samples(points=s.points, resampled=2)
     c = s.collapsed()
-    assert (c.count, c.resampled, c.dim) == (5, 2, 3)
+    assert (c.count, c.resampled, c.points.shape[1]) == (5, 2, 3)
     np.testing.assert_array_equal(c.points, s.points[:1])
     assert c.collapsed().count == 5

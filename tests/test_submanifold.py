@@ -18,7 +18,7 @@ from contactstat.crchecks import (CRStructure, check_contact_cr,
                                   check_mixed_geodesic_consequences,
                                   classify_geodesic, mixed_geodesic_verdict)
 from contactstat.exprlang import Const, DomainError
-from contactstat.fixtures import fixture_doc
+from contactstat.fixtures import fixture_doc, fixture_names
 from contactstat.geometry import (ConnField, GeometryError, MetricField,
                                   StatTriple, VectorField, check_statistical,
                                   metric_samples)
@@ -293,6 +293,56 @@ class TestReportsOverSetsAgreeWithSinglePoints:
         for name in ("h-symmetry", "hstar-symmetry"):
             assert rep.record(name).residual == 4.0
             assert rep.record(name).witness == {"sample": 1}
+
+
+def _frame_case(case):
+    """A MapGeometry and a sample set for the coordinate-frame tests."""
+    if case == "circle":
+        return (MapGeometry(circle(), flat_statistical(2)),
+                Samples([[0.0], [np.pi / 2], [1.0]]))
+    name, comps = ((case, None) if case in fixture_names()
+                   else BENT_EMBEDDINGS[1])
+    doc = fixture_doc(name)
+    if comps is not None:
+        doc["submanifold"]["embedding"] = comps
+    spec = from_doc(doc)
+    return (map_geometry(spec.embedding, spec.sss),
+            sample_box(spec.embedding.m, count=8, seed=5))
+
+
+class TestOneCoordinateFrame:
+    """ctx.frame, the Jacobian columns as jets, is the frame that pushing
+    the coordinate fields d/du^i gives, and no check builds another."""
+
+    @pytest.mark.parametrize("case", ["circle", "sasaki-r7-cr",
+                                      "paper-r7-euclidean", "fix-cr5-bent"])
+    def test_frame_is_the_pushed_coordinate_fields(self, case):
+        mg, samples = _frame_case(case)
+        ctxs = mg.contexts(samples)
+        # the circle splits into two drop patterns
+        assert len(ctxs) == (2 if case == "circle" else 1)
+        for ctx in ctxs:
+            assert len(ctx.frame) == ctx.m
+            for i, col in enumerate(ctx.frame):
+                pushed = ctx.push_jet(VectorField.coordinate(ctx.m, i))
+                # equal as numbers, not as bytes: the Jacobian holds -0.0
+                # where the product with e_i gives +0.0
+                assert np.array_equal(col.val, pushed.val)
+                assert np.array_equal(col.d, pushed.d)
+
+    def test_checks_evaluate_only_generators_and_brackets(self):
+        cr = from_doc(fixture_doc("sasaki-r7-cr")).cr_structure()
+        samples = sample_box(4, count=6, seed=3)
+        for run in _cr_runs(cr):
+            run(samples)
+        [c] = cr.contexts(samples)
+        gens = [*cr.D, *cr.Dperp]
+        brackets = [*cr._brackets["D"], *cr._brackets["Dperp"]]
+        dom = [key[1] for key in c.ctx._jets if key[0] == "dom"]
+        push = [key[1] for key in c.ctx._jets if key[0] == "push"]
+        assert len(dom) == 7
+        assert {id(X) for X in dom} == {id(X) for X in gens + brackets}
+        assert {id(X) for X in push} == {id(X) for X in gens}
 
 
 def dbar_reference(ctx, x, W, star):
