@@ -23,7 +23,7 @@ import numpy as np
 
 from .exprlang import Const
 from .geometry import (ConnField, GeometryError, Grid, StatTriple,
-                       VectorField, _coerce_expr, levi_civita)
+                       VectorField, _coerce_expr)
 from .report import Residuals
 
 __all__ = [
@@ -71,9 +71,8 @@ def _gnorm(gv, vecs):
 def _nabla_phi_xi(gam_a, gam_b, phi, dphi, xiv, dxi):
     """nabla^a_i (phi e_j) - phi nabla^b_i e_j, [n, k, i, j], and
     nabla^a_i xi, [n, i, k], for connection coefficients gam_a and gam_b."""
-    nphi = (np.moveaxis(dphi, -1, 2)
-            + np.einsum("nkil,nlj->nkij", gam_a, phi)
-            - np.einsum("nkl,nlij->nkij", phi, gam_b))
+    nphi = np.moveaxis(dphi, -1, 2) + np.einsum("nkil,nlj->nkij", gam_a, phi)
+    nphi -= np.einsum("nkl,nlij->nkij", phi, gam_b)
     nxi = np.transpose(dxi, (0, 2, 1)) + np.einsum("nkil,nl->nik", gam_a, xiv)
     return nphi, nxi
 
@@ -151,7 +150,8 @@ def check_contact_metric(acs, g, samples, tol=1e-8):
 
 def check_sasakian(acs, g, samples, tol=1e-8):
     """Residuals of the two Sasakian axioms with the Levi-Civita connection
-    of g, over coordinate-frame arguments."""
+    of g (the set's shared batch, `MetricField.christoffel`), over
+    coordinate-frame arguments."""
     pts = samples.points
     d = pts.shape[1]
     res = Residuals("sasakian", {"samples": samples.count, "dim": d}, {
@@ -160,7 +160,7 @@ def check_sasakian(acs, g, samples, tol=1e-8):
     })
 
     gv = g.at(pts)
-    gam = levi_civita(g, pts)
+    gam = g.christoffel(samples)
     phi = acs.phi.at(pts)
     dphi = acs.phi.partials.at(pts)  # [n, a, b, i] = d_i phi^a_b
     xiv = acs.xi.at(pts)
@@ -197,8 +197,8 @@ def _transport_records(add, prefix, gam_a, gam_b, gv, phi, dphi, xiv, dxi,
     add(f"{prefix}xi-transport-alt-sign", _gnorm(gv, corrected - phicols))
     del nxi, comp, corrected
 
-    rhs = (np.einsum("nij,nk->nkij", gv, xiv)
-           - np.einsum("nj,ki->nkij", etav, eye))
+    rhs = np.einsum("nij,nk->nkij", gv, xiv)
+    rhs -= np.einsum("nj,ki->nkij", etav, eye)
     add(f"{prefix}phi-transport",
         _gnorm(gv, np.transpose(lhs - rhs, (0, 2, 3, 1))))
     add(f"{prefix}phi-transport-alt-sign",
@@ -234,15 +234,15 @@ def check_sasakian_statistical(sss, samples, tol=1e-8):
     xiv = acs.xi.at(pts)
     dxi = acs.xi.partials.at(pts)
     etav = acs.eta.at(pts)
-    lc, gam, gam_star = st.gammas(pts)
+    lc, gam, gam_star = st.connections(samples)
     kt = gam - lc
-    del lc  # only K is needed from here; free a full batch
     add = res.adder(float(max(np.abs(gv).max(), np.abs(phi).max(),
                               np.abs(gam).max(), np.abs(gam_star).max(), 1.0)))
 
     anticomm = (np.einsum("nkil,nlj->nkij", kt, phi)
                 + np.einsum("nkl,nlij->nkij", phi, kt))
     add("k-phi-anticommute", _gnorm(gv, np.transpose(anticomm, (0, 2, 3, 1))))
+    del kt, anticomm  # the set's batch stays alive; free two of ours
 
     _transport_records(add, "", gam, gam_star, gv, phi, dphi, xiv, dxi, etav)
     _transport_records(add, "dual-", gam_star, gam, gv, phi, dphi, xiv, dxi,

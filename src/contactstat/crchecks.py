@@ -13,11 +13,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .geometry import GeometryError, lie_bracket
+from .geometry import GeometryError, _built_once, lie_bracket
 from .jets import jmatvec
 from .report import Residuals, labels
-from .submanifold import (GWData, _built_once, _by_pattern, _needs_acs,
-                          _over, _scale, _tr, _uniform, along)
+from .submanifold import (GWData, _by_pattern, _needs_acs, _over, _scale,
+                          _tr, _uniform, along)
 
 __all__ = [
     "CRStructure",

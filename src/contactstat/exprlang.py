@@ -451,7 +451,12 @@ def _pow(a, n):
         return a
     ca = a.const_value()
     if ca is not None:
-        return Const(ca ** n)
+        try:
+            return Const(ca ** n)
+        except OverflowError:
+            # float ** raises where float * and / give ±inf; fold to the
+            # same ±inf, so that the domain policy reports it
+            return Const(math.copysign(math.inf, ca) if n % 2 else math.inf)
     return Bin("^", a, Const(float(n)))
 
 

@@ -16,7 +16,15 @@ difference tensor K.  The Levi-Civita symbols are evaluated numerically
 connections, ∇ = ∇̂ + K and its dual ∇* = ∇̂ − K, are read from that one
 evaluation.  A constant metric has ∇̂ = 0 and is inverted only once, to
 check that it is invertible.
+
+The connection batch (Γ̂, Γ, Γ*) of an ambient sample set is built once per
+set, or per block of a set that is checked in blocks, and the ambient and
+contact checks that read it share it: `StatTriple.connections` and, for Γ̂
+alone, `MetricField.christoffel` remember the last set each thread asked
+for (`_built_once`, the memo the domain contexts use too).
 """
+
+import threading
 
 import numpy as np
 
@@ -47,6 +55,32 @@ class SingularMetricError(GeometryError):
 # the errors that mean a check cannot be evaluated on its input; each
 # becomes that check's failed engine-precondition record
 INPUT_ERRORS = (GeometryError, DomainError, np.linalg.LinAlgError)
+
+
+def _built_once(owner, samples, build):
+    """build(samples), attempted once per sample set: the result, or the
+    input error that stopped it, is kept for the set `owner` saw last on
+    the calling thread (`owner._built` is a threading.local), so threads
+    checking blocks of one set never read each other's batches.  The old
+    set's result is dropped before the new set's is built."""
+    memo = owner._built
+    if getattr(memo, "samples", None) is not samples:
+        memo.samples = memo.result = None
+        try:
+            memo.result = build(samples)
+        except INPUT_ERRORS as e:
+            memo.result = e
+        memo.samples = samples
+    if isinstance(memo.result, Exception):
+        raise memo.result
+    return memo.result
+
+
+def _forget_built(*owners):
+    """Drop what `_built_once` keeps for `owners` on the calling thread,
+    once the checks of its set are done."""
+    for owner in owners:
+        vars(owner._built).clear()
 
 
 def _coerce_expr(e, dim):
@@ -186,6 +220,7 @@ class MetricField(Grid):
             grid[j][i] = expr
         self.entries = tuple(tuple(row) for row in grid)
         super().__init__(self.entries, dim)
+        self._built = threading.local()
 
     @classmethod
     def euclidean(cls, dim):
@@ -205,6 +240,12 @@ class MetricField(Grid):
         if bad.any():
             raise SingularMetricError(np.asarray(points)[bad][0])
         return np.linalg.inv(g)
+
+    def christoffel(self, samples):
+        """The Levi-Civita symbols at a sample set's points, built once for
+        the set on the calling thread."""
+        return _built_once(self, samples,
+                           lambda s: levi_civita(self, s.points))
 
     def min_eigenvalue_at(self, points):
         """The smallest eigenvalue at each point; NaN where an entry is not
@@ -296,6 +337,7 @@ class StatTriple:
         self.g = g
         self.K = K
         self._minus_K = None
+        self._built = threading.local()
         if g.is_constant:
             g.inverse_at(np.zeros((1, g.dim)))  # invertibility, reported early
 
@@ -321,17 +363,25 @@ class StatTriple:
         """The dual structure (g, ∇*), whose difference tensor is -K."""
         return StatTriple(self.g, self._dual_K())
 
-    def gammas(self, points):
+    def gammas(self, points, levi=None):
         """(Γ̂, Γ, Γ*) at each point, each [n, k, i, j], from one
-        Levi-Civita evaluation.  A constant metric has Γ̂ = 0, so Γ = K and
-        Γ* = -K come straight from their symbolic grids, and a constant
-        grid stays a broadcast view instead of a full batch."""
+        Levi-Civita evaluation, levi() when given.  A constant metric has
+        Γ̂ = 0, so Γ = K and Γ* = -K come straight from their symbolic
+        grids, and a constant grid stays a broadcast view instead of a full
+        batch."""
         k = self.K.gamma_at(points)
         if self.g.is_constant:
             return (np.broadcast_to(0.0, k.shape), k,
                     self._dual_K().gamma_at(points))
-        lc = levi_civita(self.g, points)
+        lc = levi_civita(self.g, points) if levi is None else levi()
         return lc, lc + k, lc - k
+
+    def connections(self, samples):
+        """gammas at a sample set's points, built once for the set on the
+        calling thread, with the metric's own Γ̂ of the set.  An input error
+        that stops the build is raised again to every caller of the set."""
+        return _built_once(self, samples, lambda s: self.gammas(
+            s.points, lambda: self.g.christoffel(s)))
 
 
 def metric_samples(g, count=DEFAULT_COUNT, seed=DEFAULT_SEED, box=DEFAULT_BOX):
@@ -368,7 +418,7 @@ def check_statistical(st, samples, tol=1e-8):
     res.add("metric-positive-definite", np.maximum(0.0, -min_eig),
             scale=float(np.abs(gv).max()))
 
-    lc, gam, gam_star = st.gammas(pts)
+    lc, gam, gam_star = st.connections(samples)
     add = res.adder(float(max(np.abs(gam).max(), np.abs(gam_star).max(),
                               np.abs(gv).max(), 1.0)))
 

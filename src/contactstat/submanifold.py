@@ -25,7 +25,7 @@ import threading
 import numpy as np
 
 from .exprlang import Const, DomainError
-from .geometry import (INPUT_ERRORS, GeometryError, Grid, MetricField,
+from .geometry import (GeometryError, Grid, MetricField, _built_once,
                        _coerce_expr, _map)
 from .jets import (Jet, _tr, jconst, jinv, jmatmat, jmatvec, jscale, jT,
                    jvecdot)
@@ -115,25 +115,6 @@ def _checked(grids, points):
         raise DomainError("non-finite result", exprs[int(row.argmax())],
                           points[s])
     return [v for v, _ in got]
-
-
-def _built_once(owner, samples, build):
-    """build(samples), attempted once per sample set: the result, or the
-    input error that stopped it, is kept for the set `owner` saw last on
-    the calling thread (`owner._built` is a threading.local), so threads
-    checking blocks of one set never read each other's contexts.  The old
-    set's contexts are dropped before the new set's are built."""
-    memo = owner._built
-    if getattr(memo, "samples", None) is not samples:
-        memo.samples = memo.result = None
-        try:
-            memo.result = build(samples)
-        except INPUT_ERRORS as e:
-            memo.result = e
-        memo.samples = samples
-    if isinstance(memo.result, Exception):
-        raise memo.result
-    return memo.result
 
 
 class _Split(Exception):
@@ -392,7 +373,7 @@ def along(nab, dirs):
 def _over(a, v):
     """The per-sample array `a` with a unit axis for each label axis of the
     vectors `v`, (N, labels..., k), so that it broadcasts over them."""
-    return np.expand_dims(a, tuple(range(1, v.ndim - 1)))
+    return a.reshape(a.shape[:1] + (1,) * (v.ndim - 2) + a.shape[1:])
 
 
 def _jrecip_sqrt(s):

@@ -497,6 +497,27 @@ class TestEnginePreconditions:
         [stat] = json.loads(out)["suites"]["ambient"]["checks"]
         assert not stat["passed"]
 
+    @pytest.mark.parametrize("comp,at", [
+        ("x1/1e200", ("embedding", 0)),
+        ("x1+2^1100*0", ("embedding", 0)),
+        ("1+x1/1e200", ("D", 0))])
+    def test_an_overflowing_constant_power_is_no_traceback(
+            self, tmp_path, capsys, comp, at):
+        # folding a constant power past the float range gives inf, as the
+        # float product and quotient do, where Python's ** would raise
+        doc = fixture_doc("fix-cr5")
+        key, i = at
+        if key == "D":
+            doc["submanifold"]["D"][i] = [comp, "0", "0", "0"]
+        else:
+            doc["submanifold"]["embedding"][i] = comp
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "check", "--spec", str(path),
+                                "--samples", "8", "--format", "structured")
+        assert code in (1, 2)
+        assert "Traceback" not in err and "OverflowError" not in out + err
+
     def test_dependent_generators_name_the_distribution_and_point(
             self, tmp_path, capsys):
         doc = fixture_doc("fix-cr5")
@@ -564,6 +585,70 @@ class TestBlocks:
             outputs.append(invoke(capsys, *argv))
         assert outputs[0][0] == 1
         assert outputs[1:] == outputs[:1] * 2
+
+
+class TestConnectionBatch:
+    """The ambient and contact checks of one sample set, or of one block of
+    it, share one connection batch (geometry.StatTriple.connections)."""
+
+    @pytest.mark.parametrize("samples,blocks", [(64, 1), (3000, 3)])
+    def test_one_levi_civita_build_per_set_or_block(
+            self, capsys, monkeypatch, samples, blocks):
+        from contactstat import geometry
+
+        builds = []
+        levi_civita = geometry.levi_civita
+
+        def counted(g, points):
+            builds.append(len(points))
+            return levi_civita(g, points)
+
+        monkeypatch.setattr(geometry, "levi_civita", counted)
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        code, out, err = invoke(capsys, "check", "--spec", "sasaki-r7-cr",
+                                "--suites", "ambient,contact", "--samples",
+                                str(samples), "--format", "structured")
+        # sasaki-r7-cr fails the no-half d-eta convention by design
+        assert (code, err) == (1, "")
+        assert sorted(builds) == sorted(
+            min(cli.BLOCK, samples - a) for a in range(0, samples, cli.BLOCK))
+        assert len(builds) == blocks
+
+    @pytest.mark.parametrize("count,at", [(8, 3), (cli.BLOCK + 76, 0),
+                                          (cli.BLOCK + 76, cli.BLOCK + 10)])
+    def test_a_singular_metric_fails_every_reader_of_the_batch(
+            self, tmp_path, capsys, monkeypatch, count, at):
+        # g_22 = x1^2/4 is singular at the one listed point with x1 = 0
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        doc = fixture_doc("fix-s3")
+        doc["ambient"]["metric"]["2 2"] = "x1^2/4"
+        pts = np.random.default_rng(count).uniform(0.1, 1.0, size=(count, 3))
+        pts[at, 0] = 0.0
+        doc["sampling"] = {"mode": "points", "ambient": pts.tolist()}
+        path = tmp_path / "singular-point.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = invoke(capsys, "check", "--spec", str(path),
+                                "--suites", "ambient,contact",
+                                "--format", "structured")
+        assert (code, err) == (1, "")
+        suites = json.loads(out)["suites"]
+        checks = {c["check"]: c for suite in ("ambient", "contact")
+                  for c in suites[suite]["checks"]}
+        for name in ("statistical", "sasakian", "sasakian-statistical"):
+            [rec] = checks[name]["records"]
+            assert rec["name"] == "engine-precondition"
+            assert rec["note"] == ("SingularMetricError: metric is singular "
+                                   f"near point {pts[at].tolist()}")
+        # the two checks that do not read the batch keep their records
+        for name in ("almost-contact", "contact-metric"):
+            assert "engine-precondition" not in [
+                r["name"] for r in checks[name]["records"]]
+
+    def test_no_batch_outlives_its_set(self):
+        spec = load_spec("sasaki-r7-cr")
+        run(spec, ["ambient", "contact", "submanifold"], count=16)
+        st = spec.sss.st
+        assert vars(st._built) == {} and vars(st.g._built) == {}
 
 
 class TestCheckLookup:

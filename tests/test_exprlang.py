@@ -162,6 +162,27 @@ class TestDiff:
         assert sin(Const(2.0)) * 0 == Const(0.0)
         assert parse("x1*0+1/0*0", 1).diff(0) != Const(0.0)
 
+    def test_an_overflowing_constant_power_folds_to_inf(self):
+        # Python's float ** raises OverflowError where * and / give ±inf;
+        # the folded constant is what the unfolded power evaluates to
+        for base, n in ((1e200, 2), (-1e200, 2), (-1e200, 3), (2.0, 1099)):
+            folded = Const(base) ** n
+            with np.errstate(over="ignore"):
+                want = Bin("^", Const(base), Const(float(n))).eval_many(
+                    np.zeros((1, 0)))[0]
+            assert isinstance(folded, Const) and math.isinf(want)
+            assert folded.value == want
+
+    @pytest.mark.parametrize("text", ["x1/1e200", "2^1100", "x1*2^1100"])
+    def test_derivatives_of_overflowing_constants_fold(self, text):
+        e = parse(text, 1)
+        d = e.diff(0)
+        e.substitute([parse("2*x1", 1)])
+        if "^1100" in text:
+            # d(2^1100) = 1100 * 2^1099 * 0 is inf * 0: not finite, so the
+            # domain policy reports it
+            assert not np.isfinite(d.eval_many(np.array([[0.5]]))).any()
+
     def test_chain_rule_sqrt(self):
         e = sqrt(Var(0) * Var(0) + 1.0)
         d = e.diff(0)

@@ -6,11 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import e7_structure, euclid_r7, koszul_fd
+from conftest import e7_structure, euclid_r7, koszul_fd, r7nu_structure
+from contactstat import geometry
 from contactstat.exprlang import Bin, Const, DomainError, Expr, Un, Var, parse
 from contactstat.geometry import (
     ConnField, Grid, MetricField, SingularMetricError, StatTriple, VectorField,
-    check_statistical, levi_civita, lie_bracket, metric_samples,
+    _forget_built, check_statistical, levi_civita, lie_bracket,
+    metric_samples,
 )
 from contactstat.sampling import Samples, sample_box
 from contactstat.specfile import load_spec
@@ -233,6 +235,86 @@ class TestCheckStatistical:
         a = check_statistical(st, metric_samples(st.g)).to_dict()
         b = check_statistical(st, metric_samples(st.g)).to_dict()
         assert a == b
+
+
+# -- the connection batch of a sample set -------------------------------------
+
+class TestConnectionBatch:
+    """(Γ̂, Γ, Γ*) of a sample set is built once per set on each thread and
+    shared by the checks that read it; the metric's Γ̂ is the same array."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+
+        def counted(g, points):
+            calls.append(len(points))
+            return levi_civita(g, points)
+
+        monkeypatch.setattr(geometry, "levi_civita", counted)
+        return calls
+
+    def test_one_build_per_set(self, builds):
+        st = r7nu_structure().st
+        a, b = sample_box(7, count=5, seed=1), sample_box(7, count=3, seed=2)
+        batch = st.connections(a)
+        assert all(x is y for x, y in zip(st.connections(a), batch))
+        assert st.g.christoffel(a) is batch[0]
+        assert builds == [5]
+        # bit for bit what one evaluation of the points gives (a build of
+        # its own)
+        for got, want in zip(batch, st.gammas(a.points)):
+            np.testing.assert_array_equal(got, want)
+        assert builds == [5, 5]
+        # only the last set is kept: a new set replaces it
+        st.connections(b)
+        st.connections(a)
+        assert builds == [5, 5, 3, 5]
+
+    def test_a_constant_metric_builds_no_batch(self, builds):
+        st = e7_structure().st
+        s = sample_box(7, count=4, seed=1)
+        lc, gam, gam_star = st.connections(s)
+        assert not lc.any() and builds == []
+        np.testing.assert_array_equal(gam, st.K.gamma_at(s.points))
+
+    def test_an_input_error_reaches_every_reader(self, builds):
+        g = MetricField(3, {(0, 0): "x1^2", (1, 1): "1", (2, 2): "1"})
+        st = StatTriple(g, ConnField.flat(3))
+        s = Samples(np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]))
+        with pytest.raises(SingularMetricError) as first:
+            st.connections(s)
+        assert "near point [0.0, 0.5, 0.5]" in str(first.value)
+        for read in (st.connections, g.christoffel):
+            with pytest.raises(SingularMetricError) as again:
+                read(s)
+            assert again.value is first.value
+        assert builds == [2]
+
+    def test_each_thread_builds_its_own(self, builds):
+        st = r7nu_structure().st
+        mine = sample_box(7, count=4, seed=1)
+        batch = st.connections(mine)
+        got = []
+        worker = threading.Thread(
+            target=lambda: got.append(st.connections(mine)))
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        # the worker built its own batch of the same set; this thread's
+        # batch is still the one it built
+        assert got[0][0] is not batch[0] and builds == [4, 4]
+        np.testing.assert_array_equal(got[0][1], batch[1])
+        assert st.connections(mine)[0] is batch[0]
+
+    def test_forgotten_once_the_set_is_done(self, builds):
+        st = r7nu_structure().st
+        s = sample_box(7, count=4, seed=1)
+        st.connections(s)
+        _forget_built(st, st.g)
+        assert vars(st._built) == {} and vars(st.g._built) == {}
+        st.connections(s)
+        assert builds == [4, 4]
 
 
 # -- the compiled evaluation plan of a grid ------------------------------------
