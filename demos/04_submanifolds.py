@@ -25,8 +25,9 @@ circle = Embedding(["cos(x1)", "sin(x1)"], 1)
 flat = StatTriple(MetricField.euclidean(2), ConnField.flat(2))
 [ctx] = MapGeometry(circle, flat).contexts(Samples([[0.7]]))
 # nabla-bar of the frame field d/dt (ctx.frame[0], the Jacobian column as a
-# jet) along d/dt (one field, one direction); its normal part is h(dt, dt)
-v = along(ctx.nabla([ctx.frame[0]]), ctx.coords)[:, 0, 0]
+# jet) along d/dt (one field, and `along` with no directions takes the
+# coordinate ones); its normal part is h(dt, dt)
+v = along(ctx.nabla([ctx.frame[0]]))[:, 0, 0]
 h = v - ctx.tangential(v)
 print("circle: h(dt, dt) =", np.round(h[0], 6),
       " |h| =", round(float(ctx.gnorm(h)[0]), 12))

@@ -31,8 +31,7 @@ from .crchecks import (CRStructure, check_contact_cr, check_cr_product,
                        check_mixed_geodesic_consequences, classify_geodesic,
                        mixed_geodesic_verdict)
 from .fixtures import fixture_doc, fixture_names
-from .geometry import (INPUT_ERRORS, _forget_built, check_statistical,
-                       metric_samples)
+from .geometry import INPUT_ERRORS, check_statistical, metric_samples
 from .report import CheckReport, Record, merge_blocks
 from .sampling import (DEFAULT_BOX, DEFAULT_COUNT, DEFAULT_SEED,
                        Samples, SamplingError, sample_box)
@@ -246,18 +245,18 @@ def run(spec, suites, seed=None, count=None, tol=None):
         suite_runs[suite] = _suite_runs(suite, spec, mg, cr, t)
 
     # every check that reads a sample set runs in one pass over the set;
-    # what its checks shared (the connection batch, the contexts) is
-    # dropped once they are done, so no set's arrays outlive its checks
+    # what its checks shared (the connection batch, the contexts, in the
+    # set's memo) is dropped once they are done, so no set's arrays
+    # outlive its checks
     reports = {}
-    for group, samples, owners in (
-            (("ambient", "contact"), ambient, (spec.sss.st, spec.sss.st.g)),
-            (("submanifold", "cr", "product"), domain, (mg, cr))):
+    for group, samples in ((("ambient", "contact"), ambient),
+                           (("submanifold", "cr", "product"), domain)):
         runs = [pair for s in suites if s in group
                 for pair in suite_runs[s]]
         if runs:
             reports.update(zip([name for name, _ in runs],
                                _check_set(runs, samples)))
-            _forget_built(*(o for o in owners if o is not None))
+            samples._built.clear()
     if "cr" in wanted:
         # the consequences take the classifier's verdict on the whole set
         reports["mixed-geodesic-consequences"] = mixed_geodesic_verdict(

@@ -8,12 +8,11 @@ derives one from the other.  Membership statements "v lies in S" are
 scored as the metric norm of v's component orthogonal to S.
 """
 
-import threading
 from dataclasses import replace
 
 import numpy as np
 
-from .geometry import GeometryError, _built_once, lie_bracket
+from .geometry import GeometryError, _built_once
 from .jets import jmatvec
 from .report import Residuals, labels
 from .submanifold import (GWData, _by_pattern, _needs_acs, _over, _scale,
@@ -45,12 +44,6 @@ class CRStructure:
                 raise GeometryError(
                     f"{name} generators need {m} components, one per "
                     "submanifold coordinate")
-        # the brackets of each distribution's generator pairs i < j
-        self._brackets = {
-            kind: [lie_bracket(gens[i], gens[j])
-                   for i, j in zip(*np.triu_indices(len(gens), 1))]
-            for kind, gens in (("D", self.D), ("Dperp", self.Dperp))}
-        self._built = threading.local()
 
     def contexts(self, samples):
         """A sample set's contexts, one per drop pattern of the shared
@@ -71,10 +64,14 @@ class CRStructure:
         return contexts
 
     def brackets_amb(self, c, kind):
-        """The pushed values, at a context's points, of the brackets of the
-        generator pairs i < j of D ("D") or of D-perp ("Dperp"): one row
-        per pair, in the (i, j) order of np.triu_indices."""
-        vals = [c.ctx.domain_jet(b).val for b in self._brackets[kind]]
+        """The pushed values, at a context's points, of the brackets
+        [X, Y] = dY X - dX Y of the generator pairs i < j of D ("D") or of
+        D-perp ("Dperp"), from the generators' jets: one row per pair, in
+        the (i, j) order of np.triu_indices."""
+        jets = [c.ctx.domain_jet(X) for X in getattr(self, kind)]
+        vals = [np.matvec(jets[j].d, jets[i].val)
+                - np.matvec(jets[i].d, jets[j].val)
+                for i, j in zip(*np.triu_indices(len(jets), 1))]
         return np.matvec(c.J[:, None], _as_rows(vals, c.ctx.m, len(c.index)))
 
 
@@ -109,10 +106,10 @@ class _CRContext:
     generators as (N, rank, m) rows in the domain and (N, rank, n) rows
     along the map, span projectors, the normal-bundle splitting into the
     image of the anti-invariant distribution and its invariant complement,
-    and the residual scale.  Generator and bracket values come from their
-    batched evaluation.  It keeps no reference to the CRStructure that
-    keeps it: that cycle would hold every array of the set's contexts
-    until the cyclic garbage collector ran, long after the run ended."""
+    and the residual scale.  Generator values come from their batched
+    evaluation.  It keeps no reference to the sample set whose memo keeps
+    it: that cycle would hold every array of the set's contexts until the
+    cyclic garbage collector ran, long after the run ended."""
 
     def __init__(self, cr, ctx):
         self.ctx = ctx
@@ -195,8 +192,7 @@ def check_contact_cr(cr, samples, tol=1e-8):
             abs(ctx.ginner(c.d_amb[:, :, None], c.dp_amb[:, None])),
             labels("X=D{} Z=P{}", rD, rP))
         add("d-invariance", c.off(ctx.phi_val(c.d_amb), c.P_D), ds)
-        add("dperp-anti-invariance",
-            ctx.gnorm(ctx.tangential(ctx.phi_val(c.dp_amb))), ps)
+        add("dperp-anti-invariance", ctx.gnorm(ctx.t_val(c.dp_amb)), ps)
         add("xi-in-d", c.off(c.xi, c.P_D))
         add("nu-invariance", c.off(ctx.phi_val(c.nu), c.P_nu),
             labels("ν{}", len(c.nu_jets)))
@@ -315,7 +311,6 @@ def check_dual_shape_identities(cr, samples, tol=1e-8):
     for c in cr.contexts(samples):
         ctx = c.ctx
         add = res.adder(c.scale, c.index)
-        U = ctx.coords
         nk = len(ctx.normal_jets)
         # A_{FY} Z symmetric in the two anti-invariant slots; [:, j, i] is
         # A_{phi Z_i} Z_j (one generator makes no pair)
@@ -333,17 +328,16 @@ def check_dual_shape_identities(cr, samples, tol=1e-8):
         add("b-shape-symmetric", ctx.gnorm(a[:, iv, iu] - a[:, iu, iv]),
             [f"U=N{u+1} V=N{v+1}" for u, v in zip(iu, iv)])
         xv = labels("X=u{} V=N{}", m, nk)
-        perp_star = ctx.normal_part(along(nstar, U))
+        perp_star = ctx.normal_part(along(nstar))
         lhs = (ctx.normal_part(along(
-            ctx.nabla([ctx.f_jet(V) for V in ctx.normal_jets]), U))
-               - ctx.normal_part(ctx.phi_val(perp_star)))
+            ctx.nabla([ctx.f_jet(V) for V in ctx.normal_jets])))
+               - ctx.f_val(perp_star))
         add("c-perp-parallel", ctx.gnorm(lhs), xv)
-        lhs = (ctx.tangential(along(ctx.nabla(bv_jets), U))
-               - ctx.tangential(ctx.phi_val(perp_star)))
+        lhs = ctx.tangential(along(ctx.nabla(bv_jets))) - ctx.t_val(perp_star)
         add("b-perp-parallel", ctx.gnorm(lhs), xv)
-        nab_star = ctx.tangential(along(ctx.nabla(ctx.frame, star=True), U))
+        nab_star = ctx.tangential(along(ctx.nabla(ctx.frame, star=True)))
         lhs = (ctx.normal_part(along(
-            ctx.nabla([ctx.f_jet(Y) for Y in ctx.frame]), U))
+            ctx.nabla([ctx.f_jet(Y) for Y in ctx.frame])))
                - ctx.f_val(nab_star))
         add("f-perp-parallel", ctx.gnorm(lhs),
             labels("X=u{} Y=u{}", m, m))
@@ -460,7 +454,7 @@ def check_mixed_geodesic_consequences(cr, samples, tol=1e-8):
             dcv = along(ctx.nabla(cv_jets, star), c.d_dom)
             nv = ctx.nabla(ctx.normal_jets, not star)
             dv = along(nv, c.d_dom)
-            phia = ctx.tangential(ctx.phi_val(-ctx.tangential(dv)))
+            phia = ctx.t_val(-ctx.tangential(dv))
             add(f"shape-transfer{sfx}",
                 ctx.gnorm(-ctx.tangential(dcv) - phia), xv)
             lhs = ctx.normal_part(dcv) - ctx.phi_val(ctx.normal_part(dv))
@@ -558,8 +552,8 @@ def check_cr_product(cr, samples, tol=1e-8):
         add("leaf-pairing", abs(lhs + rhs), xuz)
         add("leaf-pairing-alt-sign", abs(lhs - rhs), xuz)
         # shape/transport pairing over the full tangent frame, over (U, Z, X)
-        a = -ctx.tangential(along(nphi, ctx.coords))[:, :, :, None]
-        nst = ctx.tangential(along(nz[True], ctx.coords))[:, :, :, None]
+        a = -ctx.tangential(along(nphi))[:, :, :, None]
+        nst = ctx.tangential(along(nz[True]))[:, :, :, None]
         lhs = ctx.ginner(a, x_amb[:, None, None])
         mid = ctx.ginner(nst, ctx.phi_val(x_amb)[:, None, None])
         gzu = ctx.ginner(c.dp_amb[:, None],

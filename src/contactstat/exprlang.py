@@ -265,6 +265,10 @@ class Bin(Expr):
             return _sub(da, db)
         if self.op == "*":
             return _add(_mul(da, b), _mul(a, db))
+        if db.const_value() == 0.0:
+            # d(a/b) = a'/b along a coordinate b does not depend on; b^2
+            # could overflow where the quotient is finite
+            return _div(da, b)
         return _div(_sub(_mul(da, b), _mul(a, db)), _pow(b, 2))
 
     def substitute(self, replacements):

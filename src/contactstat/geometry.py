@@ -20,11 +20,10 @@ check that it is invertible.
 The connection batch (Γ̂, Γ, Γ*) of an ambient sample set is built once per
 set, or per block of a set that is checked in blocks, and the ambient and
 contact checks that read it share it: `StatTriple.connections` and, for Γ̂
-alone, `MetricField.christoffel` remember the last set each thread asked
-for (`_built_once`, the memo the domain contexts use too).
+alone, `MetricField.christoffel` keep it in the set's own memo
+(`_built_once`, which the domain contexts use too), so it goes when the set
+does.
 """
-
-import threading
 
 import numpy as np
 
@@ -58,29 +57,19 @@ INPUT_ERRORS = (GeometryError, DomainError, np.linalg.LinAlgError)
 
 
 def _built_once(owner, samples, build):
-    """build(samples), attempted once per sample set: the result, or the
-    input error that stopped it, is kept for the set `owner` saw last on
-    the calling thread (`owner._built` is a threading.local), so threads
-    checking blocks of one set never read each other's batches.  The old
-    set's result is dropped before the new set's is built."""
-    memo = owner._built
-    if getattr(memo, "samples", None) is not samples:
-        memo.samples = memo.result = None
+    """build(samples), attempted once per sample set and `owner`: the
+    result, or the input error that stopped it, is kept in the set's memo
+    under `owner` and lives as long as the set.  A set is read on one
+    thread; each block of a set checked in blocks is a set of its own."""
+    memo = samples._built
+    if owner not in memo:
         try:
-            memo.result = build(samples)
+            memo[owner] = build(samples)
         except INPUT_ERRORS as e:
-            memo.result = e
-        memo.samples = samples
-    if isinstance(memo.result, Exception):
-        raise memo.result
-    return memo.result
-
-
-def _forget_built(*owners):
-    """Drop what `_built_once` keeps for `owners` on the calling thread,
-    once the checks of its set are done."""
-    for owner in owners:
-        vars(owner._built).clear()
+            memo[owner] = e
+    if isinstance(memo[owner], Exception):
+        raise memo[owner]
+    return memo[owner]
 
 
 def _coerce_expr(e, dim):
@@ -220,7 +209,6 @@ class MetricField(Grid):
             grid[j][i] = expr
         self.entries = tuple(tuple(row) for row in grid)
         super().__init__(self.entries, dim)
-        self._built = threading.local()
 
     @classmethod
     def euclidean(cls, dim):
@@ -243,7 +231,7 @@ class MetricField(Grid):
 
     def christoffel(self, samples):
         """The Levi-Civita symbols at a sample set's points, built once for
-        the set on the calling thread."""
+        the set."""
         return _built_once(self, samples,
                            lambda s: levi_civita(self, s.points))
 
@@ -337,7 +325,6 @@ class StatTriple:
         self.g = g
         self.K = K
         self._minus_K = None
-        self._built = threading.local()
         if g.is_constant:
             g.inverse_at(np.zeros((1, g.dim)))  # invertibility, reported early
 
@@ -377,9 +364,9 @@ class StatTriple:
         return lc, lc + k, lc - k
 
     def connections(self, samples):
-        """gammas at a sample set's points, built once for the set on the
-        calling thread, with the metric's own Γ̂ of the set.  An input error
-        that stops the build is raised again to every caller of the set."""
+        """gammas at a sample set's points, built once for the set, with
+        the metric's own Γ̂ of the set.  An input error that stops the build
+        is raised again to every caller of the set."""
         return _built_once(self, samples, lambda s: self.gammas(
             s.points, lambda: self.g.christoffel(s)))
 

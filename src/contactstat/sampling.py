@@ -1,6 +1,6 @@
 """Deterministic sample-point generation for residual checks."""
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -28,11 +28,17 @@ class Samples:
     reports, which give `count`, stay those of all N.  Reports are
     deterministic given the points, so construction is the only place
     randomness enters.
+
+    `_built` is the memo of what checks build from the set and share
+    (geometry._built_once): a copy made by `replace` or `collapsed()`
+    starts with an empty one.
     """
 
     points: np.ndarray
     resampled: int = 0
     count: int | None = None
+    _built: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)

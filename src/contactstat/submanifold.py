@@ -20,8 +20,6 @@ in one call.  A non-finite value in the batch is a DomainError that names
 its expression and the first failing domain point.
 """
 
-import threading
-
 import numpy as np
 
 from .exprlang import Const, DomainError
@@ -158,9 +156,8 @@ class MapGeometry:
     """Shared symbolic data for one (embedding, ambient statistical
     structure) pair, with the ambient almost-contact structure `acs` that
     the structure, transport and CR checks read.  Every submanifold check
-    takes one.  Builds the Gauss-Weingarten contexts of a sample set and
-    remembers them, or the exception that stopped the build, for that set
-    on the calling thread."""
+    takes one.  Builds the Gauss-Weingarten contexts of a sample set, which
+    the set keeps, or the exception that stopped the build."""
 
     def __init__(self, emb, st, acs=None):
         self.emb = emb
@@ -173,7 +170,6 @@ class MapGeometry:
         for f in fields:
             grid = Grid(_pull_back(emb, f), emb.m)
             self.grids += [grid, grid.partials]
-        self._built = threading.local()
 
     @property
     def is_constant(self):
@@ -245,9 +241,7 @@ class GWData:
             self.gram_inv = np.linalg.inv(self.gram)
             defect = (np.abs(_tr(J) @ G @ self.normal).reshape(N, -1)
                       .max(axis=1) if self.normal.size else np.zeros(N))
-        # the coordinate directions d/du^i, one row each, and the frame
-        # vectors as rows: the tangents J e_i and the normals
-        self.coords = np.broadcast_to(np.eye(m), (N, m, m))
+        # the frame vectors as rows: the tangents J e_i and the normals
         self.tangents = _tr(J)
         self.normals = _tr(self.normal)
         bad = ~(defect <= 1e-10)
@@ -363,10 +357,12 @@ class GWData:
                 @ self.J.val[:, None])
 
 
-def along(nab, dirs):
+def along(nab, dirs=None):
     """nabla-bar W of K fields (`nab`, from GWData.nabla) in L domain
-    directions (`dirs`, (N, L, m) coefficients): the (N, L, K, n) array,
-    direction axis first."""
+    directions (`dirs`, (N, L, m) coefficients; None for the m coordinate
+    directions d/du^i): the (N, L, K, n) array, direction axis first."""
+    if dirs is None:
+        return np.moveaxis(nab, -1, 1)
     return np.matvec(nab[:, None], dirs[:, :, None])
 
 
@@ -465,13 +461,13 @@ def check_gauss_weingarten(mg, samples, tol=1e-7):
         # operator of normal k along u_i
         nab, h, A = {}, {}, {}
         for star, sfx in ((False, ""), (True, "-dual")):
-            v = along(ctx.nabla(ctx.frame, star), ctx.coords)
+            v = along(ctx.nabla(ctx.frame, star))
             nab[star] = ctx.tangential(v)
             h[star] = v - nab[star]
             v = nab[star] + h[star]
             add(f"gauss-reconstruction{sfx}",
                 ctx.gnorm(v - _recon(ctx, *split(ctx, v))), xy)
-            v = along(ctx.nabla(ctx.normal_jets, star), ctx.coords)
+            v = along(ctx.nabla(ctx.normal_jets, star))
             add(f"weingarten-reconstruction{sfx}",
                 ctx.gnorm(v - _recon(ctx, *split(ctx, v))), xv)
             A[star] = -ctx.tangential(v)
@@ -530,22 +526,20 @@ def check_structure_identities(mg, samples, tol=1e-8):
         tx = ctx.t_val(X)
         fx = ctx.f_val(X)
         lhs = (ctx.t_val(tx) + X - ctx.eta_of(X)[..., None] * xtan[:, None]
-               + ctx.tangential(ctx.phi_val(fx)))
+               + ctx.t_val(fx))
         add("t-squared", ctx.gnorm(lhs), xs)
-        add("ft-cf",
-            ctx.gnorm(ctx.f_val(tx) + ctx.normal_part(ctx.phi_val(fx))), xs)
+        add("ft-cf", ctx.gnorm(ctx.f_val(tx) + ctx.f_val(fx)), xs)
         add("t-skew", abs(ctx.ginner(tx[:, :, None], X[:, None])
                           + ctx.ginner(X[:, :, None], tx[:, None])),
             labels("X=u{} Y=u{}", m, m))
-        bv = ctx.tangential(ctx.phi_val(V))
+        bv = ctx.t_val(V)
         add("fb-adjoint", abs(ctx.ginner(fx[:, :, None], V[:, None])
                               + ctx.ginner(X[:, :, None], bv[:, None])),
             labels("X=u{} V=N{}", m, nk))
-        cv = ctx.normal_part(ctx.phi_val(V))
-        lhs = ctx.normal_part(ctx.phi_val(cv)) + V + ctx.f_val(bv)
+        cv = ctx.f_val(V)
+        lhs = ctx.f_val(cv) + V + ctx.f_val(bv)
         add("c-squared", ctx.gnorm(lhs), vs)
-        add("tb-bc", ctx.gnorm(ctx.t_val(bv)
-                               + ctx.tangential(ctx.phi_val(cv))), vs)
+        add("tb-bc", ctx.gnorm(ctx.t_val(bv) + ctx.t_val(cv)), vs)
         add("c-skew", abs(ctx.ginner(cv[:, :, None], V[:, None])
                           + ctx.ginner(V[:, :, None], cv[:, None])),
             labels("U=N{} V=N{}", nk, nk))
@@ -578,17 +572,17 @@ def check_transport_identities(mg, samples, tol=1e-8):
 
     for ctx in mg.contexts(samples):
         add = res.adder(_scale(ctx.phi.val, ctx.G.val, ctx.gamma), ctx.index)
-        X, U = ctx.tangents, ctx.coords
+        X = ctx.tangents
         xiv = ctx.xi.val
         # [:, i, j] along u_i of the frame field u_j, of its T and F parts
-        v = along(ctx.nabla(ctx.frame, star=True), U)
+        v = along(ctx.nabla(ctx.frame, star=True))
         nab_star = ctx.tangential(v)
         hstar = ctx.normal_part(v)
-        dt = along(ctx.nabla([ctx.t_jet(Y) for Y in ctx.frame]), U)
-        df = along(ctx.nabla([ctx.f_jet(Y) for Y in ctx.frame]), U)
+        dt = along(ctx.nabla([ctx.t_jet(Y) for Y in ctx.frame]))
+        df = along(ctx.nabla([ctx.f_jet(Y) for Y in ctx.frame]))
         # tangential transport
         lhs = (ctx.tangential(dt) - ctx.t_val(nab_star) + ctx.tangential(df)
-               - ctx.tangential(ctx.phi_val(hstar)))
+               - ctx.t_val(hstar))
         rhs = (ctx.ginner(X[:, :, None], X[:, None])[..., None]
                * xiv[:, None, None]
                - ctx.eta_of(X)[:, None, :, None] * X[:, :, None])
@@ -596,10 +590,10 @@ def check_transport_identities(mg, samples, tol=1e-8):
         add("t-transport-alt-sign", ctx.gnorm(lhs + rhs), xy)
         # normal transport
         lhsn = (ctx.normal_part(df) - ctx.f_val(nab_star)
-                - ctx.normal_part(ctx.phi_val(hstar)) + ctx.normal_part(dt))
+                - ctx.f_val(hstar) + ctx.normal_part(dt))
         add("f-transport", ctx.gnorm(lhsn), xy)
         # xi reduction and h(X, xi)
-        v = along(ctx.nabla([ctx.xi]), U)[:, :, 0]
+        v = along(ctx.nabla([ctx.xi]))[:, :, 0]
         nxi = ctx.tangential(v)
         comp = ctx.ginner(nxi, xiv[:, None])
         red = nxi - comp[..., None] * ctx.tangential(xiv)[:, None]
@@ -612,15 +606,15 @@ def check_transport_identities(mg, samples, tol=1e-8):
         add("h-xi-alt-sign", ctx.gnorm(hxi - fx), xs)
         # normal-argument transports, [:, i, k] along u_i of normal k
         xv = labels("X=u{} V=N{}", m, len(ctx.normal_jets))
-        v = along(ctx.nabla(ctx.normal_jets, star=True), U)
+        v = along(ctx.nabla(ctx.normal_jets, star=True))
         perp_star = ctx.normal_part(v)
         a_star = -ctx.tangential(v)
-        db = along(ctx.nabla([ctx.t_jet(V) for V in ctx.normal_jets]), U)
-        dc = along(ctx.nabla([ctx.f_jet(V) for V in ctx.normal_jets]), U)
-        lhs = (ctx.tangential(db) - ctx.tangential(ctx.phi_val(perp_star))
+        db = along(ctx.nabla([ctx.t_jet(V) for V in ctx.normal_jets]))
+        dc = along(ctx.nabla([ctx.f_jet(V) for V in ctx.normal_jets]))
+        lhs = (ctx.tangential(db) - ctx.t_val(perp_star)
                + ctx.tangential(dc) + ctx.t_val(a_star))
         add("b-transport", ctx.gnorm(lhs), xv)
-        lhs = (ctx.normal_part(dc) - ctx.normal_part(ctx.phi_val(perp_star))
+        lhs = (ctx.normal_part(dc) - ctx.f_val(perp_star)
                + ctx.normal_part(db) + ctx.f_val(a_star))
         add("c-transport", ctx.gnorm(lhs), xv)
     return res.report(tol)

@@ -211,12 +211,12 @@ def test_08_circle_control():
     for t in np.linspace(-3.0, 3.0, 13):
         ctx = conftest.one_point(mg, np.array([t]))
         # nabla-bar_{d/dt} d/dt, and its normal part h(dt, dt)
-        v = along(ctx.nabla([ctx.push_jet(VectorField.coordinate(1, 0))]),
-                  ctx.coords)[:, 0, 0]
+        dt = ctx.push_jet(VectorField.coordinate(1, 0))
+        v = along(ctx.nabla([dt]))[:, 0, 0]
         h = v - ctx.tangential(v)
         assert abs(ctx.gnorm(h)[0] - 1.0) < 1e-8
         N = ctx.normal_jets[0]
-        A = -ctx.tangential(along(ctx.nabla([N]), ctx.coords)[:, 0, 0])
+        A = -ctx.tangential(along(ctx.nabla([N]))[:, 0, 0])
         lhs = ctx.ginner(A, ctx.J.val[:, :, 0])[0]
         rhs = ctx.ginner(h, N.val)[0]
         assert abs(lhs - rhs) < 1e-8

@@ -1,6 +1,8 @@
+import gc
 import json
 import sys
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -644,11 +646,35 @@ class TestConnectionBatch:
             assert "engine-precondition" not in [
                 r["name"] for r in checks[name]["records"]]
 
-    def test_no_batch_outlives_its_set(self):
-        spec = load_spec("sasaki-r7-cr")
-        run(spec, ["ambient", "contact", "submanifold"], count=16)
-        st = spec.sss.st
-        assert vars(st._built) == {} and vars(st.g._built) == {}
+    def test_no_batch_outlives_its_set(self, monkeypatch):
+        # the ambient set's batch is freed once its checks are done, before
+        # the first domain check runs, and no reference cycle holds it
+        from contactstat.geometry import StatTriple
+
+        batches, alive = [], []
+        connections = StatTriple.connections
+        gauss_weingarten = cli.check_gauss_weingarten
+
+        def kept(st, samples):
+            batch = connections(st, samples)
+            batches.extend(weakref.ref(a) for a in batch)
+            return batch
+
+        def first_domain_check(mg, samples, tol):
+            alive.extend(ref() is not None for ref in batches)
+            return gauss_weingarten(mg, samples, tol)
+
+        monkeypatch.setattr(StatTriple, "connections", kept)
+        monkeypatch.setattr(cli, "check_gauss_weingarten", first_domain_check)
+        gc.disable()
+        try:
+            run(load_spec("sasaki-r7-cr"), ["ambient", "contact",
+                                            "submanifold"], count=16)
+        finally:
+            gc.enable()
+        # statistical and sasakian-statistical read the batch
+        assert len(batches) == 6
+        assert alive == [False] * 6
 
 
 class TestCheckLookup:

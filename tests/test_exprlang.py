@@ -143,6 +143,14 @@ class TestDiff:
         d = e.diff(1)
         assert abs(d.eval((3, 2)) - (-3 / 4)) < 1e-15
 
+    def test_quotient_rule_with_a_constant_denominator(self):
+        # d(a/b) = a'/b where b does not vary: squaring b = 1e200 would
+        # overflow to inf and fold the derivative to 0
+        d = parse("x1/1e200", 1).diff(0)
+        assert isinstance(d, Const) and d.value == 1e-200
+        d = parse("x1^2/x2", 2).diff(0)
+        assert d.eval((3.0, 4.0)) == 1.5
+
     def test_constant_tree_derivative_folds_to_zero(self):
         e = sin(Const(2.0)) * exp(Const(1.0)) + Const(5.0) / Const(2.0)
         d = e.diff(0)

@@ -1,6 +1,8 @@
 import gc
 import sys
 import threading
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from contactstat import geometry
 from contactstat.exprlang import Bin, Const, DomainError, Expr, Un, Var, parse
 from contactstat.geometry import (
     ConnField, Grid, MetricField, SingularMetricError, StatTriple, VectorField,
-    _forget_built, check_statistical, levi_civita, lie_bracket,
+    check_statistical, levi_civita, lie_bracket,
     metric_samples,
 )
 from contactstat.sampling import Samples, sample_box
@@ -240,8 +242,9 @@ class TestCheckStatistical:
 # -- the connection batch of a sample set -------------------------------------
 
 class TestConnectionBatch:
-    """(Γ̂, Γ, Γ*) of a sample set is built once per set on each thread and
-    shared by the checks that read it; the metric's Γ̂ is the same array."""
+    """(Γ̂, Γ, Γ*) of a sample set is built once per set, kept in the set's
+    memo and shared by the checks that read it; the metric's Γ̂ is the same
+    array."""
 
     @pytest.fixture
     def builds(self, monkeypatch):
@@ -266,10 +269,14 @@ class TestConnectionBatch:
         for got, want in zip(batch, st.gammas(a.points)):
             np.testing.assert_array_equal(got, want)
         assert builds == [5, 5]
-        # only the last set is kept: a new set replaces it
+        # each set keeps its own batch, and a copy of a set starts with none
         st.connections(b)
-        st.connections(a)
-        assert builds == [5, 5, 3, 5]
+        assert st.connections(a)[0] is batch[0]
+        assert builds == [5, 5, 3]
+        for copy in (replace(a, points=a.points), a.collapsed()):
+            assert copy._built == {}
+            st.connections(copy)
+        assert builds == [5, 5, 3, 5, 1]
 
     def test_a_constant_metric_builds_no_batch(self, builds):
         st = e7_structure().st
@@ -291,30 +298,20 @@ class TestConnectionBatch:
             assert again.value is first.value
         assert builds == [2]
 
-    def test_each_thread_builds_its_own(self, builds):
-        st = r7nu_structure().st
-        mine = sample_box(7, count=4, seed=1)
-        batch = st.connections(mine)
-        got = []
-        worker = threading.Thread(
-            target=lambda: got.append(st.connections(mine)))
-        worker.start()
-        worker.join(timeout=60)
-        assert not worker.is_alive()
-        # the worker built its own batch of the same set; this thread's
-        # batch is still the one it built
-        assert got[0][0] is not batch[0] and builds == [4, 4]
-        np.testing.assert_array_equal(got[0][1], batch[1])
-        assert st.connections(mine)[0] is batch[0]
-
-    def test_forgotten_once_the_set_is_done(self, builds):
+    def test_freed_with_its_set(self, builds):
+        # no reference cycle holds the batch: it goes when the set does,
+        # while the structure that built it lives on
         st = r7nu_structure().st
         s = sample_box(7, count=4, seed=1)
-        st.connections(s)
-        _forget_built(st, st.g)
-        assert vars(st._built) == {} and vars(st.g._built) == {}
-        st.connections(s)
-        assert builds == [4, 4]
+        gc.disable()
+        try:
+            batch = [weakref.ref(a) for a in st.connections(s)]
+            assert all(ref() is not None for ref in batch)
+            del s
+            assert all(ref() is None for ref in batch)
+        finally:
+            gc.enable()
+        assert builds == [4]
 
 
 # -- the compiled evaluation plan of a grid ------------------------------------

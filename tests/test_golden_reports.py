@@ -15,6 +15,7 @@ import pytest
 
 from conftest import EDGE_SPECS
 from contactstat.cli import main
+from contactstat.fixtures import fixture_doc
 
 # (fixture, seed) -> (sha256 of the structured stdout, exit code), at 64
 # samples; every run writes nothing to stderr
@@ -114,4 +115,21 @@ def test_text_report_is_golden(capsys, tmp_path, name, seed):
     out = capsys.readouterr()
     digest = hashlib.sha256(out.out.encode()).hexdigest()
     assert (digest, code) == (GOLDEN_TEXT[(name, seed)], GOLDEN[(name, seed)][1])
+    assert out.err == ""
+
+
+def test_a_non_finite_k_entry_is_golden(capsys, tmp_path):
+    # fix-cr5 with a K grid that mixes a non-constant entry and the
+    # non-finite constant 1/0: every reader of the connection fails at the
+    # first point; the bytes must not depend on whether `along` reads the
+    # coordinate directions as a view or as a product with the identity
+    doc = fixture_doc("fix-cr5")
+    doc["ambient"]["K"] = {"coefficients": {"5 1 1": "x2", "5 2 2": "1/0"}}
+    path = tmp_path / "k-inf.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check", "--spec", str(path), "--samples", "8",
+                 "--format", "structured"])
+    out = capsys.readouterr()
+    assert (hashlib.sha256(out.out.encode()).hexdigest(), code) == (
+        "16cdd1de69223e158e31c2ecad881a3c92b11db33064da4248b514a8722272c4", 1)
     assert out.err == ""

@@ -21,7 +21,7 @@ from contactstat.exprlang import Const, DomainError
 from contactstat.fixtures import fixture_doc, fixture_names
 from contactstat.geometry import (ConnField, GeometryError, MetricField,
                                   StatTriple, VectorField, check_statistical,
-                                  metric_samples)
+                                  lie_bracket, metric_samples)
 from contactstat.sampling import Samples, sample_box
 from contactstat.specfile import from_doc
 from contactstat.submanifold import (Embedding, MapGeometry, RankDropError,
@@ -330,19 +330,40 @@ class TestOneCoordinateFrame:
                 assert np.array_equal(col.val, pushed.val)
                 assert np.array_equal(col.d, pushed.d)
 
-    def test_checks_evaluate_only_generators_and_brackets(self):
+    def test_checks_evaluate_only_the_generators(self):
+        # the brackets are read from the generators' jets, so no other
+        # domain field is evaluated
         cr = from_doc(fixture_doc("sasaki-r7-cr")).cr_structure()
         samples = sample_box(4, count=6, seed=3)
         for run in _cr_runs(cr):
             run(samples)
         [c] = cr.contexts(samples)
         gens = [*cr.D, *cr.Dperp]
-        brackets = [*cr._brackets["D"], *cr._brackets["Dperp"]]
         dom = [key[1] for key in c.ctx._jets if key[0] == "dom"]
         push = [key[1] for key in c.ctx._jets if key[0] == "push"]
-        assert len(dom) == 7
-        assert {id(X) for X in dom} == {id(X) for X in gens + brackets}
+        assert len(dom) == 4
+        assert {id(X) for X in dom} == {id(X) for X in gens}
         assert {id(X) for X in push} == {id(X) for X in gens}
+
+    def test_brackets_agree_with_the_symbolic_bracket(self):
+        # non-constant generators of the same D, so that [X, Y] != 0
+        doc = fixture_doc("sasaki-r7-cr")
+        doc["submanifold"]["D"] = [["1+x2^2", "x3", "0", "0"],
+                                   ["0", "1", "x1*x4", "0"],
+                                   ["0", "sin(x1)", "2+x2", "0"]]
+        cr = from_doc(doc).cr_structure()
+        samples = sample_box(4, count=7, seed=6)
+        [c] = cr.contexts(samples)
+        got = cr.brackets_amb(c, "D")
+        pairs = list(zip(*np.triu_indices(len(cr.D), 1)))
+        assert got.shape == (7, len(pairs), 7)
+        for k, (i, j) in enumerate(pairs):
+            want = np.matvec(c.J, lie_bracket(cr.D[i], cr.D[j])
+                             .at(samples.points))
+            assert np.abs(want).max() > 0.1
+            assert np.all(np.abs(got[:, k] - want)
+                          <= 1e-14 * (1.0 + np.abs(want)))
+        assert cr.brackets_amb(c, "Dperp").shape == (7, 0, 7)
 
 
 def dbar_reference(ctx, x, W, star):
@@ -400,15 +421,32 @@ class TestCovariantDerivativeAlongTheMap:
                     assert np.all(np.abs(got - want)
                                   <= 1e-14 * (1.0 + np.abs(want)))
 
+    def test_coordinate_directions_keep_an_inf_in_its_direction(self):
+        # with no directions, `along` reads the coordinate directions off
+        # the derivative axis; a product with the identity would spread an
+        # inf into the other directions as inf * 0 = NaN
+        nab = np.random.default_rng(3).uniform(-1.0, 1.0, size=(2, 3, 4, 2))
+        nab[1, 2, 3, 0] = np.inf
+        eye = np.broadcast_to(np.eye(2), (2, 2, 2))
+        with np.errstate(invalid="ignore"):
+            got, product = along(nab), along(nab, eye)
+        assert got.shape == product.shape == (2, 2, 3, 4)
+        assert got[1, 0, 2, 3] == np.inf
+        assert np.isfinite(got).sum() == got.size - 1
+        assert np.isnan(product[1, 1, 2, 3])
+        finite = np.isfinite(product)
+        np.testing.assert_array_equal(got[finite], product[finite])
+
     def test_nabla_memo_lives_for_one_check(self):
         spec = from_doc(fixture_doc("sasaki-r7-cr"))
         cr = spec.cr_structure()
         mg = cr.mg
         samples = sample_box(spec.embedding.m, count=6, seed=2)
         check_gauss_weingarten(mg, samples)
-        # the contexts the check used, read without handing them out again;
-        # no covariant derivative is kept on them past the check
-        [ctx] = mg._built.result
+        # the contexts the check used, read from the set's memo without
+        # handing them out again; no covariant derivative is kept on them
+        # past the check
+        [ctx] = samples._built[mg]
         again = mg.contexts(samples)
         assert again == [ctx]
         # the CR checks share that context
@@ -454,9 +492,10 @@ class TestCovariantDerivativeAlongTheMap:
             assert c.ctx is ctx
             assert all(p[0] is ctx and p[1] is c for p in pairs)
 
-    def test_contexts_die_with_their_structures(self):
+    def test_contexts_die_with_their_set(self):
         # no reference cycle holds a sample set's contexts, with their
-        # memos, once the MapGeometry and the CRStructure are dropped
+        # memos, once the set is dropped, while the MapGeometry and the
+        # CRStructure that built them live on
         spec = from_doc(fixture_doc("sasaki-r7-cr"))
         cr = spec.cr_structure()
         samples = sample_box(spec.embedding.m, count=6, seed=2)
@@ -466,10 +505,11 @@ class TestCovariantDerivativeAlongTheMap:
             check_cr_product(cr, samples)
             [c] = cr.contexts(samples)
             gw, crc = weakref.ref(c.ctx), weakref.ref(c)
-            del c, cr
+            del c, samples
             assert gw() is None and crc() is None
         finally:
             gc.enable()
+        assert cr.mg.contexts(sample_box(spec.embedding.m, count=2))
 
 
 class TestGaussWeingarten:
@@ -480,8 +520,8 @@ class TestGaussWeingarten:
         assert rep.passed
         # h of a linear embedding in a flat ambient vanishes identically
         ctx = one_point(mg, np.array([0.1, 0.2]))
-        v = along(ctx.nabla([ctx.push_jet(VectorField.coordinate(2, 1))]),
-                  ctx.coords)[:, 0, 0]
+        dy = ctx.push_jet(VectorField.coordinate(2, 1))
+        v = along(ctx.nabla([dy]))[:, 0, 0]
         h = v - ctx.tangential(v)
         assert np.abs(h).max() == 0.0
 
@@ -490,14 +530,14 @@ class TestGaussWeingarten:
         mg = MapGeometry(circle(), flat_statistical(2))
         for t in (0.0, 0.7, 2.1, -1.3):
             ctx = one_point(mg, np.array([t]))
-            v = along(ctx.nabla([ctx.push_jet(VectorField.coordinate(1, 0))]),
-                      ctx.coords)[:, 0, 0]
+            dt = ctx.push_jet(VectorField.coordinate(1, 0))
+            v = along(ctx.nabla([dt]))[:, 0, 0]
             h = v - ctx.tangential(v)
             assert np.allclose(h[0], [-np.cos(t), -np.sin(t)], atol=1e-12)
             assert ctx.gnorm(h)[0] == pytest.approx(1.0, abs=1e-12)
             # pairing: g(A_N dt, dt) = g(h*(dt,dt), N) for the frame normal
             N = ctx.normal_jets[0]
-            A = -ctx.tangential(along(ctx.nabla([N]), ctx.coords)[:, 0, 0])
+            A = -ctx.tangential(along(ctx.nabla([N]))[:, 0, 0])
             lhs = ctx.ginner(A, ctx.J.val[:, :, 0])[0]
             rhs = ctx.ginner(h, N.val)[0]
             assert lhs == pytest.approx(rhs, abs=1e-12)
@@ -512,10 +552,9 @@ class TestGaussWeingarten:
             pushes = [ctx.push_jet(Y) for Y in frame]
             for i in range(5):
                 for j in range(5):
-                    v = along(ctx.nabla([pushes[j]]), ctx.coords)[:, i, 0]
+                    v = along(ctx.nabla([pushes[j]]))[:, i, 0]
                     h = v - ctx.tangential(v)
-                    v = along(ctx.nabla([pushes[j]], star=True),
-                              ctx.coords)[:, i, 0]
+                    v = along(ctx.nabla([pushes[j]], star=True))[:, i, 0]
                     hs = v - ctx.tangential(v)
                     assert np.abs(h).max() < 1e-10
                     assert np.abs(hs).max() < 1e-10
