@@ -128,11 +128,15 @@ def _check_set(runs, samples):
     def on_block(a):
         block = replace(samples, points=samples.points[a:a + BLOCK])
         reports = []
-        for _, check in runs:
-            try:
-                reports.append(check(block))
-            except INPUT_ERRORS:
-                reports.append(None)
+        try:
+            for _, check in runs:
+                try:
+                    reports.append(check(block))
+                except INPUT_ERRORS:
+                    reports.append(None)
+        finally:
+            # a kept input error's traceback would hold the block
+            block._built.clear()
         return reports
 
     with np.errstate(all="ignore"):

@@ -202,8 +202,10 @@ class GWData:
 
     `frame` is the coordinate frame d/du^i along the map, the Jacobian
     columns as jets.  Derived jet fields (push, t, f) are memoised for the
-    life of the context; the covariant derivatives that `nabla` returns
-    are not kept."""
+    life of the context.  A covariant-derivative stack from `nabla` is
+    kept, read-only, from the reader that asks to keep it to its last
+    reader, so each (fields, connection) pair is built once however many
+    checks read it."""
 
     def __init__(self, mg, points, index):
         self.points = points
@@ -213,19 +215,19 @@ class GWData:
                                     in zip(fields[::2], fields[1::2])]
         _, self.gamma, self.gamma_star = mg.st.gammas(self.y)
         self.phi, self.xi, self.eta = contact or (None, None, None)
-        self._jets = {}
+        self._kept = {}
 
         N, n, m = self.J.val.shape
         self.n, self.m = n, m
-        low = np.linalg.matrix_rank(self.J.val, tol=GS_THRESHOLD) < m
+        self.rank = np.linalg.matrix_rank(self.J.val, tol=GS_THRESHOLD)
+        low = self.rank < m
         if low.any():
             raise RankDropError(points[low.argmax()])
         # a tangent frame too long for floating point overflows in the
         # products below, and the defect test then fails at its point
         with np.errstate(over="ignore", invalid="ignore"):
             self.Gram = jmatmat(jT(self.J), jmatmat(self.G, self.J))
-            self.Gram_inv = jinv(self.Gram)
-            self.Pi_tan = jmatmat(self.J, jmatmat(self.Gram_inv,
+            self.Pi_tan = jmatmat(self.J, jmatmat(jinv(self.Gram),
                                                   jmatmat(jT(self.J), self.G)))
             self.Pi_nor = jconst(np.eye(n), m) - self.Pi_tan
 
@@ -254,18 +256,22 @@ class GWData:
     # -- construction helpers
 
     def _gs(self, candidates, against):
-        frame = list(against)
+        """The g-orthonormal jets that Gram-Schmidt keeps of `candidates`,
+        after the orthonormal jets `against`.  Each frame vector's G-image
+        is computed once, when it joins the frame."""
+        frame = [(f, jmatvec(self.G, f)) for f in against]
         kept = []
-        for cand in candidates:
+        for k, cand in enumerate(candidates, 1):
             w = cand
-            for f in frame:
-                w = w - jscale(f, jvecdot(w, jmatvec(self.G, f)))
+            for f, g_f in frame:
+                w = w - jscale(f, jvecdot(w, g_f))
             nsq = jvecdot(w, jmatvec(self.G, w))
             if not _uniform(~(nsq.val <= GS_THRESHOLD ** 2)):
                 continue
             unit = jscale(w, _jrecip_sqrt(nsq))
-            frame.append(unit)
             kept.append(unit)
+            if k < len(candidates):  # a later candidate reads its image
+                frame.append((unit, jmatvec(self.G, unit)))
         return kept
 
     def _normal_frame(self):
@@ -316,9 +322,9 @@ class GWData:
     # -- jet-level field builders (memoised per field)
 
     def _memo(self, key, make):
-        if key not in self._jets:
-            self._jets[key] = make()
-        return self._jets[key]
+        if key not in self._kept:
+            self._kept[key] = make()
+        return self._kept[key]
 
     def domain_jet(self, X):
         """A domain vector field with its partials, evaluated on first use."""
@@ -341,20 +347,37 @@ class GWData:
 
     # -- the covariant derivative along the map
 
-    def nabla(self, fields, star=False):
+    def nabla(self, fields, star=False, keep=False):
         """The ambient covariant derivative along the map of a list of K
         jet fields, for the connection (star=False) or its dual
-        (star=True), in every domain direction at once: the (N, K, n, m)
-        array nabla-bar W = W.d + Gamma(J., W), whose [:, k, :, i] is
-        nabla-bar_{d/du^i} of field k."""
+        (star=True), in every domain direction at once: the read-only
+        (N, K, n, m) array nabla-bar W = W.d + Gamma(J., W), whose
+        [:, k, :, i] is nabla-bar_{d/du^i} of field k.
+
+        `keep` says whether a later check reads the same stack: the
+        context keeps it for that reader, keyed by the field jets
+        themselves, and a reader with keep=False, the last, takes it out
+        again.  Which stacks a check keeps follows the order in which the
+        CLI runs the domain checks."""
+        key = ("nabla", tuple(fields), star)
+        stack = self._kept.pop(key, None)
+        if stack is None:
+            stack = self._nabla(fields, star)
+        if keep:
+            self._kept[key] = stack
+        return stack
+
+    def _nabla(self, fields, star):
         N, n, m = self.J.val.shape
         val = (np.stack([W.val for W in fields], axis=1) if fields
                else np.zeros((N, 0, n)))
         d = (np.stack([W.d for W in fields], axis=1) if fields
              else np.zeros((N, 0, n, m)))
         gam = self.gamma_star if star else self.gamma
-        return (d + np.matvec(gam[:, None], val[:, :, None, :])
-                @ self.J.val[:, None])
+        stack = (d + np.matvec(gam[:, None], val[:, :, None, :])
+                 @ self.J.val[:, None])
+        stack.flags.writeable = False
+        return stack
 
 
 def along(nab, dirs=None):
@@ -382,13 +405,18 @@ def split(ctx, v):
     """Decompose ambient vectors, shape (N, labels..., n), into
     tangent-basis and normal-basis coefficients; every reconstruction must
     close to 1e-10."""
+    return _split(ctx, v)[:2]
+
+
+def _split(ctx, v):
+    """split(ctx, v) and the g-norm of each reconstruction defect."""
     v = np.asarray(v, dtype=float)
     a = ctx.tangent_coeffs(v)
     b = ctx.normal_coeffs(v)
     defect = ctx.gnorm(v - _recon(ctx, a, b))
     if (defect > 1e-10 * (1.0 + ctx.gnorm(v))).any():
         raise GeometryError("degenerate frame: split reconstruction failed")
-    return a, b
+    return a, b, defect
 
 
 def _recon(ctx, a, b):
@@ -452,24 +480,24 @@ def check_gauss_weingarten(mg, samples, tol=1e-7):
         J = ctx.J.val
         scale = _scale(J, ctx.G.val)
         add = res.adder(scale, ctx.index)
-        full = np.linalg.matrix_rank(J, tol=GS_THRESHOLD) == m
-        res.add("jacobian-rank", np.where(full, 0.0, 1.0), index=ctx.index)
+        res.add("jacobian-rank", np.where(ctx.rank == m, 0.0, 1.0),
+                index=ctx.index)
         nk = len(ctx.normal_jets)
         xv = labels("X=u{} V=N{}", m, nk)
         # per connection, [:, i, j] is the tangential (nab) and the normal
         # (h) part of nabla-bar_{u_i} u_j, and [:, i, k] is the shape
-        # operator of normal k along u_i
+        # operator of normal k along u_i.  The transport and dual-shape
+        # checks read the dual frame stack again, and later checks both
+        # normal stacks.
         nab, h, A = {}, {}, {}
         for star, sfx in ((False, ""), (True, "-dual")):
-            v = along(ctx.nabla(ctx.frame, star))
+            v = along(ctx.nabla(ctx.frame, star, keep=star))
             nab[star] = ctx.tangential(v)
             h[star] = v - nab[star]
-            v = nab[star] + h[star]
             add(f"gauss-reconstruction{sfx}",
-                ctx.gnorm(v - _recon(ctx, *split(ctx, v))), xy)
-            v = along(ctx.nabla(ctx.normal_jets, star))
-            add(f"weingarten-reconstruction{sfx}",
-                ctx.gnorm(v - _recon(ctx, *split(ctx, v))), xv)
+                _split(ctx, nab[star] + h[star])[2], xy)
+            v = along(ctx.nabla(ctx.normal_jets, star, keep=True))
+            add(f"weingarten-reconstruction{sfx}", _split(ctx, v)[2], xv)
             A[star] = -ctx.tangential(v)
         # pairing: g(A_V X, Y) = g(h*(X,Y), V) and the starred twin, over
         # (X, V, Y)
@@ -574,12 +602,14 @@ def check_transport_identities(mg, samples, tol=1e-8):
         add = res.adder(_scale(ctx.phi.val, ctx.G.val, ctx.gamma), ctx.index)
         X = ctx.tangents
         xiv = ctx.xi.val
-        # [:, i, j] along u_i of the frame field u_j, of its T and F parts
-        v = along(ctx.nabla(ctx.frame, star=True))
+        # [:, i, j] along u_i of the frame field u_j, of its T and F parts;
+        # the dual-shape identities read the frame and F stacks again, and
+        # the normal stacks below
+        v = along(ctx.nabla(ctx.frame, star=True, keep=True))
         nab_star = ctx.tangential(v)
         hstar = ctx.normal_part(v)
         dt = along(ctx.nabla([ctx.t_jet(Y) for Y in ctx.frame]))
-        df = along(ctx.nabla([ctx.f_jet(Y) for Y in ctx.frame]))
+        df = along(ctx.nabla([ctx.f_jet(Y) for Y in ctx.frame], keep=True))
         # tangential transport
         lhs = (ctx.tangential(dt) - ctx.t_val(nab_star) + ctx.tangential(df)
                - ctx.t_val(hstar))
@@ -606,11 +636,13 @@ def check_transport_identities(mg, samples, tol=1e-8):
         add("h-xi-alt-sign", ctx.gnorm(hxi - fx), xs)
         # normal-argument transports, [:, i, k] along u_i of normal k
         xv = labels("X=u{} V=N{}", m, len(ctx.normal_jets))
-        v = along(ctx.nabla(ctx.normal_jets, star=True))
+        v = along(ctx.nabla(ctx.normal_jets, star=True, keep=True))
         perp_star = ctx.normal_part(v)
         a_star = -ctx.tangential(v)
-        db = along(ctx.nabla([ctx.t_jet(V) for V in ctx.normal_jets]))
-        dc = along(ctx.nabla([ctx.f_jet(V) for V in ctx.normal_jets]))
+        db = along(ctx.nabla([ctx.t_jet(V) for V in ctx.normal_jets],
+                             keep=True))
+        dc = along(ctx.nabla([ctx.f_jet(V) for V in ctx.normal_jets],
+                             keep=True))
         lhs = (ctx.tangential(db) - ctx.t_val(perp_star)
                + ctx.tangential(dc) + ctx.t_val(a_star))
         add("b-transport", ctx.gnorm(lhs), xv)

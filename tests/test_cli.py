@@ -676,6 +676,35 @@ class TestConnectionBatch:
         assert len(batches) == 6
         assert alive == [False] * 6
 
+    def test_no_block_outlives_a_failed_build(self, monkeypatch):
+        # a block whose connection build fails keeps the input error in its
+        # memo, and the error's traceback holds the block; the block must
+        # still go when its checks are done, with the collector off
+        from contactstat.geometry import (ConnField, MetricField,
+                                          StatTriple, check_statistical)
+        from contactstat.sampling import Samples
+
+        g = MetricField(3, {(0, 0): "x1^2", (1, 1): "1", (2, 2): "1"})
+        st = StatTriple(g, ConnField.flat(3))
+        pts = np.random.default_rng(5).uniform(0.1, 1.0,
+                                               size=(cli.BLOCK + 1, 3))
+        pts[7, 0] = 0.0  # singular in the first block
+        samples = Samples(pts)
+        monkeypatch.setattr(cli, "_cpus", lambda: 2)
+        gc.collect()
+        gc.disable()
+        try:
+            before = [o for o in gc.get_objects() if isinstance(o, Samples)]
+            [rep] = cli._check_set(
+                [("statistical", lambda s: check_statistical(st, s))],
+                samples)
+            blocks = [o for o in gc.get_objects() if isinstance(o, Samples)
+                      and not any(o is b for b in before)]
+        finally:
+            gc.enable()
+        assert rep.records[0].note.startswith("SingularMetricError")
+        assert blocks == []
+
 
 class TestCheckLookup:
     def test_run_calls_the_checks_bound_in_cli(self, monkeypatch):

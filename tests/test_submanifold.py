@@ -2,13 +2,16 @@ import gc
 import sys
 import threading
 import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (EDGE_SPECS, cr5_structure, cr5_submanifold,
                       e7_structure, e7_submanifold, map_geometry, one_point,
                       sasaki_r3)
+from contactstat import cli
 from contactstat.contactstruct import lambda_family
 from contactstat.crchecks import (CRStructure, check_contact_cr,
                                   check_cr_product,
@@ -22,10 +25,13 @@ from contactstat.fixtures import fixture_doc, fixture_names
 from contactstat.geometry import (ConnField, GeometryError, MetricField,
                                   StatTriple, VectorField, check_statistical,
                                   lie_bracket, metric_samples)
+from contactstat.jets import Jet, _tr, jconst, jmatvec, jscale, jvecdot
 from contactstat.sampling import Samples, sample_box
 from contactstat.specfile import from_doc
-from contactstat.submanifold import (Embedding, MapGeometry, RankDropError,
-                                     along, check_gauss_weingarten,
+from contactstat.submanifold import (GS_THRESHOLD, Embedding, GWData,
+                                     MapGeometry, RankDropError, _Split,
+                                     _jrecip_sqrt, _uniform, along,
+                                     check_gauss_weingarten,
                                      check_structure_identities,
                                      check_transport_identities,
                                      induced_metric, split, tfbc)
@@ -150,6 +156,85 @@ def reeb_mixed_cr():
 
 REEB_MIXED_POINTS = [[0.3, 0.1, 0.2, 0.4], [0.0, 0.5, -0.2, 0.1],
                      [-0.6, 0.2, 0.3, 0.3]]
+
+
+def _gs_reference(ctx, candidates, against):
+    """Gram-Schmidt with each frame vector's G-image computed again for
+    every later candidate: the loop that GWData._gs must equal bit for
+    bit."""
+    frame = list(against)
+    kept = []
+    for cand in candidates:
+        w = cand
+        for f in frame:
+            w = w - jscale(f, jvecdot(w, jmatvec(ctx.G, f)))
+        nsq = jvecdot(w, jmatvec(ctx.G, w))
+        if not _uniform(~(nsq.val <= GS_THRESHOLD ** 2)):
+            continue
+        unit = jscale(w, _jrecip_sqrt(nsq))
+        frame.append(unit)
+        kept.append(unit)
+    return kept
+
+
+def _same_gs(ctx, candidates, against):
+    """GWData._gs and the reference loop keep the same jets, bit for bit,
+    or raise the same _Split; the kept jets, or None after a split."""
+    got = []
+    for gs in (GWData._gs, _gs_reference):
+        try:
+            got.append(gs(ctx, candidates, against))
+        except _Split as split:
+            got.append(split.keep)
+    new, ref = got
+    if isinstance(ref, np.ndarray):
+        assert np.array_equal(new, ref)
+        return None
+    assert len(new) == len(ref)
+    for a, b in zip(new, ref):
+        for x, y in ((a.val, b.val), (a.d, b.d)):
+            assert np.array_equal(_bits(x), _bits(y))
+    return new
+
+
+class TestGramSchmidt:
+    @pytest.mark.parametrize("name", ["sasaki-r7-cr", "fix-cr5",
+                                      "paper-r7-euclidean"])
+    def test_fixture_frames_equal_the_reference(self, name):
+        spec = from_doc(fixture_doc(name))
+        cr = spec.cr_structure()
+        [c] = cr.contexts(sample_box(spec.embedding.m, count=8, seed=9))
+        ctx = c.ctx
+        n, m = ctx.n, ctx.m
+        tangent = _same_gs(ctx, ctx.frame, [])
+        eye = np.broadcast_to(np.eye(n), (8, n, n))
+        normal = _same_gs(ctx, [jconst(eye[:, :, a], m) for a in range(n)],
+                          tangent)
+        fframe = _same_gs(ctx, c.phiZ_jets, [])
+        nu = _same_gs(ctx, ctx.normal_jets, fframe)
+        # the frames the contexts hold are these
+        for got, want in ((normal, ctx.normal_jets), (fframe, c.fframe),
+                          (nu, c.nu_jets)):
+            assert [f.val.tobytes() for f in got] == [
+                f.val.tobytes() for f in want]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 3), st.integers(2, 5),
+           st.integers(1, 3), st.integers(0, 2))
+    def test_random_spd_metric_jets_equal_the_reference(self, seed, N, n, m,
+                                                        repeats):
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(N, n, n))
+        dg = rng.normal(size=(N, n, n, m))
+        ctx = SimpleNamespace(G=Jet(a @ _tr(a) + 0.1 * np.eye(n),
+                                    dg + np.swapaxes(dg, 1, 2)))
+        cands = [Jet(rng.normal(size=(N, n)), rng.normal(size=(N, n, m)))
+                 for _ in range(n)]
+        # repeated candidates, which the loop drops
+        cands += cands[:repeats]
+        against = _same_gs(ctx, cands[:1], [])
+        _same_gs(ctx, cands[1:], against)
+        _same_gs(ctx, cands, [])
 
 
 class TestBatchedContexts:
@@ -339,8 +424,8 @@ class TestOneCoordinateFrame:
             run(samples)
         [c] = cr.contexts(samples)
         gens = [*cr.D, *cr.Dperp]
-        dom = [key[1] for key in c.ctx._jets if key[0] == "dom"]
-        push = [key[1] for key in c.ctx._jets if key[0] == "push"]
+        dom = [key[1] for key in c.ctx._kept if key[0] == "dom"]
+        push = [key[1] for key in c.ctx._kept if key[0] == "push"]
         assert len(dom) == 4
         assert {id(X) for X in dom} == {id(X) for X in gens}
         assert {id(X) for X in push} == {id(X) for X in gens}
@@ -364,6 +449,18 @@ class TestOneCoordinateFrame:
             assert np.all(np.abs(got[:, k] - want)
                           <= 1e-14 * (1.0 + np.abs(want)))
         assert cr.brackets_amb(c, "Dperp").shape == (7, 0, 7)
+
+
+def _domain_runs(spec, mg, cr):
+    """The domain checks of the CLI, (name, check of a set) pairs, in the
+    order in which it runs them."""
+    return [pair for suite in ("submanifold", "cr", "product")
+            for pair in cli._suite_runs(suite, spec, mg, cr, 1e-8)]
+
+
+def _kept_stacks(ctx):
+    """The (fields, connection) pairs whose stacks a context keeps."""
+    return {key[1:] for key in ctx._kept if key[0] == "nabla"}
 
 
 def dbar_reference(ctx, x, W, star):
@@ -437,22 +534,87 @@ class TestCovariantDerivativeAlongTheMap:
         finite = np.isfinite(product)
         np.testing.assert_array_equal(got[finite], product[finite])
 
-    def test_nabla_memo_lives_for_one_check(self):
+    def test_a_stack_is_kept_to_its_last_reader(self):
+        # the checks of a set share its contexts, and a context keeps a
+        # covariant-derivative stack only while a later check reads it
         spec = from_doc(fixture_doc("sasaki-r7-cr"))
         cr = spec.cr_structure()
         mg = cr.mg
         samples = sample_box(spec.embedding.m, count=6, seed=2)
-        check_gauss_weingarten(mg, samples)
-        # the contexts the check used, read from the set's memo without
-        # handing them out again; no covariant derivative is kept on them
-        # past the check
+        runs = _domain_runs(spec, mg, cr)
+        runs[0][1](samples)
+        # the contexts the first check used, read from the set's memo
+        # without handing them out again
         [ctx] = samples._built[mg]
-        again = mg.contexts(samples)
-        assert again == [ctx]
-        # the CR checks share that context
-        check_cr_product(cr, samples)
+        assert mg.contexts(samples) == [ctx]
+        # the transport, dual-shape, classifier and mixed-geodesic checks
+        # read the dual frame stack and both normal stacks again
+        normal = tuple(ctx.normal_jets)
+        assert _kept_stacks(ctx) == {(tuple(ctx.frame), True),
+                                     (normal, False), (normal, True)}
+        for _, check in runs[1:]:
+            check(samples)
+        # the CR checks share that context, and each stack went with its
+        # last reader
         [c] = cr.contexts(samples)
         assert c.ctx is ctx
+        assert _kept_stacks(ctx) == set()
+
+    def test_checks_share_one_read_only_stack(self, monkeypatch):
+        spec = from_doc(fixture_doc("sasaki-r7-cr"))
+        mg = spec.cr_structure().mg
+        samples = sample_box(spec.embedding.m, count=6, seed=2)
+        got = {}
+        nabla = GWData.nabla
+
+        def recorded(ctx, fields, star=False, keep=False):
+            stack = nabla(ctx, fields, star, keep)
+            got.setdefault((tuple(fields), star), []).append(stack)
+            return stack
+
+        monkeypatch.setattr(GWData, "nabla", recorded)
+        check_gauss_weingarten(mg, samples)
+        check_transport_identities(mg, samples)
+        [ctx] = mg.contexts(samples)
+        first, again = got[(tuple(ctx.normal_jets), True)]
+        assert again is first
+        # a stack that one check reads is read-only too
+        [alone] = got[(tuple(ctx.frame), False)]
+        for stack in (first, alone):
+            with pytest.raises(ValueError):
+                stack[0, 0, 0, 0] = 0.0
+            with pytest.raises(ValueError):
+                stack += 1.0
+
+    @pytest.mark.parametrize("name", ["sasaki-r7-cr", "fix-cr5"])
+    def test_each_stack_is_built_once_per_context(self, name, monkeypatch):
+        spec = from_doc(fixture_doc(name))
+        cr = spec.cr_structure()
+        mg = cr.mg
+        samples = sample_box(spec.embedding.m, count=16, seed=5)
+        reads, builds = [], []
+        nabla, build = GWData.nabla, GWData._nabla
+
+        def read(ctx, fields, star=False, keep=False):
+            reads.append((ctx, tuple(fields), star))
+            return nabla(ctx, fields, star, keep)
+
+        def built(ctx, fields, star):
+            builds.append((ctx, tuple(fields), star))
+            return build(ctx, fields, star)
+
+        monkeypatch.setattr(GWData, "nabla", read)
+        monkeypatch.setattr(GWData, "_nabla", built)
+        for _, check in _domain_runs(spec, mg, cr):
+            check(samples)
+        [ctx] = mg.contexts(samples)
+        assert all(c is ctx for c, _, _ in reads + builds)
+        # the ten checks read 36 stacks of 19 (fields, connection) pairs,
+        # the field jets compared by identity, and build each pair once
+        assert len(reads) == 36
+        assert len(set(reads)) == 19
+        assert len(builds) == 19
+        assert set(builds) == set(reads)
 
     def test_each_thread_keeps_its_own_contexts(self):
         # four threads, more than a small host's CPUs, ask one MapGeometry
