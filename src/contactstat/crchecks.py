@@ -238,11 +238,9 @@ def check_integrability_D(cr, samples, tol=1e-8):
         add = res.adder(c.scale, c.index)
         br_amb = cr.brackets_amb(c, "D")
         add("d-bracket-closure", c.off(br_amb, c.P_D), xy)
-        # [:, i, j] is h(X_i, phi X_j); the geodesic classifiers read the
-        # stack again
+        # [:, i, j] is h(X_i, phi X_j)
         h = ctx.normal_part(along(
-            ctx.nabla([ctx.t_jet(ctx.push_jet(X)) for X in cr.D], keep=True),
-            c.d_dom))
+            ctx.nabla([ctx.t_jet(ctx.push_jet(X)) for X in cr.D]), c.d_dom))
         hdiff = h[:, ii, jj] - h[:, jj, ii]
         phz = ctx.f_val(c.dp_amb)
         add("d-integrability-criterion",
@@ -277,10 +275,8 @@ def check_integrability_Dperp(cr, samples, tol=1e-8):
         add = res.adder(c.scale, c.index)
         br_amb = cr.brackets_amb(c, "Dperp")
         add("dperp-bracket-closure", c.off(br_amb, c.P_Dp), xy)
-        # [:, i, j] is A_{phi Z_j} Z_i; the dual-shape identities and the
-        # CR product read the stack again
-        a = -ctx.tangential(along(ctx.nabla(c.phiZ_jets, keep=True),
-                                  c.dp_dom))
+        # [:, i, j] is A_{phi Z_j} Z_i
+        a = -ctx.tangential(along(ctx.nabla(c.phiZ_jets), c.dp_dom))
         ax, ay = a[:, ii, jj], a[:, jj, ii]
         x_amb, y_amb = c.dp_amb[:, ii], c.dp_amb[:, jj]
         xi = c.xi[:, None]
@@ -317,18 +313,14 @@ def check_dual_shape_identities(cr, samples, tol=1e-8):
         add = res.adder(c.scale, c.index)
         nk = len(ctx.normal_jets)
         # A_{FY} Z symmetric in the two anti-invariant slots; [:, j, i] is
-        # A_{phi Z_i} Z_j (one generator makes no pair); the CR product
-        # reads the phi Z stack again
+        # A_{phi Z_i} Z_j (one generator makes no pair)
         for star, sfx in ((False, ""), (True, "-dual")) if yz else ():
-            a = -ctx.tangential(along(ctx.nabla(c.phiZ_jets, star,
-                                                keep=not star), c.dp_dom))
+            a = -ctx.tangential(along(ctx.nabla(c.phiZ_jets, star), c.dp_dom))
             add(f"a-f-symmetric{sfx}", ctx.gnorm(a[:, jj, ii] - a[:, ii, jj]),
                 yz)
-        # A*_U BV = A*_V BU over the normal frame; [:, v, u] is A*_{N_u} BN_v.
-        # Later checks read the dual normal stack and the C stack again;
-        # this check is the last to read the B, frame and F stacks.
+        # A*_U BV = A*_V BU over the normal frame; [:, v, u] is A*_{N_u} BN_v
         bv_jets = [ctx.t_jet(V) for V in ctx.normal_jets]
-        nstar = ctx.nabla(ctx.normal_jets, star=True, keep=True)
+        nstar = ctx.nabla(ctx.normal_jets, star=True)
         bdom = ctx.tangent_coeffs(_as_rows([b.val for b in bv_jets], ctx.n,
                                            len(c.index)))
         a = -ctx.tangential(along(nstar, bdom))
@@ -338,7 +330,7 @@ def check_dual_shape_identities(cr, samples, tol=1e-8):
         xv = labels("X=u{} V=N{}", m, nk)
         perp_star = ctx.normal_part(along(nstar))
         lhs = (ctx.normal_part(along(
-            ctx.nabla([ctx.f_jet(V) for V in ctx.normal_jets], keep=True)))
+            ctx.nabla([ctx.f_jet(V) for V in ctx.normal_jets])))
                - ctx.f_val(perp_star))
         add("c-perp-parallel", ctx.gnorm(lhs), xv)
         lhs = ctx.tangential(along(ctx.nabla(bv_jets))) - ctx.t_val(perp_star)
@@ -394,13 +386,10 @@ def classify_geodesic(cr, samples, tol=1e-8):
         denom = (gij ** 2).reshape(len(gij), -1).sum(axis=1)
         for star in (False, True):
             sfx = "-dual" if star else ""
-            # [:, i, j] is h(X_i, Y_j); the CR product reads the D and
-            # D-perp stacks again, and the mixed-geodesic consequences the
-            # normal stacks
-            h_dd = ctx.normal_part(along(ctx.nabla(d_push, star, keep=True),
-                                         c.d_dom))
+            # [:, i, j] is h(X_i, Y_j)
+            h_dd = ctx.normal_part(along(ctx.nabla(d_push, star), c.d_dom))
             add(f"d-geodesic{sfx}", ctx.gnorm(h_dd), dd)
-            ndp = ctx.nabla(dp_push, star, keep=True)
+            ndp = ctx.nabla(dp_push, star)
             add(f"dperp-geodesic{sfx}",
                 ctx.gnorm(ctx.normal_part(along(ndp, c.dp_dom))),
                 labels("X=P{} Y=P{}", rP, rP))
@@ -422,7 +411,7 @@ def classify_geodesic(cr, samples, tol=1e-8):
             hpp = ctx.normal_part(along(ctx.nabla(t_jets, star), c.phid_dom))
             add(f"foliate-remark{sfx}", ctx.gnorm(hpp + h_dd), dd)
             # shape-operator companions; [:, k, i] is A_{V_k} X_i
-            nv = ctx.nabla(ctx.normal_jets, star, keep=True)
+            nv = ctx.nabla(ctx.normal_jets, star)
             ad = -ctx.tangential(np.swapaxes(along(nv, c.d_dom), 1, 2))
             ap = -ctx.tangential(np.swapaxes(along(nv, c.dp_dom), 1, 2))
             add(f"d-geodesic-shape{sfx}", c.off(ad, c.P_Dp),

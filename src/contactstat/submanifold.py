@@ -202,10 +202,10 @@ class GWData:
 
     `frame` is the coordinate frame d/du^i along the map, the Jacobian
     columns as jets.  Derived jet fields (push, t, f) are memoised for the
-    life of the context.  A covariant-derivative stack from `nabla` is
-    kept, read-only, from the reader that asks to keep it to its last
-    reader, so each (fields, connection) pair is built once however many
-    checks read it."""
+    life of the context.  Each connection's Christoffel values are
+    contracted with the Jacobian once, when the context is built; a
+    covariant-derivative stack from `nabla` belongs to the check that asks
+    for it."""
 
     def __init__(self, mg, points, index):
         self.points = points
@@ -252,6 +252,10 @@ class GWData:
             raise GeometryError(
                 f"tangent/normal orthogonality defect {defect[s]:.2e} at "
                 f"domain point {points[s].tolist()}")
+        # Gamma^k_ij J^i_a for Gamma (False) and Gamma* (True), row (k, a)
+        # of one (N, n m, n) matrix, which `nabla` applies to the fields
+        self._gamma_J = [(self.tangents[:, None] @ gam).reshape(N, n * m, n)
+                         for gam in (self.gamma, self.gamma_star)]
 
     # -- construction helpers
 
@@ -347,36 +351,18 @@ class GWData:
 
     # -- the covariant derivative along the map
 
-    def nabla(self, fields, star=False, keep=False):
+    def nabla(self, fields, star=False):
         """The ambient covariant derivative along the map of a list of K
         jet fields, for the connection (star=False) or its dual
-        (star=True), in every domain direction at once: the read-only
-        (N, K, n, m) array nabla-bar W = W.d + Gamma(J., W), whose
-        [:, k, :, i] is nabla-bar_{d/du^i} of field k.
-
-        `keep` says whether a later check reads the same stack: the
-        context keeps it for that reader, keyed by the field jets
-        themselves, and a reader with keep=False, the last, takes it out
-        again.  Which stacks a check keeps follows the order in which the
-        CLI runs the domain checks."""
-        key = ("nabla", tuple(fields), star)
-        stack = self._kept.pop(key, None)
-        if stack is None:
-            stack = self._nabla(fields, star)
-        if keep:
-            self._kept[key] = stack
-        return stack
-
-    def _nabla(self, fields, star):
+        (star=True), in every domain direction at once: the (N, K, n, m)
+        array nabla-bar W = W.d + Gamma(J., W), whose [:, k, :, i] is
+        nabla-bar_{d/du^i} of field k."""
         N, n, m = self.J.val.shape
-        val = (np.stack([W.val for W in fields], axis=1) if fields
-               else np.zeros((N, 0, n)))
-        d = (np.stack([W.d for W in fields], axis=1) if fields
-             else np.zeros((N, 0, n, m)))
-        gam = self.gamma_star if star else self.gamma
-        stack = (d + np.matvec(gam[:, None], val[:, :, None, :])
-                 @ self.J.val[:, None])
-        stack.flags.writeable = False
+        if not fields:
+            return np.zeros((N, 0, n, m))
+        stack = np.stack([W.d for W in fields], axis=1)
+        stack += (np.stack([W.val for W in fields], axis=1)
+                  @ _tr(self._gamma_J[star])).reshape(stack.shape)
         return stack
 
 
@@ -486,17 +472,15 @@ def check_gauss_weingarten(mg, samples, tol=1e-7):
         xv = labels("X=u{} V=N{}", m, nk)
         # per connection, [:, i, j] is the tangential (nab) and the normal
         # (h) part of nabla-bar_{u_i} u_j, and [:, i, k] is the shape
-        # operator of normal k along u_i.  The transport and dual-shape
-        # checks read the dual frame stack again, and later checks both
-        # normal stacks.
+        # operator of normal k along u_i
         nab, h, A = {}, {}, {}
         for star, sfx in ((False, ""), (True, "-dual")):
-            v = along(ctx.nabla(ctx.frame, star, keep=star))
+            v = along(ctx.nabla(ctx.frame, star))
             nab[star] = ctx.tangential(v)
             h[star] = v - nab[star]
             add(f"gauss-reconstruction{sfx}",
                 _split(ctx, nab[star] + h[star])[2], xy)
-            v = along(ctx.nabla(ctx.normal_jets, star, keep=True))
+            v = along(ctx.nabla(ctx.normal_jets, star))
             add(f"weingarten-reconstruction{sfx}", _split(ctx, v)[2], xv)
             A[star] = -ctx.tangential(v)
         # pairing: g(A_V X, Y) = g(h*(X,Y), V) and the starred twin, over
@@ -602,14 +586,12 @@ def check_transport_identities(mg, samples, tol=1e-8):
         add = res.adder(_scale(ctx.phi.val, ctx.G.val, ctx.gamma), ctx.index)
         X = ctx.tangents
         xiv = ctx.xi.val
-        # [:, i, j] along u_i of the frame field u_j, of its T and F parts;
-        # the dual-shape identities read the frame and F stacks again, and
-        # the normal stacks below
-        v = along(ctx.nabla(ctx.frame, star=True, keep=True))
+        # [:, i, j] along u_i of the frame field u_j, of its T and F parts
+        v = along(ctx.nabla(ctx.frame, star=True))
         nab_star = ctx.tangential(v)
         hstar = ctx.normal_part(v)
         dt = along(ctx.nabla([ctx.t_jet(Y) for Y in ctx.frame]))
-        df = along(ctx.nabla([ctx.f_jet(Y) for Y in ctx.frame], keep=True))
+        df = along(ctx.nabla([ctx.f_jet(Y) for Y in ctx.frame]))
         # tangential transport
         lhs = (ctx.tangential(dt) - ctx.t_val(nab_star) + ctx.tangential(df)
                - ctx.t_val(hstar))
@@ -636,13 +618,11 @@ def check_transport_identities(mg, samples, tol=1e-8):
         add("h-xi-alt-sign", ctx.gnorm(hxi - fx), xs)
         # normal-argument transports, [:, i, k] along u_i of normal k
         xv = labels("X=u{} V=N{}", m, len(ctx.normal_jets))
-        v = along(ctx.nabla(ctx.normal_jets, star=True, keep=True))
+        v = along(ctx.nabla(ctx.normal_jets, star=True))
         perp_star = ctx.normal_part(v)
         a_star = -ctx.tangential(v)
-        db = along(ctx.nabla([ctx.t_jet(V) for V in ctx.normal_jets],
-                             keep=True))
-        dc = along(ctx.nabla([ctx.f_jet(V) for V in ctx.normal_jets],
-                             keep=True))
+        db = along(ctx.nabla([ctx.t_jet(V) for V in ctx.normal_jets]))
+        dc = along(ctx.nabla([ctx.f_jet(V) for V in ctx.normal_jets]))
         lhs = (ctx.tangential(db) - ctx.t_val(perp_star)
                + ctx.tangential(dc) + ctx.t_val(a_star))
         add("b-transport", ctx.gnorm(lhs), xv)

@@ -104,6 +104,28 @@ EDGE_SPECS = {
 }
 
 
+# fix-cr5 and sasaki-r7-cr bent off their coordinate slices, so that the
+# Jacobian varies with the point
+BENT_EMBEDDINGS = [
+    ("fix-cr5", ["x1", "x2", "x4", "x1*x2/4", "x3"]),
+    ("fix-cr5", ["x1", "x2+x1^2/3", "x4", "sin(x2)/5", "x3+x4*x1/7"]),
+    ("fix-cr5", ["x1*1.3", "x2", "x4", "exp(x1)/9", "x3-x2^2"]),
+    ("sasaki-r7-cr", ["x1", "x2", "x4", "x1*x3/5", "x2^2/7", "0", "x3"]),
+]
+
+
+def _bent(name, comps):
+    doc = fixtures.fixture_doc(name)
+    doc["submanifold"]["embedding"] = comps
+    return doc
+
+
+# the documents of BENT_EMBEDDINGS, each named after its fixture and its
+# place in the list
+BENT_SPECS = {f"{name}-bent{k}": _bent(name, comps)
+              for k, (name, comps) in enumerate(BENT_EMBEDDINGS)}
+
+
 def e7_structure(lam=1.0, frame_orthonormal=False):
     g, acs = euclid_r7(frame_orthonormal)
     return lambda_family(g, acs, lam)

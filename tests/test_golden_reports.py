@@ -1,19 +1,21 @@
 """Golden reports: the structured and the text report of every built-in
 fixture, and of the edge specs in conftest, are pinned by their sha256, so
 a change to the engine that moves any byte of a residual, witness, status
-or census shows here.  The structured digests were written from the engine
-before the submanifold and CR checks were batched over the sample axis, the
-text digests before every check took one calling convention, the edge-spec
-digests before the residual families took a label axis; a change that
-moves a report on purpose says so in CHANGES.md and rewrites the digest it
-moved."""
+or census shows here; of the bent specs in conftest, only the verdicts
+are.  The structured digests were written from the engine before the
+submanifold and CR checks were batched over the sample axis, the text
+digests before every check took one calling convention, the edge-spec
+digests before the residual families took a label axis, the bent-spec
+verdicts before the Christoffel values were contracted with the Jacobian
+first; a change that moves a report on purpose says so in CHANGES.md and
+rewrites the digest it moved."""
 
 import hashlib
 import json
 
 import pytest
 
-from conftest import EDGE_SPECS
+from conftest import BENT_SPECS, EDGE_SPECS
 from contactstat.cli import main
 from contactstat.fixtures import fixture_doc
 
@@ -89,12 +91,40 @@ GOLDEN_TEXT = {
 }
 
 
+# (bent spec, seed) -> (sha256 of the JSON list of (suite, check, record,
+# status) rows in report order, exit code), at 64 samples.  The specs of
+# conftest.BENT_SPECS are the only inputs on which the Jacobian varies with
+# the point, so a change in the order of a contraction moves their
+# residuals and witnesses at round-off; only the verdicts are pinned.  The
+# three fix-cr5 bends give the same verdicts.
+GOLDEN_VERDICTS = {
+    ("fix-cr5-bent0", 42): (
+        "2a4b8460abae16f93af87c09db7e3c752f54917ff922a95ad4045561899fb89f", 1),
+    ("fix-cr5-bent0", 7): (
+        "2a4b8460abae16f93af87c09db7e3c752f54917ff922a95ad4045561899fb89f", 1),
+    ("fix-cr5-bent1", 42): (
+        "2a4b8460abae16f93af87c09db7e3c752f54917ff922a95ad4045561899fb89f", 1),
+    ("fix-cr5-bent1", 7): (
+        "2a4b8460abae16f93af87c09db7e3c752f54917ff922a95ad4045561899fb89f", 1),
+    ("fix-cr5-bent2", 42): (
+        "2a4b8460abae16f93af87c09db7e3c752f54917ff922a95ad4045561899fb89f", 1),
+    ("fix-cr5-bent2", 7): (
+        "2a4b8460abae16f93af87c09db7e3c752f54917ff922a95ad4045561899fb89f", 1),
+    ("sasaki-r7-cr-bent3", 42): (
+        "09b0896018a05e85cd148f85fe529f3c3f941edaa4b918b7061ab7176f799e72", 1),
+    ("sasaki-r7-cr-bent3", 7): (
+        "09b0896018a05e85cd148f85fe529f3c3f941edaa4b918b7061ab7176f799e72", 1),
+}
+
+
 def _spec(name, tmp_path):
-    """A fixture name, or the path of an edge spec written out as JSON."""
-    if name not in EDGE_SPECS:
+    """A fixture name, or the path of an edge or bent spec written out as
+    JSON."""
+    doc = EDGE_SPECS.get(name) or BENT_SPECS.get(name)
+    if doc is None:
         return name
     path = tmp_path / f"{name}.json"
-    path.write_text(json.dumps(EDGE_SPECS[name]))
+    path.write_text(json.dumps(doc))
     return str(path)
 
 
@@ -132,4 +162,17 @@ def test_a_non_finite_k_entry_is_golden(capsys, tmp_path):
     out = capsys.readouterr()
     assert (hashlib.sha256(out.out.encode()).hexdigest(), code) == (
         "16cdd1de69223e158e31c2ecad881a3c92b11db33064da4248b514a8722272c4", 1)
+    assert out.err == ""
+
+
+@pytest.mark.parametrize("name,seed", sorted(GOLDEN_VERDICTS))
+def test_bent_spec_verdicts_are_golden(capsys, tmp_path, name, seed):
+    code = main(["check", "--spec", _spec(name, tmp_path), "--samples", "64",
+                 "--seed", str(seed), "--format", "structured"])
+    out = capsys.readouterr()
+    rows = [[suite, check["check"], rec["name"], rec["status"]]
+            for suite, doc in json.loads(out.out)["suites"].items()
+            for check in doc["checks"] for rec in check["records"]]
+    digest = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+    assert (digest, code) == GOLDEN_VERDICTS[(name, seed)]
     assert out.err == ""
