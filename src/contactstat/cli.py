@@ -12,7 +12,6 @@ same inputs and seed.
 """
 
 import argparse
-import contextvars
 import hashlib
 import json
 import math
@@ -95,9 +94,8 @@ def _cpus():
 
 def _map_on_cpus(fn, items):
     """[fn(x) for x in items], on a thread pool with one worker per CPU
-    (numpy releases the GIL in its loops), each call in a copy of the
-    caller's context so that the caller's np.errstate holds in it.  The
-    pool is shut down, and its threads joined, before the call returns."""
+    (numpy releases the GIL in its loops).  The pool is shut down, and its
+    threads joined, before the call returns."""
     workers = min(_cpus(), len(items))
     if workers == 1:
         return [fn(x) for x in items]
@@ -105,9 +103,8 @@ def _map_on_cpus(fn, items):
     # 7-10 ms, about 5 % of importing the CLI, and only sets of more than
     # one block use it
     from concurrent.futures import ThreadPoolExecutor
-    contexts = [contextvars.copy_context() for _ in items]
     with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(lambda ctx, x: ctx.run(fn, x), contexts, items))
+        return list(pool.map(fn, items))
 
 
 def _check_set(runs, samples):
@@ -128,19 +125,20 @@ def _check_set(runs, samples):
     def on_block(a):
         block = replace(samples, points=samples.points[a:a + BLOCK])
         reports = []
+        # numpy's error state is per thread, so each block sets its own
         try:
-            for _, check in runs:
-                try:
-                    reports.append(check(block))
-                except INPUT_ERRORS:
-                    reports.append(None)
+            with np.errstate(all="ignore"):
+                for _, check in runs:
+                    try:
+                        reports.append(check(block))
+                    except INPUT_ERRORS:
+                        reports.append(None)
         finally:
             # a kept input error's traceback would hold the block
             block._built.clear()
         return reports
 
-    with np.errstate(all="ignore"):
-        blocks = _map_on_cpus(on_block, starts)
+    blocks = _map_on_cpus(on_block, starts)
     out = []
     for (name, check), reports in zip(runs, zip(*blocks)):
         if any(rep is None or any(math.isnan(r.residual) for r in rep.records)

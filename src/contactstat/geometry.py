@@ -14,8 +14,8 @@ A statistical structure is stored as the metric and its symbolic
 difference tensor K.  The Levi-Civita symbols are evaluated numerically
 (Koszul formula, numeric inverse), once per point batch, and both
 connections, ∇ = ∇̂ + K and its dual ∇* = ∇̂ − K, are read from that one
-evaluation.  A constant metric has ∇̂ = 0 and is inverted only once, to
-check that it is invertible.
+evaluation and one of K, on every metric.  A constant metric has ∇̂ = 0, a
+broadcast zero, and is inverted only once, to check that it is invertible.
 
 The connection batch (Γ̂, Γ, Γ*) of an ambient sample set is built once per
 set, or per block of a set that is checked in blocks, and the ambient and
@@ -324,13 +324,8 @@ class StatTriple:
                 "dimension mismatch between metric and difference tensor")
         self.g = g
         self.K = K
-        self._minus_K = None
         if g.is_constant:
             g.inverse_at(np.zeros((1, g.dim)))  # invertibility, reported early
-
-    @property
-    def dim(self):
-        return self.g.dim
 
     @property
     def is_constant(self):
@@ -338,37 +333,31 @@ class StatTriple:
         point."""
         return self.g.is_constant and self.K.is_constant
 
-    def _dual_K(self):
-        # threads that race here may each build -K; every copy is correct
-        if self._minus_K is None:
-            self._minus_K = ConnField(self.dim, [[[-e for e in row]
-                                                  for row in plane]
-                                                 for plane in self.K.coeffs])
-        return self._minus_K
-
     def dual(self):
-        """The dual structure (g, ∇*), whose difference tensor is -K."""
-        return StatTriple(self.g, self._dual_K())
+        """The dual structure (g, ∇*), whose difference tensor is -K, built
+        when it is asked for."""
+        return StatTriple(self.g, ConnField(self.g.dim, [
+            [[-e for e in row] for row in plane] for plane in self.K.coeffs]))
 
-    def gammas(self, points, levi=None):
-        """(Γ̂, Γ, Γ*) at each point, each [n, k, i, j], from one
-        Levi-Civita evaluation, levi() when given.  A constant metric has
-        Γ̂ = 0, so Γ = K and Γ* = -K come straight from their symbolic
-        grids, and a constant grid stays a broadcast view instead of a full
-        batch."""
-        k = self.K.gamma_at(points)
-        if self.g.is_constant:
-            return (np.broadcast_to(0.0, k.shape), k,
-                    self._dual_K().gamma_at(points))
-        lc = levi_civita(self.g, points) if levi is None else levi()
-        return lc, lc + k, lc - k
+    def gammas(self, points):
+        """(Γ̂, Γ, Γ*) = (Γ̂, Γ̂ + K, Γ̂ − K) at each point, each [n, k, i, j],
+        from one evaluation of K and one of the Levi-Civita symbols.  A
+        constant metric's Γ̂ is a broadcast zero."""
+        return _dual_pair(self.K.gamma_at(points),
+                          levi_civita(self.g, points))
 
     def connections(self, samples):
         """gammas at a sample set's points, built once for the set, with
         the metric's own Γ̂ of the set.  An input error that stops the build
         is raised again to every caller of the set."""
-        return _built_once(self, samples, lambda s: self.gammas(
-            s.points, lambda: self.g.christoffel(s)))
+        return _built_once(self, samples, lambda s: _dual_pair(
+            self.K.gamma_at(s.points), self.g.christoffel(s)))
+
+
+def _dual_pair(k, lc):
+    """(Γ̂, Γ̂ + K, Γ̂ − K).  Callers evaluate K before Γ̂, so where both fail,
+    check_statistical names K and check_sasakian (Γ̂ alone) the metric."""
+    return lc, lc + k, lc - k
 
 
 def metric_samples(g, count=DEFAULT_COUNT, seed=DEFAULT_SEED, box=DEFAULT_BOX):

@@ -6,9 +6,10 @@ first-order identity checks that tie them together.
 Everything here is array code over a leading sample axis.  A context
 (GWData) holds, for a batch of domain points, the image points, the
 Jacobian, the pulled-back metric and contact fields as first-order jets in
-the domain coordinates, and the ambient Christoffel values at every image
-point, all from one batched evaluation; the ambient covariant derivative
-along the map uses those Christoffel values, which keeps every evaluator
+the domain coordinates, and both connections' ambient Christoffel values
+at every image point, contracted with the Jacobian, all from one batched
+evaluation; the ambient covariant derivative along the map uses those
+contractions, which keeps every evaluator
 independent of any choice of ambient extension.  Gram-Schmidt may keep a
 candidate at some samples and drop it at others (the circle
 (cos x1, sin x1) builds its normal from e1 at x1 = 0 and from e2 at
@@ -202,10 +203,10 @@ class GWData:
 
     `frame` is the coordinate frame d/du^i along the map, the Jacobian
     columns as jets.  Derived jet fields (push, t, f) are memoised for the
-    life of the context.  Each connection's Christoffel values are
-    contracted with the Jacobian once, when the context is built; a
-    covariant-derivative stack from `nabla` belongs to the check that asks
-    for it."""
+    life of the context.  Γ and Γ* are kept only as their contractions
+    with the Jacobian, which `nabla` applies, and Γ as `gamma_scale`, its
+    largest |entry| at each sample; a covariant-derivative stack from
+    `nabla` belongs to the check that asks for it."""
 
     def __init__(self, mg, points, index):
         self.points = points
@@ -213,7 +214,7 @@ class GWData:
         self.y, *fields = _checked(mg.grids, points)
         self.J, self.G, *contact = [Jet(v, d) for v, d
                                     in zip(fields[::2], fields[1::2])]
-        _, self.gamma, self.gamma_star = mg.st.gammas(self.y)
+        _, gamma, gamma_star = mg.st.gammas(self.y)
         self.phi, self.xi, self.eta = contact or (None, None, None)
         self._kept = {}
 
@@ -227,7 +228,8 @@ class GWData:
         # products below, and the defect test then fails at its point
         with np.errstate(over="ignore", invalid="ignore"):
             self.Gram = jmatmat(jT(self.J), jmatmat(self.G, self.J))
-            self.Pi_tan = jmatmat(self.J, jmatmat(jinv(self.Gram),
+            Gram_inv = jinv(self.Gram)
+            self.Pi_tan = jmatmat(self.J, jmatmat(Gram_inv,
                                                   jmatmat(jT(self.J), self.G)))
             self.Pi_nor = jconst(np.eye(n), m) - self.Pi_tan
 
@@ -239,8 +241,7 @@ class GWData:
             J, G = self.J.val, self.G.val
             self.normal = (np.stack([f.val for f in self.normal_jets], axis=-1)
                            if self.normal_jets else np.zeros((N, n, 0)))
-            self.gram = _tr(J) @ G @ J
-            self.gram_inv = np.linalg.inv(self.gram)
+            self.gram, self.gram_inv = self.Gram.val, Gram_inv.val
             defect = (np.abs(_tr(J) @ G @ self.normal).reshape(N, -1)
                       .max(axis=1) if self.normal.size else np.zeros(N))
         # the frame vectors as rows: the tangents J e_i and the normals
@@ -255,7 +256,8 @@ class GWData:
         # Gamma^k_ij J^i_a for Gamma (False) and Gamma* (True), row (k, a)
         # of one (N, n m, n) matrix, which `nabla` applies to the fields
         self._gamma_J = [(self.tangents[:, None] @ gam).reshape(N, n * m, n)
-                         for gam in (self.gamma, self.gamma_star)]
+                         for gam in (gamma, gamma_star)]
+        self.gamma_scale = np.abs(gamma).reshape(N, -1).max(axis=1)
 
     # -- construction helpers
 
@@ -360,8 +362,12 @@ class GWData:
         N, n, m = self.J.val.shape
         if not fields:
             return np.zeros((N, 0, n, m))
-        stack = np.stack([W.d for W in fields], axis=1)
-        stack += (np.stack([W.val for W in fields], axis=1)
+        # C-contiguous: np.stack keeps its inputs' stride order, so jets with
+        # a stride-0 sample axis (a constant Jacobian's) stack sample-minor
+        stack = np.stack([W.d for W in fields], axis=1,
+                         out=np.empty((N, len(fields), n, m)))
+        stack += (np.stack([W.val for W in fields], axis=1,
+                           out=np.empty(stack.shape[:3]))
                   @ _tr(self._gamma_J[star])).reshape(stack.shape)
         return stack
 
@@ -583,7 +589,8 @@ def check_transport_identities(mg, samples, tol=1e-8):
     xs, xy = labels("X=u{}", m), labels("X=u{} Y=u{}", m, m)
 
     for ctx in mg.contexts(samples):
-        add = res.adder(_scale(ctx.phi.val, ctx.G.val, ctx.gamma), ctx.index)
+        add = res.adder(_scale(ctx.phi.val, ctx.G.val, ctx.gamma_scale),
+                        ctx.index)
         X = ctx.tangents
         xiv = ctx.xi.val
         # [:, i, j] along u_i of the frame field u_j, of its T and F parts

@@ -278,12 +278,42 @@ class TestConnectionBatch:
             st.connections(copy)
         assert builds == [5, 5, 3, 5, 1]
 
-    def test_a_constant_metric_builds_no_batch(self, builds):
+    def test_a_constant_metric_builds_no_batch(self, monkeypatch):
+        # a constant metric does no Levi-Civita work: its Γ̂ is a broadcast
+        # zero, it is not inverted again, and Γ, Γ* are K and -K
         st = e7_structure().st
         s = sample_box(7, count=4, seed=1)
+        inverted, inverse_at = [], MetricField.inverse_at
+
+        def counted(g, points):
+            inverted.append(len(points))
+            return inverse_at(g, points)
+
+        monkeypatch.setattr(MetricField, "inverse_at", counted)
         lc, gam, gam_star = st.connections(s)
-        assert not lc.any() and builds == []
-        np.testing.assert_array_equal(gam, st.K.gamma_at(s.points))
+        assert lc.strides == (0, 0, 0, 0) and not lc.any()
+        assert inverted == []
+        k = st.K.at(s.points)
+        assert k.any()
+        np.testing.assert_array_equal(gam, k)
+        np.testing.assert_array_equal(gam_star, -k)
+
+    def test_k_fails_before_the_metric(self):
+        # where K and the metric both fail, the connection batch raises K's
+        # error and the metric's own Γ̂ the metric's
+        g = MetricField(3, {(0, 0): "1e-5*(1+x1^2)", (1, 1): "1e-5",
+                            (2, 2): "1e-5"})
+        K = ConnField(3, [[["sqrt(-1)" if k == i == j == 1 else "0"
+                            for j in range(3)] for i in range(3)]
+                          for k in range(3)])
+        st = StatTriple(g, K)
+        s = Samples(np.array([[0.5, 0.1, 0.2]]))
+        with pytest.raises(DomainError, match=r"sqrt\(-1"):
+            st.connections(s)
+        with pytest.raises(SingularMetricError):
+            g.christoffel(s)
+        with pytest.raises(DomainError):
+            st.gammas(s.points)
 
     def test_an_input_error_reaches_every_reader(self, builds):
         g = MetricField(3, {(0, 0): "x1^2", (1, 1): "1", (2, 2): "1"})

@@ -165,6 +165,33 @@ def test_a_non_finite_k_entry_is_golden(capsys, tmp_path):
     assert out.err == ""
 
 
+# samples -> sha256 of the structured stdout of paper-r7-euclidean with a K
+# that varies with the point, at seed 42: the metric is constant, so Γ̂ is
+# zero, but neither sample set collapses to one point, and 1025 samples are
+# checked in blocks
+VARYING_K = {
+    64: "c7f1a53b66056d3f5ea20ff80aca3d356279ef2626ac9d0d5bc62340a51b1ada",
+    1025: "434806eb6bd8b6433b08d5057e0287d1d234209f93b6b02eb874fa0b007ea40b",
+}
+
+
+@pytest.mark.parametrize("samples", sorted(VARYING_K))
+def test_a_constant_metric_with_a_varying_k_is_golden(capsys, tmp_path,
+                                                      samples):
+    doc = fixture_doc("paper-r7-euclidean")
+    doc["name"] = "paper-r7-varying-k"
+    doc["ambient"]["K"] = {"coefficients": {
+        "7 7 7": "x1", "1 7 7": "x2/3", "7 1 7": "x2/3", "7 7 1": "x2/3"}}
+    path = tmp_path / "varying-k.json"
+    path.write_text(json.dumps(doc))
+    code = main(["check", "--spec", str(path), "--samples", str(samples),
+                 "--seed", "42", "--format", "structured"])
+    out = capsys.readouterr()
+    assert (hashlib.sha256(out.out.encode()).hexdigest(), code) == (
+        VARYING_K[samples], 1)
+    assert out.err == ""
+
+
 @pytest.mark.parametrize("name,seed", sorted(GOLDEN_VERDICTS))
 def test_bent_spec_verdicts_are_golden(capsys, tmp_path, name, seed):
     code = main(["check", "--spec", _spec(name, tmp_path), "--samples", "64",

@@ -138,8 +138,8 @@ def _same_sample(batched, s, one):
 
 
 def _gw_arrays(ctx):
-    return [ctx.gamma, ctx.gamma_star, ctx.normal, ctx.J, ctx.G, ctx.Pi_tan,
-            ctx.Pi_nor, *ctx.normal_jets]
+    return [*ctx._gamma_J, ctx.gamma_scale, ctx.normal, ctx.J, ctx.G,
+            ctx.Pi_tan, ctx.Pi_nor, *ctx.normal_jets]
 
 
 def _cr_arrays(c):
@@ -454,10 +454,10 @@ def _domain_runs(cr):
             for pair in cli._suite_runs(suite, None, cr.mg, cr, 1e-8)]
 
 
-def dbar_reference(ctx, x, W, star):
+def dbar_reference(ctx, gam, x, W):
     """nabla-bar_X W as one direction at a time: the partials of W along X
-    plus Gamma(J X, W), contracted in one einsum."""
-    gam = ctx.gamma_star if star else ctx.gamma
+    plus gam(J X, W), with `gam` the ambient Christoffel values at the
+    context's image points, contracted in one einsum."""
     x = np.broadcast_to(np.asarray(x, dtype=float), (len(ctx.index), ctx.m))
     return (np.matvec(W.d, x)
             + np.einsum("...kab,...a,...b->...k", gam,
@@ -480,9 +480,8 @@ class TestCovariantDerivativeAlongTheMap:
         samples = sample_box(spec.embedding.m, count=9, seed=4)
         [c] = cr.contexts(samples)
         ctx = c.ctx
-        # the flat fixture's Christoffel values are one constant broadcast
-        # over the samples, the Sasaki fixture's vary with the point
-        assert (ctx.gamma.strides[0] == 0) == (name == "paper-r7-euclidean")
+        # Γ and Γ* at the image points, read from the structure itself
+        gams = cr.mg.st.gammas(ctx.y)[1:]
         m = ctx.m
         frame = [VectorField.coordinate(m, i) for i in range(m)]
         pushes = [ctx.push_jet(Y) for Y in frame]
@@ -507,7 +506,7 @@ class TestCovariantDerivativeAlongTheMap:
             for k, W in enumerate(fields):
                 for l, x in enumerate(directions):
                     got = nab[:, l, k]
-                    want = dbar_reference(ctx, x, W, star)
+                    want = dbar_reference(ctx, gams[star], x, W)
                     assert got.shape == want.shape == (9, ctx.n)
                     assert np.all(np.abs(got - want)
                                   <= 1e-14 * (1.0 + np.abs(want)))
@@ -527,6 +526,19 @@ class TestCovariantDerivativeAlongTheMap:
         assert np.isnan(product[1, 1, 2, 3])
         finite = np.isfinite(product)
         np.testing.assert_array_equal(got[finite], product[finite])
+
+    @pytest.mark.parametrize("name", ["sasaki-r7-cr", "fix-cr5"])
+    def test_a_stack_of_broadcast_jets_is_c_contiguous(self, name):
+        # a linear embedding's Jacobian is one matrix broadcast over the
+        # samples, and so is the frame read from it; its stacks must still
+        # come out sample-major, with each sample's block contiguous
+        spec = from_doc(fixture_doc(name))
+        [ctx] = spec.cr_structure().mg.contexts(
+            sample_box(spec.embedding.m, count=6, seed=1))
+        assert all(f.val.strides[0] == f.d.strides[0] == 0
+                   for f in ctx.frame)
+        for star in (False, True):
+            assert ctx.nabla(ctx.frame, star).flags.c_contiguous
 
     @pytest.mark.parametrize("case", ["reeb-mixed", "sasaki-r7-cr"])
     def test_no_context_keeps_a_stack(self, case):
