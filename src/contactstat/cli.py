@@ -29,6 +29,7 @@ from .crchecks import (CRStructure, check_contact_cr, check_cr_product,
                        check_integrability_Dperp,
                        check_mixed_geodesic_consequences, classify_geodesic,
                        mixed_geodesic_verdict)
+from .exprlang import DomainError
 from .fixtures import fixture_doc, fixture_names
 from .geometry import INPUT_ERRORS, check_statistical, metric_samples
 from .report import CheckReport, Record, merge_blocks
@@ -69,8 +70,10 @@ def _spec_samples(spec, chart, seed, count):
 def _guarded(fn, check_name):
     """Run one check; an input the check cannot be evaluated on becomes its
     failed engine-precondition record, naming the exception (whose message
-    names the failing domain point where the engine knows it).  A
-    non-finite value is left to the records, which keep it as the worst
+    names the failing point where the engine knows it).  A field value
+    that is not finite stops the check where it is read (Grid.at); a
+    non-finite value that the arithmetic makes of finite inputs, such as
+    an overflow, is left to the records, which keep it as the worst
     value, so numpy's floating-point warnings are not shown."""
     try:
         with np.errstate(all="ignore"):
@@ -149,13 +152,14 @@ def _check_set(runs, samples):
     return out
 
 
-def _holds(test):
-    """Whether test() holds; a field that cannot be evaluated makes it
-    fail, and is left for the checks to report."""
+def _reads(grid, points):
+    """Whether grid.at(points) is finite; a point outside the grid's
+    domain is left for the checks to report."""
     try:
-        return test()
-    except INPUT_ERRORS:
+        grid.at(points)
+    except DomainError:
         return False
+    return True
 
 
 def _suite_runs(suite, spec, mg, cr, t):
@@ -228,15 +232,14 @@ def run(spec, suites, seed=None, count=None, tol=None):
     ambient = domain = mg = cr = None
     if wanted & {"ambient", "contact"}:
         ambient = _spec_samples(spec, "ambient", eff_seed, eff_count)
-        if _holds(lambda: spec.sss.st.is_constant
-                  and spec.sss.acs.is_constant):
+        if spec.sss.st.is_constant and spec.sss.acs.is_constant:
             ambient = ambient.collapsed()
     if wanted & {"submanifold", "cr", "product"}:
         domain = _spec_samples(spec, "domain", eff_seed, eff_count)
         mg = MapGeometry(spec.embedding, spec.sss.st, acs=spec.sss.acs)
-        if _holds(lambda: mg.is_constant and all(
-                X.is_constant for X in spec.d_gens + spec.dperp_gens)
-                and np.isfinite(spec.embedding.at(domain.points)).all()):
+        if (mg.is_constant and all(X.is_constant
+                                   for X in spec.d_gens + spec.dperp_gens)
+                and _reads(spec.embedding, domain.points)):
             domain = domain.collapsed()
     if wanted & {"cr", "product"}:
         cr = CRStructure(mg, spec.d_gens, spec.dperp_gens)

@@ -22,10 +22,9 @@ rule closed over the grammar.
 There is one evaluator, ``eval_many``: elementwise numpy over a batch of
 points, and one domain policy: a non-finite value means the point lies
 outside the expression's domain.  ``eval`` is ``eval_many`` at a batch of
-one and raises ``DomainError`` naming the expression; a caller that
-evaluates a batch raises the same error and also names the first failing
-point (the submanifold contexts do), or keeps the value and lets it fail a
-residual (the ambient checks do).
+one and raises ``DomainError`` naming the expression; ``Grid.at``, which
+reads every field of the engine, raises the same error for a batch and
+also names its first failing point.
 """
 
 import math
@@ -60,11 +59,12 @@ class ParseError(ExprError):
 
 class DomainError(ExprError):
     """Evaluation left the domain; carries the offending expression and,
-    when a batched evaluation raised it, the first failing point."""
+    when a batched evaluation raised it, the first failing point, in the
+    chart of the field that was read."""
 
     def __init__(self, message, expr, point=None):
         where = ("" if point is None
-                 else f" at domain point {np.asarray(point).tolist()}")
+                 else f" at point {np.asarray(point).tolist()}")
         super().__init__(f"{message}: {expr}{where}")
         self.message = message
         self.expr = expr
@@ -131,8 +131,8 @@ class Expr:
 
     def eval_many(self, points):
         """Vectorised evaluation over an (N, dim) array.  A value outside
-        the domain comes out non-finite and is left in place: the caller
-        owns the batch and raises for it (see the module docstring)."""
+        the domain comes out non-finite and is left in place: `Grid.at`
+        raises for the batch (see the module docstring)."""
         pts = np.asarray(points, dtype=float)
         with np.errstate(all="ignore"):
             out = self._eval_many(pts)

@@ -111,19 +111,19 @@ class Grid:
     """A nested tuple grid of expressions, compiled on first use into an
     evaluation plan for batches of points.
 
-    `exprs` keeps the entries in position order.  A grid without coordinate
-    dependence is evaluated once and broadcast as a read-only view.  For any
-    other grid the plan is
+    `exprs` keeps the entries in position order.  The plan is
     - a template row of the constant entries: a literal's value, or a
-      constant tree such as ``1/2`` evaluated once at one point, so a
-      non-finite constant stays non-finite for the caller to report;
+      constant tree such as ``1/2`` or ``1/0`` evaluated once at one point;
     - a scatter list pairing each distinct non-constant entry with the
       positions it fills.  Entries are the same when their text is: the
       text tells ``0.0`` from ``-0.0`` and keeps every parenthesis, so
       entries with the same text give the same value bit for bit.
-    `at` fills a fresh batch from the template and evaluates each distinct
-    entry once.  `partials` is the grid of partial derivatives in the `dim`
-    chart coordinates, with the derivative axis last."""
+    A grid without coordinate dependence is its template, `const`, and is
+    broadcast as a read-only view.  `at` fills a fresh batch from the
+    template and evaluates each distinct entry once, and it is the one
+    checked read of every field (see `at`).  `partials` is the grid of
+    partial derivatives in the `dim` chart coordinates, with the
+    derivative axis last."""
 
     def __init__(self, nested, dim):
         self.nested = nested
@@ -137,26 +137,20 @@ class Grid:
         # thread compiling at the same time publishes an equal one
         exprs = []
         shape = _flatten(self.nested, exprs)
-        vals = [e.const_value() for e in exprs]
-        const = template = scatter = None
-        if all(e.max_var < 0 for e in exprs):
-            const = np.array([e.eval(()) if v is None else v
-                              for e, v in zip(exprs, vals)]).reshape(shape)
-        else:
-            template = np.zeros(len(exprs))
-            groups = {}
-            for col, (e, v) in enumerate(zip(exprs, vals)):
-                if v is not None:
-                    template[col] = v
-                elif e.max_var < 0:
-                    template[col] = e.eval_many(np.zeros((1, 0)))[0]
-                else:
-                    groups.setdefault(str(e), (e, []))[1].append(col)
-            scatter = [(e, np.array(cols)) for e, cols in groups.values()]
-        self.shape, self.const = shape, const
-        self.template, self.scatter = template, scatter
-        # set last: a constant entry that raises DomainError leaves the grid
-        # uncompiled, so each later use raises it again
+        template = np.zeros(len(exprs))
+        groups = {}
+        for col, e in enumerate(exprs):
+            v = e.const_value()
+            if v is not None:
+                template[col] = v
+            elif e.max_var < 0:
+                template[col] = e.eval_many(np.zeros((1, 0)))[0]
+            else:
+                groups.setdefault(str(e), (e, []))[1].append(col)
+        self.shape = shape
+        self.const = None if groups else template.reshape(shape)
+        self.template = template
+        self.scatter = [(e, np.array(cols)) for e, cols in groups.values()]
         self.exprs = exprs
 
     @property
@@ -177,15 +171,26 @@ class Grid:
         return self._partials
 
     def at(self, points):
-        """Values at an (N, dim) batch; the sample axis comes first."""
+        """Values at an (N, dim) batch; the sample axis comes first.  A
+        non-finite value means a point outside the field's domain: it
+        raises DomainError naming the batch's first failing point and the
+        first non-finite entry there, in position order."""
         pts = np.asarray(points, dtype=float)
-        try:
-            constant = self.is_constant
-        except DomainError as e:
-            # only a constant entry fails to compile, and it fails at every
-            # point, so the batch's first point is where it fails
-            raise DomainError(e.message, e.expr, pts[0]) from None
-        if constant:
+        vals = self._values(pts)
+        rows = vals.reshape(len(pts), len(self.exprs))
+        if self.const is not None:
+            rows = rows[:1]  # the one row of a constant grid, broadcast
+        if not np.isfinite(rows).all():
+            bad = ~np.isfinite(rows)
+            s = int(bad.any(axis=1).argmax())
+            raise DomainError("non-finite result",
+                              self.exprs[int(bad[s].argmax())], pts[s])
+        return vals
+
+    def _values(self, pts):
+        """Values at an (N, dim) float batch, unchecked: a point outside the
+        domain keeps its non-finite values."""
+        if self.is_constant:
             return np.broadcast_to(self.const, (pts.shape[0],) + self.shape)
         vals = np.empty((pts.shape[0], len(self.exprs)))
         vals[:] = self.template
@@ -237,8 +242,10 @@ class MetricField(Grid):
 
     def min_eigenvalue_at(self, points):
         """The smallest eigenvalue at each point; NaN where an entry is not
-        finite, so that no sampler accepts the point."""
-        g = self.at(points)
+        finite, so that no sampler accepts the point.  This is the one
+        unchecked read of a field: a sampler rejects each such point on its
+        own, where `at` would raise once for the whole batch."""
+        g = self._values(np.asarray(points, dtype=float))
         finite = np.isfinite(g).all(axis=(1, 2))
         out = np.full(len(g), np.nan)
         out[finite] = np.linalg.eigvalsh(g[finite])[:, 0]
@@ -325,7 +332,12 @@ class StatTriple:
         self.g = g
         self.K = K
         if g.is_constant:
-            g.inverse_at(np.zeros((1, g.dim)))  # invertibility, reported early
+            # invertibility, reported early; the origin stands in for every
+            # point, so a non-finite entry is named without one
+            try:
+                g.inverse_at(np.zeros((1, g.dim)))
+            except DomainError as e:
+                raise DomainError(e.message, e.expr) from None
 
     @property
     def is_constant(self):

@@ -17,13 +17,16 @@ x1 = pi/2), so a sample set gets one context per drop pattern, each with
 the sample numbers (`index`) of its points.  A check builds each residual
 family as one array per context, with the sample axis first and its label
 axes (frame directions, generators, normal vectors) after it, and adds it
-in one call.  A non-finite value in the batch is a DomainError that names
-its expression and the first failing domain point.
+in one call.  Every field is read with `Grid.at`, so a non-finite value
+is a DomainError: a context names the first grid that fails in read order
+(the image, the Jacobian, its partials, the metric along the map, ...,
+then K and the Levi-Civita symbols at the image points), with its first
+failing point and the first non-finite entry there.
 """
 
 import numpy as np
 
-from .exprlang import Const, DomainError
+from .exprlang import Const
 from .geometry import (GeometryError, Grid, MetricField, _built_once,
                        _coerce_expr, _map)
 from .jets import (Jet, _tr, jconst, jinv, jmatmat, jmatvec, jscale, jT,
@@ -89,31 +92,6 @@ def induced_metric(emb, g_ambient):
                     acc = acc + jac[a][i] * gsub[a][b] * jac[b][j]
             upper[(i, j)] = acc
     return MetricField(m, upper)
-
-
-def _values(grid, points):
-    """grid.at(points) and the grid's entries.  A constant grid whose entry
-    fails to compile is non-finite at every point, at that entry alone."""
-    try:
-        return grid.at(points), grid.exprs
-    except DomainError as e:
-        return np.full((len(points), 1), np.nan), [e.expr]
-
-
-def _checked(grids, points):
-    """Each grid's values at `points`, under the domain policy of
-    Expr.eval: a non-finite value raises DomainError naming the first
-    failing point and the first non-finite expression there."""
-    got = [_values(grid, points) for grid in grids]
-    bad = [~np.isfinite(v).reshape(len(points), -1) for v, _ in got]
-    rows = np.any([b.any(axis=1) for b in bad], axis=0)
-    if rows.any():
-        s = int(rows.argmax())
-        exprs, row = next((x, b[s]) for (_, x), b in zip(got, bad)
-                          if b[s].any())
-        raise DomainError("non-finite result", exprs[int(row.argmax())],
-                          points[s])
-    return [v for v, _ in got]
 
 
 class _Split(Exception):
@@ -211,7 +189,7 @@ class GWData:
     def __init__(self, mg, points, index):
         self.points = points
         self.index = index
-        self.y, *fields = _checked(mg.grids, points)
+        self.y, *fields = [grid.at(points) for grid in mg.grids]
         self.J, self.G, *contact = [Jet(v, d) for v, d
                                     in zip(fields[::2], fields[1::2])]
         _, gamma, gamma_star = mg.st.gammas(self.y)
@@ -335,7 +313,7 @@ class GWData:
     def domain_jet(self, X):
         """A domain vector field with its partials, evaluated on first use."""
         return self._memo(("dom", X), lambda: Jet(
-            *_checked([X, X.partials], self.points)))
+            X.at(self.points), X.partials.at(self.points)))
 
     def push_jet(self, X):
         return self._memo(("push", X),

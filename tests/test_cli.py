@@ -1,5 +1,6 @@
 import gc
 import json
+import math
 import sys
 import threading
 import weakref
@@ -286,6 +287,27 @@ class TestBadValues:
         assert err == f"error: {path}.{block}.dim: {message}\n"
 
 
+def _overflowing_k_spec(tmp_path):
+    """fix-s3 with K^1_12 = 1e308 and K^1_21 = -1e308: every field value is
+    finite, but the torsion residual Γ^1_12 - Γ^1_21 overflows in a numpy
+    subtraction, which would warn outside np.errstate."""
+    doc = fixture_doc("fix-s3")
+    doc["ambient"]["K"] = {"coefficients": {"1 1 2": "1e308",
+                                            "1 2 1": "-1e308"}}
+    path = tmp_path / "k.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def _assert_overflow_reached_the_records(doc):
+    """Some record reads inf or NaN, and no check stopped at an input
+    error before its arithmetic ran."""
+    records = [rec for suite in doc["suites"].values()
+               for check in suite["checks"] for rec in check["records"]]
+    assert not any(rec["name"] == "engine-precondition" for rec in records)
+    assert not all(math.isfinite(rec["residual"]) for rec in records)
+
+
 class TestEnginePreconditions:
     def test_domain_error_becomes_failed_record(self, tmp_path, capsys,
                                                 monkeypatch):
@@ -318,7 +340,7 @@ class TestEnginePreconditions:
                 assert rec["name"] == "engine-precondition"
                 assert rec["status"] == "FAIL"
                 assert rec["note"] == ("DomainError: non-finite result: "
-                                       f"sqrt(x1) at domain point "
+                                       f"sqrt(x1) at point "
                                        f"{first.tolist()}")
         # the ten checks share one failed build of the sample set
         assert builds == [8]
@@ -346,8 +368,8 @@ class TestEnginePreconditions:
         notes = [rec["note"] for suite in rep["suites"].values()
                  for check in suite["checks"] for rec in check["records"]
                  if rec["name"] == "engine-precondition"]
-        assert notes == [("DomainError: non-finite result: 10.0*x5 at domain "
-                          f"point {first.tolist()}")] * 10
+        assert notes == [("DomainError: non-finite result: 10.0*x5 at point "
+                          f"{first.tolist()}")] * 10
 
     def test_frame_overflow_names_the_domain_point(self, tmp_path, capsys):
         # a tangent vector of length 1e300 overflows the frame's Gram
@@ -396,17 +418,17 @@ class TestEnginePreconditions:
         # is not finite
         assert first["statistical"]["note"] == (
             "DomainError: non-finite result: 0.0*(sqrt(-1.0)+1.0) "
-            f"at domain point {ambient}")
+            f"at point {ambient}")
         assert {rec["note"] for name, rec in first.items()
                 if name in ("almost-contact", "sasakian",
                             "sasakian-statistical")} == {
-            f"DomainError: non-finite result: sqrt(-1.0)+1.0 at domain point "
+            f"DomainError: non-finite result: sqrt(-1.0)+1.0 at point "
             f"{ambient}"}
         assert {rec["note"] for name, rec in first.items()
                 if name not in ("statistical", "almost-contact",
                                 "contact-metric", "sasakian",
                                 "sasakian-statistical")} == {
-            f"DomainError: non-finite result: sqrt(-1.0)+1.0 at domain point "
+            f"DomainError: non-finite result: sqrt(-1.0)+1.0 at point "
             f"{domain}"}
 
     def test_constant_generator_outside_its_domain_names_the_point(
@@ -424,7 +446,7 @@ class TestEnginePreconditions:
                  for check in rep["suites"][suite]["checks"]]
         first = sample_box(5, count=8, seed=42).points[0]
         assert notes == 7 * [("DomainError: non-finite result: "
-                              "sqrt(-1.0)+1.0 at domain point "
+                              "sqrt(-1.0)+1.0 at point "
                               f"{first.tolist()}")]
 
     @pytest.mark.parametrize("name,block,key,index,text", [
@@ -453,7 +475,7 @@ class TestEnginePreconditions:
             ambient, domain = (sample_box(d, count=8, seed=42).points[0]
                                for d in (7, 5))
             assert notes == {
-                f"DomainError: non-finite result: {expr} at domain point "
+                f"DomainError: non-finite result: {expr} at point "
                 f"{point.tolist()}"
                 for expr, point in (("0.0*(1.0/0.0)", ambient),
                                     ("1.0/0.0", ambient),
@@ -464,40 +486,89 @@ class TestEnginePreconditions:
             # to compile
             first = sample_box(4, count=8, seed=42).points[0]
             assert notes == {("DomainError: non-finite result: "
-                              "x1+1.0/0.0*0.0 at domain point "
+                              "x1+1.0/0.0*0.0 at point "
                               f"{first.tolist()}")}
 
-    def test_floating_point_warnings_stay_off_stderr(self, tmp_path, capsys):
-        # the ambient K = eta (x) eta (x) xi carries 1/0 into the
-        # statistical residuals, which keep the NaN as their worst value
-        doc = fixture_doc("fix-s3")
-        doc["ambient"]["xi"][2] = "1/0"
-        path = tmp_path / "xi.json"
+    @pytest.mark.parametrize("name,keys,value,notes", [
+        # a K entry outside its domain: K is read by the two ambient checks
+        # of the connection and, at the image points, by every domain
+        # check's contexts
+        ("fix-cr5", ("ambient", "K"),
+         {"coefficients": {"5 1 1": "sqrt(x2 - 10)"}},
+         {**dict.fromkeys(["statistical", "sasakian-statistical"],
+                          ("sqrt(x2-10.0)", "ambient")),
+          **dict.fromkeys(["gauss-weingarten", "structure-identities",
+                           "transport-identities", "contact-cr",
+                           "integrability-d", "integrability-dperp",
+                           "dual-shape-identities", "geodesic-classifiers",
+                           "mixed-geodesic-consequences", "cr-product"],
+                          ("sqrt(x2-10.0)", "image"))}),
+        # a non-finite constant in a grid with non-constant entries: every
+        # check reads eta, K = lambda eta (x) eta (x) xi or d eta
+        ("fix-s3", ("ambient", "eta", 1), "1/0",
+         {"statistical": ("1.0/0.0*(1.0/0.0)*0.0", "ambient"),
+          "almost-contact": ("1.0/0.0", "ambient"),
+          "contact-metric": ("0.0/0.0", "ambient"),
+          "sasakian": ("1.0/0.0", "ambient"),
+          "sasakian-statistical": ("1.0/0.0", "ambient")})])
+    def test_a_non_finite_field_is_one_located_record_per_reader(
+            self, tmp_path, capsys, name, keys, value, notes):
+        doc = fixture_doc(name)
+        *parents, last = keys
+        node = doc
+        for k in parents:
+            node = node[k]
+        node[last] = value
+        path = tmp_path / "non-finite.json"
         path.write_text(json.dumps(doc))
         code, out, err = invoke(capsys, "check", "--spec", str(path),
+                                "--samples", "16", "--format", "structured")
+        assert code == 1
+        assert err == ""
+        spec = from_doc(doc)
+        points = {"ambient": sample_box(spec.sss.st.g.dim, count=16,
+                                        seed=42).points[0]}
+        if spec.has_submanifold:
+            points["image"] = spec.embedding.at(sample_box(
+                spec.embedding.m, count=16, seed=42).points[:1])[0]
+        checks = {check["check"]: check["records"]
+                  for suite in json.loads(out)["suites"].values()
+                  for check in suite["checks"]}
+        for check, records in checks.items():
+            assert all(math.isfinite(rec["residual"]) for rec in records)
+            if check not in notes:
+                assert all(rec["name"] != "engine-precondition"
+                           for rec in records)
+                continue
+            [rec] = records
+            expr, chart = notes[check]
+            assert rec["name"] == "engine-precondition"
+            assert rec["note"] == (f"DomainError: non-finite result: {expr} "
+                                   f"at point {points[chart].tolist()}")
+
+    def test_floating_point_warnings_stay_off_stderr(self, tmp_path, capsys):
+        # every field reads, but the residuals overflow; the records keep
+        # the inf and the NaN as their worst values, and numpy does not warn
+        code, out, err = invoke(capsys, "check", "--spec",
+                                _overflowing_k_spec(tmp_path),
                                 "--samples", "8", "--format", "structured")
         assert code == 1
         assert err == ""
-        [stat] = json.loads(out)["suites"]["ambient"]["checks"]
-        assert not stat["passed"]
+        _assert_overflow_reached_the_records(json.loads(out))
 
     def test_floating_point_warnings_stay_off_stderr_in_blocks(
             self, tmp_path, capsys, monkeypatch):
         # the same spec above one block: the blocks run on pool threads,
-        # where the caller's np.errstate must hold too, or the NaN would
-        # warn (and the warning, an error under this suite, escape)
+        # where np.errstate must hold too, or the overflow would warn (and
+        # the warning, an error under this suite, escape)
         monkeypatch.setattr(cli, "_cpus", lambda: 2)
-        doc = fixture_doc("fix-s3")
-        doc["ambient"]["xi"][2] = "1/0"
-        path = tmp_path / "xi.json"
-        path.write_text(json.dumps(doc))
-        code, out, err = invoke(capsys, "check", "--spec", str(path),
+        code, out, err = invoke(capsys, "check", "--spec",
+                                _overflowing_k_spec(tmp_path),
                                 "--samples", str(cli.BLOCK + 76),
                                 "--format", "structured")
         assert code == 1
         assert err == ""
-        [stat] = json.loads(out)["suites"]["ambient"]["checks"]
-        assert not stat["passed"]
+        _assert_overflow_reached_the_records(json.loads(out))
 
     @pytest.mark.parametrize("comp,at", [
         ("x1/1e200", ("embedding", 0)),

@@ -150,9 +150,11 @@ def test_text_report_is_golden(capsys, tmp_path, name, seed):
 
 def test_a_non_finite_k_entry_is_golden(capsys, tmp_path):
     # fix-cr5 with a K grid that mixes a non-constant entry and the
-    # non-finite constant 1/0: every reader of the connection fails at the
-    # first point; the bytes must not depend on whether `along` reads the
-    # coordinate directions as a view or as a product with the identity
+    # non-finite constant 1/0: every check that reads the connection, and
+    # every domain check, whose contexts read it, is one engine-precondition
+    # record naming 1/0 at the first ambient sample or, for a domain check,
+    # at the image of the first domain sample; the checks that do not read
+    # K keep their records
     doc = fixture_doc("fix-cr5")
     doc["ambient"]["K"] = {"coefficients": {"5 1 1": "x2", "5 2 2": "1/0"}}
     path = tmp_path / "k-inf.json"
@@ -161,7 +163,7 @@ def test_a_non_finite_k_entry_is_golden(capsys, tmp_path):
                  "--format", "structured"])
     out = capsys.readouterr()
     assert (hashlib.sha256(out.out.encode()).hexdigest(), code) == (
-        "16cdd1de69223e158e31c2ecad881a3c92b11db33064da4248b514a8722272c4", 1)
+        "9b4efc3ab921f7bec0540742656aa7e4a3973ee58255b2fca6f5cda1e51c96b1", 1)
     assert out.err == ""
 
 

@@ -287,7 +287,7 @@ class TestBatchedContexts:
         with pytest.raises(DomainError) as first:
             mg.contexts(samples)
         assert str(first.value) == ("non-finite result: sqrt(x1) "
-                                    "at domain point [-0.25]")
+                                    "at point [-0.25]")
         with pytest.raises(DomainError) as again:
             mg.contexts(samples)
         assert again.value is first.value
